@@ -27,11 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, IdentificationError, QuadratureError
 from .numerics import (DistSpec, QuadratureSpec, RngStream, integrate_1d,
-                       integrate_1d_report, std_normal_cdf, std_normal_pdf,
-                       std_normal_quantile, std_normal_sf)
+                       std_normal_pdf)
 
 __all__ = ["AsymptoticConstants", "MomentSet", "SigmaAsymptotic",
            "constants_c", "lemma_b_residual", "sigma_asymptotic"]
@@ -46,9 +46,9 @@ def _quantile_of_normal(F: DistSpec, t: np.ndarray) -> np.ndarray:
     out = np.empty_like(t)
     neg = t <= 0.0
     if np.any(neg):
-        out[neg] = F.quantile(std_normal_cdf(t[neg]))
+        out[neg] = F.quantile(ndtr(t[neg]))
     if np.any(~neg):
-        out[~neg] = F.isf(std_normal_sf(t[~neg]))
+        out[~neg] = F.isf(ndtr(-t[~neg]))
     return out
 
 
@@ -79,11 +79,11 @@ def _c3_simpson(g_of, M: int) -> float:
     mids = 0.5 * (edges[:-1] + edges[1:])
     h = edges[1] - edges[0]
     ge, gm = g_of(edges), g_of(mids)
-    Fe, Fm = std_normal_cdf(edges), std_normal_cdf(mids)
+    Fe, Fm = ndtr(edges), ndtr(mids)
     w_e, w_m = ge * Fe, gm * Fm
     panel = h / 6.0 * (w_e[:-1] + 4.0 * w_m + w_e[1:])
     C1 = np.concatenate([[0.0], np.cumsum(panel)])
-    v = 2.0 * ge * std_normal_sf(edges) * C1
+    v = 2.0 * ge * ndtr(-edges) * C1
     # composite Simpson over the edge grid (M is even)
     return h / 3.0 * (v[0] + v[-1] + 4.0 * np.sum(v[1:-1:2])
                       + 2.0 * np.sum(v[2:-1:2]))
@@ -99,9 +99,9 @@ def constants_c(F: DistSpec, spec: QuadratureSpec = QuadratureSpec()) -> Asympto
     _check_scalar_family(F)
     g = lambda t: _quantile_of_normal(F, t)
 
-    c1, e1, _ = integrate_1d_report(lambda t: F.pdf(g(t)), -T_TRUNC, T_TRUNC, spec)
-    c2, e2, _ = integrate_1d_report(lambda t: g(t) * t * std_normal_pdf(t),
-                                    -T_TRUNC, T_TRUNC, spec)
+    c1, e1 = integrate_1d(lambda t: F.pdf(g(t)), -T_TRUNC, T_TRUNC, spec)
+    c2, e2 = integrate_1d(lambda t: g(t) * t * std_normal_pdf(t),
+                          -T_TRUNC, T_TRUNC, spec)
 
     M = 2048
     prev = _c3_simpson(g, M)
@@ -141,18 +141,18 @@ def lemma_b_residual(F: DistSpec, spec: QuadratureSpec = QuadratureSpec()) -> fl
     g = lambda t: _quantile_of_normal(F, t)
 
     def A1(s):
-        return 0.5 * ((s * s - 1.0) * std_normal_cdf(s) + s * std_normal_pdf(s))
+        return 0.5 * ((s * s - 1.0) * ndtr(s) + s * std_normal_pdf(s))
 
     a1_top = A1(np.array(T_TRUNC))
 
     def inner(s):
         a2 = (T_TRUNC ** 2 - s * s) / 2.0 - a1_top + A1(s)
-        return std_normal_sf(s) * A1(s) + std_normal_cdf(s) * a2
+        return ndtr(-s) * A1(s) + ndtr(s) * a2
 
-    lhs = integrate_1d(lambda s: g(s) * inner(s), -T_TRUNC, T_TRUNC, spec)
-    rhs = 0.5 * integrate_1d(lambda t: g(t) * t * std_normal_pdf(t),
-                             -T_TRUNC, T_TRUNC, spec)
-    return abs(lhs - rhs)
+    lhs, _ = integrate_1d(lambda s: g(s) * inner(s), -T_TRUNC, T_TRUNC, spec)
+    c2, _ = integrate_1d(lambda t: g(t) * t * std_normal_pdf(t),
+                         -T_TRUNC, T_TRUNC, spec)
+    return abs(lhs - 0.5 * c2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,9 +215,8 @@ class MomentSet:
         e = sample(stream.child(2), e_dist.centered_version(), n)
         sig = np.ones(n) if eps_sigma_fn is None else eps_sigma_fn(x, e)
         eps = rng.standard_normal(n) * sig
-        eta = std_normal_quantile(
-            np.clip(e_dist.centered_version().cdf(e), 1e-300,
-                    float(np.nextafter(1.0, 0.0))))
+        eta = ndtri(np.clip(e_dist.centered_version().cdf(e), 1e-300,
+                            float(np.nextafter(1.0, 0.0))))
         xc = x - x.mean()
         eps2 = eps * eps
         return cls(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+from array import array
 import json
 import sys
 import time
@@ -62,13 +63,15 @@ def _resolve_exog(tokens):
 
 def ingest_csv(path: str, outcome: str, exogenous, endogenous):
     """Read a header-ed CSV, keeping only rows where every used column
-    parses as a number.
+    parses as a finite number.
 
-    Returns (Dataset, ModelSpec, n_dropped).  ``square:NAME`` entries in
-    ``exogenous`` create derived squared columns named ``NAME^2``.
+    Returns (Dataset, ModelSpec, n_dropped); rows with an unparseable,
+    ``nan`` or ``inf`` cell are dropped and counted.  ``square:NAME``
+    entries in ``exogenous`` create derived squared columns named
+    ``NAME^2``.
 
     Raises DataError on a missing column, an empty result, or when more
-    than half of the data rows fail to parse.
+    than half of the data rows are dropped.
     """
     base_exog, derived, final_exog = _resolve_exog(list(exogenous))
     needed = [outcome, *base_exog, *endogenous]
@@ -91,21 +94,28 @@ def ingest_csv(path: str, outcome: str, exogenous, endogenous):
             raise DataError(f"missing column(s) {missing} in {path!r}; "
                             f"header has {header}")
         idx = [header.index(c) for c in needed]
-        rows, dropped, total = [], 0, 0
+        # parsed rows go into one flat buffer: a list of per-row lists of
+        # float objects takes about six times the memory
+        flat, dropped, total = array("d"), 0, 0
         for raw in reader:
             if not raw or all(not cell.strip() for cell in raw):
                 continue
             total += 1
             try:
-                rows.append([float(raw[i]) for i in idx])
+                flat.extend([float(raw[i]) for i in idx])
             except (ValueError, IndexError):
                 dropped += 1
-    if not rows:
+    arr = np.frombuffer(flat, dtype=np.float64).reshape(-1, len(needed))
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        arr = arr[finite]
+        dropped += int(finite.size - arr.shape[0])
+    if not arr.size:
         raise DataError(f"no usable rows in {path!r}")
     if total and dropped > 0.5 * total:
-        raise DataError(f"{dropped} of {total} rows unparseable in {path!r}")
+        raise DataError(f"{dropped} of {total} rows unparseable or "
+                        f"non-finite in {path!r}")
 
-    arr = np.asarray(rows, dtype=np.float64)
     cols = {name: arr[:, j] for j, name in enumerate(needed)}
     for name, src in derived:
         cols[name] = cols[src] ** 2
@@ -186,9 +196,12 @@ def _fit_table(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args) -> int:
+    tag = _CLI_TO_TAG[args.estimator]
+    if tag != "ols" and args.bootstrap < 2:
+        raise DataError(f"--bootstrap must be at least 2 for the "
+                        f"{args.estimator} estimator, got {args.bootstrap}")
     data, spec, dropped = ingest_csv(args.data, args.outcome,
                                      args.exog or [], args.endog)
-    tag = _CLI_TO_TAG[args.estimator]
     seed = RngStream(args.seed)
     t0 = time.time()
 

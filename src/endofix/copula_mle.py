@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import ndtr, ndtri
 
 from .data import Dataset
 from .errors import DataError, DomainError, EndofixError
 from .estimators import (ESTIMATORS, ModelSpec, ThetaEstimate, _names,
                          build_design, fit_npcf, fit_ols)
-from .numerics import std_normal_cdf, std_normal_quantile
 
 __all__ = ["KernelCdf", "GpParams", "silverman_bandwidth",
            "kernel_cdf_eval", "gp_loglik", "gp_fit"]
@@ -67,7 +67,7 @@ def kernel_cdf_eval(F: KernelCdf, t) -> np.ndarray:
     """(1/n) sum_i Phi((t - x_i) / h), clipped to [1/(2n), 1 - 1/(2n)]."""
     t = np.asarray(t, dtype=np.float64)
     v = F.support_points
-    raw = np.mean(std_normal_cdf((t[..., None] - v) / F.bandwidth), axis=-1)
+    raw = np.mean(ndtr((t[..., None] - v) / F.bandwidth), axis=-1)
     lo = 1.0 / (2.0 * v.size)
     out = np.clip(raw, lo, 1.0 - lo)
     return float(out) if out.ndim == 0 else out
@@ -121,7 +121,7 @@ def gp_loglik(p: GpParams, data: Dataset, spec: ModelSpec,
     if p.alpha.size != D.shape[1]:
         raise DataError("alpha length does not match the design")
     u = y - D @ p.alpha
-    eta = std_normal_quantile(kernel_cdf_eval(F, Z[:, 0]))
+    eta = ndtri(kernel_cdf_eval(F, Z[:, 0]))
     return _loglik_core(u, eta, p.rho, p.sigma_u)
 
 
@@ -152,7 +152,7 @@ def gp_fit(data: Dataset, spec: ModelSpec, max_iter: int = 4000,
     z = Z[:, 0]
     F = KernelCdf.from_sample(z)
     if marginal == "kernel":
-        eta = std_normal_quantile(kernel_cdf_eval(F, z))
+        eta = ndtri(kernel_cdf_eval(F, z))
     else:
         from .transform import normal_scores
         eta = normal_scores(z)

@@ -12,12 +12,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .data import Dataset
 from .errors import (BootstrapError, ConstantInputError, DataError,
-                     EndofixError, IdentificationError, RankDeficiencyError)
+                     DomainError, EndofixError, IdentificationError,
+                     RankDeficiencyError)
 from .estimators import ESTIMATORS, ModelSpec, ThetaEstimate, fit_npcf
-from .numerics import RngStream, std_normal_sf
+from .numerics import RngStream
 from .transform import FirstStage
 
 __all__ = ["BootstrapResult", "TestResult", "pairs_bootstrap",
@@ -85,15 +87,19 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
         Master stream; resample b uses the derived child stream b, so the
         result is reproducible at any degree of parallelism.
     level : float
-        Two-sided percentile-interval level alpha (default 5%).
+        Two-sided percentile-interval level alpha (default 5%), in (0, 1).
 
     Raises
     ------
     BootstrapError
         If B < 2, or more than 1% of resamples are degenerate.
+    DomainError
+        If ``level`` is not strictly between 0 and 1.
     """
     if B < 2:
         raise BootstrapError("bootstrap standard errors need B >= 2")
+    if not 0.0 < level < 1.0:
+        raise DomainError(f"level must lie in (0, 1), got {level}")
     if estimator not in ESTIMATORS or estimator == "ols":
         raise DataError(f"unknown bootstrap estimator {estimator!r}")
     fit_fn = ESTIMATORS[estimator]
@@ -139,7 +145,7 @@ def bootstrap_t_test(fit: ThetaEstimate, boot: BootstrapResult, coef,
     if se <= 0.0:
         raise EndofixError("bootstrap standard error is zero; t-test undefined")
     t = (float(fit.theta[j]) - null_value) / se
-    p = float(2.0 * std_normal_sf(abs(t)))
+    p = float(2.0 * ndtr(-abs(t)))
     return TestResult(statistic=t, p_value=min(p, 1.0),
                       null_description=f"{fit.names[j]} = {null_value:g}")
 
@@ -160,7 +166,7 @@ def exogeneity_test(data: Dataset, spec: ModelSpec) -> TestResult:
     if se <= 0.0:
         raise EndofixError("degenerate standard error in exogeneity test")
     t = float(fit.theta[j]) / se
-    p = float(2.0 * std_normal_sf(abs(t)))
+    p = float(2.0 * ndtr(-abs(t)))
     return TestResult(statistic=t, p_value=min(p, 1.0),
                       null_description="rho = 0 (endogenous regressor is exogenous)")
 

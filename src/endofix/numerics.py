@@ -1,8 +1,12 @@
-"""Special functions, adaptive quadrature, and seeded random sampling.
+"""Distribution specifications, quadrature, and seeded random sampling.
 
-Everything here is deterministic given its inputs; random draws are
-reproducible from an :class:`RngStream` value, which can be split into
-statistically independent child streams for parallel work.
+The special functions are scipy's (:mod:`scipy.special`: ``ndtr``,
+``ndtri``, ``gammainc``, ``gammaincinv``, ``gammainccinv``); this module
+adds the parameter and domain checks around them, one quadrature entry
+point, and reproducible random streams.  Everything here is deterministic
+given its inputs; random draws are reproducible from an
+:class:`RngStream` value, which can be split into statistically
+independent child streams.
 """
 from __future__ import annotations
 
@@ -10,48 +14,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import gammainc, gammainccinv, gammaincinv, ndtr, ndtri
 
 from .errors import DomainError, QuadratureError
 
-__all__ = [
-    "std_normal_cdf",
-    "std_normal_sf",
-    "std_normal_pdf",
-    "std_normal_quantile",
-    "gamma_pdf",
-    "gamma_cdf",
-    "gamma_sf",
-    "gamma_quantile",
-    "gamma_isf",
-    "QuadratureSpec",
-    "integrate_1d",
-    "integrate_2d",
-    "RngStream",
-    "DistSpec",
-    "sample",
-]
+__all__ = ["std_normal_pdf", "QuadratureSpec", "integrate_1d", "RngStream",
+           "DistSpec", "sample"]
 
-_SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-# ---------------------------------------------------------------------------
-# Standard normal distribution
-# ---------------------------------------------------------------------------
-
-def std_normal_cdf(t):
-    """Standard normal CDF, evaluated through the complementary error function.
-
-    Accurate to ~1 ulp over the whole real line; in particular the symmetry
-    ``cdf(-t) + cdf(t) = 1`` holds to <= 1e-15 absolutely.
-    """
-    return 0.5 * erfc(-np.asarray(t, dtype=np.float64) / _SQRT2)
-
-
-def std_normal_sf(t):
-    """Upper tail probability ``P(Z > t)``, accurate relatively in the tail."""
-    return 0.5 * erfc(np.asarray(t, dtype=np.float64) / _SQRT2)
 
 
 def std_normal_pdf(t):
@@ -60,107 +30,6 @@ def std_normal_pdf(t):
     return _INV_SQRT_2PI * np.exp(-0.5 * t * t)
 
 
-# Wichura's PPND16 rational approximation (relative error ~1e-15).
-_PPND_A = np.array([
-    3.3871328727963666080, 133.14166789178437745, 1971.5909503065514427,
-    13731.693765509461125, 45921.953931549871457, 67265.770927008700853,
-    33430.575583588128105, 2509.0809287301226727,
-])
-_PPND_B = np.array([
-    1.0, 42.313330701600911252, 687.1870074920579083,
-    5394.1960214247511077, 21213.794301586595867, 39307.89580009271061,
-    28729.085735721942674, 5226.495278852545703,
-])
-_PPND_C = np.array([
-    1.42343711074968357734, 4.6303378461565452959, 5.7694972214606914055,
-    3.64784832476320460504, 1.27045825245236838258, 0.24178072517745061177,
-    0.0227238449892691845833, 7.7454501427834140764e-4,
-])
-_PPND_D = np.array([
-    1.0, 2.05319162663775882187, 1.6763848301838038494,
-    0.68976733498510000455, 0.14810397642748007459,
-    0.0151986665636164571966, 5.475938084995344946e-4,
-    1.05075007164441684324e-9,
-])
-_PPND_E = np.array([
-    6.6579046435011037772, 5.4637849111641143699, 1.7848265399172913358,
-    0.29656057182850489123, 0.026532189526576123093,
-    0.0012426609473880784386, 2.71155556874348757815e-5,
-    2.01033439929228813265e-7,
-])
-_PPND_F = np.array([
-    1.0, 0.59983220655588793769, 0.13692988092273580531,
-    0.0148753612908506148525, 7.868691311456132591e-4,
-    1.8463183175100546818e-5, 1.4215117583164458887e-7,
-    2.04426310338993978564e-15,
-])
-
-
-def _polyval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.full_like(x, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        out = out * x + c
-    return out
-
-
-def std_normal_quantile(u, polish: bool = True):
-    """Inverse standard normal CDF.
-
-    Uses a high-accuracy rational approximation (AS 241, PPND16 branch
-    structure) followed by one optional Newton correction through the
-    erfc-based CDF, which pushes the round-trip error ``|cdf(q(u)) - u|``
-    to <= 1e-12 on ``u in [1e-10, 1 - 1e-10]``.
-
-    Raises
-    ------
-    DomainError
-        If any ``u`` lies outside the open interval (0, 1).
-    """
-    u_arr = np.asarray(u, dtype=np.float64)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-        raise DomainError("std_normal_quantile requires 0 < u < 1")
-    scalar = u_arr.ndim == 0
-    u_arr = np.atleast_1d(u_arr)
-
-    q = u_arr - 0.5
-    out = np.empty_like(u_arr)
-
-    central = np.abs(q) <= 0.425
-    if np.any(central):
-        r = 0.180625 - q[central] * q[central]
-        out[central] = q[central] * _polyval(_PPND_A, r) / _polyval(_PPND_B, r)
-
-    tail = ~central
-    if np.any(tail):
-        qt = q[tail]
-        r = np.where(qt < 0.0, u_arr[tail], 1.0 - u_arr[tail])
-        r = np.sqrt(-np.log(r))
-        near = r <= 5.0
-        val = np.empty_like(r)
-        if np.any(near):
-            rn = r[near] - 1.6
-            val[near] = _polyval(_PPND_C, rn) / _polyval(_PPND_D, rn)
-        if np.any(~near):
-            rf = r[~near] - 5.0
-            val[~near] = _polyval(_PPND_E, rf) / _polyval(_PPND_F, rf)
-        out[tail] = np.where(qt < 0.0, -val, val)
-
-    if polish:
-        # One Newton step: q <- q - (Phi(q) - u) / phi(q).  The erfc-based
-        # CDF is tail-accurate, so this also sharpens extreme quantiles.
-        lower = out < 0.0
-        err = np.where(lower, std_normal_cdf(out) - u_arr,
-                       (1.0 - u_arr) - std_normal_sf(out))
-        step_ok = np.abs(out) < 37.0
-        out = np.where(step_ok, out - err / std_normal_pdf(out), out)
-
-    return float(out[0]) if scalar else out
-
-
-# ---------------------------------------------------------------------------
-# Gamma distribution (shape/rate parameterization, mean = shape/rate)
-# ---------------------------------------------------------------------------
-
 def _check_gamma_params(shape: float, rate: float) -> None:
     if not (shape > 0.0 and math.isfinite(shape)):
         raise DomainError(f"gamma shape must be positive, got {shape}")
@@ -168,204 +37,20 @@ def _check_gamma_params(shape: float, rate: float) -> None:
         raise DomainError(f"gamma rate must be positive, got {rate}")
 
 
-def gamma_pdf(shape, rate, x):
-    """Density of Gamma(shape, rate); zero for x <= 0."""
-    _check_gamma_params(shape, rate)
-    x = np.asarray(x, dtype=np.float64)
-    t = rate * x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logpdf = shape * math.log(rate) - math.lgamma(shape) \
-            + (shape - 1.0) * np.log(np.where(x > 0.0, x, 1.0)) - t
-    out = np.where(x > 0.0, np.exp(logpdf), 0.0)
-    return out if out.ndim else float(out)
-
-
-def _lower_gamma_series(a: float, t: np.ndarray, max_iter: int = 500) -> np.ndarray:
-    """Regularized lower incomplete gamma P(a, t) by its power series.
-
-    Valid (and fast) for t < a + 1.  Converged elements drop out of the
-    iteration.
-    """
-    out = np.zeros_like(t)
-    pos = np.flatnonzero(t > 0.0)
-    if pos.size == 0:
-        return out
-    tp = t[pos]
-    term = np.full_like(tp, 1.0 / a)
-    total = term.copy()
-    ap = a
-    active = np.arange(tp.size)
-    for _ in range(max_iter):
-        ap += 1.0
-        term[active] = term[active] * tp[active] / ap
-        total[active] += term[active]
-        live = np.abs(term[active]) >= np.abs(total[active]) * 1e-16
-        active = active[live]
-        if active.size == 0:
-            break
-    out[pos] = total * np.exp(-tp + a * np.log(tp) - math.lgamma(a))
-    return out
-
-
-def _upper_gamma_cf(a: float, t: np.ndarray, max_iter: int = 500) -> np.ndarray:
-    """Regularized upper incomplete gamma Q(a, t) by Lentz's continued
-    fraction.  Valid for t >= a + 1.  Converged elements drop out."""
-    tiny = 1e-300
-    b = t + 1.0 - a
-    c = np.full_like(t, 1e300)
-    d = 1.0 / b
-    h = d.copy()
-    active = np.arange(t.size)
-    for i in range(1, max_iter + 1):
-        an = -i * (i - a)
-        ba = b[active] + 2.0
-        b[active] = ba
-        da = an * d[active] + ba
-        da = np.where(np.abs(da) < tiny, tiny, da)
-        ca = ba + an / c[active]
-        ca = np.where(np.abs(ca) < tiny, tiny, ca)
-        da = 1.0 / da
-        delta = da * ca
-        h[active] *= delta
-        d[active] = da
-        c[active] = ca
-        live = np.abs(delta - 1.0) >= 1e-16
-        active = active[live]
-        if active.size == 0:
-            break
-    return h * np.exp(-t + a * np.log(t) - math.lgamma(a))
-
-
-def gamma_cdf(shape, rate, x):
-    """Regularized lower incomplete gamma: ``P(shape, rate*x)``.
-
-    Power series on ``rate*x < shape + 1``, continued fraction otherwise.
-    """
-    _check_gamma_params(shape, rate)
-    x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 0
-    t = np.atleast_1d(rate * x).astype(np.float64)
-    out = np.zeros_like(t)
-    lo = (t > 0.0) & (t < shape + 1.0)
-    hi = t >= shape + 1.0
-    if np.any(lo):
-        out[lo] = _lower_gamma_series(shape, t[lo])
-    if np.any(hi):
-        out[hi] = 1.0 - _upper_gamma_cf(shape, t[hi])
-    return float(out[0]) if scalar else out
-
-
-def gamma_sf(shape, rate, x):
-    """Upper tail ``Q(shape, rate*x) = 1 - gamma_cdf``, tail-accurate."""
-    _check_gamma_params(shape, rate)
-    x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 0
-    t = np.atleast_1d(rate * x).astype(np.float64)
-    out = np.ones_like(t)
-    lo = (t > 0.0) & (t < shape + 1.0)
-    hi = t >= shape + 1.0
-    if np.any(lo):
-        out[lo] = 1.0 - _lower_gamma_series(shape, t[lo])
-    if np.any(hi):
-        out[hi] = _upper_gamma_cf(shape, t[hi])
-    return float(out[0]) if scalar else out
-
-
-def _gamma_solve(shape: float, target: np.ndarray, upper_tail: bool) -> np.ndarray:
-    """Solve P(shape, t) = target (or Q = target) for t, in the t = rate*x
-    scale, by safeguarded Newton with a maintained bisection bracket.
-    Converged elements drop out of the working set."""
-    a = shape
-    p = np.where(upper_tail, 1.0 - target, target)  # lower-tail probability
-
-    # Starting value: Wilson-Hilferty, replaced by the small-t expansion
-    # t ~ (p * Gamma(a+1))**(1/a) whenever that is smaller.
-    g = std_normal_quantile(np.clip(p, 1e-300, 1.0 - 1e-16))
-    wh = a * (1.0 - 1.0 / (9.0 * a) + g / (3.0 * math.sqrt(a))) ** 3
-    with np.errstate(over="ignore"):
-        small = np.exp((np.log(np.clip(p, 1e-300, 1.0)) + math.lgamma(a + 1.0)) / a)
-    t = np.where((wh <= 0.0) | (small < wh), small, wh)
-    t = np.clip(t, 1e-300, None)
-
-    lo = np.zeros_like(t)
-    hi = np.full_like(t, np.inf)
-    logc = -math.lgamma(a)  # log density of the t-scale variable
-    active = np.arange(t.size)
-    for _ in range(120):
-        ta = t[active]
-        tg = target[active]
-        if upper_tail:
-            err = gamma_sf(a, 1.0, ta) - tg
-        else:
-            err = gamma_cdf(a, 1.0, ta) - tg
-        going_up = err > 0.0 if upper_tail else err < 0.0
-        lo[active] = np.where(going_up, np.maximum(lo[active], ta), lo[active])
-        hi[active] = np.where(going_up, hi[active], np.minimum(hi[active], ta))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            pdf = np.exp(logc + (a - 1.0) * np.log(ta) - ta)
-            step = err / pdf if not upper_tail else -err / pdf
-            prop = ta - step
-        bad = ~np.isfinite(prop) | (prop <= lo[active]) | (prop >= hi[active])
-        mid = np.where(np.isinf(hi[active]), ta * 2.0 + 1.0,
-                       0.5 * (lo[active] + hi[active]))
-        new_t = np.where(bad, mid, prop)
-        # points whose probability error is already relatively tiny stay put;
-        # otherwise stop once the bracket has collapsed
-        err_done = np.abs(err) <= 1e-12 * tg
-        new_t = np.where(err_done, ta, new_t)
-        done = err_done | (np.abs(new_t - ta) <= 1e-13 * np.maximum(ta, 1e-300))
-        t[active] = new_t
-        active = active[~done]
-        if active.size == 0:
-            break
-    return t
-
-
-def gamma_quantile(shape, rate, u):
-    """Inverse of :func:`gamma_cdf` in ``x``: smallest x with CDF(x) >= u.
-
-    Bracketed Newton with bisection fallback; the round trip
-    ``|gamma_cdf(gamma_quantile(u)) - u|`` is <= 1e-10.
-    """
-    _check_gamma_params(shape, rate)
-    u_arr = np.asarray(u, dtype=np.float64)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-        raise DomainError("gamma_quantile requires 0 < u < 1")
-    scalar = u_arr.ndim == 0
-    u_arr = np.atleast_1d(u_arr)
-    out = np.empty_like(u_arr)
-    # Solve in whichever tail keeps the target relatively accurate.
-    low = u_arr <= 0.5
-    if np.any(low):
-        out[low] = _gamma_solve(shape, u_arr[low], upper_tail=False)
-    if np.any(~low):
-        out[~low] = _gamma_solve(shape, 1.0 - u_arr[~low], upper_tail=True)
-    out /= rate
-    return float(out[0]) if scalar else out
-
-
-def gamma_isf(shape, rate, q):
-    """Upper-tail quantile: x with ``gamma_sf(x) = q``.
-
-    Preferred over ``gamma_quantile(1 - q)`` when q is tiny, because the
-    upper-tail probability is then passed through exactly.
-    """
-    _check_gamma_params(shape, rate)
-    q_arr = np.asarray(q, dtype=np.float64)
-    if np.any(q_arr <= 0.0) or np.any(q_arr >= 1.0):
-        raise DomainError("gamma_isf requires 0 < q < 1")
-    scalar = q_arr.ndim == 0
-    out = _gamma_solve(shape, np.atleast_1d(q_arr), upper_tail=True) / rate
-    return float(out[0]) if scalar else out
+def _check_prob(u, what: str) -> np.ndarray:
+    u = np.asarray(u, dtype=np.float64)
+    if np.any(u <= 0.0) or np.any(u >= 1.0):
+        raise DomainError(f"{what} requires 0 < u < 1")
+    return u
 
 
 # ---------------------------------------------------------------------------
-# Adaptive quadrature
+# Quadrature
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance and work cap for the adaptive integrators."""
+    """Absolute tolerance and subinterval cap for :func:`integrate_1d`."""
 
     abs_tol: float = 1e-10
     max_subdivisions: int = 4000
@@ -377,135 +62,32 @@ class QuadratureSpec:
             raise DomainError("max_subdivisions must be >= 1")
 
 
-_ATANH_EPS = 1e-12  # open-endpoint guard for the infinite-range substitution
-
-
-def _transform_infinite(f, lower: float, upper: float):
-    """Map an improper integral onto a finite interval via x = atanh(s)
-    style substitutions (fixed change of variables, no truncation)."""
-    lo_inf = math.isinf(lower)
-    up_inf = math.isinf(upper)
-    if lo_inf and up_inf:
-        def g(s):
-            s = np.asarray(s, dtype=np.float64)
-            x = np.arctanh(s)
-            return f(x) / (1.0 - s * s)
-        return g, -1.0 + _ATANH_EPS, 1.0 - _ATANH_EPS
-    if up_inf:
-        def g(s):
-            s = np.asarray(s, dtype=np.float64)
-            x = lower + np.arctanh(s)
-            return f(x) / (1.0 - s * s)
-        return g, 0.0, 1.0 - _ATANH_EPS
-    if lo_inf:
-        def g(s):
-            s = np.asarray(s, dtype=np.float64)
-            x = upper - np.arctanh(-s)
-            return f(x) / (1.0 - s * s)
-        return g, -1.0 + _ATANH_EPS, 0.0
-    return f, lower, upper
-
-
-def _adaptive_simpson_impl(f, a: float, b: float, spec: QuadratureSpec):
-    """Vectorized adaptive Simpson.  Returns (value, error_estimate, splits).
-
-    ``f`` must accept ndarray arguments.  Panels whose Richardson error
-    estimate exceeds their width-proportional share of ``abs_tol`` are
-    split; accepted panels contribute their Richardson-corrected value.
-    """
-    if not (b > a):
-        raise DomainError("integration requires upper > lower")
-    total_width = b - a
-    xs = np.array([a, 0.5 * (a + b), b])
-    fx = np.asarray(f(xs), dtype=np.float64)
-    if not np.all(np.isfinite(fx)):
-        raise QuadratureError("integrand returned a non-finite value")
-    lo = np.array([a])
-    hi = np.array([b])
-    fl, fm, fr = fx[0:1].copy(), fx[1:2].copy(), fx[2:3].copy()
-    s = total_width / 6.0 * (fl + 4.0 * fm + fr)
-
-    value = 0.0
-    err_acc = 0.0
-    splits = 0
-    for _ in range(64):  # depth cap; panel width halves each round
-        m = 0.5 * (lo + hi)
-        m1 = 0.5 * (lo + m)
-        m2 = 0.5 * (m + hi)
-        fm1 = np.asarray(f(m1), dtype=np.float64)
-        fm2 = np.asarray(f(m2), dtype=np.float64)
-        if not (np.all(np.isfinite(fm1)) and np.all(np.isfinite(fm2))):
-            raise QuadratureError("integrand returned a non-finite value")
-        s_left = (m - lo) / 6.0 * (fl + 4.0 * fm1 + fm)
-        s_right = (hi - m) / 6.0 * (fm + 4.0 * fm2 + fr)
-        s2 = s_left + s_right
-        err = np.abs(s2 - s) / 15.0
-        tol = spec.abs_tol * (hi - lo) / total_width
-        done = err <= tol
-        if np.any(done):
-            value += float(np.sum(s2[done] + (s2[done] - s[done]) / 15.0))
-            err_acc += float(np.sum(err[done]))
-        keep = ~done
-        if not np.any(keep):
-            return value, err_acc, splits
-        splits += int(np.sum(keep))
-        if splits > spec.max_subdivisions:
-            raise QuadratureError(
-                f"adaptive Simpson did not converge within "
-                f"{spec.max_subdivisions} subdivisions")
-        lo = np.concatenate([lo[keep], m[keep]])
-        hi = np.concatenate([m[keep], hi[keep]])
-        s = np.concatenate([s_left[keep], s_right[keep]])
-        new_fl = np.concatenate([fl[keep], fm[keep]])
-        new_fm = np.concatenate([fm1[keep], fm2[keep]])
-        new_fr = np.concatenate([fm[keep], fr[keep]])
-        fl, fm, fr = new_fl, new_fm, new_fr
-    raise QuadratureError("adaptive Simpson exceeded maximum recursion depth")
-
-
 def integrate_1d(f, lower: float, upper: float,
-                 spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Adaptive Simpson integral of a vectorized ``f`` over [lower, upper].
+                 spec: QuadratureSpec = QuadratureSpec()):
+    """Adaptive Gauss-Kronrod integral of ``f`` over [lower, upper].
 
-    Infinite bounds are handled by a fixed atanh change of variables.
-    Raises :class:`QuadratureError` if ``spec.max_subdivisions`` panel
-    splits do not reach ``spec.abs_tol``.
+    QUADPACK through :func:`scipy.integrate.quad`; either bound may be
+    infinite, and ``f`` is called with scalar abscissae.  Returns
+    ``(value, error_estimate)``.
+
+    Raises
+    ------
+    QuadratureError
+        If ``spec.max_subdivisions`` subintervals do not reach
+        ``spec.abs_tol`` (or QUADPACK reports another failure), or the
+        value is not finite.
     """
-    g, a, b = _transform_infinite(f, float(lower), float(upper))
-    value, _, _ = _adaptive_simpson_impl(g, a, b, spec)
-    return value
-
-
-def integrate_1d_report(f, lower: float, upper: float,
-                        spec: QuadratureSpec = QuadratureSpec()):
-    """Like :func:`integrate_1d` but also returns (error_estimate, splits)."""
-    g, a, b = _transform_infinite(f, float(lower), float(upper))
-    return _adaptive_simpson_impl(g, a, b, spec)
-
-
-def integrate_2d(f, box, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Iterated adaptive Simpson over the rectangle ``box = (x0, x1, y0, y1)``.
-
-    The inner integral (over y, vectorized) runs at a tolerance that keeps
-    the total error within ``spec.abs_tol``; the outer integral is adaptive
-    over scalar x nodes.
-    """
-    x0, x1, y0, y1 = map(float, box)
-    inner_spec = QuadratureSpec(
-        abs_tol=0.5 * spec.abs_tol / max(x1 - x0, 1e-12),
-        max_subdivisions=spec.max_subdivisions,
-    )
-    outer_spec = QuadratureSpec(abs_tol=0.5 * spec.abs_tol,
-                                max_subdivisions=spec.max_subdivisions)
-
-    def g(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-        vals = [integrate_1d(lambda yv, xi=xi: f(xi, yv), y0, y1, inner_spec)
-                for xi in xs]
-        return np.asarray(vals)
-
-    value, _, _ = _adaptive_simpson_impl(g, x0, x1, outer_spec)
-    return value
+    from scipy.integrate import quad  # fit and simulate never integrate
+    lower, upper = float(lower), float(upper)
+    if not upper > lower:
+        raise DomainError("integration requires upper > lower")
+    value, err, _, *failure = quad(f, lower, upper, epsabs=spec.abs_tol,
+                                   epsrel=0.0, limit=spec.max_subdivisions,
+                                   full_output=1)
+    if failure or not math.isfinite(value):
+        reason = failure[0] if failure else f"non-finite value {value}"
+        raise QuadratureError("quadrature failed: " + " ".join(reason.split()))
+    return value, err
 
 
 # ---------------------------------------------------------------------------
@@ -641,13 +223,13 @@ class DistSpec:
         x = np.asarray(x, dtype=np.float64) + self._shift
         if self.family == "normal":
             m, s = self.params
-            return std_normal_cdf((x - m) / s)
+            return ndtr((x - m) / s)
         if self.family == "gamma":
             a, b = self.params
-            return gamma_cdf(a, b, x)
+            return gammainc(a, b * np.maximum(x, 0.0))
         if self.family == "empirical":
             v, h = self.params
-            return np.mean(std_normal_cdf((x[..., None] - v) / h), axis=-1)
+            return np.mean(ndtr((x[..., None] - v) / h), axis=-1)
         raise DomainError(f"no scalar cdf for family {self.family!r}")
 
     def pdf(self, x):
@@ -657,19 +239,23 @@ class DistSpec:
             return std_normal_pdf((x - m) / s) / s
         if self.family == "gamma":
             a, b = self.params
-            return gamma_pdf(a, b, x)
+            logpdf = (a * math.log(b) - math.lgamma(a) - b * x
+                      + (a - 1.0) * np.log(np.where(x > 0.0, x, 1.0)))
+            return np.where(x > 0.0, np.exp(logpdf), 0.0)
         if self.family == "empirical":
             v, h = self.params
             return np.mean(std_normal_pdf((x[..., None] - v) / h), axis=-1) / h
         raise DomainError(f"no scalar pdf for family {self.family!r}")
 
     def quantile(self, u):
+        """Inverse CDF; raises DomainError unless 0 < u < 1 (parametric
+        families)."""
         if self.family == "normal":
             m, s = self.params
-            return m + s * std_normal_quantile(u) - self._shift
+            return m + s * ndtri(_check_prob(u, "quantile")) - self._shift
         if self.family == "gamma":
             a, b = self.params
-            return gamma_quantile(a, b, u) - self._shift
+            return gammaincinv(a, _check_prob(u, "quantile")) / b - self._shift
         if self.family == "empirical":
             return self._empirical_quantile(np.asarray(u, dtype=np.float64))
         raise DomainError(f"no scalar quantile for family {self.family!r}")
@@ -678,13 +264,12 @@ class DistSpec:
         """Upper-tail quantile, tail-accurate for tiny ``q``."""
         if self.family == "normal":
             m, s = self.params
-            return m - s * std_normal_quantile(q) - self._shift
+            return m - s * ndtri(_check_prob(q, "isf")) - self._shift
         if self.family == "gamma":
             a, b = self.params
-            return gamma_isf(a, b, q) - self._shift
+            return gammainccinv(a, _check_prob(q, "isf")) / b - self._shift
         if self.family == "empirical":
-            q = np.asarray(q, dtype=np.float64)
-            return self._empirical_quantile(1.0 - q)
+            return self._empirical_quantile(1.0 - np.asarray(q, dtype=np.float64))
         raise DomainError(f"no scalar isf for family {self.family!r}")
 
     def _empirical_quantile(self, u):
@@ -695,7 +280,7 @@ class DistSpec:
         shift = self._shift
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            below = np.mean(std_normal_cdf((mid[..., None] - v) / h), axis=-1) < u
+            below = np.mean(ndtr((mid[..., None] - v) / h), axis=-1) < u
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         out = 0.5 * (lo + hi) - shift

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import qr, solve_triangular
 
-from .errors import RankDeficiencyError
+from .errors import DomainError, RankDeficiencyError
 
 # Relative pivot threshold for declaring rank deficiency.
 RANK_RTOL = 1e-10
@@ -36,16 +36,16 @@ class DesignMatrix:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "column_names", tuple(self.column_names))
         if v.ndim != 2:
-            raise ValueError("design matrix must be 2-D")
+            raise DomainError("design matrix must be 2-D")
         n, p = v.shape
         if len(self.column_names) != p:
-            raise ValueError("column_names length does not match design width")
+            raise DomainError("column_names length does not match design width")
         if n <= p:
-            raise ValueError(f"need more rows than columns (n={n}, p={p})")
+            raise DomainError(f"need more rows than columns (n={n}, p={p})")
         if not np.all(np.isfinite(v)):
-            raise ValueError("design matrix contains non-finite entries")
+            raise DomainError("design matrix contains non-finite entries")
         if self.has_intercept and not np.all(v[:, 0] == 1.0):
-            raise ValueError("has_intercept is set but first column is not all ones")
+            raise DomainError("has_intercept is set but first column is not all ones")
 
     @property
     def n(self) -> int:
@@ -122,9 +122,9 @@ def ols_fit(X: DesignMatrix, y: np.ndarray) -> OlsFit:
     V = X.values
     n, p = V.shape
     if y.shape[0] != n:
-        raise ValueError("y length does not match design")
+        raise DomainError("y length does not match design")
     if not np.all(np.isfinite(y)):
-        raise ValueError("y contains non-finite entries")
+        raise DomainError("y contains non-finite entries")
 
     Q, R, piv = _pivoted_qr_solve(V, X.column_names)
     beta_perm = solve_triangular(R, Q.T @ y, lower=False)

@@ -12,18 +12,17 @@ transformed error itself.
 from __future__ import annotations
 
 import math
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 
 from .data import Dataset
 from .errors import DataError, DomainError, EndofixError
 from .estimators import ESTIMATORS, ModelSpec
 from .inference import pairs_bootstrap
-from .numerics import DistSpec, RngStream, std_normal_cdf, std_normal_quantile
+from .numerics import DistSpec, RngStream
 
 __all__ = ["DgpConfig", "gen_dgp1", "gen_dgp2", "mc_run", "McSummary",
            "MODEL_SPEC"]
@@ -118,8 +117,7 @@ def gen_dgp1(cfg: DgpConfig, stream: RngStream) -> Dataset:
     e = rng.gamma(a, 1.0 / b, cfg.n)
     eps = rng.standard_normal(cfg.n)
 
-    from .numerics import gamma_cdf  # local import keeps module load cheap
-    eta = std_normal_quantile(_clip_prob(gamma_cdf(a, b, e)))
+    eta = ndtri(_clip_prob(gammainc(a, b * e)))
     sd_z = math.sqrt(cfg.delta ** 2 * 1.0 + a / (b * b))
     z = (cfg.delta * x + e) / sd_z
     u = cfg.rho * eta + eps
@@ -147,9 +145,8 @@ def gen_dgp2(cfg: DgpConfig, stream: RngStream) -> Dataset:
     W = rng.standard_normal((cfg.n, 3)) @ chol.T
     e_star, x_star, u = W[:, 0], W[:, 1], W[:, 2]
 
-    from .numerics import gamma_quantile
-    e = gamma_quantile(a, b, _clip_prob(std_normal_cdf(e_star)))
-    x = gamma_quantile(1.0, 1.0, _clip_prob(std_normal_cdf(x_star)))
+    e = gammaincinv(a, _clip_prob(ndtr(e_star))) / b
+    x = gammaincinv(1.0, _clip_prob(ndtr(x_star)))
     z = e
     y = cfg.beta0 + cfg.beta1 * x + cfg.gamma * z + u
     return Dataset(
@@ -232,13 +229,6 @@ class McSummary:
         return "\n".join(lines)
 
 
-def _n_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ENDOFIX_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _one_rep(cfg: DgpConfig, estimators, B: int, master: RngStream,
              rep: int, truth: dict[str, float], tested: tuple[str, ...]):
     data = generate(cfg, master.child(rep, _DATA_KEY))
@@ -278,8 +268,7 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
     much cheaper.  ``keep_draws`` retains the raw per-repetition
     estimates on the summary.  Fully deterministic given ``master``: data
     and bootstrap streams are keyed by (repetition, estimator identity),
-    so neither the estimator ordering nor the thread count changes
-    anything.
+    so the estimator ordering changes nothing.
     """
     if reps < 2:
         raise DomainError("mc_run needs reps >= 2")
@@ -290,15 +279,8 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
     truth = cfg.truth()
     tested = ("x", "z")
 
-    n_threads = _n_threads()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(
-                lambda r: _one_rep(cfg, estimators, B, master, r, truth, tested),
-                range(reps)))
-    else:
-        results = [_one_rep(cfg, estimators, B, master, r, truth, tested)
-                   for r in range(reps)]
+    results = [_one_rep(cfg, estimators, B, master, r, truth, tested)
+               for r in range(reps)]
 
     cells: dict[tuple[str, str], McCell] = {}
     completed: dict[str, int] = {}

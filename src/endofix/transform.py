@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import ConstantInputError, DomainError
-from .numerics import std_normal_quantile
 from .regress import DesignMatrix, ols_fit
 
 __all__ = ["FirstStage", "average_ranks", "ecdf_rescaled", "normal_scores",
@@ -47,18 +47,17 @@ class FirstStage:
 def average_ranks(v: np.ndarray) -> np.ndarray:
     """1-based ranks with ties resolved by averaging.
 
-    Stable sort, so equal values occupy adjacent positions before their
-    ranks are averaged; O(n log n).
+    Stable sort, so equal values occupy adjacent positions; each tied run
+    [start, stop) of the sorted order gets the mean of ranks start+1..stop.
+    O(n log n), with no Python-level loop.
     """
     v = np.asarray(v, dtype=np.float64).ravel()
-    n = v.size
     order = np.argsort(v, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
     sv = v[order]
-    # group boundaries of tied runs in sorted order
-    boundaries = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1], [True])))
-    for start, stop in zip(boundaries[:-1], boundaries[1:]):
-        ranks[order[start:stop]] = 0.5 * (start + stop + 1)  # mean of start+1..stop
+    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
+    stops = np.append(starts[1:], v.size)
+    ranks = np.empty(v.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + stops + 1), stops - starts)
     return ranks
 
 
@@ -90,19 +89,22 @@ def normal_scores(v: np.ndarray) -> np.ndarray:
     if np.all(v == v[0]):
         raise ConstantInputError(
             "normal_scores input is constant; ranks are degenerate")
-    ranks = average_ranks(v)
-    n = v.size
-    if np.all(ranks == np.round(ranks)):  # no ties: use the symmetric grid
-        grid = _symmetric_score_grid(n)
-        return grid[ranks.astype(np.int64) - 1]
-    return std_normal_quantile(ranks / (n + 1.0))
+    return _scores_of_ranks(average_ranks(v))
+
+
+def _scores_of_ranks(ranks: np.ndarray) -> np.ndarray:
+    """Phi^-1(rank / (n + 1)); the symmetric grid when there are no ties."""
+    n = ranks.size
+    if np.all(ranks == np.round(ranks)):
+        return _symmetric_score_grid(n)[ranks.astype(np.int64) - 1]
+    return ndtri(ranks / (n + 1.0))
 
 
 def _symmetric_score_grid(n: int) -> np.ndarray:
     """Grid quantile(i/(n+1)), i = 1..n, with grid[i] = -grid[n-1-i] exactly."""
     half = n // 2
     i = np.arange(1, half + 1, dtype=np.float64)
-    lower = std_normal_quantile(i / (n + 1.0))
+    lower = ndtri(i / (n + 1.0))
     grid = np.empty(n, dtype=np.float64)
     grid[:half] = lower
     grid[n - half:] = -lower[::-1]
@@ -154,8 +156,10 @@ def first_stage(X: DesignMatrix, Z: np.ndarray,
                 "exogenous design, so its ranks are pure noise")
         delta[:, j] = fit.coefficients
         e_hat[:, j] = fit.residuals
+        # the check above rules out constant residuals, so the ranks are
+        # computed once and give the scores directly
         ranks[:, j] = average_ranks(fit.residuals)
-        eta[:, j] = normal_scores(fit.residuals)
+        eta[:, j] = _scores_of_ranks(ranks[:, j])
     if names is None:
         names = tuple(f"z{j}" for j in range(m))
     return FirstStage(delta_hat=delta, e_hat=e_hat, eta_hat=eta, ranks=ranks,

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +63,16 @@ class TestIngestCsv:
         assert spec.m == 1
         assert "exper^2" in data.columns
         assert data.column("exper^2") == pytest.approx(data.column("exper") ** 2)
+
+    def test_non_finite_cells_dropped_and_counted(self, tmp_path):
+        p = tmp_path / "nonfinite.csv"
+        _write_csv(p, ["y", "x", "z"],
+                   [[1, 2, 3], [4, "nan", 6], [7, 8, 9], ["inf", 1, 1],
+                    [1, 1, "-inf"], [2, 3, 4], [5, 6, 7]])
+        data, _, dropped = ingest_csv(str(p), "y", ["x"], ["z"])
+        assert data.n == 4
+        assert dropped == 3
+        assert np.all(np.isfinite(data.matrix(["y", "x", "z"])))
 
     def test_missing_column_raises(self, tmp_path):
         p = tmp_path / "short.csv"
@@ -169,6 +183,64 @@ class TestFitCommand:
         rc = main(["fit", "--data", str(p), "--outcome", "y", "--exog", "x",
                    "--endog", "z", "--estimator", "npcf"])
         assert rc == 3
+
+
+class TestConfigurationErrors:
+    """Inputs that must end in exit 2 with a one-line message."""
+
+    @staticmethod
+    def _assert_config_error(rc, capsys):
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("endofix: configuration error: ")
+        assert err.count("\n") == 1
+
+    def test_mostly_non_finite_csv(self, tmp_path, capsys):
+        p = tmp_path / "d.csv"
+        _write_csv(p, ["y", "x", "z"],
+                   [[1, 2, 3], ["nan", 1, 2], [1, "inf", 2], [1, 2, "nan"]])
+        rc = main(["fit", "--data", str(p), "--outcome", "y", "--exog", "x",
+                   "--endog", "z"])
+        self._assert_config_error(rc, capsys)
+
+    def test_more_columns_than_rows(self, tmp_path, capsys):
+        p = tmp_path / "d.csv"
+        _write_csv(p, ["y", "x", "z"], [[1, 2, 3], [4, 5, 7], [7, 9, 9]])
+        rc = main(["fit", "--data", str(p), "--outcome", "y", "--exog", "x",
+                   "--endog", "z"])
+        self._assert_config_error(rc, capsys)
+
+    @pytest.mark.parametrize("level", ["1.5", "0", "-0.1"])
+    def test_level_outside_unit_interval(self, tmp_path, capsys, level):
+        csv_path = tmp_path / "d.csv"
+        _write_dgp1_csv(csv_path)
+        rc = main(["fit", "--data", str(csv_path), "--outcome", "y",
+                   "--exog", "x", "--endog", "z", "--bootstrap", "9",
+                   "--level", level])
+        self._assert_config_error(rc, capsys)
+
+    def test_single_bootstrap_resample(self, tmp_path, capsys):
+        csv_path = tmp_path / "d.csv"
+        _write_dgp1_csv(csv_path)
+        rc = main(["fit", "--data", str(csv_path), "--outcome", "y",
+                   "--exog", "x", "--endog", "z", "--bootstrap", "1"])
+        self._assert_config_error(rc, capsys)
+        # plain OLS takes no bootstrap, so B is not checked
+        assert main(["fit", "--data", str(csv_path), "--outcome", "y",
+                     "--exog", "x", "--endog", "z", "--estimator", "ols",
+                     "--bootstrap", "1"]) == 0
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats adds about half a second and 20 MB to every command's
+    # start-up; nothing on the CLI's import path needs it
+    import endofix
+    code = "import sys, endofix.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(endofix.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 class TestSimulateCommand:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from endofix.errors import ConstantInputError
-from endofix.numerics import DistSpec, RngStream, sample, std_normal_quantile
+from endofix.numerics import DistSpec, RngStream, sample
 from endofix.regress import DesignMatrix
 from endofix.transform import (average_ranks, ecdf_rescaled, first_stage,
                                normal_scores)
@@ -40,6 +41,16 @@ class TestEcdfRescaled:
         v = rng.integers(0, 5, size=40).astype(float)   # plenty of ties
         assert average_ranks(v) == pytest.approx(_brute_force_average_ranks(v))
 
+    @pytest.mark.parametrize("v", [
+        np.random.default_rng(3).standard_normal(57),           # no ties
+        np.random.default_rng(4).integers(0, 6, 80).astype(float),
+        np.array([2.0, 2.0, 2.0]),                                # one tie run
+        np.array([5.0]),
+        np.array([1.0, -1.0, 1.0, np.inf, -np.inf, 0.0]),
+    ])
+    def test_average_ranks_bit_identical_to_brute_force(self, v):
+        assert np.array_equal(average_ranks(v), _brute_force_average_ranks(v))
+
     def test_outputs_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(1)
         u = ecdf_rescaled(rng.standard_normal(500))
@@ -49,7 +60,7 @@ class TestEcdfRescaled:
 class TestNormalScores:
     def test_three_points(self):
         s = normal_scores(np.array([10.0, -3.0, 40.0]))
-        grid = std_normal_quantile(np.array([1 / 4, 2 / 4, 3 / 4]))
+        grid = ndtri(np.array([1 / 4, 2 / 4, 3 / 4]))
         assert s == pytest.approx([grid[1], grid[0], grid[2]])
         assert s[0] == 0.0                       # middle rank maps to zero
 
@@ -76,7 +87,7 @@ class TestNormalScores:
         rng = np.random.default_rng(5)
         n = 200
         s = np.sort(normal_scores(rng.gamma(1.0, size=n)))
-        grid = std_normal_quantile(np.arange(1, n + 1) / (n + 1))
+        grid = ndtri(np.arange(1, n + 1) / (n + 1))
         assert np.abs(s - grid).max() <= 1e-12
 
     def test_grid_variance_band(self):
@@ -85,7 +96,7 @@ class TestNormalScores:
         n = 1000
         v = sample(RngStream(6), DistSpec.gamma(2, 1), n)
         s = normal_scores(v)
-        grid = std_normal_quantile(np.arange(1, n + 1) / (n + 1))
+        grid = ndtri(np.arange(1, n + 1) / (n + 1))
         assert s.var() == pytest.approx(grid.var(), abs=1e-12)
         assert 0.9 <= s.var() <= 1.1
 
@@ -135,3 +146,21 @@ class TestFirstStage:
         assert fs.eta_hat.shape == (n, 2)
         for j in range(2):
             assert math.fsum(fs.eta_hat[:, j]) == 0.0
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_scores_and_ranks_match_per_column_transforms(self, tied):
+        rng = np.random.default_rng(10)
+        n = 200
+        x = rng.standard_normal(n)
+        X = DesignMatrix(np.column_stack([np.ones(n), x]), ("const", "x"),
+                         has_intercept=True)
+        e = rng.gamma(1.0, size=n)
+        if tied:    # duplicated rows, as in a bootstrap resample
+            idx = rng.integers(0, n, n)
+            X = DesignMatrix(X.values[idx], X.column_names, has_intercept=True)
+            x, e = x[idx], e[idx]
+        fs = first_stage(X, np.column_stack([x + e, e]))
+        for j in range(2):
+            r = fs.e_hat[:, j]
+            assert np.array_equal(fs.ranks[:, j], average_ranks(r))
+            assert np.array_equal(fs.eta_hat[:, j], normal_scores(r))
