@@ -24,8 +24,8 @@ from .copula_mle import GpParams, KernelCdf, gp_fit, gp_loglik, kernel_cdf_eval
 from .asymptotics import (AsymptoticConstants, MomentSet, SigmaAsymptotic,
                           constants_c, lemma_b_residual, sigma_asymptotic)
 from .inference import (BootstrapResult, TestResult, bootstrap_t_test,
-                        exogeneity_test, identification_diagnostic,
-                        pairs_bootstrap)
+                        exogeneity_test, exogeneity_test_of_fit,
+                        identification_diagnostic, pairs_bootstrap)
 from .simulation import DgpConfig, McSummary, gen_dgp1, gen_dgp2, mc_run
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "AsymptoticConstants", "MomentSet", "SigmaAsymptotic",
     "constants_c", "lemma_b_residual", "sigma_asymptotic",
     "BootstrapResult", "TestResult", "bootstrap_t_test", "exogeneity_test",
-    "identification_diagnostic", "pairs_bootstrap",
+    "exogeneity_test_of_fit", "identification_diagnostic", "pairs_bootstrap",
     "DgpConfig", "McSummary", "gen_dgp1", "gen_dgp2", "mc_run",
     "EndofixError", "DataError", "DomainError", "RankDeficiencyError",
     "ConstantInputError", "QuadratureError", "IdentificationError",

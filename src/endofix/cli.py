@@ -21,7 +21,7 @@ from . import copula_mle  # noqa: F401  (registers the copula estimator)
 from .data import Dataset
 from .errors import DataError, DomainError, EndofixError
 from .estimators import ESTIMATORS, ModelSpec, ThetaEstimate, fit_npcf, fit_ols
-from .inference import (exogeneity_test, identification_diagnostic,
+from .inference import (exogeneity_test_of_fit, identification_diagnostic,
                         pairs_bootstrap)
 from .numerics import DistSpec, QuadratureSpec, RngStream
 from .asymptotics import constants_c, lemma_b_residual
@@ -152,6 +152,7 @@ def _estimate_block(fit: ThetaEstimate, boot=None) -> dict:
         block["bootstrap"] = {
             "B": boot.B, "level": boot.level,
             "n_failed": boot.n_failed,
+            "failures": dict(boot.failures),
             "n_extreme_draws": boot.n_extreme_draws,
             "percentile_ci": {nm: [float(lo), float(hi)]
                               for nm, (lo, hi) in
@@ -213,20 +214,17 @@ def cmd_fit(args) -> int:
         boot = pairs_bootstrap(data, spec, tag, B=args.bootstrap, seed=seed,
                                level=args.level)
         estimates[args.estimator] = _estimate_block(fit, boot)
-        fs = fit.first_stage if fit.first_stage is not None else \
-            fit_npcf(data, spec).first_stage
-    else:
-        fit = ols
-        fs = fit_npcf(data, spec).first_stage
+    # one npcf fit serves the exogeneity test and the first-stage diagnostic
+    npcf = fit if tag == "npcf" else fit_npcf(data, spec)
 
     tests = {}
     diagnostics = {}
     if spec.m == 1:
-        ex = exogeneity_test(data, spec)
+        ex = exogeneity_test_of_fit(npcf)
         tests["exogeneity"] = {"statistic": ex.statistic,
                                "p_value": ex.p_value,
                                "null": ex.null_description}
-    ident = identification_diagnostic(fs)
+    ident = identification_diagnostic(npcf.first_stage)
     diagnostics["identification"] = [
         {"column": spec.endogenous[j], "jarque_bera": r.statistic,
          "p_value": r.p_value,

@@ -178,6 +178,11 @@ class McSummary:
     negligible at the rep counts used here.  ``draws`` holds the raw
     per-repetition coefficient estimates when the run was asked to keep
     them (estimator -> {coefficient -> list of reps values}).
+    ``completed`` counts the repetitions with a point estimate per
+    estimator.  ``failures`` counts failed fits and failed bootstraps by
+    exception type name (estimator -> {type name -> count}); a
+    repetition whose bootstrap failed keeps its point estimate in
+    bias/std/rmse and is left out of ``size`` only.
     """
 
     cells: dict[tuple[str, str], McCell]
@@ -186,6 +191,7 @@ class McSummary:
     config: DgpConfig
     B: int
     draws: dict[str, dict[str, list[float]]] | None = None
+    failures: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def cell(self, estimator: str, coef: str) -> McCell:
         return self.cells[(estimator, coef)]
@@ -195,6 +201,8 @@ class McSummary:
             "reps": self.reps,
             "B": self.B,
             "completed": dict(self.completed),
+            "failures": {est: dict(kinds)
+                         for est, kinds in self.failures.items()},
             "config": {
                 "kind": self.config.kind, "n": self.config.n,
                 "e_gamma": list(self.config.e_dist.params),
@@ -231,28 +239,34 @@ class McSummary:
 
 def _one_rep(cfg: DgpConfig, estimators, B: int, master: RngStream,
              rep: int, truth: dict[str, float], tested: tuple[str, ...]):
+    """Per estimator: (coefficients or None, t-test rejections or None,
+    exception type name or None).  A failed bootstrap keeps the point
+    estimate and leaves only the tests out."""
     data = generate(cfg, master.child(rep, _DATA_KEY))
     out = {}
     for est in estimators:
         try:
             fit = ESTIMATORS[est](data, MODEL_SPEC)
+        except (EndofixError, np.linalg.LinAlgError) as exc:
+            out[est] = (None, None, type(exc).__name__)
+            continue
+        se, failure = None, None
+        if est == "ols":
+            se = fit.se()
+        elif B >= 2:
+            try:
+                se = pairs_bootstrap(data, MODEL_SPEC, est, B=B,
+                                     seed=master.child(rep, _est_key(est))).se
+            except (EndofixError, np.linalg.LinAlgError) as exc:
+                failure = type(exc).__name__
+        rejects = None
+        if se is not None:
             rejects = {}
-            if B >= 2 and est != "ols":
-                boot = pairs_bootstrap(data, MODEL_SPEC, est, B=B,
-                                       seed=master.child(rep, _est_key(est)))
-                for coef in tested:
-                    j = fit.names.index(coef)
-                    se = float(boot.se[j])
-                    rejects[coef] = abs(fit.theta[j] - truth[coef]) > _Z975 * se
-            elif est == "ols":
-                se_all = fit.se()
-                for coef in tested:
-                    j = fit.names.index(coef)
-                    rejects[coef] = (abs(fit.theta[j] - truth[coef])
-                                     > _Z975 * float(se_all[j]))
-            out[est] = (dict(zip(fit.names, fit.theta)), rejects)
-        except (EndofixError, np.linalg.LinAlgError):
-            out[est] = None
+            for coef in tested:
+                j = fit.names.index(coef)
+                rejects[coef] = (abs(fit.theta[j] - truth[coef])
+                                 > _Z975 * float(se[j]))
+        out[est] = (dict(zip(fit.names, fit.theta)), rejects, failure)
     return out
 
 
@@ -265,10 +279,12 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
     endogenous coefficient, with bootstrap standard errors (B resamples)
     for the corrected estimators and classical standard errors for plain
     OLS.  Pass ``B=0`` to skip the tests (bias/std/rmse only), which is
-    much cheaper.  ``keep_draws`` retains the raw per-repetition
-    estimates on the summary.  Fully deterministic given ``master``: data
-    and bootstrap streams are keyed by (repetition, estimator identity),
-    so the estimator ordering changes nothing.
+    much cheaper.  A repetition whose bootstrap fails keeps its point
+    estimate and is left out of the size only; ``McSummary.failures``
+    counts such failures by type.  ``keep_draws`` retains the raw
+    per-repetition estimates on the summary.  Fully deterministic given
+    ``master``: data and bootstrap streams are keyed by (repetition,
+    estimator identity), so the estimator ordering changes nothing.
     """
     if reps < 2:
         raise DomainError("mc_run needs reps >= 2")
@@ -284,12 +300,17 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
 
     cells: dict[tuple[str, str], McCell] = {}
     completed: dict[str, int] = {}
+    failures: dict[str, dict[str, int]] = {}
     draws: dict[str, dict[str, list[float]]] = {}
     for est in estimators:
-        ok = [r[est] for r in results if r[est] is not None]
+        kinds = [r[est][2] for r in results if r[est][2] is not None]
+        if kinds:
+            failures[est] = {k: kinds.count(k) for k in sorted(set(kinds))}
+        ok = [r[est] for r in results if r[est][0] is not None]
         completed[est] = len(ok)
         if not ok:
             continue
+        tested_ok = [r[1] for r in ok if r[1] is not None]
         coef_names = list(ok[0][0].keys())
         if keep_draws:
             draws[est] = {coef: [float(r[0][coef]) for r in ok]
@@ -303,8 +324,9 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
             std = float(vals.std(ddof=0))
             rmse = math.sqrt(bias * bias + std * std)
             size = None
-            if coef in tested and ok[0][1]:
-                size = float(np.mean([r[1][coef] for r in ok]))
+            if coef in tested and tested_ok:
+                size = float(np.mean([rej[coef] for rej in tested_ok]))
             cells[(est, coef)] = McCell(bias=bias, std=std, rmse=rmse, size=size)
     return McSummary(cells=cells, reps=reps, completed=completed, config=cfg,
-                     B=B, draws=draws if keep_draws else None)
+                     B=B, draws=draws if keep_draws else None,
+                     failures=failures)

@@ -18,6 +18,10 @@ from .regress import DesignMatrix, ols_fit
 __all__ = ["FirstStage", "average_ranks", "ecdf_rescaled", "normal_scores",
            "first_stage"]
 
+# First-stage residuals whose standard deviation is at most this fraction
+# of the endogenous column's scale count as constant.
+CONSTANT_RESIDUAL_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class FirstStage:
@@ -45,20 +49,34 @@ class FirstStage:
 
 
 def average_ranks(v: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties resolved by averaging.
-
-    Stable sort, so equal values occupy adjacent positions; each tied run
-    [start, stop) of the sorted order gets the mean of ranks start+1..stop.
-    O(n log n), with no Python-level loop.
-    """
+    """1-based ranks with ties resolved by averaging (see
+    :func:`_rank_rows`).  O(n log n), with no Python-level loop."""
     v = np.asarray(v, dtype=np.float64).ravel()
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
-    stops = np.append(starts[1:], v.size)
-    ranks = np.empty(v.size, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (starts + stops + 1), stops - starts)
-    return ranks
+    return _rank_rows(v[None, :])[0][0]
+
+
+def _rank_rows(rows: np.ndarray):
+    """Average ranks of each row of a 2-D array, with the sort behind them.
+
+    Returns (ranks, order, sorted values): ``order`` holds the positions
+    in ``rows.ravel()`` of each row's stable sort.  Equal values occupy
+    adjacent positions, and each tied run [start, stop) of a sorted row
+    gets the mean of ranks start+1..stop.
+    """
+    n = rows.shape[1]
+    order = np.argsort(rows, axis=1, kind="stable")
+    order += n * np.arange(rows.shape[0])[:, None]
+    sv = rows.ravel()[order]
+    new_run = np.ones(rows.shape, dtype=bool)
+    new_run[:, 1:] = sv[:, 1:] != sv[:, :-1]
+    # runs of the flattened sorted rows; every row starts a new run
+    starts = np.flatnonzero(new_run)
+    stops = np.append(starts[1:], rows.size)
+    counts = stops - starts
+    lo = starts % max(n, 1)         # where each run starts within its row
+    ranks = np.empty(rows.size, dtype=np.float64)
+    ranks[order.ravel()] = np.repeat(0.5 * (2 * lo + counts + 1), counts)
+    return ranks.reshape(rows.shape), order, sv
 
 
 def ecdf_rescaled(v: np.ndarray) -> np.ndarray:
@@ -93,11 +111,18 @@ def normal_scores(v: np.ndarray) -> np.ndarray:
 
 
 def _scores_of_ranks(ranks: np.ndarray) -> np.ndarray:
-    """Phi^-1(rank / (n + 1)); the symmetric grid when there are no ties."""
-    n = ranks.size
-    if np.all(ranks == np.round(ranks)):
-        return _symmetric_score_grid(n)[ranks.astype(np.int64) - 1]
-    return ndtri(ranks / (n + 1.0))
+    """Phi^-1(rank / (n + 1)) of a rank vector, or of each row of a 2-D
+    array of them; a row without ties takes the symmetric grid."""
+    rows = np.atleast_2d(ranks)
+    n = rows.shape[1]
+    whole = np.all(rows == np.round(rows), axis=1)
+    scores = np.empty(rows.shape, dtype=np.float64)
+    if whole.any():
+        scores[whole] = _symmetric_score_grid(n)[
+            rows[whole].astype(np.int64) - 1]
+    if not whole.all():
+        scores[~whole] = ndtri(rows[~whole] / (n + 1.0))
+    return scores.reshape(np.shape(ranks))
 
 
 def _symmetric_score_grid(n: int) -> np.ndarray:
@@ -149,7 +174,7 @@ def first_stage(X: DesignMatrix, Z: np.ndarray,
     for j in range(m):
         fit = ols_fit(X, Z[:, j])
         scale = max(1.0, float(np.std(Z[:, j])), abs(float(np.mean(Z[:, j]))))
-        if float(np.std(fit.residuals)) <= 1e-12 * scale:
+        if float(np.std(fit.residuals)) <= CONSTANT_RESIDUAL_RTOL * scale:
             raise ConstantInputError(
                 f"first-stage residuals of endogenous column {j} are "
                 "numerically zero: the column lies in the span of the "

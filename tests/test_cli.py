@@ -110,6 +110,7 @@ class TestFitCommand:
         assert "rho[z]" in report["estimates"]["npcf"]["coefficients"]
         assert "rho[z]" not in report["estimates"]["ols"]["coefficients"]
         assert report["estimates"]["npcf"]["se_source"] == "bootstrap"
+        assert report["estimates"]["npcf"]["bootstrap"]["failures"] == {}
         assert "exogeneity" in report["tests"]
         assert report["diagnostics"]["identification"][0]["column"] == "z"
 

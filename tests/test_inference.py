@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from endofix.data import Dataset
-from endofix.errors import BootstrapError, DataError, EndofixError
+from endofix.errors import (BootstrapError, ConstantInputError, DataError,
+                            DomainError, EndofixError, IdentificationError,
+                            RankDeficiencyError)
 from endofix.estimators import ModelSpec, build_design, fit_npcf
-from endofix.inference import (bootstrap_t_test,
-                               exogeneity_test, identification_diagnostic,
-                               pairs_bootstrap)
+from endofix.inference import (_BOOT_KEY, bootstrap_t_test, exogeneity_test,
+                               exogeneity_test_of_fit,
+                               identification_diagnostic, pairs_bootstrap)
 from endofix.numerics import DistSpec, RngStream, sample
 from endofix.regress import partial_out
 from endofix.simulation import MODEL_SPEC, DgpConfig, gen_dgp1, generate
@@ -69,6 +73,132 @@ class TestPairsBootstrap:
         assert np.abs(a.draws - b.draws).max() <= 1e-9
 
 
+    def test_non_finite_column_rejected(self, dgp1_small):
+        y = dgp1_small.column("y").copy()
+        y[17] = np.nan
+        d = Dataset({**dgp1_small.columns, "y": y})
+        for est in ("npcf", "two_scope"):
+            with pytest.raises(DomainError):
+                pairs_bootstrap(d, MODEL_SPEC, est, B=10)
+
+
+def _loop_bootstrap(data, spec, B, seed):
+    """Reference for the stacked npcf bootstrap: refit every resample with
+    fit_npcf, on the same per-resample streams."""
+    rows, n_failed = [], 0
+    for b in range(B):
+        rng = seed.child(_BOOT_KEY, b).generator()
+        try:
+            rows.append(fit_npcf(data.take(rng.integers(0, data.n, size=data.n)),
+                                 spec).theta)
+        except (RankDeficiencyError, ConstantInputError, IdentificationError):
+            n_failed += 1
+    if n_failed > 0.01 * B:
+        raise BootstrapError(f"{n_failed} of {B} resamples failed")
+    return np.asarray(rows), n_failed
+
+
+def _assert_matches_loop(data, spec, B, seed):
+    try:
+        want, want_failed = _loop_bootstrap(data, spec, B, seed)
+    except BootstrapError:
+        with pytest.raises(BootstrapError):
+            pairs_bootstrap(data, spec, "npcf", B=B, seed=seed)
+        return None
+    got = pairs_bootstrap(data, spec, "npcf", B=B, seed=seed)
+    assert got.n_failed == want_failed == sum(got.failures.values())
+    assert got.draws.shape == want.shape
+    scale = np.abs(want).max(axis=0)
+    assert np.all(np.abs(got.draws - want).max(axis=0) <= 1e-12 * scale)
+    return got
+
+
+def _endogenous_design(rng, n):
+    x = rng.gamma(1.0, 1.0, n)
+    e = rng.gamma(1.0, 1.0, n)
+    z = x + e
+    y = 1.0 - x + z + 0.5 * (e - 1.0) + rng.standard_normal(n)
+    return x, e, z, y
+
+
+class TestStackedBootstrapMatchesLoop:
+    """The stacked npcf bootstrap against refitting every resample."""
+
+    def test_untied_dgp1(self, dgp1_small):
+        _assert_matches_loop(dgp1_small, MODEL_SPEC, 199, RngStream(90))
+
+    def test_square_term(self):
+        rng = np.random.default_rng(91)
+        x, _, z, y = _endogenous_design(rng, 300)
+        d = Dataset({"y": y + 0.2 * x ** 2, "x": x, "x^2": x ** 2, "z": z})
+        _assert_matches_loop(d, ModelSpec("y", ("x", "x^2"), ("z",)), 99,
+                             RngStream(92))
+
+    def test_two_endogenous_columns(self):
+        rng = np.random.default_rng(93)
+        x, _, z, y = _endogenous_design(rng, 300)
+        z2 = 0.5 * x + rng.gamma(3.0, 0.5, 300)
+        d = Dataset({"y": y + z2, "x": x, "z": z, "z2": z2})
+        _assert_matches_loop(d, ModelSpec("y", ("x",), ("z", "z2")), 99,
+                             RngStream(94))
+
+    def test_exact_ties(self):
+        # integer z with a binary x: every resample's residuals fall into
+        # tied runs of odd and even length, so the half-integer ranks and
+        # the ndtri branch of the scores are exercised
+        rng = np.random.default_rng(95)
+        n = 300
+        x = rng.integers(0, 2, n).astype(float)
+        z = rng.integers(0, 6, n) + x
+        y = 1.0 + x + z + rng.standard_normal(n)
+        d = Dataset({"y": y, "x": x, "z": z})
+        ranks = fit_npcf(d, MODEL_SPEC).first_stage.ranks
+        assert np.any(ranks != np.round(ranks))
+        _assert_matches_loop(d, MODEL_SPEC, 199, RngStream(96))
+
+    def test_rare_dummy_rank_failures(self):
+        # a dummy with five ones is all zero in about 0.7% of resamples;
+        # those fail in both paths and are dropped within the 1% budget
+        rng = np.random.default_rng(97)
+        x, _, z, y = _endogenous_design(rng, 300)
+        dummy = np.zeros(300)
+        dummy[:5] = 1.0
+        d = Dataset({"y": y + dummy, "x": x, "d": dummy, "z": z})
+        got = _assert_matches_loop(d, ModelSpec("y", ("x", "d"), ("z",)),
+                                   300, RngStream(8))
+        assert got.n_failed >= 1
+        assert got.failures == {"RankDeficiencyError": got.n_failed}
+
+    def test_too_many_rank_failures_raise(self):
+        rng = np.random.default_rng(98)
+        x, _, z, y = _endogenous_design(rng, 300)
+        dummy = np.zeros(300)
+        dummy[:2] = 1.0
+        d = Dataset({"y": y, "x": x, "d": dummy, "z": z})
+        spec = ModelSpec("y", ("x", "d"), ("z",))
+        with pytest.raises(BootstrapError):
+            _loop_bootstrap(d, spec, 100, RngStream(8))
+        assert _assert_matches_loop(d, spec, 100, RngStream(8)) is None
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(20, 60),
+           n_exog=st.integers(0, 2), n_endog=st.integers(1, 2),
+           pool=st.sampled_from([None, 8, 15]))
+    def test_random_small_designs(self, seed, n, n_exog, n_endog, pool):
+        # continuous columns; with a pool, rows are drawn from a few
+        # distinct rows, so the data itself holds exact ties
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, pool, n) if pool else np.arange(n)
+        base = rng.gamma(1.0, 1.0, (max(pool or 0, n), 1 + n_exog + n_endog))
+        cols = {"y": base[rows, 0] + base[rows, 1:].sum(axis=1)}
+        for j in range(n_exog + n_endog):
+            cols[f"c{j}"] = base[rows, 1 + j]
+        names = tuple(cols)[1:]
+        spec = ModelSpec("y", names[:n_exog], names[n_exog:])
+        _assert_matches_loop(Dataset(cols), spec, 8, RngStream(seed))
+
+
 class TestBootstrapTTest:
     def _fit_and_boot(self, dgp1_small):
         fit = fit_npcf(dgp1_small, MODEL_SPEC)
@@ -116,6 +246,7 @@ class TestExogeneityTest:
     def test_matches_textbook_formula(self, dgp1_small):
         res = exogeneity_test(dgp1_small, MODEL_SPEC)
         fit = fit_npcf(dgp1_small, MODEL_SPEC)
+        assert exogeneity_test_of_fit(fit) == res
         X, Z, y = build_design(dgp1_small, MODEL_SPEC)
         V = np.column_stack([X.values, Z])
         eta = fit.first_stage.eta_hat[:, 0]
@@ -138,8 +269,11 @@ class TestExogeneityTest:
     def test_requires_single_endogenous(self, dgp1_small):
         d = Dataset({**dgp1_small.columns, "z2": dgp1_small.column("x") * 2
                      + dgp1_small.column("eta_true")})
+        spec = ModelSpec("y", (), ("z", "z2"))
         with pytest.raises(DataError):
-            exogeneity_test(d, ModelSpec("y", (), ("z", "z2")))
+            exogeneity_test(d, spec)
+        with pytest.raises(DataError):
+            exogeneity_test_of_fit(fit_npcf(d, spec))
 
 
 class TestIdentificationDiagnostic:
@@ -206,13 +340,14 @@ class TestBootstrapDegeneracyAccounting:
         ESTIMATORS.pop("_fragile", None)
 
     def test_rare_failures_dropped_and_counted(self, dgp1_small):
-        # call 0 is the point fit; one failed resample out of 199 is within
-        # the 1% budget and is simply dropped
+        # one failed resample out of 199 is within the 1% budget and is
+        # simply dropped
         self._register(fail_on={5})
         try:
             boot = pairs_bootstrap(dgp1_small, MODEL_SPEC, "_fragile", B=199,
                                    seed=RngStream(80))
             assert boot.n_failed == 1
+            assert boot.failures == {"RankDeficiencyError": 1}
             assert boot.draws.shape[0] == 198
         finally:
             self._cleanup()

@@ -155,6 +155,34 @@ class TestMcRun:
         payload = json.dumps(s.to_dict())
         assert json.loads(payload)["reps"] == 4
 
+    def test_failed_bootstrap_keeps_point_estimate(self):
+        # an estimator whose every resample fails: each repetition's
+        # bootstrap raises, yet its point estimate still counts towards
+        # bias/std/rmse, and only the size is left out
+        from endofix.estimators import ESTIMATORS, fit_npcf
+        from endofix.errors import RankDeficiencyError
+
+        def fragile(data, spec):
+            if data.provenance.endswith("|resample"):
+                raise RankDeficiencyError("synthetic failure", column="z")
+            return fit_npcf(data, spec)
+
+        cfg = DgpConfig("dgp1", n=120, e_dist=DistSpec.gamma(1, 1),
+                        delta=0.0, rho=0.5)
+        ESTIMATORS["_fragile"] = fragile
+        try:
+            s = mc_run(cfg, ["npcf", "_fragile"], reps=4, B=9,
+                       master=RngStream(66))
+        finally:
+            ESTIMATORS.pop("_fragile")
+        assert s.completed == {"npcf": 4, "_fragile": 4}
+        assert s.failures == {"_fragile": {"BootstrapError": 4}}
+        assert s.cell("_fragile", "z").bias == s.cell("npcf", "z").bias
+        assert s.cell("_fragile", "z").size is None
+        assert s.cell("npcf", "z").size is not None
+        assert json.loads(json.dumps(s.to_dict()))["failures"] == {
+            "_fragile": {"BootstrapError": 4}}
+
     def test_needs_two_reps(self):
         cfg = DgpConfig("dgp1", n=120, e_dist=DistSpec.gamma(1, 1))
         with pytest.raises(DomainError):
