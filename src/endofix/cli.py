@@ -27,7 +27,7 @@ from .numerics import DistSpec, QuadratureSpec, RngStream
 from .asymptotics import constants_c, lemma_b_residual
 from .simulation import DgpConfig, mc_run
 
-REPORT_SCHEMA = "endofix-report/1"
+REPORT_SCHEMA = "endofix-report/2"
 
 _CLI_TO_TAG = {"ols": "ols", "npcf": "npcf", "iv": "iv_internal",
                "2scope": "two_scope", "gp": "gp_copula"}
@@ -160,7 +160,6 @@ def _estimate_block(fit: ThetaEstimate, boot=None) -> dict:
         }
     if "sigma_u" in fit.extra:
         block["sigma_u"] = fit.extra["sigma_u"]
-        block["converged"] = fit.extra["converged"]
     return block
 
 

@@ -2,12 +2,12 @@
 
 Models the joint distribution of the regression error and the endogenous
 regressor with a Gaussian copula: the error is taken normal with free
-scale, and the regressor's marginal CDF is estimated by integrating a
-Gaussian kernel density over the observed column.  The likelihood is
-maximized by a derivative-free simplex search from several deterministic
-starts.  This comparator deliberately ignores any dependence between the
-endogenous regressor and the exogenous controls (no first stage), which
-is exactly why it retains bias when that dependence exists.
+scale, and the regressor's marginal CDF is estimated from its ranks (or
+by integrating a Gaussian kernel density over the observed column).  The
+fit is the closed-form MLE (OLS on the design augmented with the normal
+scores of z).  This comparator deliberately ignores any dependence
+between the endogenous regressor and the exogenous controls (no first
+stage), which is exactly why it retains bias when that dependence exists.
 """
 from __future__ import annotations
 
@@ -15,13 +15,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import ndtr, ndtri
 
 from .data import Dataset
-from .errors import DataError, DomainError, EndofixError
+from .errors import ConstantInputError, DataError, DomainError
 from .estimators import (ESTIMATORS, ModelSpec, ThetaEstimate, _names,
-                         build_design, fit_npcf, fit_ols)
+                         build_design)
+from .regress import DesignMatrix, ols_fit
+from .transform import normal_scores
 
 __all__ = ["KernelCdf", "GpParams", "silverman_bandwidth",
            "kernel_cdf_eval", "gp_loglik", "gp_fit"]
@@ -125,11 +126,17 @@ def gp_loglik(p: GpParams, data: Dataset, spec: ModelSpec,
     return _loglik_core(u, eta, p.rho, p.sigma_u)
 
 
-def gp_fit(data: Dataset, spec: ModelSpec, max_iter: int = 4000,
+def gp_fit(data: Dataset, spec: ModelSpec,
            marginal: str = "ranks") -> ThetaEstimate:
-    """Maximize the copula likelihood by Nelder-Mead from three
-    deterministic starts (uncorrected OLS with rho = 0, and the two-step
-    control-function coefficients with rho = +-0.5).
+    """Closed-form MLE (OLS on the design augmented with the normal scores
+    of z).
+
+    With a normal error the copula likelihood factorises as
+    u | eta ~ N(rho sigma_u eta, sigma_u^2 (1 - rho^2)), so its maximum is
+    the least-squares fit of y on (1, x, z, eta): alpha is the first k + 1
+    coefficients, c the coefficient on eta and s^2 = RSS / n, giving
+    sigma_u = sqrt(c^2 + s^2) and rho = c / sigma_u.  This is the two-step
+    control function without its first stage.
 
     ``marginal`` picks how the regressor's scores are built: ``"ranks"``
     (default) uses the rescaled empirical CDF rank/(n+1), ``"kernel"`` the
@@ -138,64 +145,43 @@ def gp_fit(data: Dataset, spec: ModelSpec, max_iter: int = 4000,
     it is badly boundary-biased for gamma-like marginals and shifts the
     whole fit; the rank scores reproduce the reference comparator.
 
-    ``rho`` is optimized through atanh and ``sigma_u`` through log, so
-    every simplex iterate is feasible.  If no start converges within
-    ``max_iter`` iterations the best point found is still returned, with
-    ``extra["converged"] = False``.
+    Raises
+    ------
+    ConstantInputError
+        If the residual variance s^2 or 1 - rho^2 is not positive: the
+        outcome is fitted exactly and the likelihood has no maximum.
     """
     if spec.m != 1:
         raise DataError("the copula comparator handles a single endogenous column")
     if marginal not in ("ranks", "kernel"):
         raise DataError("marginal must be 'ranks' or 'kernel'")
     X, Z, y = build_design(data, spec)
-    D = np.column_stack([X.values, Z])
     z = Z[:, 0]
     F = KernelCdf.from_sample(z)
     if marginal == "kernel":
         eta = ndtri(kernel_cdf_eval(F, z))
     else:
-        from .transform import normal_scores
         eta = normal_scores(z)
 
-    def objective(params: np.ndarray) -> float:
-        alpha = params[:-2]
-        rho = math.tanh(params[-2])
-        sigma = math.exp(params[-1])
-        u = y - D @ alpha
-        return -_loglik_core(u, eta, rho, sigma)
-
-    ols = fit_ols(data, spec)
-    sigma0 = math.sqrt(ols.extra["sigma2_hat"])
-    starts = [np.concatenate([ols.theta, [0.0, math.log(sigma0)]])]
-    try:
-        npcf = fit_npcf(data, spec)
-        alpha_cf = npcf.theta[: D.shape[1]]
-    except EndofixError:
-        alpha_cf = ols.theta
-    for rho0 in (0.5, -0.5):
-        starts.append(np.concatenate([alpha_cf,
-                                      [math.atanh(rho0), math.log(sigma0)]]))
-
-    best = None
-    converged = False
-    for x0 in starts:
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxiter": max_iter, "xatol": 1e-8,
-                                "fatol": 1e-10})
-        converged = converged or bool(res.success)
-        if best is None or res.fun < best.fun:
-            best = res
-
-    alpha = best.x[:-2]
-    rho = math.tanh(best.x[-2])
-    sigma = math.exp(best.x[-1])
-    theta = np.concatenate([alpha, [rho]])
+    names = _names(spec, True)
+    fit = ols_fit(DesignMatrix(np.column_stack([X.values, Z, eta]), names), y)
+    n = y.size
+    c = float(fit.coefficients[-1])
+    s2 = float(fit.residuals @ fit.residuals) / n
+    sigma = math.sqrt(c * c + s2)
+    if not (s2 > 0.0 and 1.0 - (c / sigma) ** 2 > 0.0):
+        raise ConstantInputError(
+            "the design and the normal scores fit the outcome exactly "
+            "(zero residual variance), so the copula likelihood has no "
+            "maximum")
+    rho = c / sigma
+    theta = np.concatenate([fit.coefficients[:-1], [rho]])
     return ThetaEstimate(
-        theta, _names(spec, True), "gp_copula",
+        theta, names, "gp_copula",
         vcov=None, vcov_source="none",
-        extra={"sigma_u": sigma, "loglik": -best.fun,
-               "converged": converged, "marginal": marginal,
-               "bandwidth": F.bandwidth},
+        extra={"sigma_u": sigma,
+               "loglik": -0.5 * n * (math.log(2.0 * math.pi * s2) + 1.0),
+               "marginal": marginal, "bandwidth": F.bandwidth},
     )
 
 

@@ -1,13 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from endofix.cli import ingest_csv, main
 from endofix.errors import DataError
@@ -232,16 +237,111 @@ class TestConfigurationErrors:
                      "--bootstrap", "1"]) == 0
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats adds about half a second and 20 MB to every command's
-    # start-up; nothing on the CLI's import path needs it
+class TestCopulaFit:
+    """``fit --estimator gp`` on tiny inputs whose copula fit is rank
+    deficient or exact: exit 3 with a one-line message."""
+
+    @staticmethod
+    def _run_gp(path, capsys):
+        rc = main(["fit", "--data", str(path), "--outcome", "y",
+                   "--exog", "x", "--endog", "z", "--estimator", "gp",
+                   "--bootstrap", "9"])
+        err = capsys.readouterr().err
+        assert err.startswith("endofix: numeric failure: ")
+        assert err.count("\n") == 1
+        return rc
+
+    def test_binary_five_row_csv(self, tmp_path, capsys):
+        p = tmp_path / "d.csv"
+        _write_csv(p, ["y", "x", "z"], [[0, 0, 1], [0, 1, 1], [1, 1, 1],
+                                        [1, 0, 0], [1, 0, 1]])
+        assert self._run_gp(p, capsys) == 3
+
+    def test_eight_normal_rows(self, tmp_path, capsys):
+        # some resamples of eight rows hold at most four distinct ones, which
+        # (const, x, z, scores of z) fit exactly: ConstantInputError drops
+        # them, and too many dropped resamples fail the bootstrap
+        p = tmp_path / "d.csv"
+        rows = [
+            [1.0531157544867582, 1.776491303816993, -2.5532918384570134],
+            [-0.13796506137840808, 1.0137194090532766, 1.3521418253819912],
+            [0.6537883844162056, 1.4971178525878377, 0.289957591366348],
+            [0.5512671317684119, 0.17873768757050404, -1.073858701475369],
+            [-0.8466289662382713, 0.37958424600772894, -0.5801952016057006],
+            [1.2715513764583872, 1.2923865934033114, 1.7987863384903786],
+            [-0.02607383754457069, 1.3837097563119558, -0.9058431408224087],
+            [-0.8163147296909071, 0.08130305629403443, 0.2814308365081419],
+        ]
+        _write_csv(p, ["y", "x", "z"], rows)
+        assert self._run_gp(p, capsys) == 3
+
+
+@st.composite
+def _fuzz_cells(draw):
+    """A small CSV body: normal, tied, constant or duplicated columns, with
+    a few ``nan``/``inf`` cells."""
+    n = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cols = []
+    for _ in range(3):
+        kind = draw(st.sampled_from(("normal", "ties", "constant",
+                                     "duplicate")))
+        if kind == "ties":
+            cols.append(rng.integers(0, 3, n).astype(np.float64))
+        elif kind == "constant":
+            cols.append(np.full(n, 1.0))
+        elif kind == "duplicate" and cols:
+            cols.append(cols[draw(st.integers(0, len(cols) - 1))].copy())
+        else:
+            cols.append(rng.standard_normal(n))
+    cells = [[repr(float(v)) for v in row] for row in zip(*cols)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, 2))
+        cells[i][j] = draw(st.sampled_from(("nan", "inf", "-inf")))
+    return cells
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cells=_fuzz_cells())
+def test_fuzzed_csv_exits_0_2_or_3(cells):
+    # every estimator ends in a documented exit code with a one-line
+    # message, never in a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "d.csv"
+        _write_csv(p, ["y", "x", "z"], cells)
+        for est in ("ols", "npcf", "iv", "2scope", "gp"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["fit", "--data", str(p), "--outcome", "y",
+                           "--exog", "x", "--endog", "z", "--estimator", est,
+                           "--bootstrap", "9"])
+            assert rc in (0, 2, 3)
+            if rc:
+                assert err.getvalue().startswith("endofix: ")
+                assert err.getvalue().count("\n") == 1
+
+
+def _loaded_after_cli_import(module: str) -> bool:
     import endofix
-    code = "import sys, endofix.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, endofix.cli; print({module!r} in sys.modules)"
     env = dict(os.environ,
                PYTHONPATH=str(Path(endofix.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats adds about half a second and 20 MB to every command's
+    # start-up; nothing on the CLI's import path needs it
+    assert not _loaded_after_cli_import("scipy.stats")
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # the copula comparator is fitted in closed form; scipy.optimize would
+    # only add start-up time and memory to every command
+    assert not _loaded_after_cli_import("scipy.optimize")
 
 
 class TestSimulateCommand:

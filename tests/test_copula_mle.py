@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from endofix.copula_mle import (GpParams, KernelCdf, gp_fit, gp_loglik,
-                                kernel_cdf_eval, silverman_bandwidth)
+from endofix.copula_mle import (GpParams, KernelCdf, _loglik_core, gp_fit,
+                                gp_loglik, kernel_cdf_eval,
+                                silverman_bandwidth)
 from endofix.data import Dataset
-from endofix.errors import DataError, DomainError
+from endofix.errors import ConstantInputError, DataError, DomainError
 from endofix.estimators import ModelSpec, build_design, fit_ols
 from endofix.numerics import DistSpec, RngStream, sample
-from endofix.simulation import MODEL_SPEC
+from endofix.simulation import MODEL_SPEC, DgpConfig, generate
+from endofix.transform import normal_scores
 
 
 class TestKernelCdf:
@@ -124,8 +126,6 @@ class TestGpFit:
         assert np.abs(fit.theta[:3] - ols.theta).max() <= 1e-3
 
     def test_improves_on_ols_start(self, dgp1_small):
-        from endofix.copula_mle import _loglik_core
-        from endofix.transform import normal_scores
         fit = gp_fit(dgp1_small, MODEL_SPEC)
         X, Z, y = build_design(dgp1_small, MODEL_SPEC)
         D = np.column_stack([X.values, Z])
@@ -139,7 +139,6 @@ class TestGpFit:
         fit = gp_fit(dgp1_small, MODEL_SPEC)
         assert abs(fit.theta[-1]) < 1.0          # copula correlation
         assert fit.extra["sigma_u"] > 0.0
-        assert fit.extra["converged"] in (True, False)
         assert fit.names == ("const", "x", "z", "rho[z]")
 
     def test_kernel_marginal_variant_runs(self, dgp1_small):
@@ -159,6 +158,67 @@ class TestGpFit:
         assert fit.coef("z") == pytest.approx(1.0, abs=0.1)
         assert fit.theta[-1] == pytest.approx(rho_cop, abs=0.1)
         assert fit.extra["sigma_u"] == pytest.approx(math.sqrt(1.25), abs=0.1)
+
+    def test_exact_fit_raises_constant_input(self):
+        # four distinct rows, each repeated: the design and the scores span
+        # the outcome, the residual variance is nil and the likelihood is
+        # unbounded
+        base = np.array([[0.3, 1.0, 0.2], [1.7, 0.0, 1.1],
+                         [2.2, 1.0, 2.5], [0.9, 0.0, 3.0]])
+        rows = np.repeat(base, 3, axis=0)
+        d = Dataset({"y": rows[:, 0], "x": rows[:, 1], "z": rows[:, 2]})
+        with pytest.raises(ConstantInputError):
+            gp_fit(d, MODEL_SPEC)
+
+
+def _dgp(kind):
+    cfg = (DgpConfig("dgp1", n=250, delta=1.0, rho=0.5) if kind == "dgp1"
+           else DgpConfig("dgp2", n=250, alpha=0.5, rho=0.5))
+    return generate(cfg, RngStream(37))
+
+
+class TestGpFitOptimality:
+    """The closed-form fit against the likelihood itself: ``gp_loglik``
+    (kernel scores) or ``_loglik_core`` on the rank scores."""
+
+    @staticmethod
+    def _oracle(d, marginal):
+        X, Z, y = build_design(d, MODEL_SPEC)
+        D = np.column_stack([X.values, Z])
+        if marginal == "kernel":
+            F = KernelCdf.from_sample(Z[:, 0])
+            return lambda a, r, s: gp_loglik(GpParams(a, r, s), d,
+                                              MODEL_SPEC, F)
+        eta = normal_scores(Z[:, 0])
+        return lambda a, r, s: _loglik_core(y - D @ a, eta, r, s)
+
+    @pytest.mark.parametrize("marginal", ["ranks", "kernel"])
+    @pytest.mark.parametrize("kind", ["dgp1", "dgp2"])
+    def test_beats_every_neighbour(self, kind, marginal):
+        d = _dgp(kind)
+        fit = gp_fit(d, MODEL_SPEC, marginal=marginal)
+        ll = self._oracle(d, marginal)
+        alpha, rho, sigma = fit.theta[:-1], fit.theta[-1], fit.extra["sigma_u"]
+        best = ll(alpha, rho, sigma)
+        neighbours = [(rho + dr, sigma) for dr in (-1e-3, 1e-3)]
+        neighbours += [(rho, sigma * f) for f in (1 - 1e-3, 1 + 1e-3)]
+        for r, s in neighbours:
+            assert best > ll(alpha, r, s)
+        for j in range(alpha.size):
+            for h in (-1e-4, 1e-4):
+                step = alpha.copy()
+                step[j] += h
+                assert best > ll(step, rho, sigma)
+
+    @pytest.mark.parametrize("marginal", ["ranks", "kernel"])
+    @pytest.mark.parametrize("kind", ["dgp1", "dgp2"])
+    def test_reported_loglik_matches_oracle(self, kind, marginal):
+        d = _dgp(kind)
+        fit = gp_fit(d, MODEL_SPEC, marginal=marginal)
+        ll = self._oracle(d, marginal)
+        assert fit.extra["loglik"] == pytest.approx(
+            ll(fit.theta[:-1], fit.theta[-1], fit.extra["sigma_u"]),
+            rel=1e-10)
 
 
 class TestGpLoglikInvariance:

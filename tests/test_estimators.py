@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc, ndtri
 
 from endofix.data import Dataset
@@ -152,6 +154,29 @@ class TestInternalIv:
         spec = ModelSpec("y", ("x",), ("z1", "z2"))
         a, b = fit_npcf(d, spec), fit_iv_internal(d, spec)
         assert np.abs(a.theta - b.theta).max() <= 1e-9
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(20, 200),
+           n_exog=st.integers(0, 2), n_endog=st.integers(1, 2),
+           pool=st.sampled_from([None, 12]))
+    def test_identity_on_random_designs(self, seed, n, n_exog, n_endog,
+                                        pool):
+        # gamma columns; with a pool, rows repeat a few distinct rows, so
+        # ranks and scores carry ties and coefficients can reach ~25: the
+        # identity is checked relative to the coefficient scale
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, pool, n) if pool else np.arange(n)
+        base = rng.gamma(1.0, 1.0, (max(pool or 0, n), 1 + n_exog + n_endog))
+        cols = {"y": base[rows, 0] + base[rows, 1:].sum(axis=1)}
+        for j in range(n_exog + n_endog):
+            cols[f"c{j}"] = base[rows, 1 + j]
+        names = tuple(cols)[1:]
+        spec = ModelSpec("y", names[:n_exog], names[n_exog:])
+        d = Dataset(cols)
+        a, b = fit_npcf(d, spec), fit_iv_internal(d, spec)
+        scale = max(1.0, float(np.abs(a.theta).max()))
+        assert np.abs(a.theta - b.theta).max() <= 1e-10 * scale
 
     def test_single_regressor_ratio_formula(self):
         # with one regressor and its score column, the coefficient equals

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from endofix.errors import ConstantInputError
@@ -82,6 +84,27 @@ class TestNormalScores:
             s = normal_scores(rng.standard_normal(n))
             assert math.fsum(s) == 0.0
             assert abs(np.sum(s)) <= 1e-13
+
+    # the property tests draw values on a 0.01 grid in [-10, 10], far
+    # enough apart that every transform below keeps them distinct
+
+    @settings(max_examples=60, deadline=None)
+    @given(ints=st.lists(st.integers(-1000, 1000), min_size=2, max_size=300,
+                         unique=True))
+    def test_zero_sum_property_without_ties(self, ints):
+        assert math.fsum(normal_scores(np.array(ints) / 100.0)) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(ints=st.lists(st.integers(-1000, 1000), min_size=2, max_size=300),
+           transform=st.sampled_from([lambda v: 3.5 * v + 7.0,
+                                      lambda v: np.exp(v / 4.0),
+                                      lambda v: v ** 3 + v,
+                                      np.arctan]))
+    def test_monotone_invariance_property(self, ints, transform):
+        # ties included: a function maps equal values to equal values
+        assume(len(set(ints)) > 1)
+        v = np.array(ints) / 100.0
+        assert np.array_equal(normal_scores(v), normal_scores(transform(v)))
 
     def test_values_are_fixed_grid(self):
         rng = np.random.default_rng(5)
