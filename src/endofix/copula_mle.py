@@ -21,7 +21,7 @@ from .data import Dataset
 from .errors import ConstantInputError, DataError, DomainError
 from .estimators import (ESTIMATORS, ModelSpec, ThetaEstimate, _names,
                          build_design)
-from .regress import DesignMatrix, ols_fit
+from .regress import _lstsq
 from .transform import normal_scores
 
 __all__ = ["KernelCdf", "GpParams", "silverman_bandwidth",
@@ -164,10 +164,10 @@ def gp_fit(data: Dataset, spec: ModelSpec,
         eta = normal_scores(z)
 
     names = _names(spec, True)
-    fit = ols_fit(DesignMatrix(np.column_stack([X.values, Z, eta]), names), y)
+    coef, resid, _ = _lstsq(np.column_stack([X.values, Z, eta]), y, names)
     n = y.size
-    c = float(fit.coefficients[-1])
-    s2 = float(fit.residuals @ fit.residuals) / n
+    c = float(coef[-1])
+    s2 = float(resid @ resid) / n
     sigma = math.sqrt(c * c + s2)
     if not (s2 > 0.0 and 1.0 - (c / sigma) ** 2 > 0.0):
         raise ConstantInputError(
@@ -175,7 +175,7 @@ def gp_fit(data: Dataset, spec: ModelSpec,
             "(zero residual variance), so the copula likelihood has no "
             "maximum")
     rho = c / sigma
-    theta = np.concatenate([fit.coefficients[:-1], [rho]])
+    theta = np.concatenate([coef[:-1], [rho]])
     return ThetaEstimate(
         theta, names, "gp_copula",
         vcov=None, vcov_source="none",

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, IdentificationError, RankDeficiencyError
-from .regress import DesignMatrix, OlsFit, ols_fit, partial_out
+from .errors import (DataError, DomainError, IdentificationError,
+                     RankDeficiencyError)
+from .regress import DesignMatrix, OlsFit, _lstsq, ols_fit
 from .transform import FirstStage, first_stage, normal_scores
 
 __all__ = ["ModelSpec", "ThetaEstimate", "fit_ols", "fit_npcf",
@@ -86,8 +87,16 @@ class ThetaEstimate:
         return np.sqrt(np.diag(self.vcov))
 
 
+def _check_finite(data: Dataset, spec: ModelSpec) -> None:
+    """Raise DomainError naming the first non-finite model column."""
+    for col in (spec.outcome, *spec.exogenous, *spec.endogenous):
+        if not np.all(np.isfinite(data.column(col))):
+            raise DomainError(f"column {col!r} contains non-finite entries")
+
+
 def build_design(data: Dataset, spec: ModelSpec):
-    """Return (X exogenous design, Z endogenous block, y) for ``spec``."""
+    """Return (X exogenous design, Z endogenous block, y), all finite."""
+    _check_finite(data, spec)
     y = data.column(spec.outcome)
     X = DesignMatrix(
         np.column_stack([np.ones(data.n), *(data.column(c) for c in spec.exogenous)]),
@@ -113,15 +122,13 @@ def fit_ols(data: Dataset, spec: ModelSpec) -> ThetaEstimate:
     fit = ols_fit(W, y)
     return ThetaEstimate(fit.coefficients, W.column_names, "ols",
                          vcov=fit.vcov_classical, vcov_source="classical",
-                         r_squared=fit.r_squared,
-                         extra={"vcov_hc0": fit.vcov_hc0,
-                                "sigma2_hat": fit.sigma2_hat})
+                         r_squared=fit.r_squared)
 
 
 def _augmented_fit(X: DesignMatrix, Z: np.ndarray, correction: np.ndarray,
-                   y: np.ndarray, names: tuple[str, ...],
-                   spec: ModelSpec) -> OlsFit:
-    W = DesignMatrix(np.column_stack([X.values, Z, correction]), names)
+                   y: np.ndarray, spec: ModelSpec) -> OlsFit:
+    W = DesignMatrix(np.column_stack([X.values, Z, correction]),
+                     _names(spec, True))
     try:
         return ols_fit(W, y)
     except RankDeficiencyError as exc:
@@ -150,13 +157,10 @@ def fit_npcf(data: Dataset, spec: ModelSpec) -> ThetaEstimate:
     """
     X, Z, y = build_design(data, spec)
     fs = first_stage(X, Z, spec.endogenous)
-    names = _names(spec, True)
-    fit = _augmented_fit(X, Z, fs.eta_hat, y, names, spec)
-    return ThetaEstimate(fit.coefficients, names, "npcf",
+    fit = _augmented_fit(X, Z, fs.eta_hat, y, spec)
+    return ThetaEstimate(fit.coefficients, fit.column_names, "npcf",
                          vcov=fit.vcov_classical, vcov_source="classical",
-                         first_stage=fs, r_squared=fit.r_squared,
-                         extra={"vcov_hc0": fit.vcov_hc0,
-                                "sigma2_hat": fit.sigma2_hat})
+                         first_stage=fs, r_squared=fit.r_squared)
 
 
 def fit_iv_internal(data: Dataset, spec: ModelSpec) -> ThetaEstimate:
@@ -171,7 +175,7 @@ def fit_iv_internal(data: Dataset, spec: ModelSpec) -> ThetaEstimate:
     X, Z, y = build_design(data, spec)
     fs = first_stage(X, Z, spec.endogenous)
     A = np.column_stack([X.values, Z])
-    Q = partial_out(fs.eta_hat, A)
+    Q = _lstsq(fs.eta_hat, A, _names(spec, True)[-spec.m:])[1]
     qa = Q.T @ A
     try:
         ab = np.linalg.solve(qa, Q.T @ y)
@@ -198,22 +202,16 @@ def fit_two_scope(data: Dataset, spec: ModelSpec) -> ThetaEstimate:
     leave bias behind.
     """
     X, Z, y = build_design(data, spec)
-    n = data.n
-    sx_cols = [normal_scores(data.column(c)) for c in spec.exogenous]
-    SX = DesignMatrix(np.column_stack([np.ones(n), *sx_cols]),
-                      (INTERCEPT, *(f"score[{c}]" for c in spec.exogenous)))
+    SX = np.column_stack([np.ones(data.n), *(normal_scores(data.column(c))
+                                             for c in spec.exogenous)])
+    sx_names = (INTERCEPT, *(f"score[{c}]" for c in spec.exogenous))
     corr = np.empty_like(Z)
     for j in range(Z.shape[1]):
-        sz = normal_scores(Z[:, j])
-        corr[:, j] = ols_fit(SX, sz).residuals
-    names = _names(spec, True)
-    fit = _augmented_fit(X, Z, corr, y, names, spec)
-    return ThetaEstimate(fit.coefficients, names, "two_scope",
+        corr[:, j] = _lstsq(SX, normal_scores(Z[:, j]), sx_names)[1]
+    fit = _augmented_fit(X, Z, corr, y, spec)
+    return ThetaEstimate(fit.coefficients, fit.column_names, "two_scope",
                          vcov=fit.vcov_classical, vcov_source="classical",
-                         r_squared=fit.r_squared,
-                         extra={"vcov_hc0": fit.vcov_hc0,
-                                "sigma2_hat": fit.sigma2_hat,
-                                "correction": corr})
+                         r_squared=fit.r_squared, extra={"correction": corr})
 
 
 # Registry used by the bootstrap, the Monte Carlo runner, and the CLI.

@@ -20,7 +20,8 @@ from .data import Dataset
 from .errors import (BootstrapError, ConstantInputError, DataError,
                      DomainError, EndofixError, IdentificationError,
                      RankDeficiencyError)
-from .estimators import ESTIMATORS, ModelSpec, ThetaEstimate, _names, fit_npcf
+from .estimators import (ESTIMATORS, ModelSpec, ThetaEstimate, _check_finite,
+                         _names, fit_npcf)
 from .numerics import RngStream
 from .regress import RANK_RTOL
 from .transform import (CONSTANT_RESIDUAL_RTOL, FirstStage, _rank_rows,
@@ -226,9 +227,7 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
         raise DataError(f"unknown bootstrap estimator {estimator!r}")
     names = _names(spec, True)
     n = data.n
-    for col in (spec.outcome, *spec.exogenous, *spec.endogenous):
-        if not np.all(np.isfinite(data.column(col))):
-            raise DomainError(f"column {col!r} contains non-finite entries")
+    _check_finite(data, spec)
     if n <= len(names):
         raise DomainError(f"need more rows than coefficients "
                           f"(n={n}, p={len(names)})")

@@ -1,10 +1,10 @@
-"""Dense OLS with residuals, classical and HC0 covariance, and projections.
+"""Dense least squares through one column-pivoted QR solve, :func:`_lstsq`.
 
-Everything is solved through a column-pivoted QR factorization: the
-second-stage design can be nearly collinear (the endogenous column and its
-normal-scores correction are often correlated above 0.9), and the pivoted
+The second-stage design can be nearly collinear (the endogenous column and
+its normal-scores correction are often correlated above 0.9); the pivoted
 factorization both stabilizes the solve and yields a rank diagnostic that
-names the offending column.
+names the offending column.  :func:`ols_fit` adds R² and the classical and
+HC0 covariances, so HC0 lives on the :class:`OlsFit` it returns.
 """
 from __future__ import annotations
 
@@ -80,18 +80,23 @@ class OlsFit:
         return np.sqrt(np.diag(self.vcov_hc0))
 
 
-def _pivoted_qr_solve(X: np.ndarray, names: tuple[str, ...]):
-    """Factor X with column pivoting and return pieces for solving.
+def _lstsq(V: np.ndarray, b: np.ndarray, names: tuple[str, ...]):
+    """Least squares of ``b`` (a vector or a matrix of columns) on the n x p
+    array ``V``, which the caller has checked to be finite.
 
-    Raises RankDeficiencyError naming the first column whose pivot falls
-    below RANK_RTOL relative to the largest pivot.
+    Returns (coefficients, residuals, (R, piv)), the pivoted factor of
+    ``V``.  Raises DomainError unless n > p, and RankDeficiencyError naming
+    the first column whose pivot is below RANK_RTOL times the largest.
     """
-    Q, R, piv = qr(X, mode="economic", pivoting=True)
+    n, p = V.shape
+    if n <= p:
+        raise DomainError(f"need more rows than columns (n={n}, p={p})")
+    Q, R, piv = qr(V, mode="economic", pivoting=True, check_finite=False)
     diag = np.abs(np.diag(R))
     ref = diag[0] if diag[0] > 0.0 else 0.0
-    bad = np.flatnonzero(diag < RANK_RTOL * ref) if ref > 0.0 else np.arange(len(diag))
+    bad = np.flatnonzero(diag < RANK_RTOL * ref) if ref > 0.0 else np.arange(p)
     if bad.size:
-        col = names[piv[bad[0]]] if names else str(piv[bad[0]])
+        col = names[piv[bad[0]]]
         raise RankDeficiencyError(
             f"design matrix is rank deficient at column {col!r} "
             f"(pivot ratio {diag[bad[0]] / ref if ref > 0 else 0.0:.2e}); "
@@ -101,11 +106,15 @@ def _pivoted_qr_solve(X: np.ndarray, names: tuple[str, ...]):
             "regressor (identification failure)",
             column=col,
         )
-    return Q, R, piv
+    coef_perm = solve_triangular(R, Q.T @ b, lower=False, check_finite=False)
+    coef = np.empty_like(coef_perm)
+    coef[piv] = coef_perm
+    return coef, b - V @ coef, (R, piv)
 
 
 def ols_fit(X: DesignMatrix, y: np.ndarray) -> OlsFit:
-    """Least squares of ``y`` on ``X`` via column-pivoted QR.
+    """Least squares of ``y`` on ``X`` with R² and the classical and HC0
+    covariances.
 
     Parameters
     ----------
@@ -126,38 +135,24 @@ def ols_fit(X: DesignMatrix, y: np.ndarray) -> OlsFit:
     if not np.all(np.isfinite(y)):
         raise DomainError("y contains non-finite entries")
 
-    Q, R, piv = _pivoted_qr_solve(V, X.column_names)
-    beta_perm = solve_triangular(R, Q.T @ y, lower=False)
-    beta = np.empty(p)
-    beta[piv] = beta_perm
-
-    resid = y - V @ beta
+    beta, resid, (R, piv) = _lstsq(V, y, X.column_names)
     rss = float(resid @ resid)
-    dof = n - p
-    sigma2 = rss / dof
+    sigma2 = rss / (n - p)
 
     r_inv = solve_triangular(R, np.eye(p), lower=False)
-    xtx_inv_perm = r_inv @ r_inv.T
     xtx_inv = np.empty((p, p))
-    xtx_inv[np.ix_(piv, piv)] = xtx_inv_perm
+    xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
 
-    vcov_classical = sigma2 * xtx_inv
     xe = V * resid[:, None]
     vcov_hc0 = xtx_inv @ (xe.T @ xe) @ xtx_inv
 
-    if X.has_intercept:
-        tss = float(np.sum((y - y.mean()) ** 2))
-    else:
-        tss = float(y @ y)
-    if tss > 0.0:
-        r2 = 1.0 - rss / tss
-    else:
-        r2 = 1.0 if rss <= 1e-28 else 0.0
+    tss = float(np.sum((y - y.mean()) ** 2)) if X.has_intercept else float(y @ y)
+    r2 = 1.0 - rss / tss if tss > 0.0 else (1.0 if rss <= 1e-28 else 0.0)
 
     return OlsFit(
         coefficients=beta,
         residuals=resid,
-        vcov_classical=vcov_classical,
+        vcov_classical=sigma2 * xtx_inv,
         vcov_hc0=vcov_hc0,
         r_squared=r2,
         sigma2_hat=sigma2,
@@ -179,8 +174,6 @@ def partial_out(A, b: np.ndarray) -> np.ndarray:
             V = V[:, None]
         names = tuple(f"col{i}" for i in range(V.shape[1]))
     b = np.asarray(b, dtype=np.float64)
-    Q, R, piv = _pivoted_qr_solve(V, names)
-    coef_perm = solve_triangular(R, Q.T @ b, lower=False)
-    coef = np.empty_like(coef_perm)
-    coef[piv] = coef_perm
-    return b - V @ coef
+    if not (np.all(np.isfinite(V)) and np.all(np.isfinite(b))):
+        raise DomainError("partial_out input contains non-finite entries")
+    return _lstsq(V, b, names)[1]

@@ -71,6 +71,9 @@ class DgpConfig:
     def __post_init__(self):
         if self.kind not in ("dgp1", "dgp2"):
             raise DomainError(f"unknown DGP kind {self.kind!r}")
+        for name in ("delta", "alpha", "rho", "beta0", "beta1", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         if self.e_dist.family != "gamma":
             raise DomainError("e_dist must be a gamma DistSpec")
         if self.n < 10:
@@ -279,15 +282,18 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
     endogenous coefficient, with bootstrap standard errors (B resamples)
     for the corrected estimators and classical standard errors for plain
     OLS.  Pass ``B=0`` to skip the tests (bias/std/rmse only), which is
-    much cheaper.  A repetition whose bootstrap fails keeps its point
-    estimate and is left out of the size only; ``McSummary.failures``
-    counts such failures by type.  ``keep_draws`` retains the raw
-    per-repetition estimates on the summary.  Fully deterministic given
-    ``master``: data and bootstrap streams are keyed by (repetition,
-    estimator identity), so the estimator ordering changes nothing.
+    much cheaper; any other B below 2 raises DomainError.  A repetition
+    whose bootstrap fails keeps its point estimate and is left out of the
+    size only; ``McSummary.failures`` counts such failures by type.
+    ``keep_draws`` retains the raw per-repetition estimates on the
+    summary.  Fully deterministic given ``master``: data and bootstrap
+    streams are keyed by (repetition, estimator identity), so the
+    estimator ordering changes nothing.
     """
     if reps < 2:
         raise DomainError("mc_run needs reps >= 2")
+    if not (B == 0 or B >= 2):
+        raise DomainError(f"mc_run needs B = 0 (no tests) or B >= 2, got {B}")
     estimators = tuple(estimators)
     for est in estimators:
         if est not in ESTIMATORS:

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ConstantInputError, DomainError
-from .regress import DesignMatrix, ols_fit
+from .regress import DesignMatrix, _lstsq
 
 __all__ = ["FirstStage", "average_ranks", "ecdf_rescaled", "normal_scores",
            "first_stage"]
@@ -165,25 +165,28 @@ def first_stage(X: DesignMatrix, Z: np.ndarray,
         raise DomainError("Z row count does not match design")
     if names is not None and len(names) != m:
         raise DomainError("names length does not match the endogenous block")
+    if not np.all(np.isfinite(Z)):
+        raise DomainError("Z contains non-finite entries")
 
     k = X.p
     delta = np.empty((k, m))
     e_hat = np.empty((n, m))
     eta = np.empty((n, m))
     ranks = np.empty((n, m))
-    for j in range(m):
-        fit = ols_fit(X, Z[:, j])
-        scale = max(1.0, float(np.std(Z[:, j])), abs(float(np.mean(Z[:, j]))))
-        if float(np.std(fit.residuals)) <= CONSTANT_RESIDUAL_RTOL * scale:
+    # contiguous columns, so the rounding does not depend on the layout of Z
+    for j, z in enumerate(np.ascontiguousarray(Z.T)):
+        coef, resid, _ = _lstsq(X.values, z, X.column_names)
+        scale = max(1.0, float(np.std(z)), abs(float(np.mean(z))))
+        if float(np.std(resid)) <= CONSTANT_RESIDUAL_RTOL * scale:
             raise ConstantInputError(
                 f"first-stage residuals of endogenous column {j} are "
                 "numerically zero: the column lies in the span of the "
                 "exogenous design, so its ranks are pure noise")
-        delta[:, j] = fit.coefficients
-        e_hat[:, j] = fit.residuals
+        delta[:, j] = coef
+        e_hat[:, j] = resid
         # the check above rules out constant residuals, so the ranks are
         # computed once and give the scores directly
-        ranks[:, j] = average_ranks(fit.residuals)
+        ranks[:, j] = average_ranks(resid)
         eta[:, j] = _scores_of_ranks(ranks[:, j])
     if names is None:
         names = tuple(f"z{j}" for j in range(m))

@@ -236,6 +236,22 @@ class TestConfigurationErrors:
                      "--exog", "x", "--endog", "z", "--estimator", "ols",
                      "--bootstrap", "1"]) == 0
 
+    @pytest.mark.parametrize("B", ["1", "-1"])
+    def test_simulate_single_or_negative_bootstrap(self, capsys, B):
+        rc = main(["simulate", "--dgp", "1", "--n", "50", "--reps", "2",
+                   "--B", B, "--estimators", "ols", "npcf"])
+        self._assert_config_error(rc, capsys)
+
+    @pytest.mark.parametrize("dgp", ["1", "2"])
+    @pytest.mark.parametrize("flag,value", [("--rho", "nan"),
+                                            ("--delta", "inf"),
+                                            ("--alpha", "-inf"),
+                                            ("--alpha", "nan")])
+    def test_simulate_non_finite_parameter(self, capsys, dgp, flag, value):
+        rc = main(["simulate", "--dgp", dgp, "--n", "50", "--reps", "2",
+                   "--B", "0", f"{flag}={value}"])
+        self._assert_config_error(rc, capsys)
+
 
 class TestCopulaFit:
     """``fit --estimator gp`` on tiny inputs whose copula fit is rank

@@ -131,8 +131,9 @@ class TestGpFit:
         D = np.column_stack([X.values, Z])
         ols = fit_ols(dgp1_small, MODEL_SPEC)
         eta = normal_scores(Z[:, 0])
-        ll_start = _loglik_core(y - D @ ols.theta, eta, 0.0,
-                                math.sqrt(ols.extra["sigma2_hat"]))
+        resid = y - D @ ols.theta
+        sigma2_hat = float(resid @ resid) / (y.size - D.shape[1])
+        ll_start = _loglik_core(resid, eta, 0.0, math.sqrt(sigma2_hat))
         assert fit.extra["loglik"] >= ll_start - 1e-9
 
     def test_feasible_output(self, dgp1_small):

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from scipy.special import gammainc, ndtri
 
 from endofix.data import Dataset
-from endofix.errors import DataError, IdentificationError
-from endofix.estimators import (ModelSpec, fit_iv_internal, fit_npcf, fit_ols,
-                                fit_two_scope)
+from endofix.errors import DataError, DomainError, IdentificationError
+from endofix.estimators import (ESTIMATORS, ModelSpec, fit_iv_internal,
+                                fit_npcf, fit_ols, fit_two_scope)
 from endofix.numerics import DistSpec, RngStream, sample
 from endofix.regress import DesignMatrix, ols_fit, partial_out
 from endofix.simulation import MODEL_SPEC, DgpConfig, gen_dgp1, generate
@@ -222,6 +222,16 @@ class TestEstimatorSurface:
         fit = fitter(dgp1_small, MODEL_SPEC)
         assert fit.names[:3] == ("const", "x", "z")
         assert fit.theta.shape == (len(fit.names),)
+
+    @pytest.mark.parametrize("column", ["y", "x", "z"])
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    def test_non_finite_model_column_rejected(self, estimator, column,
+                                              dgp1_small):
+        v = dgp1_small.column(column).copy()
+        v[11] = np.nan
+        d = Dataset({**dgp1_small.columns, column: v})
+        with pytest.raises(DomainError, match=repr(column)):
+            ESTIMATORS[estimator](d, MODEL_SPEC)
 
     def test_coefficient_order_has_rho_last(self, dgp1_small):
         fit = fit_npcf(dgp1_small, MODEL_SPEC)

@@ -74,12 +74,13 @@ class TestPairsBootstrap:
 
 
     def test_non_finite_column_rejected(self, dgp1_small):
-        y = dgp1_small.column("y").copy()
-        y[17] = np.nan
-        d = Dataset({**dgp1_small.columns, "y": y})
-        for est in ("npcf", "two_scope"):
-            with pytest.raises(DomainError):
-                pairs_bootstrap(d, MODEL_SPEC, est, B=10)
+        for column in ("y", "x", "z"):
+            v = dgp1_small.column(column).copy()
+            v[17] = np.nan
+            d = Dataset({**dgp1_small.columns, column: v})
+            for est in ("npcf", "iv_internal", "two_scope", "gp_copula"):
+                with pytest.raises(DomainError, match=repr(column)):
+                    pairs_bootstrap(d, MODEL_SPEC, est, B=10)
 
 
 def _loop_bootstrap(data, spec, B, seed):

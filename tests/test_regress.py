@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from endofix.errors import RankDeficiencyError
-from endofix.regress import DesignMatrix, ols_fit, partial_out
+from endofix.errors import DomainError, RankDeficiencyError
+from endofix.regress import DesignMatrix, _lstsq, ols_fit, partial_out
 
 
 def _design(values, names=None, intercept=False):
@@ -91,6 +93,81 @@ class TestOlsFit:
         assert fit.sigma2_hat == pytest.approx(rss / (60 - 2))
 
 
+@st.composite
+def _designs(draw):
+    """(design, rhs matrix): an intercept plus standard-normal columns at
+    scales 1e-2..1e2, and one to three right-hand sides."""
+    n = draw(st.integers(3, 120))
+    p = draw(st.integers(1, min(6, n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-2, 2, p)
+    v[:, 0] = 1.0
+    Y = rng.standard_normal((n, draw(st.integers(1, 3))))
+    return _design(v, intercept=True), Y * 10.0 ** rng.uniform(-2, 2)
+
+
+class TestLstsq:
+    """``_lstsq`` is the one solve behind every fit; ``ols_fit`` is the
+    reference for it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_designs())
+    def test_vector_rhs_reproduces_ols_fit_exactly(self, case):
+        X, Y = case
+        # contiguous vectors, as ols_fit's ravel makes: a strided vector
+        # goes through a different matrix-vector kernel
+        for y in np.ascontiguousarray(Y.T):
+            coef, resid, _ = _lstsq(X.values, y, X.column_names)
+            ref = ols_fit(X, y)
+            assert np.array_equal(coef, ref.coefficients)
+            assert np.array_equal(resid, ref.residuals)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_designs())
+    def test_matrix_rhs_reproduces_ols_fit_per_column(self, case):
+        # a matrix right-hand side is one matrix product where ols_fit
+        # makes one matrix-vector product per column, so the two agree to
+        # rounding, not bit for bit
+        X, Y = case
+        coef, resid, _ = _lstsq(X.values, Y, X.column_names)
+        assert coef.shape == (X.p, Y.shape[1]) and resid.shape == Y.shape
+        for j, y in enumerate(Y.T):
+            ref = ols_fit(X, y)
+            scale = max(1.0, np.abs(ref.coefficients).max())
+            assert np.abs(coef[:, j] - ref.coefficients).max() <= 1e-10 * scale
+            assert np.abs(resid[:, j] - ref.residuals).max() <= (
+                1e-12 * np.abs(y).max())
+
+    def test_factor_reproduces_design(self):
+        rng = np.random.default_rng(10)
+        X = _random_design(rng, 40, 4)
+        _, _, (R, piv) = _lstsq(X.values, rng.standard_normal(40),
+                                X.column_names)
+        V = X.values[:, piv]
+        assert np.abs(R.T @ R - V.T @ V).max() <= 1e-12 * np.abs(V.T @ V).max()
+
+    @pytest.mark.parametrize("rhs_width", [None, 2])
+    def test_rank_deficiency_names_the_column_ols_fit_names(self, rhs_width):
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((40, 3))
+        v[:, 0] = 1.0
+        v = np.column_stack([v, v[:, 1] * 2.0])
+        X = _design(v, ["const", "a", "b", "a_copy"], intercept=True)
+        y = rng.standard_normal(40)
+        with pytest.raises(RankDeficiencyError) as ref:
+            ols_fit(X, y)
+        b = y if rhs_width is None else np.column_stack([y] * rhs_width)
+        with pytest.raises(RankDeficiencyError) as err:
+            _lstsq(X.values, b, X.column_names)
+        assert err.value.column == ref.value.column
+        assert str(err.value) == str(ref.value)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3)])
+    def test_needs_more_rows_than_columns(self, shape):
+        with pytest.raises(DomainError):
+            _lstsq(np.ones(shape), np.ones(shape[0]), ("a", "b", "c"))
+
+
 class TestPartialOut:
     def test_span_gives_zero(self):
         rng = np.random.default_rng(7)
@@ -125,6 +202,14 @@ class TestPartialOut:
         yt = partial_out(X.values, y)
         gamma_uni = float(zt @ yt) / float(zt @ zt)
         assert joint.coefficients[-1] == pytest.approx(gamma_uni, abs=1e-10)
+
+    @pytest.mark.parametrize("where", ["A", "b"])
+    def test_rejects_non_finite(self, where):
+        rng = np.random.default_rng(11)
+        A, b = rng.standard_normal((20, 2)), rng.standard_normal(20)
+        (A if where == "A" else b)[3] = np.inf
+        with pytest.raises(DomainError):
+            partial_out(A, b)
 
 
 class TestDesignMatrix:

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from endofix.errors import ConstantInputError
+from endofix.errors import ConstantInputError, DomainError
 from endofix.numerics import DistSpec, RngStream, sample
 from endofix.regress import DesignMatrix
 from endofix.transform import (average_ranks, ecdf_rescaled, first_stage,
@@ -135,6 +135,16 @@ class TestFirstStage:
         fs = first_stage(X, z)
         assert fs.e_hat[:, 0] == pytest.approx(z - z.mean(), abs=1e-12)
         assert fs.delta_hat[0, 0] == pytest.approx(z.mean())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_z_raises(self, bad):
+        z = np.array([1.0, 4.0, 2.0, 7.0, 5.0, 3.0])
+        z[2] = bad
+        X = DesignMatrix(np.ones((6, 1)), ("const",), has_intercept=True)
+        with pytest.raises(DomainError):
+            first_stage(X, z)
+        with pytest.raises(DomainError):
+            first_stage(X, np.column_stack([np.arange(6.0), z]))
 
     def test_exact_linear_z_raises(self):
         rng = np.random.default_rng(7)
