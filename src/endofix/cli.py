@@ -13,6 +13,7 @@ from array import array
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -61,6 +62,25 @@ def _resolve_exog(tokens):
     return base, derived, final
 
 
+def _parse_rows(reader, idx):
+    """The cells ``idx`` of each non-blank row of ``reader`` through
+    ``float``: returns (array of parsed rows, rows dropped, rows read);
+    a row with a cell that does not parse or is missing is dropped."""
+    # parsed rows go into one flat buffer: a list of per-row lists of
+    # float objects takes about six times the memory
+    flat, dropped, total = array("d"), 0, 0
+    for raw in reader:
+        if not raw or all(not cell.strip() for cell in raw):
+            continue
+        total += 1
+        try:
+            flat.extend([float(raw[i]) for i in idx])
+        except (ValueError, IndexError):
+            dropped += 1
+    arr = np.frombuffer(flat, dtype=np.float64).reshape(-1, len(idx))
+    return arr, dropped, total
+
+
 def ingest_csv(path: str, outcome: str, exogenous, endogenous):
     """Read a header-ed CSV, keeping only rows where every used column
     parses as a finite number.
@@ -68,7 +88,9 @@ def ingest_csv(path: str, outcome: str, exogenous, endogenous):
     Returns (Dataset, ModelSpec, n_dropped); rows with an unparseable,
     ``nan`` or ``inf`` cell are dropped and counted.  ``square:NAME``
     entries in ``exogenous`` create derived squared columns named
-    ``NAME^2``.
+    ``NAME^2``; a row whose square overflows is dropped too.  The body is
+    parsed by numpy's C reader, and row by row only if that rejects a
+    cell; both give the same rows.
 
     Raises DataError on a missing column, an empty result, or when more
     than half of the data rows are dropped.
@@ -94,21 +116,32 @@ def ingest_csv(path: str, outcome: str, exogenous, endogenous):
             raise DataError(f"missing column(s) {missing} in {path!r}; "
                             f"header has {header}")
         idx = [header.index(c) for c in needed]
-        # parsed rows go into one flat buffer: a list of per-row lists of
-        # float objects takes about six times the memory
-        flat, dropped, total = array("d"), 0, 0
-        for raw in reader:
-            if not raw or all(not cell.strip() for cell in raw):
-                continue
-            total += 1
-            try:
-                flat.extend([float(raw[i]) for i in idx])
-            except (ValueError, IndexError):
-                dropped += 1
-    arr = np.frombuffer(flat, dtype=np.float64).reshape(-1, len(needed))
-    finite = np.isfinite(arr).all(axis=1)
+        try:
+            # numpy's C parser; quotechar keeps a quoted comma inside one
+            # cell, and comments=None keeps a '#' from cutting a row short
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained "
+                                        "no data", UserWarning)
+                arr = np.loadtxt(fh, delimiter=",", usecols=idx,
+                                 comments=None, quotechar='"', ndmin=2,
+                                 dtype=np.float64)
+        except ValueError:
+            # a cell the C parser rejects (``1_000``, an empty cell, a
+            # whitespace-only line, a short row, ...): parse row by row
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            arr, dropped, total = _parse_rows(reader, idx)
+        else:
+            dropped, total = 0, arr.shape[0]
+    # derived squares are masked with the columns, so one that overflows
+    # drops its row like an ``inf`` cell does
+    squares = arr[:, [needed.index(src) for _, src in derived]]
+    with np.errstate(over="ignore"):
+        np.square(squares, out=squares)
+    finite = np.isfinite(arr).all(axis=1) & np.isfinite(squares).all(axis=1)
     if not finite.all():
-        arr = arr[finite]
+        arr, squares = arr[finite], squares[finite]
         dropped += int(finite.size - arr.shape[0])
     if not arr.size:
         raise DataError(f"no usable rows in {path!r}")
@@ -117,8 +150,8 @@ def ingest_csv(path: str, outcome: str, exogenous, endogenous):
                         f"non-finite in {path!r}")
 
     cols = {name: arr[:, j] for j, name in enumerate(needed)}
-    for name, src in derived:
-        cols[name] = cols[src] ** 2
+    for j, (name, _) in enumerate(derived):
+        cols[name] = squares[:, j]
     spec = ModelSpec(outcome=outcome, exogenous=tuple(final_exog),
                      endogenous=tuple(endogenous))
     return Dataset(cols, provenance=path), spec, dropped

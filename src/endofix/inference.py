@@ -179,7 +179,12 @@ def _stacked_npcf(data: Dataset, spec: ModelSpec, B: int, seed: RngStream,
         ok[_split_ties(cols, rows, sv, mag.ravel()) // m] = False
         eta = _scores_of_ranks(ranks).reshape(-1, m, n)
         W[..., k + m:p] = eta.transpose(0, 2, 1)
+        # at large n each of these is an n-long column per resample: free
+        # them before qr copies W, and W (Zb is a view of it) before the
+        # next chunk builds its own
+        del ranks, order, sv, rows, eta, E, e, idx, Zb
         R2 = np.linalg.qr(W, mode="r")
+        del W
         ok &= _well_conditioned(R2[:, :p, :p])
         theta[bs[ok]] = _solve_upper(R2[:, :p, :p], R2[:, :p, p:], ok)[ok, :, 0]
         solved[bs[ok]] = True

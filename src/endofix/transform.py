@@ -59,12 +59,13 @@ def _rank_rows(rows: np.ndarray):
     """Average ranks of each row of a 2-D array, with the sort behind them.
 
     Returns (ranks, order, sorted values): ``order`` holds the positions
-    in ``rows.ravel()`` of each row's stable sort.  Equal values occupy
-    adjacent positions, and each tied run [start, stop) of a sorted row
-    gets the mean of ranks start+1..stop.
+    in ``rows.ravel()`` of each row's sort.  Equal values occupy adjacent
+    positions, and each tied run [start, stop) of a sorted row gets the
+    mean of ranks start+1..stop, so the ranks and sorted values do not
+    depend on the order the (unstable) sort leaves within a tied run.
     """
     n = rows.shape[1]
-    order = np.argsort(rows, axis=1, kind="stable")
+    order = np.argsort(rows, axis=1)
     order += n * np.arange(rows.shape[0])[:, None]
     sv = rows.ravel()[order]
     new_run = np.ones(rows.shape, dtype=bool)

@@ -7,15 +7,20 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from endofix import cli
 from endofix.cli import ingest_csv, main
+from endofix.data import Dataset
 from endofix.errors import DataError
+from endofix.estimators import ModelSpec
 from endofix.numerics import DistSpec, RngStream
 from endofix.simulation import DgpConfig, gen_dgp1
 
@@ -91,6 +96,182 @@ class TestIngestCsv:
                    [[1, 2, 3], ["a", 2, 3], ["b", 2, 3], ["c", 2, 3]])
         with pytest.raises(DataError):
             ingest_csv(str(p), "y", ["x"], ["z"])
+
+    def test_header_only_file_raises_without_warning(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("y,x,z\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="no usable rows"):
+                ingest_csv(str(p), "y", ["x"], ["z"])
+
+    def test_quoted_comma_stays_in_its_cell(self, tmp_path):
+        # split at the quoted comma, every row would still parse, with x
+        # and z read one column to the left
+        p = tmp_path / "quoted.csv"
+        p.write_text('y,note,u,x,z\n1,"p,q",7,9,5\n2,"r",6,8,4\n'
+                     '3,s,5,7,3\n')
+        data, _, dropped = ingest_csv(str(p), "y", ["x"], ["z"])
+        assert dropped == 0
+        assert data.column("x").tolist() == [9.0, 8.0, 7.0]
+        assert data.column("z").tolist() == [5.0, 4.0, 3.0]
+
+    def test_cells_the_c_parser_rejects_parse_row_by_row(self, tmp_path):
+        p = tmp_path / "loose.csv"
+        p.write_text("y,x,z\r\n1_000,2,3\r\n   \r\n,,\r\n4,5,6\r\n"
+                     "7,8\r\n1,#2,3\r\n")
+        data, _, dropped = ingest_csv(str(p), "y", ["x"], ["z"])
+        assert data.column("y").tolist() == [1000.0, 4.0]
+        assert dropped == 2             # the short row and the '#2' cell
+
+    def test_overflowing_square_drops_the_row(self, tmp_path):
+        rng = np.random.default_rng(7)
+        rows = rng.standard_normal((61, 3))
+        rows[30, 1] = 1e200
+        p = tmp_path / "big.csv"
+        _write_csv(p, ["y", "x", "z"], rows)
+        data, _, dropped = ingest_csv(str(p), "y", ["x", "square:x"], ["z"])
+        assert (data.n, dropped) == (60, 1)
+        assert np.array_equal(data.column("x^2"),
+                              np.delete(rows[:, 1], 30) ** 2)
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["fit", "--data", str(p), "--outcome", "y",
+                       "--exog", "x", "square:x", "--endog", "z",
+                       "--bootstrap", "9", "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["dropped_rows"] == 1
+
+    def test_overflowing_squares_count_toward_the_half_rule(self, tmp_path):
+        p = tmp_path / "big.csv"
+        _write_csv(p, ["y", "x", "z"],
+                   [[1, 1e200, 3], [4, -1e300, 6], [7, 8, 9]])
+        data, _, dropped = ingest_csv(str(p), "y", ["x"], ["z"])
+        assert (data.n, dropped) == (3, 0)
+        with pytest.raises(DataError, match="2 of 3 rows"):
+            ingest_csv(str(p), "y", ["x", "square:x"], ["z"])
+
+
+def _row_loop_ingest(path, outcome, exogenous, endogenous):
+    """ingest_csv as it was before the C parser: csv.reader and float()
+    on every used cell, for plain (no ``square:``) columns."""
+    needed = [outcome, *exogenous, *endogenous]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        idx = [header.index(c) for c in needed]
+        flat, dropped, total = [], 0, 0
+        for raw in reader:
+            if not raw or all(not cell.strip() for cell in raw):
+                continue
+            total += 1
+            try:
+                flat.append([float(raw[i]) for i in idx])
+            except (ValueError, IndexError):
+                dropped += 1
+    arr = np.array(flat, dtype=np.float64).reshape(-1, len(needed))
+    finite = np.isfinite(arr).all(axis=1)
+    arr = arr[finite]
+    dropped += int(finite.size - arr.shape[0])
+    if not arr.size:
+        raise DataError(f"no usable rows in {path!r}")
+    if total and dropped > 0.5 * total:
+        raise DataError(f"{dropped} of {total} rows unparseable or "
+                        f"non-finite in {path!r}")
+    cols = {name: arr[:, j] for j, name in enumerate(needed)}
+    spec = ModelSpec(outcome=outcome, exogenous=tuple(exogenous),
+                     endogenous=tuple(endogenous))
+    return Dataset(cols, provenance=path), spec, dropped
+
+
+# cells both parsers read as numbers
+_NUMBER_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(("nan", "inf", "-inf", "1e500", "-1e500", "+1", ".5",
+                     "-.5e-3", "1.", " 2 ", "\t3", "Infinity")))
+_QUOTED_NUMBER_CELLS = st.one_of(
+    st.floats(-1e3, 1e3).map(lambda v: f'"{v!r}"'),
+    st.sampled_from(('" 4 "', '"5\n"')))
+# quoted text holding the delimiter or a line break: split there, a row
+# of numbers would still parse, with later columns read one to the left
+_QUOTED_TEXT_CELLS = st.sampled_from(('"p,q"', '"1,5"', '"a\nb,c"'))
+# cells only the row loop reads as numbers, or that neither does
+_OTHER_CELLS = st.sampled_from(("1_000", "", " ", "abc", "#4", "1#", '""',
+                                '"9"x', '"a""b"', "0x10"))
+
+
+@st.composite
+def _csv_text(draw):
+    """A CSV file whose body the C parser accepts or rejects: quoted
+    numbers in used and unused columns, quoted commas and line breaks,
+    blank, whitespace-only and ``,,`` lines, short and long rows, LF or
+    CRLF."""
+    names = draw(st.permutations(
+        ["y", "x", "z", *(f"u{i}" for i in range(draw(st.integers(0, 2))))]))
+    loose = draw(st.booleans())
+    used = _NUMBER_CELLS
+    if draw(st.booleans()):
+        used |= _QUOTED_NUMBER_CELLS
+    if loose:
+        used |= _OTHER_CELLS | _QUOTED_TEXT_CELLS
+    unused = used | _QUOTED_TEXT_CELLS
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(
+            ("row",) * 6 + ("blank", "spaces", "commas", "short", "long")
+            if loose else ("row",) * 6 + ("blank", "long")))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from((" ", "  \t", "\t"))))
+        elif kind == "commas":
+            lines.append("," * draw(st.integers(1, len(names))))
+        else:
+            cells = [draw(used if nm in "yxz" else unused) for nm in names]
+            if kind == "short":
+                cells = cells[:draw(st.integers(1, len(names) - 1))]
+            elif kind == "long":
+                cells += draw(st.lists(unused, min_size=1, max_size=2))
+            lines.append(",".join(cells))
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
+def _fit_exit_code(path):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(["fit", "--data", str(path), "--outcome", "y",
+                     "--exog", "x", "--endog", "z", "--estimator", "ols"])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=_csv_text())
+def test_fast_parse_matches_row_loop(text):
+    # the C parser (or its fallback) and the old row loop give the same
+    # columns, the same dropped_rows and the same exit code
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "d.csv"
+        with open(p, "w", newline="") as fh:
+            fh.write(text)
+        results = []
+        for ingest in (ingest_csv, _row_loop_ingest):
+            try:
+                data, _, dropped = ingest(str(p), "y", ["x"], ["z"])
+                got = (data.matrix(["y", "x", "z"]), dropped)
+            except DataError as exc:
+                got = (None, str(exc))
+            with mock.patch.object(cli, "ingest_csv", ingest):
+                results.append((got, _fit_exit_code(p)))
+    (fast, fast_rc), (loop, loop_rc) = results
+    assert fast_rc == loop_rc
+    assert fast[1] == loop[1]
+    if loop[0] is None:
+        assert fast[0] is None
+    else:
+        assert np.array_equal(fast[0], loop[0])
 
 
 class TestFitCommand:

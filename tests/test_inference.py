@@ -1,22 +1,25 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from endofix import inference
 from endofix.data import Dataset
 from endofix.errors import (BootstrapError, ConstantInputError, DataError,
                             DomainError, EndofixError, IdentificationError,
                             RankDeficiencyError)
 from endofix.estimators import ModelSpec, build_design, fit_npcf
-from endofix.inference import (_BOOT_KEY, bootstrap_t_test, exogeneity_test,
+from endofix.inference import (_BOOT_KEY, _CHUNK_BYTES, _split_ties,
+                               bootstrap_t_test, exogeneity_test,
                                exogeneity_test_of_fit,
                                identification_diagnostic, pairs_bootstrap)
 from endofix.numerics import DistSpec, RngStream, sample
 from endofix.regress import partial_out
 from endofix.simulation import MODEL_SPEC, DgpConfig, gen_dgp1, generate
-from endofix.transform import first_stage
+from endofix.transform import _rank_rows, first_stage
 
 
 class TestPairsBootstrap:
@@ -122,6 +125,68 @@ def _endogenous_design(rng, n):
     return x, e, z, y
 
 
+def _stable_rank_rows(rows):
+    """_rank_rows with a stable sort: the reference for the unstable one."""
+    n = rows.shape[1]
+    order = np.argsort(rows, axis=1, kind="stable")
+    order += n * np.arange(rows.shape[0])[:, None]
+    sv = rows.ravel()[order]
+    new_run = np.ones(rows.shape, dtype=bool)
+    new_run[:, 1:] = sv[:, 1:] != sv[:, :-1]
+    starts = np.flatnonzero(new_run)
+    counts = np.append(starts[1:], rows.size) - starts
+    ranks = np.empty(rows.size, dtype=np.float64)
+    ranks[order.ravel()] = np.repeat(0.5 * (2 * (starts % n) + counts + 1),
+                                     counts)
+    return ranks.reshape(rows.shape), order, sv
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 400), B=st.integers(1, 4), levels=st.integers(1, 6),
+       jitter=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_rank_order_within_ties_changes_nothing(n, B, levels, jitter, seed):
+    # integer z with a binary x, resampled with duplicates: residual runs
+    # tie exactly within one data row, across rows of equal (x, z) and
+    # across rows of different (x, z); jitter adds near-ties between runs
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2, n).astype(np.float64)
+    z = rng.integers(0, levels, n) + x
+    resid = z - 2.0 * x
+    if jitter:
+        resid *= 1.0 + 1e-15 * rng.integers(0, 3, n)
+    idx = rng.integers(0, n, (B, n))
+    E = resid[idx]
+    mag = np.abs(E).max(axis=1) + 1.0
+    got, want = _rank_rows(E), _stable_rank_rows(E)
+    assert got[0].tobytes() == want[0].tobytes()       # ranks
+    assert got[2].tobytes() == want[2].tobytes()       # sorted values
+    flagged = [set(_split_ties([x, z], idx.ravel()[order], sv, mag).tolist())
+               for _, order, sv in (got, want)]
+    assert flagged[0] == flagged[1]
+
+
+class TestStackedBootstrapMemory:
+    def test_peak_of_one_resample_chunk(self):
+        # at large n a chunk is one resample; its temporaries are freed
+        # before the second-stage QR copies the stacked design, so the
+        # high-water mark stays within 18 n-long float columns (24 when
+        # they were kept)
+        n = 50_000
+        rng = np.random.default_rng(99)
+        x, _, z, y = _endogenous_design(rng, n)
+        d = Dataset({"y": y + 0.2 * x ** 2, "x": x, "x^2": x ** 2, "z": z})
+        spec = ModelSpec("y", ("x", "x^2"), ("z",))
+        assert _CHUNK_BYTES < 8 * n * (spec.k + 2 * spec.m + 1)
+        tracemalloc.start()
+        try:
+            boot = pairs_bootstrap(d, spec, "npcf", B=3, seed=RngStream(100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert boot.n_failed == 0
+        assert peak <= 18 * n * 8
+
+
 class TestStackedBootstrapMatchesLoop:
     """The stacked npcf bootstrap against refitting every resample."""
 
@@ -156,6 +221,18 @@ class TestStackedBootstrapMatchesLoop:
         ranks = fit_npcf(d, MODEL_SPEC).first_stage.ranks
         assert np.any(ranks != np.round(ranks))
         _assert_matches_loop(d, MODEL_SPEC, 199, RngStream(96))
+
+    def test_one_resample_per_chunk(self, dgp1_small, monkeypatch):
+        # one resample per chunk, as at large n, where each chunk frees
+        # its temporaries before the next
+        monkeypatch.setattr(inference, "_CHUNK_BYTES", 1)
+        _assert_matches_loop(dgp1_small, MODEL_SPEC, 99, RngStream(90))
+        rng = np.random.default_rng(95)
+        x = rng.integers(0, 2, 300).astype(float)
+        z = rng.integers(0, 6, 300) + x
+        d = Dataset({"y": 1.0 + x + z + rng.standard_normal(300), "x": x,
+                     "z": z})
+        _assert_matches_loop(d, MODEL_SPEC, 99, RngStream(96))
 
     def test_rare_dummy_rank_failures(self):
         # a dummy with five ones is all zero in about 0.7% of resamples;
