@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 from array import array
+from itertools import chain, islice
 import json
 import sys
 import time
@@ -68,17 +69,67 @@ def _parse_rows(reader, idx):
     a row with a cell that does not parse or is missing is dropped."""
     # parsed rows go into one flat buffer: a list of per-row lists of
     # float objects takes about six times the memory
-    flat, dropped, total = array("d"), 0, 0
+    flat, dropped = array("d"), 0
     for raw in reader:
-        if not raw or all(not cell.strip() for cell in raw):
-            continue
-        total += 1
         try:
             flat.extend([float(raw[i]) for i in idx])
         except (ValueError, IndexError):
-            dropped += 1
+            # a blank line (no cell but whitespace) fails here too, but it
+            # is no row, so it is not counted
+            dropped += any(cell.strip() for cell in raw)
     arr = np.frombuffer(flat, dtype=np.float64).reshape(-1, len(idx))
-    return arr, dropped, total
+    return arr, dropped, arr.shape[0] + dropped
+
+
+# lines per block of the CSV body
+_BLOCK_LINES = 2048
+
+
+def _ends_in_quote(lines):
+    """Whether ``lines`` stop inside a quoted cell, which may hold a line
+    break.  A line without a quote character leaves that state as it
+    was, so only the lines with one go through ``csv``."""
+    for row in csv.reader([ln for ln in lines if '"' in ln] + ["\n"]):
+        pass
+    return bool(row)
+
+
+def _parse_body(fh, idx):
+    """The cells ``idx`` of each row of the rest of ``fh``, as
+    :func:`_parse_rows` returns them.
+
+    Blocks of whole rows go through numpy's C reader.  A block it rejects
+    (``1_000``, an empty cell, a whitespace-only line, a short row, ...)
+    is parsed row by row, and so are the next 1, 3, 7, ... blocks while
+    the C reader keeps rejecting, so a file with such cells throughout
+    costs about what the row loop alone does.  Both parsers give the
+    same rows.
+    """
+    blocks, dropped, total, backoff = [], 0, 0, 0
+    while lines := list(islice(fh, _BLOCK_LINES)):
+        # a block that ends inside a quoted cell doubles until it does not
+        while _ends_in_quote(lines) and (
+                more := list(islice(fh, len(lines)))):
+            lines += more
+        try:
+            # quotechar keeps a quoted comma inside one cell, and
+            # comments=None keeps a '#' from cutting a row short
+            arr = np.loadtxt(lines, delimiter=",", usecols=idx,
+                             comments=None, quotechar='"', ndmin=2,
+                             dtype=np.float64)
+        except ValueError:
+            backoff = 2 * backoff + 1
+            rows = chain(csv.reader(lines),
+                         islice(csv.reader(fh), backoff * _BLOCK_LINES))
+            arr, d, t = _parse_rows(rows, idx)
+        else:
+            backoff, d, t = 0, 0, arr.shape[0]
+        blocks.append(arr)
+        dropped += d
+        total += t
+    if not blocks:
+        return np.empty((0, len(idx))), 0, 0
+    return np.concatenate(blocks), dropped, total
 
 
 def ingest_csv(path: str, outcome: str, exogenous, endogenous):
@@ -89,8 +140,8 @@ def ingest_csv(path: str, outcome: str, exogenous, endogenous):
     ``nan`` or ``inf`` cell are dropped and counted.  ``square:NAME``
     entries in ``exogenous`` create derived squared columns named
     ``NAME^2``; a row whose square overflows is dropped too.  The body is
-    parsed by numpy's C reader, and row by row only if that rejects a
-    cell; both give the same rows.
+    parsed by numpy's C reader, and row by row only in the blocks of rows
+    that it rejects; both give the same rows.
 
     Raises DataError on a missing column, an empty result, or when more
     than half of the data rows are dropped.
@@ -116,24 +167,11 @@ def ingest_csv(path: str, outcome: str, exogenous, endogenous):
             raise DataError(f"missing column(s) {missing} in {path!r}; "
                             f"header has {header}")
         idx = [header.index(c) for c in needed]
-        try:
-            # numpy's C parser; quotechar keeps a quoted comma inside one
-            # cell, and comments=None keeps a '#' from cutting a row short
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained "
-                                        "no data", UserWarning)
-                arr = np.loadtxt(fh, delimiter=",", usecols=idx,
-                                 comments=None, quotechar='"', ndmin=2,
-                                 dtype=np.float64)
-        except ValueError:
-            # a cell the C parser rejects (``1_000``, an empty cell, a
-            # whitespace-only line, a short row, ...): parse row by row
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
-            arr, dropped, total = _parse_rows(reader, idx)
-        else:
-            dropped, total = 0, arr.shape[0]
+        with warnings.catch_warnings():
+            # loadtxt warns on a block with no rows (blank lines only)
+            warnings.filterwarnings("ignore", "loadtxt: input contained "
+                                    "no data", UserWarning)
+            arr, dropped, total = _parse_body(fh, idx)
     # derived squares are masked with the columns, so one that overflows
     # drops its row like an ``inf`` cell does
     squares = arr[:, [needed.index(src) for _, src in derived]]

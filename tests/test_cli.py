@@ -124,6 +124,45 @@ class TestIngestCsv:
         assert data.column("y").tolist() == [1000.0, 4.0]
         assert dropped == 2             # the short row and the '#2' cell
 
+    def test_quoted_line_break_across_a_block_end(self, tmp_path):
+        p = tmp_path / "multiline.csv"
+        p.write_text('y,note,x,z\n1,"a\nb\nc",2,3\n4,"d",5,6\n'
+                     '7,"e\n",8,9\n')
+        with mock.patch.object(cli, "_BLOCK_LINES", 1):
+            data, _, dropped = ingest_csv(str(p), "y", ["x"], ["z"])
+        assert dropped == 0
+        assert data.matrix(["y", "x", "z"]).tolist() == [
+            [1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
+
+    def test_only_rejected_blocks_parse_row_by_row(self, tmp_path):
+        # one empty cell near the start: its block and the next one go
+        # row by row, the other 8 of 10 blocks through the C reader
+        rows = [[i, i + 0.5, -i] for i in range(40)]
+        rows[3][1] = ""
+        p = tmp_path / "blank.csv"
+        _write_csv(p, ["y", "x", "z"], rows)
+        with mock.patch.object(cli, "_BLOCK_LINES", 4), \
+                mock.patch.object(np, "loadtxt",
+                                  wraps=np.loadtxt) as c_reader:
+            data, _, dropped = ingest_csv(str(p), "y", ["x"], ["z"])
+        assert (data.n, dropped) == (39, 1)
+        assert data.column("y").tolist() == [i for i in range(40) if i != 3]
+        assert c_reader.call_count == 1 + 8
+
+    def test_c_reader_retried_less_often_after_each_rejection(self,
+                                                              tmp_path):
+        # an empty cell in every block: the C reader is tried on blocks
+        # 0, 2, 6, 14 and 30 of 50 and not on the rest
+        rows = [[i, "" if i % 2 else i, i] for i in range(200)]
+        p = tmp_path / "blanks.csv"
+        _write_csv(p, ["y", "x", "z"], rows)
+        with mock.patch.object(cli, "_BLOCK_LINES", 4), \
+                mock.patch.object(np, "loadtxt",
+                                  wraps=np.loadtxt) as c_reader:
+            data, _, dropped = ingest_csv(str(p), "y", ["x"], ["z"])
+        assert (data.n, dropped) == (100, 100)
+        assert c_reader.call_count == 5
+
     def test_overflowing_square_drops_the_row(self, tmp_path):
         rng = np.random.default_rng(7)
         rows = rng.standard_normal((61, 3))
@@ -248,11 +287,13 @@ def _fit_exit_code(path):
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(text=_csv_text())
-def test_fast_parse_matches_row_loop(text):
+@given(text=_csv_text(), block=st.sampled_from((1, 2, 3, cli._BLOCK_LINES)))
+def test_fast_parse_matches_row_loop(text, block):
     # the C parser (or its fallback) and the old row loop give the same
-    # columns, the same dropped_rows and the same exit code
-    with tempfile.TemporaryDirectory() as tmp:
+    # columns, the same dropped_rows and the same exit code; small blocks
+    # put block ends inside quoted line breaks and between rejected rows
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "_BLOCK_LINES", block):
         p = Path(tmp) / "d.csv"
         with open(p, "w", newline="") as fh:
             fh.write(text)
