@@ -16,7 +16,7 @@ from .errors import (BootstrapError, ConstantInputError, DataError,
                      DomainError, EndofixError, IdentificationError,
                      QuadratureError, RankDeficiencyError)
 from .numerics import DistSpec, QuadratureSpec, RngStream, sample
-from .regress import DesignMatrix, OlsFit, ols_fit, partial_out
+from .regress import DesignMatrix, OlsFit, ols_fit
 from .transform import FirstStage, ecdf_rescaled, first_stage, normal_scores
 from .estimators import (ESTIMATORS, ModelSpec, ThetaEstimate, fit_iv_internal,
                          fit_npcf, fit_ols, fit_two_scope)
@@ -31,7 +31,7 @@ from .simulation import DgpConfig, McSummary, gen_dgp1, gen_dgp2, mc_run
 __all__ = [
     "__version__",
     "Dataset", "DistSpec", "QuadratureSpec", "RngStream", "sample",
-    "DesignMatrix", "OlsFit", "ols_fit", "partial_out",
+    "DesignMatrix", "OlsFit", "ols_fit",
     "FirstStage", "ecdf_rescaled", "first_stage", "normal_scores",
     "ESTIMATORS", "ModelSpec", "ThetaEstimate",
     "fit_ols", "fit_npcf", "fit_iv_internal", "fit_two_scope",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 from array import array
 from itertools import chain, islice
 import json
@@ -132,6 +133,12 @@ def _parse_body(fh, idx):
     return np.concatenate(blocks), dropped, total
 
 
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> DataError:
+    byte = exc.object[exc.start]
+    return DataError(f"{path!r} is not UTF-8 text: byte {byte:#04x} cannot "
+                     "be decoded; save the file as UTF-8")
+
+
 def ingest_csv(path: str, outcome: str, exogenous, endogenous):
     """Read a header-ed CSV, keeping only rows where every used column
     parses as a finite number.
@@ -143,8 +150,8 @@ def ingest_csv(path: str, outcome: str, exogenous, endogenous):
     parsed by numpy's C reader, and row by row only in the blocks of rows
     that it rejects; both give the same rows.
 
-    Raises DataError on a missing column, an empty result, or when more
-    than half of the data rows are dropped.
+    Raises DataError on a file that is not UTF-8 text, a missing column,
+    an empty result, or when more than half of the data rows are dropped.
     """
     base_exog, derived, final_exog = _resolve_exog(list(exogenous))
     needed = [outcome, *base_exog, *endogenous]
@@ -152,7 +159,7 @@ def ingest_csv(path: str, outcome: str, exogenous, endogenous):
         raise DataError("duplicate column among outcome/exogenous/endogenous")
 
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path!r}: {exc}") from exc
     with fh:
@@ -161,6 +168,8 @@ def ingest_csv(path: str, outcome: str, exogenous, endogenous):
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path!r} is empty") from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
         header = [h.strip() for h in header]
         missing = [c for c in needed if c not in header]
         if missing:
@@ -171,7 +180,10 @@ def ingest_csv(path: str, outcome: str, exogenous, endogenous):
             # loadtxt warns on a block with no rows (blank lines only)
             warnings.filterwarnings("ignore", "loadtxt: input contained "
                                     "no data", UserWarning)
-            arr, dropped, total = _parse_body(fh, idx)
+            try:
+                arr, dropped, total = _parse_body(fh, idx)
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(path, exc) from None
     # derived squares are masked with the columns, so one that overflows
     # drops its row like an ``inf`` cell does
     squares = arr[:, [needed.index(src) for _, src in derived]]
@@ -225,6 +237,7 @@ def _estimate_block(fit: ThetaEstimate, boot=None) -> dict:
             "n_failed": boot.n_failed,
             "failures": dict(boot.failures),
             "n_extreme_draws": boot.n_extreme_draws,
+            "scalar_refits": boot.scalar_refits,
             "percentile_ci": {nm: [float(lo), float(hi)]
                               for nm, (lo, hi) in
                               zip(boot.names, boot.percentile_ci.T)},
@@ -401,6 +414,10 @@ def cmd_constants(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+# main may run many times in one process (tests, an embedding program); a
+# parser is a web of reference cycles that only the cyclic garbage
+# collector frees, so it is built once and reused, parsing mutates nothing
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="endofix",

@@ -1,12 +1,22 @@
 """Pairs bootstrap, bootstrap t-tests, the exogeneity test, and the
-normality diagnostic for the first-stage residuals.
+normality diagnostic for the first-stage residuals, and the stacked
+least-squares engine behind the bootstrap and the Monte Carlo harness.
 
 The bootstrap resamples whole observation rows with replacement and reruns
 the complete two-step pipeline (first stage, scores, second stage) on each
 resample, so the standard errors reflect the sampling noise of the
-generated regressor as well.  For ``npcf`` the resamples are solved in
-chunks of stacked least-squares problems; any resample near a rank or
-constant-residual rejection is refitted by :func:`fit_npcf` itself.
+generated regressor as well.
+
+:func:`_fit_stack` solves a stack of same-shaped problems at once for the
+estimators in ``_STACKED`` (``ols``, ``npcf``, ``two_scope`` and
+``gp_copula``): the bootstrap's resamples and the Monte Carlo
+repetitions.  A problem near a rank, constant-residual, exact-fit or
+copula-guard rejection, or near a rounding tie of npcf's residuals, is
+flagged and refitted by the registered scalar estimator, which then
+decides.  So are
+all problems of any other estimator (``iv_internal``, and estimators
+registered later).  Stacked results equal the scalar ones to rounding
+(about 1e-14 relative), not bit for bit.
 """
 from __future__ import annotations
 
@@ -35,20 +45,25 @@ __all__ = ["BootstrapResult", "TestResult", "pairs_bootstrap",
 # not depend on the order or the chunk in which resamples are computed.
 _BOOT_KEY = 0xB00
 
-# Size in bytes of one stacked (resample, row, column) array: a chunk holds
-# this many bytes' worth of resamples, and one resample at large n.
+# The estimators _fit_stack solves.  The bootstrap and the Monte Carlo
+# harness choose the stacked path by name, so a wrapper registered in
+# ESTIMATORS under one of these names does not change the path.
+_STACKED = ("ols", "npcf", "two_scope", "gp_copula")
+
+# Size in bytes of one stacked (problem, row, column) array: a chunk holds
+# this many bytes' worth of problems, and one problem at large n.
 _CHUNK_BYTES = 256 * 1024
 
-# A stacked resample within this factor of a rank or constant-residual
-# rejection is refitted by the scalar estimator, so rounding differences
-# between the stacked and the pivoted factorisations cannot hide a
-# rejection from it.
+# A stacked problem within this factor of a rank, constant-residual,
+# exact-fit or copula-guard rejection is refitted by the scalar estimator,
+# so rounding differences between the stacked and the pivoted
+# factorisations cannot hide a rejection from it.
 _FLAG_MARGIN = 100.0
 
 # Stacked and pivoted first stages give residuals a few ulps of their
 # magnitude apart.  Two residuals of different data rows closer than this
 # fraction of the magnitude (an exact tie in exact arithmetic, say) may
-# rank differently in the two, so such a resample is refitted by the
+# rank differently in the two, so such a problem is refitted by the
 # scalar estimator.
 _TIE_RTOL = 2e-14
 
@@ -76,6 +91,8 @@ class BootstrapResult:
     empirical quantiles at level 1 - alpha.
     ``n_extreme_draws`` counts draws farther than 10 interquartile ranges
     from the median, a heuristic flag for heavy-tailed resampling noise.
+    ``scalar_refits`` counts the resamples fitted by the scalar estimator
+    rather than the stacked engine, failed ones included.
     """
 
     draws: np.ndarray
@@ -88,6 +105,7 @@ class BootstrapResult:
     n_failed: int = 0
     n_extreme_draws: int = 0
     failures: dict[str, int] = field(default_factory=dict)
+    scalar_refits: int = 0
 
     def se_of(self, name: str) -> float:
         return float(self.se[self.names.index(name)])
@@ -132,62 +150,138 @@ def _split_ties(cols, rows: np.ndarray, sv: np.ndarray,
     return r[differ]
 
 
-def _stacked_npcf(data: Dataset, spec: ModelSpec, B: int, seed: RngStream,
-                  theta: np.ndarray, solved: np.ndarray) -> None:
-    """Fill ``theta[b]`` and set ``solved[b]`` for each resample whose
-    ``fit_npcf`` is solved here as stacked least squares.
+def _scale(V: np.ndarray) -> np.ndarray:
+    """max(1, std, |mean|) of each problem's column(s) in ``V``, taken
+    over the rows (axis 1): the scale that the constant checks compare
+    with."""
+    return np.maximum(1.0, np.maximum(V.std(axis=1), np.abs(V.mean(axis=1))))
 
-    Each stage factors the augmented ``[design | rhs]``: the top-right
-    block of R is Q'rhs, so Q is never formed.  First-stage residuals are
-    ``Z - X delta_b`` on the original rows, gathered by the resample's row
-    indices, so duplicated rows tie exactly as they do in ``fit_npcf``.
+
+def _scores_of_rows(V: np.ndarray) -> np.ndarray:
+    """Normal scores of each row of ``V``, as :func:`normal_scores`
+    computes them for one row."""
+    return _scores_of_ranks(_rank_rows(V)[0])
+
+
+def _first_step(A: np.ndarray, k: int, m: int):
+    """Stacked least squares of the columns ``A[..., k:k+m]`` on
+    ``A[..., :k]``, whose first column is the intercept.
+
+    Returns (residuals (S, m, n), ok).  The residuals are computed
+    elementwise on the rows of ``A``, so rows with equal values get equal
+    residuals, bit for bit.
     """
-    n, k, m = data.n, spec.k, spec.m
-    p = k + 2 * m
-    exog = [data.column(c) for c in spec.exogenous]
-    endog = [data.column(c) for c in spec.endogenous]
-    cols = [*exog, *endog]              # design columns after the intercept
-    y = data.column(spec.outcome)
-    chunk = max(1, _CHUNK_BYTES // (8 * n * (p + 1)))
-    for lo in range(0, B, chunk):
-        bs = np.arange(lo, min(lo + chunk, B))
-        idx = np.stack([_resample_rows(seed, b, n) for b in bs])
-        # W holds [X | Z | scores | y] of each resample; the scores are
-        # filled in after the first stage
-        W = np.empty((len(bs), n, p + 1))
-        W[..., 0] = 1.0
-        for j, col in enumerate(cols, start=1):
-            W[..., j] = col[idx]
-        W[..., p] = y[idx]
-        R1 = np.linalg.qr(W[..., :k + m], mode="r")
-        ok = _well_conditioned(R1[:, :k, :k])
-        delta = _solve_upper(R1[:, :k, :k], R1[:, :k, k:], ok)
-        E = np.empty((len(bs), m, n))
-        for j, z in enumerate(endog):
-            e = z - delta[:, :1, j]         # residuals of the original rows
-            for i, x in enumerate(exog, start=1):
-                e -= delta[:, i:i + 1, j] * x
-            E[:, j] = np.take_along_axis(e, idx, axis=1)
-        Zb = W[..., k:k + m]
-        scale = np.maximum(1.0, np.maximum(Zb.std(axis=1),
-                                           np.abs(Zb.mean(axis=1))))
-        ok &= np.all(E.std(axis=2)
-                     > _FLAG_MARGIN * CONSTANT_RESIDUAL_RTOL * scale, axis=1)
-        ranks, order, sv = _rank_rows(E.reshape(-1, n))
-        mag = np.abs(Zb).max(axis=1) + np.abs(E).max(axis=2)
-        rows = np.repeat(idx, m, axis=0).ravel()[order]
-        ok[_split_ties(cols, rows, sv, mag.ravel()) // m] = False
-        eta = _scores_of_ranks(ranks).reshape(-1, m, n)
-        W[..., k + m:p] = eta.transpose(0, 2, 1)
-        # at large n each of these is an n-long column per resample: free
-        # them before qr copies W, and W (Zb is a view of it) before the
-        # next chunk builds its own
-        del ranks, order, sv, rows, eta, E, e, idx, Zb
-        R2 = np.linalg.qr(W, mode="r")
-        del W
-        ok &= _well_conditioned(R2[:, :p, :p])
-        theta[bs[ok]] = _solve_upper(R2[:, :p, :p], R2[:, :p, p:], ok)[ok, :, 0]
-        solved[bs[ok]] = True
+    R = np.linalg.qr(A[..., :k + m], mode="r")
+    ok = _well_conditioned(R[:, :k, :k])
+    delta = _solve_upper(R[:, :k, :k], R[:, :k, k:], ok)
+    E = np.empty((A.shape[0], m, A.shape[1]))
+    for j in range(m):
+        e = A[..., k + j] - delta[:, :1, j]
+        for i in range(1, k):
+            e -= delta[:, i:i + 1, j] * A[..., i]
+        E[:, j] = e
+    return E, ok
+
+
+def _npcf_scores(W: np.ndarray, k: int, m: int, cols, idx: np.ndarray):
+    """Fill ``W[..., k+m:k+2m]`` with the normal scores of the first-stage
+    residuals of ``W[..., k:k+m]`` on ``W[..., :k]``; returns ok.
+
+    Besides the rank check, a problem is flagged whose residuals come
+    near the constant-residual rejection, or hold two residuals of
+    different data rows (``cols`` gathered by ``idx``) that near-tie.
+    """
+    n = W.shape[1]
+    E, ok = _first_step(W, k, m)
+    Zb = W[..., k:k + m]
+    ok &= np.all(E.std(axis=2)
+                 > _FLAG_MARGIN * CONSTANT_RESIDUAL_RTOL * _scale(Zb), axis=1)
+    ranks, order, sv = _rank_rows(E.reshape(-1, n))
+    mag = np.abs(Zb).max(axis=1) + np.abs(E).max(axis=2)
+    rows = np.repeat(idx, m, axis=0).ravel()[order]
+    ok[_split_ties(cols, rows, sv, mag.ravel()) // m] = False
+    W[..., k + m:k + 2 * m] = _scores_of_ranks(ranks).reshape(
+        -1, m, n).transpose(0, 2, 1)
+    return ok
+
+
+def _chunk(n: int, spec: ModelSpec) -> int:
+    """Problems per stack: ``_CHUNK_BYTES`` of the widest stacked design
+    ``[X | Z | corrections | y]``, and at least one."""
+    return max(1, _CHUNK_BYTES // (8 * n * (spec.k + 2 * spec.m + 1)))
+
+
+def _fit_stack(estimator: str, data: Dataset, spec: ModelSpec,
+               idx: np.ndarray):
+    """Fit ``estimator``, one of ``_STACKED``, on a stack of problems:
+    problem s is the rows ``idx[s]`` of ``data``, whose model columns the
+    caller has checked to be finite.
+
+    Returns (theta, ok, se).  ``theta[s]`` holds the coefficients in the
+    scalar estimator's order.  ``ok[s]`` is False when problem s comes
+    near one of the scalar estimator's rejections, or near a rounding
+    tie, and must be refitted by the scalar estimator, which then
+    decides.  ``se`` holds ols's classical standard errors, and is None
+    for the other estimators.
+
+    Each stage factors the augmented ``[design | rhs]`` with an unpivoted
+    QR: the top-right block of R is Q'rhs, so Q is never formed.  The
+    second stage regresses y on ``[X | Z | corrections]``: no correction
+    for ``ols``, the normal scores of the first-stage residuals for
+    ``npcf``, the scores of z for ``gp_copula``, and for ``two_scope``
+    the residuals of the scores of Z on the scores of X.
+    """
+    S, n = idx.shape
+    k, m = spec.k, spec.m
+    q = k + m if estimator == "ols" else k + 2 * m
+    cols = [data.column(c) for c in (*spec.exogenous, *spec.endogenous)]
+    W = np.empty((S, n, q + 1))
+    W[..., 0] = 1.0
+    for j, col in enumerate(cols, start=1):
+        W[..., j] = col[idx]
+    W[..., q] = data.column(spec.outcome)[idx]
+    ok = np.ones(S, dtype=bool)
+    if estimator == "npcf":
+        ok = _npcf_scores(W, k, m, cols, idx)
+    elif estimator == "two_scope":
+        A = np.empty((S, n, k + m))
+        A[..., 0] = 1.0
+        for j in range(1, k + m):
+            A[..., j] = _scores_of_rows(W[..., j])
+        C, ok = _first_step(A, k, m)
+        W[..., k + m:q] = C.transpose(0, 2, 1)
+        del A, C
+    elif estimator == "gp_copula":
+        if m != 1:
+            # gp_fit rejects this spec itself
+            return np.zeros((S, q)), np.zeros(S, dtype=bool), None
+        W[..., q - 1] = _scores_of_rows(W[..., k])
+    yscale = _scale(W[..., q])
+    # at large n the first stage's temporaries are freed by now, and W is
+    # freed before the next chunk builds its own
+    R = np.linalg.qr(W, mode="r")
+    del W
+    ok &= _well_conditioned(R[:, :q, :q])
+    theta = _solve_upper(R[:, :q, :q], R[:, :q, q:], ok)[..., 0]
+    # when y is fitted exactly the residuals are rounding noise, and so
+    # are gp's rho and every standard error (ols's classical ones and the
+    # bootstrap's): flag a problem near that
+    rss = R[:, q, q] ** 2
+    tol = _FLAG_MARGIN * CONSTANT_RESIDUAL_RTOL
+    ok &= np.sqrt(rss / n) > tol * yscale
+    if estimator == "ols":
+        Rinv = _solve_upper(R[:, :q, :q],
+                            np.broadcast_to(np.eye(q), R[:, :q, :q].shape), ok)
+        return theta, ok, np.sqrt(rss[:, None] / (n - q)
+                                  * np.sum(Rinv ** 2, axis=2))
+    if estimator == "gp_copula":
+        # gp_fit's rho = c / sqrt(c^2 + s^2) with s^2 = RSS / n: flag a
+        # problem near its 1 - rho^2 > 0 guard too
+        c, s2 = theta[:, -1], rss / n
+        sigma = np.sqrt(c * c + s2)
+        ok &= s2 > tol * sigma * sigma
+        theta[:, -1] = np.divide(c, sigma, out=np.zeros(S), where=ok)
+    return theta, ok, None
 
 
 def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
@@ -195,13 +289,16 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
                     level: float = 0.05) -> BootstrapResult:
     """Resample rows with replacement and refit ``estimator`` B times.
 
-    For ``npcf`` the resamples are solved in chunks of stacked arrays; a
-    resample whose design or first-stage residuals come near a rejection
-    is refitted by ``fit_npcf``, which then decides whether it fails.  The
-    draws equal those of refitting every resample with ``fit_npcf`` to
-    rounding (about 1e-14 relative), not bit for bit.  The full sample is
-    not fitted here: a dataset the estimator cannot fit makes its
-    resamples fail, which raises BootstrapError.
+    For ``npcf``, ``two_scope`` and ``gp_copula`` the resamples are
+    solved in chunks of stacked arrays by :func:`_fit_stack`.  A resample
+    it flags (near a rank, constant-residual, exact-fit or copula-guard
+    rejection, or near a rounding tie) is refitted by the registered
+    estimator, which then decides whether it fails; ``iv_internal`` and
+    estimators registered later refit every resample.  The stacked draws
+    equal those of refitting every resample to rounding (about 1e-14
+    relative), not bit for bit.  The full sample is not fitted here: a
+    dataset the estimator cannot fit makes its resamples fail, which
+    raises BootstrapError.
 
     Parameters
     ----------
@@ -239,11 +336,18 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
 
     theta = np.empty((B, len(names)))
     solved = np.zeros(B, dtype=bool)
-    if estimator == "npcf":
-        _stacked_npcf(data, spec, B, seed, theta, solved)
+    if estimator in _STACKED:
+        chunk = _chunk(n, spec)
+        for lo in range(0, B, chunk):
+            bs = np.arange(lo, min(lo + chunk, B))
+            idx = np.stack([_resample_rows(seed, b, n) for b in bs])
+            th, ok, _ = _fit_stack(estimator, data, spec, idx)
+            theta[bs[ok]] = th[ok]
+            solved[bs] = ok
     fit_fn = ESTIMATORS[estimator]
     failures: dict[str, int] = {}
-    for b in np.flatnonzero(~solved):
+    refits = np.flatnonzero(~solved)
+    for b in refits:
         try:
             theta[b] = fit_fn(data.take(_resample_rows(seed, b, n)), spec).theta
             solved[b] = True
@@ -267,7 +371,7 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
     return BootstrapResult(draws=draws, names=names, se=se,
                            percentile_ci=ci, level=level, B=B, seed=seed,
                            n_failed=n_failed, n_extreme_draws=extreme,
-                           failures=failures)
+                           failures=failures, scalar_refits=refits.size)
 
 
 def bootstrap_t_test(fit: ThetaEstimate, boot: BootstrapResult, coef,

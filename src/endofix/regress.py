@@ -159,21 +159,3 @@ def ols_fit(X: DesignMatrix, y: np.ndarray) -> OlsFit:
         column_names=X.column_names,
     )
 
-
-def partial_out(A, b: np.ndarray) -> np.ndarray:
-    """Residual of ``b`` after projecting onto the columns of ``A``.
-
-    ``A`` may be a DesignMatrix or a plain 2-D array; ``b`` may be a vector
-    or a matrix of columns.  Idempotent up to 1e-10.
-    """
-    if isinstance(A, DesignMatrix):
-        V, names = A.values, A.column_names
-    else:
-        V = np.asarray(A, dtype=np.float64)
-        if V.ndim == 1:
-            V = V[:, None]
-        names = tuple(f"col{i}" for i in range(V.shape[1]))
-    b = np.asarray(b, dtype=np.float64)
-    if not (np.all(np.isfinite(V)) and np.all(np.isfinite(b))):
-        raise DomainError("partial_out input contains non-finite entries")
-    return _lstsq(V, b, names)[1]

@@ -8,6 +8,14 @@ bias/size grid was produced under.  In the second, dependence between the
 regressors and the endogeneity itself both arrive through a Gaussian
 copula on a trivariate normal, and the endogenous regressor is the
 transformed error itself.
+
+:func:`mc_run` generates the repetitions a chunk at a time and fits the
+chunk's repetitions of ``ols``, ``npcf``, ``two_scope`` and ``gp_copula``
+as one stack with the engine the bootstrap uses
+(:mod:`endofix.inference`).  A repetition the engine flags is fitted by
+the registered estimator, and so is every repetition of ``iv_internal``
+and of estimators registered later.  Stacked draws equal the scalar ones
+to rounding (about 1e-14 relative), not bit for bit.
 """
 from __future__ import annotations
 
@@ -20,8 +28,8 @@ from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 
 from .data import Dataset
 from .errors import DataError, DomainError, EndofixError
-from .estimators import ESTIMATORS, ModelSpec
-from .inference import pairs_bootstrap
+from .estimators import ESTIMATORS, ModelSpec, _names
+from .inference import _STACKED, _chunk, _fit_stack, pairs_bootstrap
 from .numerics import DistSpec, RngStream
 
 __all__ = ["DgpConfig", "gen_dgp1", "gen_dgp2", "mc_run", "McSummary",
@@ -185,7 +193,9 @@ class McSummary:
     estimator.  ``failures`` counts failed fits and failed bootstraps by
     exception type name (estimator -> {type name -> count}); a
     repetition whose bootstrap failed keeps its point estimate in
-    bias/std/rmse and is left out of ``size`` only.
+    bias/std/rmse and is left out of ``size`` only.  ``scalar_refits``
+    counts, per estimator, the repetitions fitted by the registered scalar
+    estimator rather than the stacked engine.
     """
 
     cells: dict[tuple[str, str], McCell]
@@ -195,6 +205,7 @@ class McSummary:
     B: int
     draws: dict[str, dict[str, list[float]]] | None = None
     failures: dict[str, dict[str, int]] = field(default_factory=dict)
+    scalar_refits: dict[str, int] = field(default_factory=dict)
 
     def cell(self, estimator: str, coef: str) -> McCell:
         return self.cells[(estimator, coef)]
@@ -206,6 +217,7 @@ class McSummary:
             "completed": dict(self.completed),
             "failures": {est: dict(kinds)
                          for est, kinds in self.failures.items()},
+            "scalar_refits": dict(self.scalar_refits),
             "config": {
                 "kind": self.config.kind, "n": self.config.n,
                 "e_gamma": list(self.config.e_dist.params),
@@ -240,37 +252,36 @@ class McSummary:
         return "\n".join(lines)
 
 
-def _one_rep(cfg: DgpConfig, estimators, B: int, master: RngStream,
-             rep: int, truth: dict[str, float], tested: tuple[str, ...]):
-    """Per estimator: (coefficients or None, t-test rejections or None,
-    exception type name or None).  A failed bootstrap keeps the point
-    estimate and leaves only the tests out."""
-    data = generate(cfg, master.child(rep, _DATA_KEY))
-    out = {}
-    for est in estimators:
+def _rep_result(est: str, data: Dataset, point, B: int, seed: RngStream,
+                truth: dict[str, float], tested: tuple[str, ...]):
+    """(coefficients or None, t-test rejections or None, exception type
+    name or None) of ``est`` on one repetition's ``data``.
+
+    ``point`` is the stacked engine's (names, theta, se), or None to fit
+    ``est`` here with the registered scalar estimator.  A failed
+    bootstrap keeps the point estimate and leaves only the tests out.
+    """
+    if point is None:
         try:
             fit = ESTIMATORS[est](data, MODEL_SPEC)
         except (EndofixError, np.linalg.LinAlgError) as exc:
-            out[est] = (None, None, type(exc).__name__)
-            continue
-        se, failure = None, None
-        if est == "ols":
-            se = fit.se()
-        elif B >= 2:
-            try:
-                se = pairs_bootstrap(data, MODEL_SPEC, est, B=B,
-                                     seed=master.child(rep, _est_key(est))).se
-            except (EndofixError, np.linalg.LinAlgError) as exc:
-                failure = type(exc).__name__
-        rejects = None
-        if se is not None:
-            rejects = {}
-            for coef in tested:
-                j = fit.names.index(coef)
-                rejects[coef] = (abs(fit.theta[j] - truth[coef])
-                                 > _Z975 * float(se[j]))
-        out[est] = (dict(zip(fit.names, fit.theta)), rejects, failure)
-    return out
+            return None, None, type(exc).__name__
+        point = fit.names, fit.theta, fit.se() if est == "ols" else None
+    names, theta, se = point
+    failure = None
+    if est != "ols" and B >= 2:
+        try:
+            se = pairs_bootstrap(data, MODEL_SPEC, est, B=B, seed=seed).se
+        except (EndofixError, np.linalg.LinAlgError) as exc:
+            failure = type(exc).__name__
+    rejects = None
+    if se is not None:
+        rejects = {}
+        for coef in tested:
+            j = names.index(coef)
+            rejects[coef] = (abs(theta[j] - truth[coef])
+                             > _Z975 * float(se[j]))
+    return dict(zip(names, theta)), rejects, failure
 
 
 def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
@@ -289,6 +300,15 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
     summary.  Fully deterministic given ``master``: data and bootstrap
     streams are keyed by (repetition, estimator identity), so the
     estimator ordering changes nothing.
+
+    Repetitions are generated a chunk at a time, so memory does not grow
+    with ``reps``.  For ``ols``, ``npcf``, ``two_scope`` and ``gp_copula``
+    each chunk is fitted as one stack by the engine the bootstrap uses
+    (:mod:`endofix.inference`); a repetition it flags is fitted by the
+    registered estimator, as is every repetition of ``iv_internal`` and of
+    estimators registered later.  ``McSummary.scalar_refits`` counts
+    those.  Stacked draws equal the scalar ones to rounding (about 1e-14
+    relative), not bit for bit.
     """
     if reps < 2:
         raise DomainError("mc_run needs reps >= 2")
@@ -300,9 +320,35 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
             raise DataError(f"unknown estimator {est!r}")
     truth = cfg.truth()
     tested = ("x", "z")
+    model = (MODEL_SPEC.outcome, *MODEL_SPEC.exogenous,
+             *MODEL_SPEC.endogenous)
 
-    results = [_one_rep(cfg, estimators, B, master, r, truth, tested)
-               for r in range(reps)]
+    results = []
+    refits = dict.fromkeys(estimators, 0)
+    chunk = _chunk(cfg.n, MODEL_SPEC)
+    for lo in range(0, reps, chunk):
+        datas = [generate(cfg, master.child(r, _DATA_KEY))
+                 for r in range(lo, min(lo + chunk, reps))]
+        # the chunk's repetitions, one after another: problem s is rows
+        # s*n .. (s+1)*n - 1
+        stack = Dataset({c: np.concatenate([d.column(c) for d in datas])
+                         for c in model})
+        idx = np.arange(stack.n).reshape(len(datas), cfg.n)
+        fits = {est: _fit_stack(est, stack, MODEL_SPEC, idx)
+                for est in estimators if est in _STACKED}
+        for s, data in enumerate(datas):
+            out = {}
+            for est in estimators:
+                point = None
+                if est in fits and fits[est][1][s]:
+                    theta, _, se = fits[est]
+                    point = (_names(MODEL_SPEC, est != "ols"), theta[s],
+                             None if se is None else se[s])
+                refits[est] += point is None
+                out[est] = _rep_result(est, data, point, B,
+                                       master.child(lo + s, _est_key(est)),
+                                       truth, tested)
+            results.append(out)
 
     cells: dict[tuple[str, str], McCell] = {}
     completed: dict[str, int] = {}
@@ -335,4 +381,4 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
             cells[(est, coef)] = McCell(bias=bias, std=std, rmse=rmse, size=size)
     return McSummary(cells=cells, reps=reps, completed=completed, config=cfg,
                      B=B, draws=draws if keep_draws else None,
-                     failures=failures)
+                     failures=failures, scalar_refits=refits)

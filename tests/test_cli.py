@@ -163,6 +163,28 @@ class TestIngestCsv:
         assert (data.n, dropped) == (100, 100)
         assert c_reader.call_count == 5
 
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_non_utf8_byte_is_a_configuration_error(self, tmp_path, capsys,
+                                                    where):
+        # a latin-1 byte (0xe9) in the header, or in a row after the first
+        # block of _BLOCK_LINES, so that it is decoded while the body is
+        # parsed
+        rows = [f"{i},{i % 7},{i % 5}\n"
+                for i in range(cli._BLOCK_LINES + 500)]
+        header = "y,x,z\n"
+        if where == "header":
+            header = "y,x,z,caf\u00e9\n"
+        else:
+            rows[cli._BLOCK_LINES + 100] = "1,2,caf\u00e9\n"
+        p = tmp_path / "latin1.csv"
+        p.write_bytes((header + "".join(rows)).encode("latin-1"))
+        with pytest.raises(DataError, match="latin1.csv.*not UTF-8.*0xe9"):
+            ingest_csv(str(p), "y", ["x"], ["z"])
+        rc = main(["fit", "--data", str(p), "--outcome", "y", "--exog", "x",
+                   "--endog", "z", "--bootstrap", "9"])
+        assert rc == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_overflowing_square_drops_the_row(self, tmp_path):
         rng = np.random.default_rng(7)
         rows = rng.standard_normal((61, 3))
@@ -338,6 +360,7 @@ class TestFitCommand:
         assert "rho[z]" not in report["estimates"]["ols"]["coefficients"]
         assert report["estimates"]["npcf"]["se_source"] == "bootstrap"
         assert report["estimates"]["npcf"]["bootstrap"]["failures"] == {}
+        assert report["estimates"]["npcf"]["bootstrap"]["scalar_refits"] == 0
         assert "exogeneity" in report["tests"]
         assert report["diagnostics"]["identification"][0]["column"] == "z"
 
@@ -596,6 +619,7 @@ class TestSimulateCommand:
         assert "bias" in text and "rmse" in text
         payload = json.loads(out.read_text())
         assert payload["summary"]["reps"] == 2
+        assert payload["summary"]["scalar_refits"] == {"ols": 0, "npcf": 0}
 
     def test_seeded_reproducibility(self, tmp_path):
         reports = []

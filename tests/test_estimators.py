@@ -9,7 +9,7 @@ from endofix.errors import DataError, DomainError, IdentificationError
 from endofix.estimators import (ESTIMATORS, ModelSpec, fit_iv_internal,
                                 fit_npcf, fit_ols, fit_two_scope)
 from endofix.numerics import DistSpec, RngStream, sample
-from endofix.regress import DesignMatrix, ols_fit, partial_out
+from endofix.regress import DesignMatrix, _lstsq, ols_fit
 from endofix.simulation import MODEL_SPEC, DgpConfig, gen_dgp1, generate
 from endofix.transform import normal_scores
 
@@ -188,7 +188,7 @@ class TestInternalIv:
         W = DesignMatrix(np.column_stack([z, eta]), ("z", "eta"),
                          has_intercept=False)
         joint = ols_fit(W, y)
-        v = partial_out(eta[:, None], z)
+        v = _lstsq(eta[:, None], z, ("eta",))[1]
         assert joint.coefficients[0] == pytest.approx(
             float(v @ y) / float(v @ z), abs=1e-10)
 

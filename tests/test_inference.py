@@ -11,13 +11,13 @@ from endofix.data import Dataset
 from endofix.errors import (BootstrapError, ConstantInputError, DataError,
                             DomainError, EndofixError, IdentificationError,
                             RankDeficiencyError)
-from endofix.estimators import ModelSpec, build_design, fit_npcf
+from endofix.estimators import ESTIMATORS, ModelSpec, build_design, fit_npcf
 from endofix.inference import (_BOOT_KEY, _CHUNK_BYTES, _split_ties,
                                bootstrap_t_test, exogeneity_test,
                                exogeneity_test_of_fit,
                                identification_diagnostic, pairs_bootstrap)
 from endofix.numerics import DistSpec, RngStream, sample
-from endofix.regress import partial_out
+from endofix.regress import _lstsq
 from endofix.simulation import MODEL_SPEC, DgpConfig, gen_dgp1, generate
 from endofix.transform import _rank_rows, first_stage
 
@@ -75,6 +75,11 @@ class TestPairsBootstrap:
                             seed=RngStream(10))
         assert np.abs(a.draws - b.draws).max() <= 1e-9
 
+    def test_copula_needs_one_endogenous_column(self, dgp1_small):
+        d = Dataset({**dgp1_small.columns, "z2": dgp1_small.column("e_true")})
+        with pytest.raises(DataError, match="single endogenous"):
+            pairs_bootstrap(d, ModelSpec("y", ("x",), ("z", "z2")),
+                            "gp_copula", B=10)
 
     def test_non_finite_column_rejected(self, dgp1_small):
         for column in ("y", "x", "z"):
@@ -86,31 +91,36 @@ class TestPairsBootstrap:
                     pairs_bootstrap(d, MODEL_SPEC, est, B=10)
 
 
-def _loop_bootstrap(data, spec, B, seed):
-    """Reference for the stacked npcf bootstrap: refit every resample with
-    fit_npcf, on the same per-resample streams."""
-    rows, n_failed = [], 0
+def _loop_bootstrap(data, spec, B, seed, estimator="npcf"):
+    """Reference for the stacked bootstrap: refit every resample with the
+    registered scalar estimator, on the same per-resample streams."""
+    rows, failures = [], {}
     for b in range(B):
         rng = seed.child(_BOOT_KEY, b).generator()
         try:
-            rows.append(fit_npcf(data.take(rng.integers(0, data.n, size=data.n)),
-                                 spec).theta)
-        except (RankDeficiencyError, ConstantInputError, IdentificationError):
-            n_failed += 1
+            rows.append(ESTIMATORS[estimator](
+                data.take(rng.integers(0, data.n, size=data.n)), spec).theta)
+        except (RankDeficiencyError, ConstantInputError,
+                IdentificationError) as exc:
+            kind = type(exc).__name__
+            failures[kind] = failures.get(kind, 0) + 1
+    n_failed = sum(failures.values())
     if n_failed > 0.01 * B:
         raise BootstrapError(f"{n_failed} of {B} resamples failed")
-    return np.asarray(rows), n_failed
+    return np.asarray(rows), failures
 
 
-def _assert_matches_loop(data, spec, B, seed):
+def _assert_matches_loop(data, spec, B, seed, estimator="npcf"):
     try:
-        want, want_failed = _loop_bootstrap(data, spec, B, seed)
+        want, want_failures = _loop_bootstrap(data, spec, B, seed, estimator)
     except BootstrapError:
         with pytest.raises(BootstrapError):
-            pairs_bootstrap(data, spec, "npcf", B=B, seed=seed)
+            pairs_bootstrap(data, spec, estimator, B=B, seed=seed)
         return None
-    got = pairs_bootstrap(data, spec, "npcf", B=B, seed=seed)
-    assert got.n_failed == want_failed == sum(got.failures.values())
+    got = pairs_bootstrap(data, spec, estimator, B=B, seed=seed)
+    assert got.failures == want_failures
+    assert got.n_failed == sum(want_failures.values())
+    assert got.scalar_refits >= got.n_failed
     assert got.draws.shape == want.shape
     scale = np.abs(want).max(axis=0)
     assert np.all(np.abs(got.draws - want).max(axis=0) <= 1e-12 * scale)
@@ -188,7 +198,7 @@ class TestStackedBootstrapMemory:
 
 
 class TestStackedBootstrapMatchesLoop:
-    """The stacked npcf bootstrap against refitting every resample."""
+    """The stacked bootstrap against refitting every resample."""
 
     def test_untied_dgp1(self, dgp1_small):
         _assert_matches_loop(dgp1_small, MODEL_SPEC, 199, RngStream(90))
@@ -257,6 +267,50 @@ class TestStackedBootstrapMatchesLoop:
         with pytest.raises(BootstrapError):
             _loop_bootstrap(d, spec, 100, RngStream(8))
         assert _assert_matches_loop(d, spec, 100, RngStream(8)) is None
+
+    @pytest.mark.parametrize("estimator", ["two_scope", "gp_copula"])
+    def test_other_stacked_estimators(self, dgp1_small, estimator):
+        # untied continuous data, then integer z with a binary x, whose
+        # scores take the tied (ndtri) branch in every resample
+        got = _assert_matches_loop(dgp1_small, MODEL_SPEC, 199,
+                                   RngStream(90), estimator)
+        assert got.scalar_refits == 0
+        rng = np.random.default_rng(95)
+        x = rng.integers(0, 2, 300).astype(float)
+        z = rng.integers(0, 6, 300) + x
+        d = Dataset({"y": 1.0 + x + z + rng.standard_normal(300), "x": x,
+                     "z": z})
+        _assert_matches_loop(d, MODEL_SPEC, 199, RngStream(96), estimator)
+
+    @pytest.mark.parametrize("estimator", ["two_scope", "gp_copula"])
+    def test_other_stacked_estimators_rank_failures(self, estimator):
+        # the rare dummy of test_rare_dummy_rank_failures: its all-zero
+        # resamples are flagged, refitted and fail in both paths; with two
+        # ones too many fail, and both paths raise
+        rng = np.random.default_rng(97)
+        x, _, z, y = _endogenous_design(rng, 300)
+        dummy = np.zeros(300)
+        dummy[:5] = 1.0
+        spec = ModelSpec("y", ("x", "d"), ("z",))
+        d = Dataset({"y": y + dummy, "x": x, "d": dummy, "z": z})
+        got = _assert_matches_loop(d, spec, 300, RngStream(8), estimator)
+        assert got.n_failed >= 1
+        dummy[2:] = 0.0
+        d = Dataset({"y": y, "x": x, "d": dummy, "z": z})
+        with pytest.raises(BootstrapError):
+            _loop_bootstrap(d, spec, 100, RngStream(8), estimator)
+        assert _assert_matches_loop(d, spec, 100, RngStream(8),
+                                    estimator) is None
+
+    def test_exact_fit_takes_the_copula_guard(self):
+        # y is fitted exactly, so gp's residual variance is rounding noise
+        # and so is its rho: every resample must go to gp_fit
+        rng = np.random.default_rng(99)
+        x, _, z, _ = _endogenous_design(rng, 200)
+        d = Dataset({"y": 1.0 - x + z, "x": x, "z": z})
+        got = _assert_matches_loop(d, MODEL_SPEC, 20, RngStream(1),
+                                   "gp_copula")
+        assert got.scalar_refits == 20
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -328,7 +382,7 @@ class TestExogeneityTest:
         X, Z, y = build_design(dgp1_small, MODEL_SPEC)
         V = np.column_stack([X.values, Z])
         eta = fit.first_stage.eta_hat[:, 0]
-        eta_t = partial_out(V, eta)
+        eta_t = _lstsq(V, eta, ("const", "x", "z"))[1]
         rho_hat = float(eta_t @ y) / float(eta_t @ eta_t)
         resid = y - np.column_stack([V, eta]) @ fit.theta
         s2 = float(resid @ resid) / (dgp1_small.n - fit.theta.size)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endofix.errors import DomainError, RankDeficiencyError
-from endofix.regress import DesignMatrix, _lstsq, ols_fit, partial_out
+from endofix.regress import DesignMatrix, _lstsq, ols_fit
 
 
 def _design(values, names=None, intercept=False):
@@ -168,24 +168,29 @@ class TestLstsq:
             _lstsq(np.ones(shape), np.ones(shape[0]), ("a", "b", "c"))
 
 
+def _partial_out(A, b):
+    """Residual of ``b`` after projecting onto the columns of ``A``."""
+    return _lstsq(A, b, tuple(f"col{i}" for i in range(A.shape[1])))[1]
+
+
 class TestPartialOut:
     def test_span_gives_zero(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((50, 3))
         b = A @ np.array([1.0, 2.0, -1.0])
-        assert np.abs(partial_out(A, b)).max() <= 1e-10
+        assert np.abs(_partial_out(A, b)).max() <= 1e-10
 
     def test_orthogonal_unchanged(self):
         A = np.eye(6)[:, :2]
         b = np.array([0.0, 0.0, 1.0, -2.0, 3.0, 0.5])
-        assert partial_out(A, b) == pytest.approx(b)
+        assert _partial_out(A, b) == pytest.approx(b)
 
     def test_idempotent(self):
         rng = np.random.default_rng(8)
         A = rng.standard_normal((100, 4))
         b = rng.standard_normal(100)
-        once = partial_out(A, b)
-        twice = partial_out(A, once)
+        once = _partial_out(A, b)
+        twice = _partial_out(A, once)
         assert np.abs(once - twice).max() <= 1e-10
 
     def test_frisch_waugh(self):
@@ -198,18 +203,10 @@ class TestPartialOut:
         y = rng.standard_normal(n) + 2.0 * z
         joint = ols_fit(_design(np.column_stack([X.values, z]),
                                 [*X.column_names, "z"], intercept=True), y)
-        zt = partial_out(X.values, z)
-        yt = partial_out(X.values, y)
+        zt = _partial_out(X.values, z)
+        yt = _partial_out(X.values, y)
         gamma_uni = float(zt @ yt) / float(zt @ zt)
         assert joint.coefficients[-1] == pytest.approx(gamma_uni, abs=1e-10)
-
-    @pytest.mark.parametrize("where", ["A", "b"])
-    def test_rejects_non_finite(self, where):
-        rng = np.random.default_rng(11)
-        A, b = rng.standard_normal((20, 2)), rng.standard_normal(20)
-        (A if where == "A" else b)[3] = np.inf
-        with pytest.raises(DomainError):
-            partial_out(A, b)
 
 
 class TestDesignMatrix:
