@@ -148,8 +148,9 @@ def gp_fit(data: Dataset, spec: ModelSpec,
     Raises
     ------
     ConstantInputError
-        If the residual variance s^2 or 1 - rho^2 is not positive: the
-        outcome is fitted exactly and the likelihood has no maximum.
+        If z is constant (its ranks carry no information), or if the
+        residual variance s^2 or 1 - rho^2 is not positive (the outcome is
+        fitted exactly and the likelihood has no maximum).
     """
     if spec.m != 1:
         raise DataError("the copula comparator handles a single endogenous column")
@@ -157,11 +158,12 @@ def gp_fit(data: Dataset, spec: ModelSpec,
         raise DataError("marginal must be 'ranks' or 'kernel'")
     X, Z, y = build_design(data, spec)
     z = Z[:, 0]
+    # normal_scores raises ConstantInputError for a constant z before a
+    # bandwidth is picked for it
+    eta = normal_scores(z)
     F = KernelCdf.from_sample(z)
     if marginal == "kernel":
         eta = ndtri(kernel_cdf_eval(F, z))
-    else:
-        eta = normal_scores(z)
 
     names = _names(spec, True)
     coef, resid, _ = _lstsq(np.column_stack([X.values, Z, eta]), y, names)

@@ -91,7 +91,10 @@ def _lstsq(V: np.ndarray, b: np.ndarray, names: tuple[str, ...]):
     n, p = V.shape
     if n <= p:
         raise DomainError(f"need more rows than columns (n={n}, p={p})")
-    Q, R, piv = qr(V, mode="economic", pivoting=True, check_finite=False)
+    # factor a Fortran-ordered copy in place: given V itself, scipy makes
+    # a second copy of it for LAPACK while the first is still alive
+    Q, R, piv = qr(np.array(V, order="F"), overwrite_a=True,
+                   mode="economic", pivoting=True, check_finite=False)
     diag = np.abs(np.diag(R))
     ref = diag[0] if diag[0] > 0.0 else 0.0
     bad = np.flatnonzero(diag < RANK_RTOL * ref) if ref > 0.0 else np.arange(p)

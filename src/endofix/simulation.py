@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammainc, gammaincinv, ndtr, ndtri
@@ -90,7 +91,7 @@ class DgpConfig:
             if not (abs(self.alpha) < 1.0 and abs(self.rho) < 1.0):
                 raise DomainError("dgp2 needs |alpha| < 1 and |rho| < 1")
             try:
-                np.linalg.cholesky(self.correlation_matrix())
+                self._chol  # factors the matrix and keeps the factor
             except np.linalg.LinAlgError:
                 raise DomainError(
                     f"dgp2 correlation matrix (alpha={self.alpha}, "
@@ -101,6 +102,14 @@ class DgpConfig:
         a, r = self.alpha, self.rho
         return np.array([[1.0, a, r], [a, 1.0, 0.0], [r, 0.0, 1.0]])
 
+    @cached_property
+    def _chol(self) -> np.ndarray:
+        """Lower Cholesky factor of :meth:`correlation_matrix`, factored
+        once per config (read-only, so no repetition can change it)."""
+        chol = np.linalg.cholesky(self.correlation_matrix())
+        chol.flags.writeable = False
+        return chol
+
     def truth(self) -> dict[str, float]:
         return {"const": self.beta0, "x": self.beta1, "z": self.gamma,
                 "rho[z]": self.rho}
@@ -108,6 +117,14 @@ class DgpConfig:
 
 def _clip_prob(u: np.ndarray) -> np.ndarray:
     return np.clip(u, _PCLIP_LO, _PCLIP_HI)
+
+
+def _gamma_quantile(a: float, p: np.ndarray) -> np.ndarray:
+    """Quantile of Gamma(a, 1) at ``p``.  Shape 1 is the exponential
+    distribution, whose quantile has the closed form -log1p(-p); it agrees
+    with ``gammaincinv(1, p)`` to about one ulp (and is the more accurate
+    of the two below p = 1e-56)."""
+    return -np.log1p(-p) if a == 1.0 else gammaincinv(a, p)
 
 
 def gen_dgp1(cfg: DgpConfig, stream: RngStream) -> Dataset:
@@ -147,17 +164,21 @@ def gen_dgp2(cfg: DgpConfig, stream: RngStream) -> Dataset:
     gamma quantile transforms of the normal scores; the endogenous
     regressor is the transformed error itself (no linear coupling), so all
     dependence on x runs through the copula.
+
+    Shape-1 gamma quantiles (x always, e under Gamma(1, b)) use the
+    exponential's closed form -log1p(-p), so those columns differ from
+    versions that called ``gammaincinv`` by about one ulp per value;
+    reruns stay bitwise reproducible.
     """
     if cfg.kind != "dgp2":
         raise DomainError("config is not a dgp2 configuration")
     a, b = cfg.e_dist.params
     rng = stream.generator()
-    chol = np.linalg.cholesky(cfg.correlation_matrix())
-    W = rng.standard_normal((cfg.n, 3)) @ chol.T
+    W = rng.standard_normal((cfg.n, 3)) @ cfg._chol.T
     e_star, x_star, u = W[:, 0], W[:, 1], W[:, 2]
 
-    e = gammaincinv(a, _clip_prob(ndtr(e_star))) / b
-    x = gammaincinv(1.0, _clip_prob(ndtr(x_star)))
+    e = _gamma_quantile(a, _clip_prob(ndtr(e_star))) / b
+    x = _gamma_quantile(1.0, _clip_prob(ndtr(x_star)))
     z = e
     y = cfg.beta0 + cfg.beta1 * x + cfg.gamma * z + u
     return Dataset(
@@ -252,14 +273,16 @@ class McSummary:
         return "\n".join(lines)
 
 
-def _rep_result(est: str, data: Dataset, point, B: int, seed: RngStream,
-                truth: dict[str, float], tested: tuple[str, ...]):
+def _rep_result(est: str, data: Dataset, point, B: int, master: RngStream,
+                rep: int, truth: dict[str, float], tested: tuple[str, ...]):
     """(coefficients or None, t-test rejections or None, exception type
-    name or None) of ``est`` on one repetition's ``data``.
+    name or None) of ``est`` on repetition ``rep``'s ``data``.
 
     ``point`` is the stacked engine's (names, theta, se), or None to fit
-    ``est`` here with the registered scalar estimator.  A failed
-    bootstrap keeps the point estimate and leaves only the tests out.
+    ``est`` here with the registered scalar estimator.  The bootstrap
+    stream is derived from ``master`` only when a bootstrap runs.  A
+    failed bootstrap keeps the point estimate and leaves only the tests
+    out.
     """
     if point is None:
         try:
@@ -271,7 +294,8 @@ def _rep_result(est: str, data: Dataset, point, B: int, seed: RngStream,
     failure = None
     if est != "ols" and B >= 2:
         try:
-            se = pairs_bootstrap(data, MODEL_SPEC, est, B=B, seed=seed).se
+            se = pairs_bootstrap(data, MODEL_SPEC, est, B=B,
+                                 seed=master.child(rep, _est_key(est))).se
         except (EndofixError, np.linalg.LinAlgError) as exc:
             failure = type(exc).__name__
     rejects = None
@@ -345,9 +369,8 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
                     point = (_names(MODEL_SPEC, est != "ols"), theta[s],
                              None if se is None else se[s])
                 refits[est] += point is None
-                out[est] = _rep_result(est, data, point, B,
-                                       master.child(lo + s, _est_key(est)),
-                                       truth, tested)
+                out[est] = _rep_result(est, data, point, B, master,
+                                       lo + s, truth, tested)
             results.append(out)
 
     cells: dict[tuple[str, str], McCell] = {}

@@ -518,6 +518,18 @@ class TestCopulaFit:
                                         [1, 0, 0], [1, 0, 1]])
         assert self._run_gp(p, capsys) == 3
 
+    def test_constant_z_resamples(self, tmp_path, capsys):
+        # z holds two ones among 300 zeros, so some resamples have a
+        # constant z: a numeric failure of the bootstrap, not exit 2
+        rng = np.random.default_rng(3)
+        z = np.zeros(300)
+        z[[10, 200]] = 1.0
+        x = rng.standard_normal(300)
+        p = tmp_path / "d.csv"
+        _write_csv(p, ["y", "x", "z"],
+                   zip(1.0 + x + z + rng.standard_normal(300), x, z))
+        assert self._run_gp(p, capsys) == 3
+
     def test_eight_normal_rows(self, tmp_path, capsys):
         # some resamples of eight rows hold at most four distinct ones, which
         # (const, x, z, scores of z) fit exactly: ConstantInputError drops

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from endofix import inference
+from endofix.copula_mle import gp_fit
 from endofix.data import Dataset
 from endofix.errors import (BootstrapError, ConstantInputError, DataError,
                             DomainError, EndofixError, IdentificationError,
@@ -329,6 +330,65 @@ class TestStackedBootstrapMatchesLoop:
         names = tuple(cols)[1:]
         spec = ModelSpec("y", names[:n_exog], names[n_exog:])
         _assert_matches_loop(Dataset(cols), spec, 8, RngStream(seed))
+
+
+class TestConstantEndogenousResample:
+    """A resample whose endogenous column is constant is a
+    ConstantInputError for every corrected estimator, dropped and counted
+    like a rank failure."""
+
+    @pytest.mark.parametrize("n_constant", [2, 3])
+    def test_same_failures_for_every_estimator(self, monkeypatch,
+                                               n_constant):
+        # z is zero on the first half of the rows; the first n_constant
+        # resamples draw from that half only.  Two are within the 1%
+        # budget of B = 200, three are not.
+        rng = np.random.default_rng(41)
+        x, _, z, y = _endogenous_design(rng, 300)
+        z[:150] = 0.0
+        d = Dataset({"y": y, "x": x, "z": z})
+        resample = inference._resample_rows
+
+        def zero_z_first(seed, b, n):
+            rows = resample(seed, b, n)
+            return rows % 150 if b < n_constant else rows
+        monkeypatch.setattr(inference, "_resample_rows", zero_z_first)
+        outcomes = []
+        for est in ("npcf", "two_scope", "gp_copula"):
+            try:
+                boot = pairs_bootstrap(d, MODEL_SPEC, est, B=200,
+                                       seed=RngStream(42))
+                outcomes.append(boot.failures)
+            except BootstrapError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        if n_constant == 2:
+            assert outcomes[0] == {"ConstantInputError": 2}
+        else:
+            assert "{'ConstantInputError': 3}" in outcomes[0]
+
+    def test_gp_counts_constant_z_resamples(self):
+        # z holds two ones among zeros, so about e^-2 of the resamples
+        # miss both.  Picking a bandwidth for such a z would raise
+        # DomainError and end the bootstrap; they must count as constant
+        # input instead.  gp also fails every other resample, whose binary
+        # z makes the scores of z affine in z.
+        rng = np.random.default_rng(3)
+        z = np.zeros(300)
+        z[[10, 200]] = 1.0
+        x = rng.standard_normal(300)
+        d = Dataset({"y": 1.0 + x + z + rng.standard_normal(300), "x": x,
+                     "z": z})
+        with pytest.raises(BootstrapError) as npcf:
+            pairs_bootstrap(d, MODEL_SPEC, "npcf", B=200, seed=RngStream(5))
+        with pytest.raises(BootstrapError) as gp:
+            pairs_bootstrap(d, MODEL_SPEC, "gp_copula", B=200,
+                            seed=RngStream(5))
+        assert "{'ConstantInputError': 27}" in str(npcf.value)
+        assert "'ConstantInputError': 27" in str(gp.value)
+        for marginal in ("ranks", "kernel"):
+            with pytest.raises(ConstantInputError):
+                gp_fit(d.take(np.arange(10)), MODEL_SPEC, marginal)
 
 
 class TestBootstrapTTest:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import qr, solve_triangular
 
 from endofix.errors import DomainError, RankDeficiencyError
 from endofix.regress import DesignMatrix, _lstsq, ols_fit
@@ -161,6 +162,29 @@ class TestLstsq:
             _lstsq(X.values, b, X.column_names)
         assert err.value.column == ref.value.column
         assert str(err.value) == str(ref.value)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rhs_width", [None, 1, 3])
+    def test_in_place_factor_matches_copying_call(self, order, rhs_width):
+        # _lstsq factors a Fortran-ordered copy in place; the reference
+        # hands V itself to qr, which copies it again
+        rng = np.random.default_rng(11)
+        for n, p in ((40, 1), (250, 5), (3001, 4)):
+            V = np.array(_random_design(rng, n, p).values, order=order)
+            b = rng.standard_normal(n if rhs_width is None
+                                    else (n, rhs_width))
+            before = V.copy()
+            coef, resid, (R, piv) = _lstsq(V, b, tuple("abcde")[:p])
+            Q0, R0, piv0 = qr(V, mode="economic", pivoting=True,
+                              check_finite=False)
+            perm = solve_triangular(R0, Q0.T @ b, lower=False,
+                                    check_finite=False)
+            coef0 = np.empty_like(perm)
+            coef0[piv0] = perm
+            assert np.array_equal(V, before)
+            assert np.array_equal(R, R0) and np.array_equal(piv, piv0)
+            assert np.array_equal(coef, coef0)
+            assert np.array_equal(resid, b - V @ coef0)
 
     @pytest.mark.parametrize("shape", [(3, 3), (2, 3)])
     def test_needs_more_rows_than_columns(self, shape):

@@ -4,13 +4,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.special import gammainc, ndtri
+from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 
 from endofix import simulation
 from endofix.data import Dataset
 from endofix.errors import DomainError
 from endofix.numerics import DistSpec, RngStream
-from endofix.simulation import (_DATA_KEY, MODEL_SPEC, DgpConfig, gen_dgp1,
+from endofix.simulation import (_DATA_KEY, _PCLIP_HI, _PCLIP_LO, MODEL_SPEC,
+                                DgpConfig, _gamma_quantile, gen_dgp1,
                                 gen_dgp2, generate, mc_run)
 from endofix.transform import normal_scores
 
@@ -106,6 +107,64 @@ class TestGenDgp2:
         assert np.array_equal(d.column("z"), d.column("e_true"))
 
 
+class TestGammaQuantile:
+    def test_shape_one_matches_gammaincinv(self):
+        p = np.concatenate([[_PCLIP_LO, 0.5, _PCLIP_HI],
+                            np.logspace(-20, -1, 200),
+                            np.linspace(1e-6, 1.0 - 1e-6, 2001),
+                            1.0 - np.logspace(-15, -1, 200)])
+        want = gammaincinv(1.0, p)
+        got = _gamma_quantile(1.0, p)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    def test_shape_one_exact_far_in_the_lower_tail(self):
+        # the exponential quantile is p + p^2/2 + ..., which rounds to p
+        # below 1e-20; gammaincinv(1, p) is up to about 3e-14 relative
+        # off it for p between 1e-155 and 1e-56
+        p = np.logspace(-300, -20, 500)
+        assert np.array_equal(_gamma_quantile(1.0, p), p)
+
+    @pytest.mark.parametrize("a", [0.5, 3.0])
+    def test_other_shapes_call_gammaincinv(self, a):
+        p = np.linspace(0.01, 0.99, 99)
+        assert np.array_equal(_gamma_quantile(a, p), gammaincinv(a, p))
+
+
+class TestGenDgp2Draws:
+    """What gen_dgp2 draws, spelled out from its stream."""
+
+    @staticmethod
+    def _normals(cfg, seed):
+        W = (RngStream(seed).generator().standard_normal((cfg.n, 3))
+             @ np.linalg.cholesky(cfg.correlation_matrix()).T)
+        return [np.clip(ndtr(W[:, j]), _PCLIP_LO, _PCLIP_HI)
+                for j in (0, 1)]
+
+    def test_gamma32_error_is_gammaincinv(self):
+        cfg = DgpConfig("dgp2", n=500, e_dist=DistSpec.gamma(3, 2),
+                        alpha=0.5, rho=0.5)
+        pe, px = self._normals(cfg, 61)
+        d = gen_dgp2(cfg, RngStream(61))
+        assert np.array_equal(d.column("e_true"), gammaincinv(3.0, pe) / 2.0)
+        assert np.array_equal(d.column("x"), -np.log1p(-px))
+
+    def test_equal_configs_draw_equal_columns(self):
+        # the Cholesky factor kept on a config carries nothing from one
+        # config, or one repetition, to the next
+        def make(alpha):
+            return DgpConfig("dgp2", n=300, e_dist=DistSpec.gamma(1, 1),
+                             alpha=alpha, rho=0.5)
+        a, b = make(0.5), make(0.5)
+        first = gen_dgp2(a, RngStream(62))
+        gen_dgp2(make(-0.7), RngStream(62))
+        for d in (gen_dgp2(b, RngStream(62)), gen_dgp2(a, RngStream(62))):
+            for c in first.columns:
+                assert np.array_equal(d.column(c), first.column(c))
+        assert not a._chol.flags.writeable
+        assert np.array_equal(a._chol,
+                              np.linalg.cholesky(a.correlation_matrix()))
+
+
 class TestMcRun:
     def test_rmse_identity_exact(self):
         cfg = DgpConfig("dgp1", n=120, e_dist=DistSpec.gamma(1, 1),
@@ -123,6 +182,22 @@ class TestMcRun:
         assert a.cells.keys() == b.cells.keys()
         for key in a.cells:
             assert a.cells[key] == b.cells[key]
+
+    @pytest.mark.parametrize("B", [0, 9])
+    def test_bootstrap_streams_derived_only_for_bootstraps(self, B,
+                                                          monkeypatch):
+        calls = Counter()
+        est_key = simulation._est_key
+
+        def counting(tag):
+            calls[tag] += 1
+            return est_key(tag)
+        monkeypatch.setattr(simulation, "_est_key", counting)
+        cfg = DgpConfig("dgp2", n=60, e_dist=DistSpec.gamma(1, 1),
+                        alpha=0.5, rho=0.5)
+        mc_run(cfg, ["ols", "npcf", "gp_copula"], reps=4, B=B,
+               master=RngStream(63))
+        assert calls == ({} if B == 0 else {"npcf": 4, "gp_copula": 4})
 
     def test_no_endogeneity_unbiased_everywhere(self):
         cfg = DgpConfig("dgp1", n=250, e_dist=DistSpec.gamma(1, 1),
