@@ -100,8 +100,7 @@ def constants_c(F: DistSpec, spec: QuadratureSpec = QuadratureSpec()) -> Asympto
     g = lambda t: _quantile_of_normal(F, t)
 
     c1, e1 = integrate_1d(lambda t: F.pdf(g(t)), -T_TRUNC, T_TRUNC, spec)
-    c2, e2 = integrate_1d(lambda t: g(t) * t * std_normal_pdf(t),
-                          -T_TRUNC, T_TRUNC, spec)
+    c2, e2 = _c2_quadrature(g, spec)
 
     M = 2048
     prev = _c3_simpson(g, M)
@@ -124,18 +123,35 @@ def constants_c(F: DistSpec, spec: QuadratureSpec = QuadratureSpec()) -> Asympto
                                quadrature_report=report)
 
 
+def _c2_quadrature(g, spec: QuadratureSpec):
+    """c2 = int g(t) t phi(t) dt with g = F^-1 o Phi, and its error."""
+    return integrate_1d(lambda t: g(t) * t * std_normal_pdf(t),
+                        -T_TRUNC, T_TRUNC, spec)
+
+
 def lemma_b_residual(F: DistSpec, spec: QuadratureSpec = QuadratureSpec()) -> float:
     """|LHS - RHS| of the mixed-kernel identity
 
         int int [F^-1(u)/phi(Phi^-1(u))] [Phi^-1(v)/phi(Phi^-1(v))]
                 (min(u,v) - uv) du dv  =  (1/2) int F^-1(u) Phi^-1(u) du.
 
-    The inner v-integral has the closed form (1-Phi(s)) A1(s) +
-    Phi(s) A2(s), with A1, A2 antiderivatives of t*Phi(t) and t*(1-Phi(t)),
-    so both sides reduce to single quadratures after u = Phi(s).
+    The right-hand side is c2 / 2 (see :func:`constants_c`); the left-hand
+    side is :func:`_lemma_b_lhs`.
 
     Requires int (F^-1)^2 du < infinity, which every supported family with
     a finite variance satisfies.
+    """
+    lhs = _lemma_b_lhs(F, spec)
+    c2, _ = _c2_quadrature(lambda t: _quantile_of_normal(F, t), spec)
+    return abs(lhs - 0.5 * c2)
+
+
+def _lemma_b_lhs(F: DistSpec, spec: QuadratureSpec) -> float:
+    """The double integral on the left of :func:`lemma_b_residual`.
+
+    The inner v-integral has the closed form (1-Phi(s)) A1(s) +
+    Phi(s) A2(s), with A1, A2 antiderivatives of t*Phi(t) and t*(1-Phi(t)),
+    so it reduces to a single quadrature after u = Phi(s).
     """
     _check_scalar_family(F)
     g = lambda t: _quantile_of_normal(F, t)
@@ -150,9 +166,7 @@ def lemma_b_residual(F: DistSpec, spec: QuadratureSpec = QuadratureSpec()) -> fl
         return ndtr(-s) * A1(s) + ndtr(s) * a2
 
     lhs, _ = integrate_1d(lambda s: g(s) * inner(s), -T_TRUNC, T_TRUNC, spec)
-    c2, _ = integrate_1d(lambda t: g(t) * t * std_normal_pdf(t),
-                         -T_TRUNC, T_TRUNC, spec)
-    return abs(lhs - 0.5 * c2)
+    return lhs
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,7 @@ from .estimators import ESTIMATORS, ModelSpec, ThetaEstimate, fit_npcf, fit_ols
 from .inference import (exogeneity_test_of_fit, identification_diagnostic,
                         pairs_bootstrap)
 from .numerics import DistSpec, QuadratureSpec, RngStream
-from .asymptotics import constants_c, lemma_b_residual
+from .asymptotics import _lemma_b_lhs, constants_c
 from .simulation import DgpConfig, mc_run
 
 REPORT_SCHEMA = "endofix-report/2"
@@ -396,7 +396,8 @@ def cmd_constants(args) -> int:
         raise DataError(f"unknown distribution {args.dist!r}")
     spec = QuadratureSpec(abs_tol=args.tol, max_subdivisions=40000)
     cons = constants_c(F, spec)
-    resid = lemma_b_residual(F, spec)
+    # lemma_b_residual(F, spec), with the c2 that constants_c integrated
+    resid = abs(_lemma_b_lhs(F, spec) - 0.5 * cons.c2)
     margin = float(np.min(np.abs(np.linalg.eigvalsh(
         np.array([[F.var(), cons.c2], [cons.c2, 1.0]])))))
     print(f"c1 = {cons.c1:.10f}")

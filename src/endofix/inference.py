@@ -32,7 +32,7 @@ from .errors import (BootstrapError, ConstantInputError, DataError,
                      RankDeficiencyError)
 from .estimators import (ESTIMATORS, ModelSpec, ThetaEstimate, _check_finite,
                          _names, fit_npcf)
-from .numerics import RngStream
+from .numerics import RngStream, words_generator
 from .regress import RANK_RTOL
 from .transform import (CONSTANT_RESIDUAL_RTOL, FirstStage, _rank_rows,
                         _scores_of_ranks)
@@ -42,7 +42,9 @@ __all__ = ["BootstrapResult", "TestResult", "pairs_bootstrap",
            "identification_diagnostic"]
 
 # Resample b draws its rows from seed.child(_BOOT_KEY, b), so its draw does
-# not depend on the order or the chunk in which resamples are computed.
+# not depend on the order or the chunk in which resamples are computed.  The
+# seed words of all B children are hashed in one pass (RngStream.child_words)
+# and equal those of each child's own generator().
 _BOOT_KEY = 0xB00
 
 # The estimators _fit_stack solves.  The bootstrap and the Monte Carlo
@@ -115,8 +117,10 @@ class BootstrapResult:
         return float(self.percentile_ci[0, j]), float(self.percentile_ci[1, j])
 
 
-def _resample_rows(seed: RngStream, b: int, n: int) -> np.ndarray:
-    return seed.child(_BOOT_KEY, b).generator().integers(0, n, size=n)
+def _resample_rows(words: np.ndarray, n: int) -> np.ndarray:
+    """Row indices of the resample whose seed words are ``words``: the
+    stacked chunks and the scalar refits both draw them here."""
+    return words_generator(words).integers(0, n, size=n)
 
 
 def _well_conditioned(R: np.ndarray) -> np.ndarray:
@@ -334,13 +338,14 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
         raise DomainError(f"need more rows than coefficients "
                           f"(n={n}, p={len(names)})")
 
+    words = seed.child_words(_BOOT_KEY, np.arange(B))
     theta = np.empty((B, len(names)))
     solved = np.zeros(B, dtype=bool)
     if estimator in _STACKED:
         chunk = _chunk(n, spec)
         for lo in range(0, B, chunk):
             bs = np.arange(lo, min(lo + chunk, B))
-            idx = np.stack([_resample_rows(seed, b, n) for b in bs])
+            idx = np.stack([_resample_rows(words[b], n) for b in bs])
             th, ok, _ = _fit_stack(estimator, data, spec, idx)
             theta[bs[ok]] = th[ok]
             solved[bs] = ok
@@ -349,7 +354,8 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
     refits = np.flatnonzero(~solved)
     for b in refits:
         try:
-            theta[b] = fit_fn(data.take(_resample_rows(seed, b, n)), spec).theta
+            rows = _resample_rows(words[b], n)
+            theta[b] = fit_fn(data.take(rows), spec).theta
             solved[b] = True
         except (RankDeficiencyError, ConstantInputError,
                 IdentificationError) as exc:

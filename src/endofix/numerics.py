@@ -95,14 +95,80 @@ def integrate_1d(f, lower: float, upper: float,
 # ---------------------------------------------------------------------------
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 
 
-def _splitmix64(x: int) -> int:
+def _splitmix64(x):
+    """SplitMix64 finalizer of a Python int, or elementwise of a uint64
+    array (whose arithmetic wraps modulo 2^64 the same way)."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _seed_words(seed: int, ids: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy=(seed, i)).generate_state(4, np.uint64)`` for
+    each i of the uint64 array ``ids``, in one vectorized pass.
+
+    numpy's entropy is the 32-bit words of ``seed`` and then of i, at most
+    four, and it hashes the pool words past the entropy as 0, so every i
+    may take two words (i >> 32 is 0 below 2^32).  The hash constants
+    follow a fixed sequence, shared by every i.
+    """
+    const = _INIT_A
+
+    def hashmix(v):
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = (const * _MULT_A) & _MASK32
+        v = v * np.uint32(const)
+        return v ^ (v >> 16)
+
+    words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    words += [ids & _MASK32, ids >> 32]
+    entropy = np.zeros((_POOL_SIZE, ids.size), dtype=np.uint32)
+    for i, w in enumerate(words):
+        entropy[i] = w
+    pool = [hashmix(w) for w in entropy]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                v = (np.uint32(_MIX_MULT_L) * pool[dst]
+                     - np.uint32(_MIX_MULT_R) * hashmix(pool[src]))
+                pool[dst] = v ^ (v >> 16)
+    const = _INIT_B
+    state = np.empty((ids.size, 2 * _POOL_SIZE), dtype="<u4")
+    for i in range(2 * _POOL_SIZE):
+        v = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = (const * _MULT_B) & _MASK32
+        v = v * np.uint32(const)
+        state[:, i] = v ^ (v >> 16)
+    return state.view("<u8").astype(np.uint64)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Hands precomputed seed words to a bit generator."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def words_generator(words: np.ndarray) -> np.random.Generator:
+    """The generator seeded by one row of :meth:`RngStream.child_words`:
+    it draws what ``RngStream.generator()`` of that child draws."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 @dataclass(frozen=True)
@@ -134,6 +200,14 @@ class RngStream:
         for k in keys:
             h = _splitmix64(h ^ _splitmix64(int(k) & _MASK64))
         return RngStream(self.seed, h)
+
+    def child_words(self, key: int, bs) -> np.ndarray:
+        """The (len(bs), 4) uint64 PCG64 seed words of ``self.child(key,
+        b)`` for each b of the integer array ``bs``, hashed in one pass;
+        :func:`words_generator` turns a row into that child's generator."""
+        bs = np.asarray(bs, dtype=np.uint64)
+        ids = _splitmix64(self.child(key).stream_id ^ _splitmix64(bs))
+        return _seed_words(self.seed, ids)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ touches 0 or 1, where the inverse normal diverges.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +114,8 @@ def normal_scores(v: np.ndarray) -> np.ndarray:
 
 def _scores_of_ranks(ranks: np.ndarray) -> np.ndarray:
     """Phi^-1(rank / (n + 1)) of a rank vector, or of each row of a 2-D
-    array of them; a row without ties takes the symmetric grid."""
+    array of them; a row without ties takes the symmetric grid, a row with
+    ties looks its scores up in :func:`_half_rank_scores`."""
     rows = np.atleast_2d(ranks)
     n = rows.shape[1]
     whole = np.all(rows == np.round(rows), axis=1)
@@ -122,8 +124,22 @@ def _scores_of_ranks(ranks: np.ndarray) -> np.ndarray:
         scores[whole] = _symmetric_score_grid(n)[
             rows[whole].astype(np.int64) - 1]
     if not whole.all():
-        scores[~whole] = ndtri(rows[~whole] / (n + 1.0))
+        scores[~whole] = _half_rank_scores(n)[
+            (2.0 * rows[~whole]).astype(np.int64) - 2]
     return scores.reshape(np.shape(ranks))
+
+
+@functools.lru_cache(maxsize=1)
+def _half_rank_scores(n: int) -> np.ndarray:
+    """Read-only table ndtri(r / (n + 1)) of the average ranks r = 1, 1.5,
+    ..., n, at index 2r - 2.  Each r = k / 2.0 is exact, so an entry equals
+    ndtri(r / (n + 1.0)) of the rank itself bit for bit."""
+    table = np.arange(2, 2 * n + 1, dtype=np.float64)
+    table /= 2.0
+    table /= n + 1.0
+    ndtri(table, out=table)
+    table.flags.writeable = False
+    return table
 
 
 def _symmetric_score_grid(n: int) -> np.ndarray:
@@ -141,7 +157,7 @@ def _symmetric_score_grid(n: int) -> np.ndarray:
 
 def first_stage(X: DesignMatrix, Z: np.ndarray,
                 names: tuple[str, ...] | None = None) -> FirstStage:
-    """Regress each endogenous column on ``X`` and score the residuals.
+    """Regress the endogenous columns on ``X`` and score the residuals.
 
     Parameters
     ----------
@@ -169,22 +185,21 @@ def first_stage(X: DesignMatrix, Z: np.ndarray,
     if not np.all(np.isfinite(Z)):
         raise DomainError("Z contains non-finite entries")
 
-    k = X.p
-    delta = np.empty((k, m))
-    e_hat = np.empty((n, m))
+    # one factorisation of X for the whole block; in Fortran order each
+    # column is contiguous, so the rounding does not depend on the layout
+    # of Z
+    Z = np.asfortranarray(Z)
+    delta, e_hat, _ = _lstsq(X.values, Z, X.column_names)
     eta = np.empty((n, m))
     ranks = np.empty((n, m))
-    # contiguous columns, so the rounding does not depend on the layout of Z
-    for j, z in enumerate(np.ascontiguousarray(Z.T)):
-        coef, resid, _ = _lstsq(X.values, z, X.column_names)
+    for j in range(m):
+        z, resid = Z[:, j], e_hat[:, j]
         scale = max(1.0, float(np.std(z)), abs(float(np.mean(z))))
         if float(np.std(resid)) <= CONSTANT_RESIDUAL_RTOL * scale:
             raise ConstantInputError(
                 f"first-stage residuals of endogenous column {j} are "
                 "numerically zero: the column lies in the span of the "
                 "exogenous design, so its ranks are pure noise")
-        delta[:, j] = coef
-        e_hat[:, j] = resid
         # the check above rules out constant residuals, so the ranks are
         # computed once and give the scores directly
         ranks[:, j] = average_ranks(resid)

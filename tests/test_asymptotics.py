@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import gammainc, ndtri
 
-from endofix.asymptotics import (MomentSet, constants_c, lemma_b_residual,
-                                 sigma_asymptotic)
+from endofix.asymptotics import (MomentSet, _lemma_b_lhs, constants_c,
+                                 lemma_b_residual, sigma_asymptotic)
 from endofix.errors import IdentificationError
 from endofix.numerics import DistSpec, QuadratureSpec, RngStream
 
@@ -82,6 +82,13 @@ class TestLemmaBResidual:
     @pytest.mark.parametrize("F", [NORMAL, CEXP, CG32])
     def test_identity_holds(self, F):
         assert lemma_b_residual(F, SPEC) < 1e-6
+
+    @pytest.mark.parametrize("F", [NORMAL, CEXP, CG32])
+    def test_residual_from_constants_c2_is_identical(self, F):
+        # the constants command forms the residual from constants_c's c2
+        c2 = constants_c(F, SPEC).c2
+        resid = abs(_lemma_b_lhs(F, SPEC) - 0.5 * c2)
+        assert resid == lemma_b_residual(F, SPEC)
 
     def test_both_sides_half_for_gaussian(self):
         c = constants_c(NORMAL, SPEC)

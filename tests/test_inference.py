@@ -176,6 +176,69 @@ def test_rank_order_within_ties_changes_nothing(n, B, levels, jitter, seed):
     assert flagged[0] == flagged[1]
 
 
+class TestResampleStreams:
+    """Resample b draws its rows from seed.child(_BOOT_KEY, b), however
+    the seed words of all resamples are hashed."""
+
+    @pytest.mark.parametrize("estimator", ["npcf", "iv_internal"])
+    @pytest.mark.parametrize("B,n,seed", [(2, 30, RngStream(0)),
+                                          (17, 57, RngStream(7, 3)),
+                                          (40, 250, RngStream(2 ** 40 + 1))])
+    def test_rows_equal_per_resample_streams(self, monkeypatch, estimator,
+                                             B, n, seed):
+        rng = np.random.default_rng(n)
+        x, _, z, y = _endogenous_design(rng, n)
+        drawn = []
+        resample = inference._resample_rows
+
+        def recorded(words, n):
+            drawn.append(resample(words, n))
+            return drawn[-1]
+        monkeypatch.setattr(inference, "_resample_rows", recorded)
+        boot = pairs_bootstrap(Dataset({"y": y, "x": x, "z": z}), MODEL_SPEC,
+                               estimator, B=B, seed=seed)
+        # the stacked path draws resamples 0..B-1 in order, then redraws
+        # the ones it refits; iv_internal refits all of them, in order
+        stacked = B if estimator in inference._STACKED else 0
+        assert len(drawn) == stacked + boot.scalar_refits
+        for b in range(B):
+            want = seed.child(_BOOT_KEY, b).generator().integers(0, n, size=n)
+            assert np.array_equal(drawn[b], want)
+
+    # npcf draws of the stacked bootstrap as each resample built its own
+    # SeedSequence: n=60, B=4, one seed of one 32-bit word and one of two
+    _PARENT_DRAWS = {
+        RngStream(3): [
+            ["0x1.7507903688e56p-3", "-0x1.34c6a22cb23d2p+0",
+             "0x1.6644182a2e0e9p+0", "-0x1.0e52023688a6ap-5"],
+            ["0x1.b75834700e385p-3", "-0x1.17a7020ec6a7fp+0",
+             "0x1.74d9dc39a3678p+0", "-0x1.efcbbae837bb8p-4"],
+            ["0x1.d40969a618ff2p-5", "-0x1.4376a24967bf5p+0",
+             "0x1.6b1eb29d311a1p+0", "-0x1.1dc29d25f12abp-2"],
+            ["-0x1.743756c6971cdp-5", "-0x1.6aef3fcade612p+0",
+             "0x1.94a86f8d29c58p+0", "-0x1.f165225b0937dp-3"]],
+        RngStream(2 ** 40 + 1, 9): [
+            ["-0x1.2013a78e1c6b7p-2", "-0x1.16687d6b626d9p+0",
+             "0x1.68503c61d1a78p+0", "0x1.0fc644bf5a4d8p-4"],
+            ["0x1.45932f21cd354p-3", "-0x1.e0e76dfa9e477p-1",
+             "0x1.351e41ec116a8p+0", "0x1.e48b8c3009009p-5"],
+            ["0x1.1bf915f739ee4p-2", "-0x1.0c1d0f1f7bad7p+0",
+             "0x1.57325f3e2438cp+0", "0x1.7a3839a4a3924p-4"],
+            ["0x1.d4d4263cac6f0p-5", "-0x1.f5f5ff770f9f0p-1",
+             "0x1.506e61a3641b2p+0", "0x1.032a595e04bbbp-5"]],
+    }
+
+    @pytest.mark.parametrize("seed", list(_PARENT_DRAWS))
+    def test_stacked_npcf_draws_unchanged(self, seed):
+        x, _, z, y = _endogenous_design(np.random.default_rng(7), 60)
+        boot = pairs_bootstrap(Dataset({"y": y, "x": x, "z": z}), MODEL_SPEC,
+                               "npcf", B=4, seed=seed)
+        want = np.array([[float.fromhex(v) for v in row]
+                         for row in self._PARENT_DRAWS[seed]])
+        assert boot.scalar_refits == 0
+        assert np.array_equal(boot.draws, want)
+
+
 class TestStackedBootstrapMemory:
     def test_peak_of_one_resample_chunk(self):
         # at large n a chunk is one resample; its temporaries are freed
@@ -348,10 +411,12 @@ class TestConstantEndogenousResample:
         z[:150] = 0.0
         d = Dataset({"y": y, "x": x, "z": z})
         resample = inference._resample_rows
+        first = {w.tobytes() for w in
+                 RngStream(42).child_words(_BOOT_KEY, np.arange(n_constant))}
 
-        def zero_z_first(seed, b, n):
-            rows = resample(seed, b, n)
-            return rows % 150 if b < n_constant else rows
+        def zero_z_first(words, n):
+            rows = resample(words, n)
+            return rows % 150 if words.tobytes() in first else rows
         monkeypatch.setattr(inference, "_resample_rows", zero_z_first)
         outcomes = []
         for est in ("npcf", "two_scope", "gp_copula"):

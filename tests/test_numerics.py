@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc, gammaincinv
 
 from endofix.errors import DomainError, QuadratureError
 from endofix.numerics import (DistSpec, QuadratureSpec, RngStream,
-                              integrate_1d, sample, std_normal_pdf)
+                              _seed_words, _splitmix64, integrate_1d, sample,
+                              std_normal_pdf, words_generator)
 
 SPEC = QuadratureSpec(abs_tol=1e-10, max_subdivisions=8000)
 
@@ -227,6 +230,51 @@ class TestRngStream:
     def test_validation(self):
         with pytest.raises(DomainError):
             RngStream(-1)
+
+
+_EDGE_WORDS = [0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+
+
+def _numpy_words(seed, stream_id):
+    return np.random.SeedSequence(
+        entropy=(seed, stream_id)).generate_state(4, np.uint64)
+
+
+class TestVectorizedSeedWords:
+    """The one-pass hash of many streams' seed words against numpy's own
+    SeedSequence: a numpy that changed its hash fails here."""
+
+    @pytest.mark.parametrize("seed", _EDGE_WORDS)
+    def test_edge_seeds_and_ids(self, seed):
+        ids = np.array(_EDGE_WORDS, dtype=np.uint64)
+        got = _seed_words(seed, ids)
+        assert got.dtype == np.uint64 and got.shape == (ids.size, 4)
+        for i, words in zip(_EDGE_WORDS, got):
+            assert np.array_equal(words, _numpy_words(seed, i))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1),
+           ids=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=5))
+    def test_random_pairs(self, seed, ids):
+        got = _seed_words(seed, np.array(ids, dtype=np.uint64))
+        for i, words in zip(ids, got):
+            assert np.array_equal(words, _numpy_words(seed, i))
+
+    def test_splitmix64_elementwise(self):
+        x = np.array(_EDGE_WORDS + [0xA5A5A5A5A5A5A5A5], dtype=np.uint64)
+        assert [int(v) for v in _splitmix64(x)] == [_splitmix64(int(v))
+                                                    for v in x]
+
+    @pytest.mark.parametrize("stream", [RngStream(0), RngStream(7, 3),
+                                        RngStream(2 ** 64 - 1, 2 ** 40)])
+    def test_child_words_draw_as_child_generator(self, stream):
+        bs = np.array([0, 1, 2, 998, 2 ** 33])
+        words = stream.child_words(0xB00, bs)
+        for b, w in zip(bs, words):
+            child = stream.child(0xB00, int(b))
+            assert np.array_equal(w, _numpy_words(child.seed, child.stream_id))
+            assert np.array_equal(words_generator(w).integers(0, 250, 250),
+                                  child.generator().integers(0, 250, 250))
 
 
 class TestSample:
