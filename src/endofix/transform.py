@@ -114,8 +114,8 @@ def normal_scores(v: np.ndarray) -> np.ndarray:
 
 def _scores_of_ranks(ranks: np.ndarray) -> np.ndarray:
     """Phi^-1(rank / (n + 1)) of a rank vector, or of each row of a 2-D
-    array of them; a row without ties takes the symmetric grid, a row with
-    ties looks its scores up in :func:`_half_rank_scores`."""
+    array of them; a row without ties takes the symmetric grid, and two or
+    more rows with ties look their scores up in :func:`_half_rank_scores`."""
     rows = np.atleast_2d(ranks)
     n = rows.shape[1]
     whole = np.all(rows == np.round(rows), axis=1)
@@ -123,9 +123,15 @@ def _scores_of_ranks(ranks: np.ndarray) -> np.ndarray:
     if whole.any():
         scores[whole] = _symmetric_score_grid(n)[
             rows[whole].astype(np.int64) - 1]
-    if not whole.all():
-        scores[~whole] = _half_rank_scores(n)[
-            (2.0 * rows[~whole]).astype(np.int64) - 2]
+    tied = ~whole
+    if np.count_nonzero(tied) > 1:
+        scores[tied] = _half_rank_scores(n)[
+            (2.0 * rows[tied]).astype(np.int64) - 2]
+    elif tied.any():
+        # one row needs n scores, fewer than the table's 2n - 1; kept in
+        # the cache at large n, the table also raised the peak RSS of a
+        # fit by about three times its size
+        scores[tied] = ndtri(rows[tied] / (n + 1.0))
     return scores.reshape(np.shape(ranks))
 
 
