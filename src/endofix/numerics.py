@@ -156,7 +156,8 @@ def _seed_words(seed: int, ids: np.ndarray) -> np.ndarray:
 
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """Hands precomputed seed words to a bit generator."""
+    """Hands precomputed seed words to PCG64, which asks for exactly
+    ``generate_state(4, np.uint64)``."""
 
     def __init__(self, words: np.ndarray):
         self.words = words
