@@ -3,7 +3,9 @@ and the asymptotic constants.
 
 Reports are emitted as a single JSON document (machine-readable; schema
 version recorded inside) plus a human-readable table on stdout.  Exit
-codes: 0 success, 2 configuration errors, 3 numeric failures.
+codes: 0 success, 2 configuration errors, 3 numeric failures (a report
+with a non-finite number among them), and 141 from the ``endofix``
+command when its stdout is closed before the output is written.
 """
 from __future__ import annotations
 
@@ -13,6 +15,8 @@ import functools
 from array import array
 from itertools import chain, islice
 import json
+import math
+import os
 import sys
 import time
 import warnings
@@ -275,6 +279,38 @@ def _fit_table(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _non_finite(obj, path: str = "") -> str | None:
+    """Path (``estimates.ols.se.const``, say) of the first float in the
+    report ``obj`` that is not finite, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return None
+    for key, value in items:
+        bad = _non_finite(value, f"{path}.{key}" if path else str(key))
+        if bad is not None:
+            return bad
+    return None
+
+
+def _check_report(report: dict) -> None:
+    """Raise EndofixError naming the first non-finite statistic: a report
+    holds only finite numbers, which is also what strict JSON allows."""
+    bad = _non_finite(report)
+    if bad is not None:
+        raise EndofixError(f"statistic {bad} is not finite: a computation "
+                           "overflowed double precision")
+
+
+def _write_report(report: dict, path: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -330,6 +366,7 @@ def cmd_fit(args) -> int:
         "diagnostics": diagnostics,
         "timing_seconds": time.time() - t0,
     }
+    _check_report(report)
     print(_fit_table(report))
     if spec.m == 1:
         print(f"\nexogeneity test: t = {tests['exogeneity']['statistic']:.3f}, "
@@ -339,8 +376,7 @@ def cmd_fit(args) -> int:
         print(f"first-stage normality [{d['column']}]: JB = "
               f"{d['jarque_bera']:.2f}, p = {d['p_value']:.2e}  [{flag}]")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+        _write_report(report, args.out)
         print(f"\nreport written to {args.out}")
     return 0
 
@@ -373,12 +409,12 @@ def cmd_simulate(args) -> int:
         "summary": summary.to_dict(),
         "timing_seconds": time.time() - t0,
     }
-    print(summary.table())
     if args.dump:
         out["per_rep_estimates"] = summary.draws
+    _check_report(out)
+    print(summary.table())
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(out, fh, indent=2, sort_keys=True)
+        _write_report(out, args.out)
         print(f"report written to {args.out}")
     return 0
 
@@ -479,5 +515,29 @@ def main(argv=None) -> int:
         return 3
 
 
+# exit code of the ``endofix`` command when the reader of its stdout has
+# gone (``endofix ... | head``): what a shell reports for a process that
+# SIGPIPE ended, 128 + 13
+EXIT_BROKEN_PIPE = 141
+
+
+def console_main(argv=None) -> int:
+    """Entry point of the ``endofix`` command: :func:`main`, ending in
+    EXIT_BROKEN_PIPE rather than a traceback when stdout is closed early.
+    This is done here, where the process exits, because the handling
+    points the process's stdout at the null device: callers of
+    :func:`main` in a process that goes on keep their stdout."""
+    try:
+        code = main(argv)
+        # flush now, so a closed pipe raises here and not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more on exit; see the note
+        # on SIGPIPE in the documentation of the signal module
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -171,22 +171,22 @@ def fit_iv_internal(data: Dataset, spec: ModelSpec) -> ThetaEstimate:
     resulting moment conditions reproduce the augmented-OLS ``beta`` and
     ``gamma`` exactly, and the scores coefficient is recovered from the IV
     residual projection.
+
+    The instruments Q are the residuals of the regressors A on the scores
+    H, so Q'A = Q'Q and the IV solve is the least squares of y on Q
+    (Frisch-Waugh-Lovell); both solves are pivoted QRs, and a rank failure
+    names its column.
     """
     X, Z, y = build_design(data, spec)
     fs = first_stage(X, Z, spec.endogenous)
+    names = _names(spec, True)
     A = np.column_stack([X.values, Z])
-    Q = _lstsq(fs.eta_hat, A, _names(spec, True)[-spec.m:])[1]
-    qa = Q.T @ A
-    try:
-        ab = np.linalg.solve(qa, Q.T @ y)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError(
-            "internal-IV moment matrix is singular") from exc
-    resid_struct = y - A @ ab
     H = fs.eta_hat
-    rho = np.linalg.solve(H.T @ H, H.T @ resid_struct)
+    Q = _lstsq(H, A, names[-spec.m:])[1]
+    ab = _lstsq(Q, y, names[:-spec.m])[0]
+    rho = _lstsq(H, y - A @ ab, names[-spec.m:])[0]
     theta = np.concatenate([ab, rho])
-    return ThetaEstimate(theta, _names(spec, True), "iv_internal",
+    return ThetaEstimate(theta, names, "iv_internal",
                          vcov=None, vcov_source="none", first_stage=fs)
 
 

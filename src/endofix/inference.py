@@ -16,7 +16,10 @@ flagged and refitted by the registered scalar estimator, which then
 decides.  So are
 all problems of any other estimator (``iv_internal``, and estimators
 registered later).  Stacked results equal the scalar ones to rounding
-(about 1e-14 relative), not bit for bit.
+(about 1e-14 relative), not bit for bit.  The resampled rows themselves
+are bit-identical on both paths: a chunk's rows are drawn in one pass
+that follows numpy's bounded-integer sampler on each resample's own
+PCG64 stream.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from .errors import (BootstrapError, ConstantInputError, DataError,
                      RankDeficiencyError)
 from .estimators import (ESTIMATORS, ModelSpec, ThetaEstimate, _check_finite,
                          _names, fit_npcf)
-from .numerics import RngStream, words_generator
+from .numerics import RngStream, _SeedWords, words_generator
 from .regress import RANK_RTOL
 from .transform import (CONSTANT_RESIDUAL_RTOL, FirstStage, _rank_rows,
                         _scores_of_ranks)
@@ -44,7 +47,9 @@ __all__ = ["BootstrapResult", "TestResult", "pairs_bootstrap",
 # Resample b draws its rows from seed.child(_BOOT_KEY, b), so its draw does
 # not depend on the order or the chunk in which resamples are computed.  The
 # seed words of all B children are hashed in one pass (RngStream.child_words)
-# and equal those of each child's own generator().
+# and equal those of each child's own generator(); a chunk's rows are drawn
+# from those streams in one pass (_resample_chunk), equal to each child
+# generator's integers(0, n, size=n).
 _BOOT_KEY = 0xB00
 
 # The estimators _fit_stack solves.  The bootstrap and the Monte Carlo
@@ -119,8 +124,62 @@ class BootstrapResult:
 
 def _resample_rows(words: np.ndarray, n: int) -> np.ndarray:
     """Row indices of the resample whose seed words are ``words``: the
-    stacked chunks and the scalar refits both draw them here."""
+    reference that :func:`_resample_chunk` reproduces, and the rows of a
+    scalar refit."""
     return words_generator(words).integers(0, n, size=n)
+
+
+_MASK32 = np.uint64(0xFFFFFFFF)
+
+
+def _bounded_draws(words: np.ndarray, n: int, size: int):
+    """``words_generator(w).integers(0, n, size=size)`` for each row w of
+    the seed words ``words`` (S, 4), computed for the whole block at once.
+
+    Returns (rows (S, size), exact (S,)); a row that is not ``exact`` holds
+    no valid draw.  For 2 <= n < 2^32, numpy draws each index with
+    Lemire's method from one 32-bit output of PCG64 (the low half of a
+    64-bit word first, then the high half): u * n >> 32, where a u whose
+    product has its low 32 bits below 2^32 mod n is rejected and the next
+    u is taken.  So the indices are the accepted products of the stream,
+    in order.  Each row takes ``size`` outputs, twice the expected number
+    of rejections and 8 more; a row that rejects more than that is not
+    exact, and neither is any row when n is outside that range.
+    """
+    S = len(words)
+    if not 2 <= n < 1 << 32:
+        return np.empty((S, size), np.int64), np.zeros(S, dtype=bool)
+    threshold = (1 << 32) % n
+    spare = 8 + 2 * -(-size * threshold // ((1 << 32) - threshold))
+    k = (size + spare + 1) // 2
+    raw = np.empty((S, k), np.uint64)
+    for s, w in enumerate(words):
+        raw[s] = np.random.PCG64(_SeedWords(w)).random_raw(k)
+    # each word as two little-endian uint32s, the low half first
+    m = raw.astype("<u8", copy=False).view("<u4").astype(np.uint64)
+    del raw
+    m *= np.uint64(n)
+    accept = (m & _MASK32) >= np.uint64(threshold)
+    m >>= np.uint64(32)
+    rows = m.view(np.int64)
+    exact = np.ones(S, dtype=bool)
+    for s in np.flatnonzero(~accept[:, :size].all(axis=1)):
+        kept = rows[s][accept[s]]
+        if kept.size >= size:
+            rows[s, :size] = kept[:size]
+        else:
+            exact[s] = False
+    return rows[:, :size], exact
+
+
+def _resample_chunk(words: np.ndarray, n: int) -> np.ndarray:
+    """Row indices (S, n) of the resamples whose seed words are the rows of
+    ``words``, equal to :func:`_resample_rows` of each, bit for bit: a row
+    that :func:`_bounded_draws` cannot draw exactly is drawn there."""
+    rows, exact = _bounded_draws(words, n, n)
+    for s in np.flatnonzero(~exact):
+        rows[s] = _resample_rows(words[s], n)
+    return rows
 
 
 def _well_conditioned(R: np.ndarray) -> np.ndarray:
@@ -304,6 +363,12 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
     dataset the estimator cannot fit makes its resamples fail, which
     raises BootstrapError.
 
+    Resample b's rows are ``seed.child(_BOOT_KEY, b).generator()
+    .integers(0, n, size=n)``, bit for bit, however they are drawn: a
+    stacked chunk draws the rows of all its resamples in one pass
+    (:func:`_resample_chunk`), and a refit draws its own
+    (:func:`_resample_rows`).
+
     Parameters
     ----------
     estimator : str
@@ -345,7 +410,7 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
         chunk = _chunk(n, spec)
         for lo in range(0, B, chunk):
             bs = np.arange(lo, min(lo + chunk, B))
-            idx = np.stack([_resample_rows(words[b], n) for b in bs])
+            idx = _resample_chunk(words[bs], n)
             th, ok, _ = _fit_stack(estimator, data, spec, idx)
             theta[bs[ok]] = th[ok]
             solved[bs] = ok

@@ -202,13 +202,22 @@ class RngStream:
             h = _splitmix64(h ^ _splitmix64(int(k) & _MASK64))
         return RngStream(self.seed, h)
 
-    def child_words(self, key: int, bs) -> np.ndarray:
-        """The (len(bs), 4) uint64 PCG64 seed words of ``self.child(key,
-        b)`` for each b of the integer array ``bs``, hashed in one pass;
-        :func:`words_generator` turns a row into that child's generator."""
-        bs = np.asarray(bs, dtype=np.uint64)
-        ids = _splitmix64(self.child(key).stream_id ^ _splitmix64(bs))
-        return _seed_words(self.seed, ids)
+    def words(self) -> np.ndarray:
+        """The (1, 4) uint64 PCG64 seed words of :meth:`generator`."""
+        return _seed_words(self.seed, np.array([self.stream_id], np.uint64))
+
+    def child_words(self, *keys) -> np.ndarray:
+        """The (len(b), 4) uint64 PCG64 seed words of ``self.child(*keys)``
+        for each b of the one key that is an integer array, in any
+        position (``child_words(key, bs)`` or ``child_words(bs, key)``),
+        hashed in one pass; :func:`words_generator` turns a row into that
+        child's generator."""
+        h = _splitmix64(self.stream_id ^ 0xA5A5A5A5A5A5A5A5)
+        for k in keys:
+            k = (np.asarray(k).astype(np.uint64) if np.ndim(k)
+                 else int(k) & _MASK64)
+            h = _splitmix64(h ^ _splitmix64(k))
+        return _seed_words(self.seed, h)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,16 @@ regressors and the endogeneity itself both arrive through a Gaussian
 copula on a trivariate normal, and the endogenous regressor is the
 transformed error itself.
 
-:func:`mc_run` generates the repetitions a chunk at a time and fits the
-chunk's repetitions of ``ols``, ``npcf``, ``two_scope`` and ``gp_copula``
-as one stack with the engine the bootstrap uses
+:func:`mc_run` generates the repetitions a chunk at a time.  Each
+repetition keeps its own PCG64 stream and draws its normals or gammas
+from it; the transforms after the draws run once on the chunk's (S, n)
+block, so the columns equal those of :func:`gen_dgp1`/:func:`gen_dgp2`,
+the one-repetition case of the same generator, bit for bit.  The chunk's
+repetitions of ``ols``, ``npcf``, ``two_scope`` and ``gp_copula`` are
+fitted as one stack with the engine the bootstrap uses
 (:mod:`endofix.inference`).  A repetition the engine flags is fitted by
 the registered estimator, and so is every repetition of ``iv_internal``
-and of estimators registered later.  Stacked draws equal the scalar ones
+and of estimators registered later.  Stacked fits equal the scalar ones
 to rounding (about 1e-14 relative), not bit for bit.
 """
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .data import Dataset
 from .errors import DataError, DomainError, EndofixError
 from .estimators import ESTIMATORS, ModelSpec, _names
 from .inference import _STACKED, _chunk, _fit_stack, pairs_bootstrap
-from .numerics import DistSpec, RngStream
+from .numerics import DistSpec, RngStream, words_generator
 
 __all__ = ["DgpConfig", "gen_dgp1", "gen_dgp2", "mc_run", "McSummary",
            "MODEL_SPEC"]
@@ -127,6 +131,51 @@ def _gamma_quantile(a: float, p: np.ndarray) -> np.ndarray:
     return -np.log1p(-p) if a == 1.0 else gammaincinv(a, p)
 
 
+def _generate(cfg: DgpConfig, words: np.ndarray) -> dict[str, np.ndarray]:
+    """The columns ``y``, ``x``, ``z``, ``eta_true`` and ``e_true`` of the
+    repetitions whose data streams have the PCG64 seed words ``words``
+    (S, 4), as (S, n) arrays: row s is drawn from the generator of
+    ``words[s]`` alone.
+
+    Only the draws run per repetition.  Every later step (the Cholesky
+    product, the CDF, quantile and score transforms, the outcome
+    equation) runs once on the whole block.  Each is elementwise, or
+    multiplies one observation's three normals by the 3x3 factor, so row
+    s equals the columns of repetition s generated alone, bit for bit (a
+    test checks the stacked product against one repetition's).
+    """
+    S, n = len(words), cfg.n
+    a, b = cfg.e_dist.params
+    if cfg.kind == "dgp1":
+        x, e, eps = np.empty((3, S, n))
+        for s, w in enumerate(words):
+            rng = words_generator(w)
+            x[s] = rng.gamma(1.0, 1.0, n)
+            e[s] = rng.gamma(a, 1.0 / b, n)
+            eps[s] = rng.standard_normal(n)
+        eta = ndtri(_clip_prob(gammainc(a, b * e)))
+        sd_z = math.sqrt(cfg.delta ** 2 * 1.0 + a / (b * b))
+        z = (cfg.delta * x + e) / sd_z
+        u = cfg.rho * eta + eps
+    else:
+        W = np.empty((S, n, 3))
+        for s, w in enumerate(words):
+            words_generator(w).standard_normal(out=W[s])
+        W = W @ cfg._chol.T
+        eta, x_star, u = W[..., 0], W[..., 1], W[..., 2]
+        e = _gamma_quantile(a, _clip_prob(ndtr(eta))) / b
+        x = _gamma_quantile(1.0, _clip_prob(ndtr(x_star)))
+        z = e
+    y = cfg.beta0 + cfg.beta1 * x + cfg.gamma * z + u
+    return {"y": y, "x": x, "z": z, "eta_true": eta, "e_true": e}
+
+
+def _repetition(cols: dict[str, np.ndarray], s: int,
+                provenance: str = "") -> Dataset:
+    """Repetition ``s`` of :func:`_generate`'s columns, as views."""
+    return Dataset({c: v[s] for c, v in cols.items()}, provenance=provenance)
+
+
 def gen_dgp1(cfg: DgpConfig, stream: RngStream) -> Dataset:
     """Linear-coupling design.
 
@@ -135,25 +184,15 @@ def gen_dgp1(cfg: DgpConfig, stream: RngStream) -> Dataset:
     deviation; the outcome error is rho * eta + eps with eps standard
     normal and eta the exact normal score of e under its true gamma CDF.
     The true scores are kept in the ``eta_true`` column (and the raw error
-    in ``e_true``) for oracle tests.
+    in ``e_true``) for oracle tests.  This is the one-repetition case of
+    the generator :func:`mc_run` draws its chunks with.
     """
     if cfg.kind != "dgp1":
         raise DomainError("config is not a dgp1 configuration")
-    a, b = cfg.e_dist.params
-    rng = stream.generator()
-    x = rng.gamma(1.0, 1.0, cfg.n)
-    e = rng.gamma(a, 1.0 / b, cfg.n)
-    eps = rng.standard_normal(cfg.n)
-
-    eta = ndtri(_clip_prob(gammainc(a, b * e)))
-    sd_z = math.sqrt(cfg.delta ** 2 * 1.0 + a / (b * b))
-    z = (cfg.delta * x + e) / sd_z
-    u = cfg.rho * eta + eps
-    y = cfg.beta0 + cfg.beta1 * x + cfg.gamma * z + u
-    return Dataset(
-        {"y": y, "x": x, "z": z, "eta_true": eta, "e_true": e},
-        provenance=f"dgp1(n={cfg.n}, e~Gamma{cfg.e_dist.params}, "
-                   f"delta={cfg.delta}, rho={cfg.rho})")
+    return _repetition(
+        _generate(cfg, stream.words()), 0,
+        f"dgp1(n={cfg.n}, e~Gamma{cfg.e_dist.params}, "
+        f"delta={cfg.delta}, rho={cfg.rho})")
 
 
 def gen_dgp2(cfg: DgpConfig, stream: RngStream) -> Dataset:
@@ -163,7 +202,8 @@ def gen_dgp2(cfg: DgpConfig, stream: RngStream) -> Dataset:
     alpha, corr(e*, u) = rho, corr(x*, u) = 0.  The regressors are the
     gamma quantile transforms of the normal scores; the endogenous
     regressor is the transformed error itself (no linear coupling), so all
-    dependence on x runs through the copula.
+    dependence on x runs through the copula.  This is the one-repetition
+    case of the generator :func:`mc_run` draws its chunks with.
 
     Shape-1 gamma quantiles (x always, e under Gamma(1, b)) use the
     exponential's closed form -log1p(-p), so those columns differ from
@@ -172,19 +212,10 @@ def gen_dgp2(cfg: DgpConfig, stream: RngStream) -> Dataset:
     """
     if cfg.kind != "dgp2":
         raise DomainError("config is not a dgp2 configuration")
-    a, b = cfg.e_dist.params
-    rng = stream.generator()
-    W = rng.standard_normal((cfg.n, 3)) @ cfg._chol.T
-    e_star, x_star, u = W[:, 0], W[:, 1], W[:, 2]
-
-    e = _gamma_quantile(a, _clip_prob(ndtr(e_star))) / b
-    x = _gamma_quantile(1.0, _clip_prob(ndtr(x_star)))
-    z = e
-    y = cfg.beta0 + cfg.beta1 * x + cfg.gamma * z + u
-    return Dataset(
-        {"y": y, "x": x, "z": z, "eta_true": e_star, "e_true": e},
-        provenance=f"dgp2(n={cfg.n}, e~Gamma{cfg.e_dist.params}, "
-                   f"alpha={cfg.alpha}, rho={cfg.rho})")
+    return _repetition(
+        _generate(cfg, stream.words()), 0,
+        f"dgp2(n={cfg.n}, e~Gamma{cfg.e_dist.params}, "
+        f"alpha={cfg.alpha}, rho={cfg.rho})")
 
 
 def generate(cfg: DgpConfig, stream: RngStream) -> Dataset:
@@ -279,7 +310,8 @@ def _rep_result(est: str, data: Dataset, point, B: int, master: RngStream,
     name or None) of ``est`` on repetition ``rep``'s ``data``.
 
     ``point`` is the stacked engine's (names, theta, se), or None to fit
-    ``est`` here with the registered scalar estimator.  The bootstrap
+    ``est`` here with the registered scalar estimator.  ``data`` may be
+    None when neither that fit nor a bootstrap runs.  The bootstrap
     stream is derived from ``master`` only when a bootstrap runs.  A
     failed bootstrap keeps the point estimate and leaves only the tests
     out.
@@ -325,14 +357,20 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
     streams are keyed by (repetition, estimator identity), so the
     estimator ordering changes nothing.
 
-    Repetitions are generated a chunk at a time, so memory does not grow
-    with ``reps``.  For ``ols``, ``npcf``, ``two_scope`` and ``gp_copula``
-    each chunk is fitted as one stack by the engine the bootstrap uses
-    (:mod:`endofix.inference`); a repetition it flags is fitted by the
-    registered estimator, as is every repetition of ``iv_internal`` and of
-    estimators registered later.  ``McSummary.scalar_refits`` counts
-    those.  Stacked draws equal the scalar ones to rounding (about 1e-14
-    relative), not bit for bit.
+    Repetitions are generated a chunk at a time, so the data in memory do
+    not grow with ``reps``.  The seed words of all data streams are hashed
+    once; each chunk draws its repetitions' random inputs, one PCG64
+    stream per repetition, and transforms them in one pass
+    (``_generate``), bit for bit as :func:`gen_dgp1`/:func:`gen_dgp2`
+    draw each repetition alone.  For ``ols``, ``npcf``, ``two_scope`` and
+    ``gp_copula`` each chunk is fitted as one stack by the engine the
+    bootstrap uses (:mod:`endofix.inference`); a repetition it flags is
+    fitted by the registered estimator, as is every repetition of
+    ``iv_internal`` and of estimators registered later, on a ``Dataset``
+    of views into the chunk that is built only for such a fit or a
+    bootstrap.  ``McSummary.scalar_refits`` counts those.  Stacked fits
+    equal the scalar ones to rounding (about 1e-14 relative), not bit for
+    bit.
     """
     if reps < 2:
         raise DomainError("mc_run needs reps >= 2")
@@ -349,19 +387,20 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
 
     results = []
     refits = dict.fromkeys(estimators, 0)
+    # the seed words of every repetition's data stream, hashed in one pass
+    words = master.child_words(np.arange(reps), _DATA_KEY)
     chunk = _chunk(cfg.n, MODEL_SPEC)
     for lo in range(0, reps, chunk):
-        datas = [generate(cfg, master.child(r, _DATA_KEY))
-                 for r in range(lo, min(lo + chunk, reps))]
+        cols = _generate(cfg, words[lo:lo + chunk])
         # the chunk's repetitions, one after another: problem s is rows
-        # s*n .. (s+1)*n - 1
-        stack = Dataset({c: np.concatenate([d.column(c) for d in datas])
-                         for c in model})
-        idx = np.arange(stack.n).reshape(len(datas), cfg.n)
+        # s*n .. (s+1)*n - 1 of the raveled (S, n) columns
+        stack = Dataset({c: cols[c] for c in model})
+        S = stack.n // cfg.n
+        idx = np.arange(stack.n).reshape(S, cfg.n)
         fits = {est: _fit_stack(est, stack, MODEL_SPEC, idx)
                 for est in estimators if est in _STACKED}
-        for s, data in enumerate(datas):
-            out = {}
+        for s in range(S):
+            points = {}
             for est in estimators:
                 point = None
                 if est in fits and fits[est][1][s]:
@@ -369,9 +408,13 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
                     point = (_names(MODEL_SPEC, est != "ols"), theta[s],
                              None if se is None else se[s])
                 refits[est] += point is None
-                out[est] = _rep_result(est, data, point, B, master,
-                                       lo + s, truth, tested)
-            results.append(out)
+                points[est] = point
+            data = None
+            if B >= 2 or None in points.values():
+                data = _repetition(cols, s)
+            results.append({est: _rep_result(est, data, points[est], B,
+                                             master, lo + s, truth, tested)
+                            for est in estimators})
 
     cells: dict[tuple[str, str], McCell] = {}
     completed: dict[str, int] = {}

@@ -41,6 +41,14 @@ def _write_dgp1_csv(path, n=250, rho=0.5, seed=70):
     return d
 
 
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, which JSON does not
+    allow."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 class TestIngestCsv:
     def test_three_row_file(self, tmp_path):
         p = tmp_path / "tiny.csv"
@@ -434,6 +442,79 @@ class TestFitCommand:
         rc = main(["fit", "--data", str(p), "--outcome", "y", "--exog", "x",
                    "--endog", "z", "--estimator", "npcf"])
         assert rc == 3
+
+
+class TestFiniteReports:
+    """A report holds only finite numbers and parses as strict JSON, or the
+    run exits 3 naming the first non-finite statistic."""
+
+    @pytest.mark.parametrize("estimator", ["ols", "npcf", "iv", "2scope",
+                                           "gp"])
+    def test_fit_reports_parse_strictly(self, tmp_path, estimator):
+        csv_path, out = tmp_path / "d.csv", tmp_path / "r.json"
+        _write_dgp1_csv(csv_path, n=120)
+        assert main(["fit", "--data", str(csv_path), "--outcome", "y",
+                     "--exog", "x", "--endog", "z", "--estimator", estimator,
+                     "--bootstrap", "19", "--out", str(out)]) == 0
+        rep = _strict_json(out.read_text())
+        assert rep["estimates"]["ols"]["r_squared"] < 1.0
+
+    def test_simulate_report_parses_strictly(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert main(["simulate", "--dgp", "2", "--n", "100", "--reps", "3",
+                     "--alpha", "0.5", "--rho", "0.5", "--B", "9",
+                     "--estimators", "ols", "npcf", "iv", "2scope", "gp",
+                     "--dump", "--out", str(out)]) == 0
+        assert _strict_json(out.read_text())["summary"]["reps"] == 3
+
+    @pytest.mark.parametrize("estimator", ["ols", "npcf", "iv", "2scope",
+                                           "gp"])
+    def test_overflowing_statistic_exits_3(self, tmp_path, capsys,
+                                           estimator):
+        # one finite y of 1e300 among 30 rows: its squared residual
+        # overflows, so ols's standard errors and R^2 would be inf and nan
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(30)
+        z = x + rng.gamma(1.0, 1.0, 30)
+        y = 1.0 + x + z + rng.standard_normal(30)
+        y[3] = 1e300
+        csv_path, out = tmp_path / "d.csv", tmp_path / "r.json"
+        _write_csv(csv_path, ["y", "x", "z"], zip(y, x, z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main(["fit", "--data", str(csv_path), "--outcome", "y",
+                       "--exog", "x", "--endog", "z", "--estimator",
+                       estimator, "--bootstrap", "19", "--out", str(out)])
+        assert rc == 3
+        cap = capsys.readouterr()
+        assert cap.err == ("endofix: numeric failure: statistic "
+                           "estimates.ols.se.const is not finite: a "
+                           "computation overflowed double precision\n")
+        assert cap.out == ""
+        assert not out.exists()
+
+    def test_non_finite_path_names_the_first(self):
+        report = {"a": 1.0, "b": {"c": [0.5, float("nan")],
+                                  "d": float("inf")}}
+        assert cli._non_finite(report) == "b.c.1"
+        assert cli._non_finite({"a": [1.0, None, "x", 2]}) is None
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the reader of the pipe is gone before endofix writes (as with
+    # ``endofix constants ... | head -c 5``)
+    import endofix
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(endofix.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "endofix.cli", "constants", "--dist",
+         "gamma:3,2"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 class TestConfigurationErrors:

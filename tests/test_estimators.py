@@ -178,6 +178,21 @@ class TestInternalIv:
         scale = max(1.0, float(np.abs(a.theta).max()))
         assert np.abs(a.theta - b.theta).max() <= 1e-10 * scale
 
+    def test_one_ulp_input_move_barely_moves_theta(self):
+        # x far from zero, as a calendar year is: the IV solve must not
+        # square the design's conditioning, as normal equations do (they
+        # moved theta by about 1.5e-10 relative here)
+        cfg = DgpConfig("dgp1", n=250, e_dist=DistSpec.gamma(3, 2),
+                        delta=1.0, rho=0.5)
+        for r in range(10):
+            d = generate(cfg, RngStream(11000).child(r))
+            cols = {"y": d.column("y"), "x": d.column("x") + 100.0,
+                    "z": d.column("z")}
+            moved = {c: np.nextafter(v, np.inf) for c, v in cols.items()}
+            a = fit_iv_internal(Dataset(cols), MODEL_SPEC).theta
+            b = fit_iv_internal(Dataset(moved), MODEL_SPEC).theta
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(a).max())
+
     def test_single_regressor_ratio_formula(self):
         # with one regressor and its score column, the coefficient equals
         # the ratio form z'My / z'Mz with M the score annihilator

@@ -17,7 +17,7 @@ from endofix.inference import (_BOOT_KEY, _CHUNK_BYTES, _split_ties,
                                bootstrap_t_test, exogeneity_test,
                                exogeneity_test_of_fit,
                                identification_diagnostic, pairs_bootstrap)
-from endofix.numerics import DistSpec, RngStream, sample
+from endofix.numerics import DistSpec, RngStream, sample, words_generator
 from endofix.regress import _lstsq
 from endofix.simulation import MODEL_SPEC, DgpConfig, gen_dgp1, generate
 from endofix.transform import _rank_rows, first_stage
@@ -188,22 +188,35 @@ class TestResampleStreams:
                                              B, n, seed):
         rng = np.random.default_rng(n)
         x, _, z, y = _endogenous_design(rng, n)
-        drawn = []
-        resample = inference._resample_rows
+        chunks, refits = [], []
+        chunk, resample = inference._resample_chunk, inference._resample_rows
+
+        def recorded_chunk(words, n):
+            rows = chunk(words, n)
+            chunks.extend(zip(words, rows))
+            return rows
 
         def recorded(words, n):
-            drawn.append(resample(words, n))
-            return drawn[-1]
+            refits.append((words, resample(words, n)))
+            return refits[-1][1]
+        monkeypatch.setattr(inference, "_resample_chunk", recorded_chunk)
         monkeypatch.setattr(inference, "_resample_rows", recorded)
         boot = pairs_bootstrap(Dataset({"y": y, "x": x, "z": z}), MODEL_SPEC,
                                estimator, B=B, seed=seed)
-        # the stacked path draws resamples 0..B-1 in order, then redraws
-        # the ones it refits; iv_internal refits all of them, in order
+        # the stacked path draws resamples 0..B-1 in order, a chunk at a
+        # time, then redraws the ones it refits; iv_internal refits all of
+        # them, in order.  No row of these chunks needs the exact redraw,
+        # which would call _resample_rows too.
         stacked = B if estimator in inference._STACKED else 0
-        assert len(drawn) == stacked + boot.scalar_refits
-        for b in range(B):
-            want = seed.child(_BOOT_KEY, b).generator().integers(0, n, size=n)
-            assert np.array_equal(drawn[b], want)
+        assert len(chunks) == stacked
+        assert len(refits) == boot.scalar_refits
+        children = [seed.child(_BOOT_KEY, b) for b in range(B)]
+        want = {c.words().tobytes(): c.generator().integers(0, n, size=n)
+                for c in children}
+        for words, rows in chunks + refits:
+            assert np.array_equal(rows, want[words.tobytes()])
+        order = [w.tobytes() for w, _ in (chunks if stacked else refits)]
+        assert order == list(want)
 
     # npcf draws of the stacked bootstrap as each resample built its own
     # SeedSequence: n=60, B=4, one seed of one 32-bit word and one of two
@@ -237,6 +250,78 @@ class TestResampleStreams:
                          for row in self._PARENT_DRAWS[seed]])
         assert boot.scalar_refits == 0
         assert np.array_equal(boot.draws, want)
+
+
+def _reference_rows(words, n, size=None):
+    return np.array([words_generator(w).integers(0, n, size=size or n)
+                     for w in words]).reshape(len(words), size or n)
+
+
+class TestResampleChunk:
+    """The chunk sampler draws each resample's rows as numpy's
+    Generator.integers(0, n, size=n) of that resample's own stream."""
+
+    @pytest.mark.parametrize("n,S", [(2, 40), (3, 40), (5, 40), (57, 40),
+                                     (250, 60), (1001, 20), (65_537, 6),
+                                     (200_000, 3), (1_000_003, 2)])
+    def test_rows_equal_generator_integers(self, n, S):
+        words = RngStream(n).child_words(_BOOT_KEY, np.arange(S))
+        got = inference._resample_chunk(words, n)
+        assert got.dtype == np.int64 and got.shape == (S, n)
+        assert np.array_equal(got, _reference_rows(words, n))
+        # at n = 10^6 numpy rejects about 220 draws per row; the block
+        # pass follows them without the exact redraw
+        assert inference._bounded_draws(words, n, n)[1].all()
+
+    @pytest.mark.parametrize("size", [2, 3, 8])
+    def test_rejections_near_two_to_the_31(self, size):
+        # for n just above 2^31 numpy rejects almost half of its draws:
+        # the rows whose rejections outrun the spare draws are not exact,
+        # and every other row equals numpy's
+        n = 2 ** 31 + 1
+        words = RngStream(3).child_words(_BOOT_KEY, np.arange(8000))
+        rows, exact = inference._bounded_draws(words, n, size)
+        assert 0 < np.count_nonzero(~exact) < 40
+        assert np.array_equal(rows[exact],
+                              _reference_rows(words[exact], n, size))
+
+    def test_rows_not_exact_are_redrawn(self, monkeypatch):
+        n = 250
+        words = RngStream(4).child_words(_BOOT_KEY, np.arange(30))
+        bounded = inference._bounded_draws
+        redrawn = []
+
+        def two_inexact(words_, n_, size):
+            rows, exact = bounded(words_, n_, size)
+            rows[[3, 17]] = -1
+            exact[[3, 17]] = False
+            return rows, exact
+
+        def recorded(w, n_):
+            redrawn.append(w.tobytes())
+            return resample(w, n_)
+        resample = inference._resample_rows
+        monkeypatch.setattr(inference, "_bounded_draws", two_inexact)
+        monkeypatch.setattr(inference, "_resample_rows", recorded)
+        got = inference._resample_chunk(words, n)
+        assert np.array_equal(got, _reference_rows(words, n))
+        assert redrawn == [words[3].tobytes(), words[17].tobytes()]
+
+    def test_range_of_one_row(self):
+        # outside 2 <= n < 2^32 every row is redrawn exactly
+        words = RngStream(5).child_words(_BOOT_KEY, np.arange(3))
+        assert not inference._bounded_draws(words, 1, 1)[1].any()
+        assert np.array_equal(inference._resample_chunk(words, 1),
+                              np.zeros((3, 1), dtype=np.int64))
+
+    @pytest.mark.parametrize("n,B", [(250, 999), (200_000, 9)])
+    def test_benchmark_designs_need_no_exact_redraw(self, n, B):
+        # the fit-boot and fit-large resamples: a redraw that fired on
+        # every row would keep the rows exact but switch the block pass
+        # off unnoticed.  (mc_run's chunk generator has no redraw.)
+        words = RngStream(101).child_words(_BOOT_KEY, np.arange(B))
+        for lo in range(0, B, 26):
+            assert inference._bounded_draws(words[lo:lo + 26], n, n)[1].all()
 
 
 class TestStackedBootstrapMemory:
@@ -410,13 +495,21 @@ class TestConstantEndogenousResample:
         x, _, z, y = _endogenous_design(rng, 300)
         z[:150] = 0.0
         d = Dataset({"y": y, "x": x, "z": z})
-        resample = inference._resample_rows
+        chunk, resample = inference._resample_chunk, inference._resample_rows
         first = {w.tobytes() for w in
                  RngStream(42).child_words(_BOOT_KEY, np.arange(n_constant))}
+
+        def zero_z_first_chunk(words, n):
+            rows = chunk(words, n)
+            for s, w in enumerate(words):
+                if w.tobytes() in first:
+                    rows[s] %= 150
+            return rows
 
         def zero_z_first(words, n):
             rows = resample(words, n)
             return rows % 150 if words.tobytes() in first else rows
+        monkeypatch.setattr(inference, "_resample_chunk", zero_z_first_chunk)
         monkeypatch.setattr(inference, "_resample_rows", zero_z_first)
         outcomes = []
         for est in ("npcf", "two_scope", "gp_copula"):

@@ -276,6 +276,23 @@ class TestVectorizedSeedWords:
             assert np.array_equal(words_generator(w).integers(0, 250, 250),
                                   child.generator().integers(0, 250, 250))
 
+    @pytest.mark.parametrize("stream", [RngStream(0), RngStream(7, 3),
+                                        RngStream(2 ** 64 - 1, 2 ** 40)])
+    def test_key_first_child_words(self, stream):
+        # Monte Carlo data streams are child(r, key): the array key first
+        rs = np.array([0, 1, 2, 998, 2 ** 33])
+        words = stream.child_words(rs, 0xDA7A)
+        for r, w in zip(rs, words):
+            child = stream.child(int(r), 0xDA7A)
+            assert np.array_equal(w, _numpy_words(child.seed, child.stream_id))
+            assert np.array_equal(w, child.words()[0])
+
+    @pytest.mark.parametrize("seed", _EDGE_WORDS)
+    def test_own_words(self, seed):
+        for stream_id in _EDGE_WORDS:
+            s = RngStream(seed, stream_id)
+            assert np.array_equal(s.words(), [_numpy_words(seed, stream_id)])
+
 
 class TestSample:
     def test_normal_lln(self):

@@ -165,6 +165,86 @@ class TestGenDgp2Draws:
                               np.linalg.cholesky(a.correlation_matrix()))
 
 
+def _one_repetition(cfg, stream):
+    """The five columns of one repetition, drawn from ``stream``'s own
+    SeedSequence-seeded generator one repetition at a time, as the
+    generators did before mc_run drew its chunks in one pass."""
+    a, b = cfg.e_dist.params
+    rng = stream.generator()
+
+    def clip(p):
+        return np.clip(p, _PCLIP_LO, _PCLIP_HI)
+
+    def quantile(shape, p):
+        return -np.log1p(-p) if shape == 1.0 else gammaincinv(shape, p)
+    if cfg.kind == "dgp1":
+        x = rng.gamma(1.0, 1.0, cfg.n)
+        e = rng.gamma(a, 1.0 / b, cfg.n)
+        eps = rng.standard_normal(cfg.n)
+        eta = ndtri(clip(gammainc(a, b * e)))
+        z = (cfg.delta * x + e) / math.sqrt(cfg.delta ** 2 + a / (b * b))
+        u = cfg.rho * eta + eps
+    else:
+        W = (rng.standard_normal((cfg.n, 3))
+             @ np.linalg.cholesky(cfg.correlation_matrix()).T)
+        eta, u = W[:, 0], W[:, 2]
+        e = quantile(a, clip(ndtr(eta))) / b
+        x = quantile(1.0, clip(ndtr(W[:, 1])))
+        z = e
+    y = cfg.beta0 + cfg.beta1 * x + cfg.gamma * z + u
+    return {"y": y, "x": x, "z": z, "eta_true": eta, "e_true": e}
+
+
+_DESIGNS = [(kind, n, DistSpec.gamma(*g)) for kind in ("dgp1", "dgp2")
+            for n in (120, 250) for g in ((1, 1), (3, 2))]
+
+
+class TestStackedGenerator:
+    """mc_run draws each chunk's repetitions in one pass; every column of
+    every repetition equals that repetition drawn alone, bit for bit."""
+
+    @pytest.mark.parametrize("kind,n,e_dist", _DESIGNS)
+    @pytest.mark.parametrize("seed", [RngStream(5), RngStream(2 ** 40 + 3, 7)])
+    def test_one_repetition_matches_reference(self, kind, n, e_dist, seed):
+        cfg = DgpConfig(kind, n=n, e_dist=e_dist, delta=1.0, alpha=0.5,
+                        rho=0.5)
+        d = (gen_dgp1 if kind == "dgp1" else gen_dgp2)(cfg, seed)
+        want = _one_repetition(cfg, seed)
+        assert list(d.columns) == list(want)
+        for c, v in want.items():
+            assert np.array_equal(d.column(c), v)
+
+    @pytest.mark.parametrize("kind,n,e_dist", _DESIGNS)
+    @pytest.mark.parametrize("master", [RngStream(6), RngStream(2 ** 33, 5)])
+    @pytest.mark.parametrize("chunk_reps", [None, 3])
+    def test_mc_chunks_match_each_repetition(self, monkeypatch, kind, n,
+                                             e_dist, master, chunk_reps):
+        from endofix import inference
+
+        cfg = DgpConfig(kind, n=n, e_dist=e_dist, delta=1.0, alpha=0.5,
+                        rho=0.5)
+        reps = 8
+        if chunk_reps:
+            # several chunks, the last one partial
+            monkeypatch.setattr(inference, "_CHUNK_BYTES",
+                                chunk_reps * 8 * n * 5)
+        chunks = []
+        original = simulation._generate
+
+        def recorded(cfg_, words):
+            chunks.append(original(cfg_, words))
+            return chunks[-1]
+        monkeypatch.setattr(simulation, "_generate", recorded)
+        mc_run(cfg, ("ols",), reps=reps, B=0, master=master)
+        sizes = [len(ch["y"]) for ch in chunks]
+        assert sizes == ([3, 3, 2] if chunk_reps else [reps])
+        for c in ("y", "x", "z", "eta_true", "e_true"):
+            got = np.concatenate([ch[c] for ch in chunks])
+            for r in range(reps):
+                want = _one_repetition(cfg, master.child(r, _DATA_KEY))
+                assert np.array_equal(got[r], want[c])
+
+
 class TestMcRun:
     def test_rmse_identity_exact(self):
         cfg = DgpConfig("dgp1", n=120, e_dist=DistSpec.gamma(1, 1),
@@ -347,7 +427,7 @@ def _loop_mc(cfg, estimators, reps, B, master):
 
 
 def _degenerate_every_fifth(cfg, master, reps):
-    """A generate that replaces some repetitions by data the stacked
+    """A chunk generator that replaces some repetitions by data the stacked
     engine must flag.  rep % 5 == 1 gets x = 0, 1, 0, 1, ... and
     z = k + 2x, with each integer k once in each x group, so first-stage
     residuals of rows with different x tie in exact arithmetic and their
@@ -355,24 +435,33 @@ def _degenerate_every_fifth(cfg, master, reps):
     failures in every estimator), and rep % 5 == 4 an outcome fitted
     exactly (the residual variance behind ols's standard errors and gp's
     rho is rounding noise).  rep % 5 == 0 gets an outcome that gp's design
-    fits to within 1e-8, so its 1 - rho^2 rounds to 0."""
-    original = simulation.generate
-    rep_of = {master.child(r, _DATA_KEY): r for r in range(reps)}
+    fits to within 1e-8, so its 1 - rho^2 rounds to 0.  Repetitions are
+    told apart by their seed words, so mc_run's chunks and the scalar
+    generate of each repetition get the same data."""
+    original = simulation._generate
+    rep_of = {w.tobytes(): r for r, w in
+              enumerate(master.child_words(np.arange(reps), _DATA_KEY))}
 
-    def patched(cfg_, stream):
-        d = original(cfg_, stream)
-        r = rep_of[stream]
-        x, z, y = d.column("x"), d.column("z"), d.column("y")
-        if r % 5 == 1:
-            x = (np.arange(x.size) % 2).astype(float)
-            z = np.repeat(np.round(4.0 * z[::2]), 2)[:x.size] + 2.0 * x
-        elif r % 5 == 3:
-            x = np.zeros_like(x)
-        elif r % 5 == 4:
-            y = 1.0 - x + z
-        elif r % 5 == 0:
-            y = 1.0 - x + z + normal_scores(z) + 1e-8 * d.column("eta_true")
-        return Dataset({**d.columns, "x": x, "z": z, "y": y})
+    def patched(cfg_, words):
+        cols = original(cfg_, words)
+        for s, w in enumerate(words):
+            r = rep_of[w.tobytes()]
+            x, z, y = cols["x"][s], cols["z"][s], cols["y"][s]
+            new = {}
+            if r % 5 == 1:
+                new["x"] = (np.arange(x.size) % 2).astype(float)
+                new["z"] = (np.repeat(np.round(4.0 * z[::2]), 2)[:x.size]
+                            + 2.0 * new["x"])
+            elif r % 5 == 3:
+                new["x"] = np.zeros_like(x)
+            elif r % 5 == 4:
+                new["y"] = 1.0 - x + z
+            elif r % 5 == 0:
+                new["y"] = (1.0 - x + z + normal_scores(z)
+                            + 1e-8 * cols["eta_true"][s])
+            for c, v in new.items():
+                cols[c][s] = v
+        return cols
     return patched
 
 
@@ -394,7 +483,7 @@ class TestStackedMcMatchesLoop:
             # several chunks, the last one partial
             monkeypatch.setattr(inference, "_CHUNK_BYTES",
                                 chunk_reps * 8 * cfg.n * 5)
-        monkeypatch.setattr(simulation, "generate",
+        monkeypatch.setattr(simulation, "_generate",
                             _degenerate_every_fifth(cfg, master, reps))
         # a later-registered estimator, which has no stacked form
         monkeypatch.setitem(ESTIMATORS, "_later",
