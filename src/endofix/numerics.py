@@ -204,7 +204,8 @@ class RngStream:
 
     def words(self) -> np.ndarray:
         """The (1, 4) uint64 PCG64 seed words of :meth:`generator`."""
-        return _seed_words(self.seed, np.array([self.stream_id], np.uint64))
+        ss = np.random.SeedSequence(entropy=(self.seed, self.stream_id))
+        return ss.generate_state(4, np.uint64)[None]
 
     def child_words(self, *keys) -> np.ndarray:
         """The (len(b), 4) uint64 PCG64 seed words of ``self.child(*keys)``

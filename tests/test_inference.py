@@ -288,7 +288,7 @@ class TestResampleChunk:
     def test_rows_not_exact_are_redrawn(self, monkeypatch):
         n = 250
         words = RngStream(4).child_words(_BOOT_KEY, np.arange(30))
-        bounded = inference._bounded_draws
+        bounded, resample = inference._bounded_draws, inference._resample_rows
         redrawn = []
 
         def two_inexact(words_, n_, size):
@@ -300,7 +300,6 @@ class TestResampleChunk:
         def recorded(w, n_):
             redrawn.append(w.tobytes())
             return resample(w, n_)
-        resample = inference._resample_rows
         monkeypatch.setattr(inference, "_bounded_draws", two_inexact)
         monkeypatch.setattr(inference, "_resample_rows", recorded)
         got = inference._resample_chunk(words, n)
