@@ -17,28 +17,28 @@ from .errors import (BootstrapError, ConstantInputError, DataError,
                      QuadratureError, RankDeficiencyError)
 from .numerics import DistSpec, QuadratureSpec, RngStream, sample
 from .regress import DesignMatrix, OlsFit, ols_fit
-from .transform import FirstStage, ecdf_rescaled, first_stage, normal_scores
+from .transform import FirstStage, first_stage, normal_scores
 from .estimators import (ESTIMATORS, ModelSpec, ThetaEstimate, fit_iv_internal,
                          fit_npcf, fit_ols, fit_two_scope)
-from .copula_mle import GpParams, KernelCdf, gp_fit, gp_loglik, kernel_cdf_eval
+from .copula_mle import gp_fit
 from .asymptotics import (AsymptoticConstants, MomentSet, SigmaAsymptotic,
                           constants_c, lemma_b_residual, sigma_asymptotic)
-from .inference import (BootstrapResult, TestResult, bootstrap_t_test,
-                        exogeneity_test, exogeneity_test_of_fit,
-                        identification_diagnostic, pairs_bootstrap)
+from .inference import (BootstrapResult, TestResult, exogeneity_test,
+                        exogeneity_test_of_fit, identification_diagnostic,
+                        pairs_bootstrap)
 from .simulation import DgpConfig, McSummary, gen_dgp1, gen_dgp2, mc_run
 
 __all__ = [
     "__version__",
     "Dataset", "DistSpec", "QuadratureSpec", "RngStream", "sample",
     "DesignMatrix", "OlsFit", "ols_fit",
-    "FirstStage", "ecdf_rescaled", "first_stage", "normal_scores",
+    "FirstStage", "first_stage", "normal_scores",
     "ESTIMATORS", "ModelSpec", "ThetaEstimate",
     "fit_ols", "fit_npcf", "fit_iv_internal", "fit_two_scope",
-    "GpParams", "KernelCdf", "gp_fit", "gp_loglik", "kernel_cdf_eval",
+    "gp_fit",
     "AsymptoticConstants", "MomentSet", "SigmaAsymptotic",
     "constants_c", "lemma_b_residual", "sigma_asymptotic",
-    "BootstrapResult", "TestResult", "bootstrap_t_test", "exogeneity_test",
+    "BootstrapResult", "TestResult", "exogeneity_test",
     "exogeneity_test_of_fit", "identification_diagnostic", "pairs_bootstrap",
     "DgpConfig", "McSummary", "gen_dgp1", "gen_dgp2", "mc_run",
     "EndofixError", "DataError", "DomainError", "RankDeficiencyError",

@@ -27,11 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .errors import DomainError, IdentificationError, QuadratureError
-from .numerics import (DistSpec, QuadratureSpec, RngStream, integrate_1d,
-                       std_normal_pdf)
+from .numerics import DistSpec, QuadratureSpec, integrate_1d, std_normal_pdf
 
 __all__ = ["AsymptoticConstants", "MomentSet", "SigmaAsymptotic",
            "constants_c", "lemma_b_residual", "sigma_asymptotic"]
@@ -50,12 +49,6 @@ def _quantile_of_normal(F: DistSpec, t: np.ndarray) -> np.ndarray:
     if np.any(~neg):
         out[~neg] = F.isf(ndtr(-t[~neg]))
     return out
-
-
-def _check_scalar_family(F: DistSpec) -> None:
-    if F.family not in ("normal", "gamma", "empirical"):
-        raise DomainError(
-            f"constants are defined for scalar families, not {F.family!r}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +89,6 @@ def constants_c(F: DistSpec, spec: QuadratureSpec = QuadratureSpec()) -> Asympto
     does, and the covariance formulas require a centered error, so pass a
     centered spec (``DistSpec.centered_version()``) when that matters.
     """
-    _check_scalar_family(F)
     g = lambda t: _quantile_of_normal(F, t)
 
     c1, e1 = integrate_1d(lambda t: F.pdf(g(t)), -T_TRUNC, T_TRUNC, spec)
@@ -153,7 +145,6 @@ def _lemma_b_lhs(F: DistSpec, spec: QuadratureSpec) -> float:
     Phi(s) A2(s), with A1, A2 antiderivatives of t*Phi(t) and t*(1-Phi(t)),
     so it reduces to a single quadrature after u = Phi(s).
     """
-    _check_scalar_family(F)
     g = lambda t: _quantile_of_normal(F, t)
 
     def A1(s):
@@ -215,35 +206,6 @@ class MomentSet:
                    e_eta2_eps2=eps_var, e_eeta_eps2=eps_var * float(c2),
                    source="analytic-homoskedastic-gaussian")
 
-    @classmethod
-    def simulated(cls, stream: RngStream, x_dist: DistSpec, e_dist: DistSpec,
-                  eps_sigma_fn=None, n: int = 10 ** 6) -> "MomentSet":
-        """Estimate the moments from ``n`` draws (single exogenous slope).
-
-        ``eps_sigma_fn(x, e)`` may supply a conditional standard deviation
-        to model heteroskedasticity; default is homoskedastic unit scale.
-        """
-        from .numerics import sample
-        rng = stream.generator()
-        x = sample(stream.child(1), x_dist, n)
-        e = sample(stream.child(2), e_dist.centered_version(), n)
-        sig = np.ones(n) if eps_sigma_fn is None else eps_sigma_fn(x, e)
-        eps = rng.standard_normal(n) * sig
-        eta = ndtri(np.clip(e_dist.centered_version().cdf(e), 1e-300,
-                            float(np.nextafter(1.0, 0.0))))
-        xc = x - x.mean()
-        eps2 = eps * eps
-        return cls(
-            sigma_x=np.array([[float(np.mean(xc * xc))]]),
-            mu_x=np.array([float(np.mean(x))]),
-            sigma_e2=float(np.mean(e * e)),
-            e_xx_eps2=np.array([[float(np.mean(xc * xc * eps2))]]),
-            e_e2_eps2=float(np.mean(e * e * eps2)),
-            e_eta2_eps2=float(np.mean(eta * eta * eps2)),
-            e_eeta_eps2=float(np.mean(e * eta * eps2)),
-            source=f"simulated(n={n})",
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class SigmaAsymptotic:
@@ -283,7 +245,6 @@ def sigma_asymptotic(F: DistSpec, delta, rho: float, moments: MomentSet,
         is numerically singular — the Gaussian-error identification
         failure.  The raised error carries ``schur_margin``.
     """
-    _check_scalar_family(F)
     delta = np.atleast_1d(np.asarray(delta, dtype=np.float64))
     k = moments.k
     if delta.shape != (k,):

@@ -506,7 +506,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow reaches the report as a non-finite number, which
+        # _check_report turns into exit 3, so numpy need not warn of it
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (DataError, DomainError) as exc:
         print(f"endofix: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -67,7 +67,7 @@ class ThetaEstimate:
     names: tuple[str, ...]
     estimator_tag: str
     vcov: np.ndarray | None = None
-    vcov_source: str = "none"    # classical | hc0 | bootstrap | asymptotic-oracle | none
+    vcov_source: str = "none"    # classical | none
     first_stage: FirstStage | None = None
     r_squared: float | None = None
     extra: dict = field(default_factory=dict)
@@ -207,7 +207,15 @@ def fit_two_scope(data: Dataset, spec: ModelSpec) -> ThetaEstimate:
     sx_names = (INTERCEPT, *(f"score[{c}]" for c in spec.exogenous))
     corr = np.empty_like(Z)
     for j in range(Z.shape[1]):
-        corr[:, j] = _lstsq(SX, normal_scores(Z[:, j]), sx_names)[1]
+        try:
+            corr[:, j] = _lstsq(SX, normal_scores(Z[:, j]), sx_names)[1]
+        except RankDeficiencyError as exc:
+            raise RankDeficiencyError(
+                f"{exc}: two scored exogenous columns coincide or are "
+                "collinear; normal scores do not change under an increasing "
+                "transform, so exogenous columns that order the rows alike "
+                "(x and x^2 with x >= 0, say) get the same scores",
+                column=exc.column) from exc
     fit = _augmented_fit(X, Z, corr, y, spec)
     return ThetaEstimate(fit.coefficients, fit.column_names, "two_scope",
                          vcov=fit.vcov_classical, vcov_source="classical",

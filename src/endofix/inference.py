@@ -1,6 +1,6 @@
-"""Pairs bootstrap, bootstrap t-tests, the exogeneity test, and the
-normality diagnostic for the first-stage residuals, and the stacked
-least-squares engine behind the bootstrap and the Monte Carlo harness.
+"""Pairs bootstrap, the exogeneity test, the normality diagnostic for the
+first-stage residuals, and the stacked least-squares engine behind the
+bootstrap and the Monte Carlo harness.
 
 The bootstrap resamples whole observation rows with replacement and reruns
 the complete two-step pipeline (first stage, scores, second stage) on each
@@ -41,7 +41,7 @@ from .transform import (CONSTANT_RESIDUAL_RTOL, FirstStage, _rank_rows,
                         _scores_of_ranks)
 
 __all__ = ["BootstrapResult", "TestResult", "pairs_bootstrap",
-           "bootstrap_t_test", "exogeneity_test", "exogeneity_test_of_fit",
+           "exogeneity_test", "exogeneity_test_of_fit",
            "identification_diagnostic"]
 
 # Resample b draws its rows from seed.child(_BOOT_KEY, b), so its draw does
@@ -443,25 +443,6 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
                            percentile_ci=ci, level=level, B=B, seed=seed,
                            n_failed=n_failed, n_extreme_draws=extreme,
                            failures=failures, scalar_refits=refits.size)
-
-
-def bootstrap_t_test(fit: ThetaEstimate, boot: BootstrapResult, coef,
-                     null_value: float) -> TestResult:
-    """t-statistic for H0: theta[coef] = null_value with the bootstrap
-    standard error, referred to the standard normal."""
-    if isinstance(coef, str):
-        j = fit.names.index(coef)
-    else:
-        j = int(coef)
-    if fit.names != boot.names:
-        raise DataError("bootstrap result does not match the fitted model")
-    se = float(boot.se[j])
-    if se <= 0.0:
-        raise EndofixError("bootstrap standard error is zero; t-test undefined")
-    t = (float(fit.theta[j]) - null_value) / se
-    p = float(2.0 * ndtr(-abs(t)))
-    return TestResult(statistic=t, p_value=min(p, 1.0),
-                      null_description=f"{fit.names[j]} = {null_value:g}")
 
 
 def exogeneity_test(data: Dataset, spec: ModelSpec) -> TestResult:

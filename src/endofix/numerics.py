@@ -227,17 +227,20 @@ class RngStream:
 
 @dataclass(frozen=True, eq=False)
 class DistSpec:
-    """Parametric (or empirical) error-distribution description.
+    """Parametric error-distribution description.
 
-    Families: ``normal(mean, sd)``, ``gamma(shape, rate)`` (mean shape/rate),
-    ``empirical(sample, bandwidth)`` (kernel-smoothed), and
-    ``mvnormal(cov)`` (sampling only).  ``centered=True`` shifts the mean
-    to zero, which the asymptotic-variance formulas assume.
+    Families: ``normal(mean, sd)`` and ``gamma(shape, rate)`` (mean
+    shape/rate).  ``centered=True`` shifts the mean to zero, which the
+    asymptotic-variance formulas assume.
     """
 
     family: str
     params: tuple
     centered: bool = False
+
+    def __post_init__(self):
+        if self.family not in ("normal", "gamma"):
+            raise DomainError(f"unknown distribution family {self.family!r}")
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -251,25 +254,6 @@ class DistSpec:
         _check_gamma_params(shape, rate)
         return cls("gamma", (float(shape), float(rate)), centered)
 
-    @classmethod
-    def empirical(cls, sample_values, bandwidth: float | None = None,
-                  centered: bool = False) -> "DistSpec":
-        v = np.asarray(sample_values, dtype=np.float64).ravel()
-        if v.size < 2:
-            raise DomainError("empirical DistSpec needs at least 2 points")
-        if bandwidth is None:
-            bandwidth = 1.06 * float(np.std(v)) * v.size ** (-0.2)
-        if bandwidth <= 0.0:
-            raise DomainError("empirical bandwidth must be positive")
-        return cls("empirical", (v, float(bandwidth)), centered)
-
-    @classmethod
-    def mvnormal(cls, cov) -> "DistSpec":
-        c = np.asarray(cov, dtype=np.float64)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise DomainError("mvnormal covariance must be a square matrix")
-        return cls("mvnormal", (c,))
-
     # -- helpers -------------------------------------------------------
     @property
     def _shift(self) -> float:
@@ -278,12 +262,8 @@ class DistSpec:
     def _raw_mean(self) -> float:
         if self.family == "normal":
             return self.params[0]
-        if self.family == "gamma":
-            a, b = self.params
-            return a / b
-        if self.family == "empirical":
-            return float(np.mean(self.params[0]))
-        raise DomainError(f"no scalar mean for family {self.family!r}")
+        a, b = self.params
+        return a / b
 
     def mean(self) -> float:
         return self._raw_mean() - self._shift
@@ -291,93 +271,57 @@ class DistSpec:
     def var(self) -> float:
         if self.family == "normal":
             return self.params[1] ** 2
-        if self.family == "gamma":
-            a, b = self.params
-            return a / (b * b)
-        if self.family == "empirical":
-            return float(np.var(self.params[0])) + self.params[1] ** 2
-        raise DomainError(f"no scalar variance for family {self.family!r}")
+        a, b = self.params
+        return a / (b * b)
 
     def centered_version(self) -> "DistSpec":
         if self.centered:
             return self
         return DistSpec(self.family, self.params, True)
 
-    # -- scalar-family evaluations --------------------------------------
+    # -- evaluations ----------------------------------------------------
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64) + self._shift
         if self.family == "normal":
             m, s = self.params
             return ndtr((x - m) / s)
-        if self.family == "gamma":
-            a, b = self.params
-            return gammainc(a, b * np.maximum(x, 0.0))
-        if self.family == "empirical":
-            v, h = self.params
-            return np.mean(ndtr((x[..., None] - v) / h), axis=-1)
-        raise DomainError(f"no scalar cdf for family {self.family!r}")
+        a, b = self.params
+        return gammainc(a, b * np.maximum(x, 0.0))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=np.float64) + self._shift
         if self.family == "normal":
             m, s = self.params
             return std_normal_pdf((x - m) / s) / s
-        if self.family == "gamma":
-            a, b = self.params
-            logpdf = (a * math.log(b) - math.lgamma(a) - b * x
-                      + (a - 1.0) * np.log(np.where(x > 0.0, x, 1.0)))
-            return np.where(x > 0.0, np.exp(logpdf), 0.0)
-        if self.family == "empirical":
-            v, h = self.params
-            return np.mean(std_normal_pdf((x[..., None] - v) / h), axis=-1) / h
-        raise DomainError(f"no scalar pdf for family {self.family!r}")
+        a, b = self.params
+        logpdf = (a * math.log(b) - math.lgamma(a) - b * x
+                  + (a - 1.0) * np.log(np.where(x > 0.0, x, 1.0)))
+        return np.where(x > 0.0, np.exp(logpdf), 0.0)
 
     def quantile(self, u):
-        """Inverse CDF; raises DomainError unless 0 < u < 1 (parametric
-        families)."""
+        """Inverse CDF; raises DomainError unless 0 < u < 1."""
+        u = _check_prob(u, "quantile")
         if self.family == "normal":
             m, s = self.params
-            return m + s * ndtri(_check_prob(u, "quantile")) - self._shift
-        if self.family == "gamma":
-            a, b = self.params
-            return gammaincinv(a, _check_prob(u, "quantile")) / b - self._shift
-        if self.family == "empirical":
-            return self._empirical_quantile(np.asarray(u, dtype=np.float64))
-        raise DomainError(f"no scalar quantile for family {self.family!r}")
+            return m + s * ndtri(u) - self._shift
+        a, b = self.params
+        return gammaincinv(a, u) / b - self._shift
 
     def isf(self, q):
         """Upper-tail quantile, tail-accurate for tiny ``q``."""
+        q = _check_prob(q, "isf")
         if self.family == "normal":
             m, s = self.params
-            return m - s * ndtri(_check_prob(q, "isf")) - self._shift
-        if self.family == "gamma":
-            a, b = self.params
-            return gammainccinv(a, _check_prob(q, "isf")) / b - self._shift
-        if self.family == "empirical":
-            return self._empirical_quantile(1.0 - np.asarray(q, dtype=np.float64))
-        raise DomainError(f"no scalar isf for family {self.family!r}")
-
-    def _empirical_quantile(self, u):
-        u = np.clip(u, 1e-15, 1.0 - 1e-15)
-        v, h = self.params
-        lo = np.full_like(u, float(np.min(v)) - 40.0 * h)
-        hi = np.full_like(u, float(np.max(v)) + 40.0 * h)
-        shift = self._shift
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            below = np.mean(ndtr((mid[..., None] - v) / h), axis=-1) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi) - shift
-        return float(out) if out.ndim == 0 else out
+            return m - s * ndtri(q) - self._shift
+        a, b = self.params
+        return gammainccinv(a, q) / b - self._shift
 
 
 def sample(stream: RngStream, dist: DistSpec, n: int) -> np.ndarray:
     """Draw ``n`` reproducible samples from ``dist`` using ``stream``.
 
     Gamma draws use numpy's squeeze/rejection sampler (valid for every
-    shape > 0); multivariate normals go through an explicit Cholesky
-    factor and raise on a non-positive-definite covariance.
+    shape > 0).
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -385,21 +329,5 @@ def sample(stream: RngStream, dist: DistSpec, n: int) -> np.ndarray:
     if dist.family == "normal":
         m, s = dist.params
         return rng.normal(m - dist._shift, s, n)
-    if dist.family == "gamma":
-        a, b = dist.params
-        return rng.gamma(a, 1.0 / b, n) - dist._shift
-    if dist.family == "empirical":
-        # the smoothed empirical family IS a kernel mixture, so sampling
-        # adds the kernel noise — keeps cdf/pdf/quantile/sample coherent
-        v, h = dist.params
-        return (rng.choice(v, size=n, replace=True)
-                + h * rng.standard_normal(n) - dist._shift)
-    if dist.family == "mvnormal":
-        cov = dist.params[0]
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise DomainError("mvnormal covariance is not positive definite") from exc
-        z = rng.standard_normal((n, cov.shape[0]))
-        return z @ chol.T
-    raise DomainError(f"cannot sample family {dist.family!r}")
+    a, b = dist.params
+    return rng.gamma(a, 1.0 / b, n) - dist._shift

@@ -3,8 +3,8 @@
 The second-stage design can be nearly collinear (the endogenous column and
 its normal-scores correction are often correlated above 0.9); the pivoted
 factorization both stabilizes the solve and yields a rank diagnostic that
-names the offending column.  :func:`ols_fit` adds R² and the classical and
-HC0 covariances, so HC0 lives on the :class:`OlsFit` it returns.
+names the offending column.  :func:`ols_fit` adds R² and the classical
+covariance.
 """
 from __future__ import annotations
 
@@ -58,26 +58,20 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class OlsFit:
-    """Least-squares fit: coefficients, residuals, and covariance estimates.
-
-    ``vcov_classical`` is sigma2_hat * (X'X)^-1 with the usual residual
-    variance (RSS / (n - p)); ``vcov_hc0`` is the heteroskedasticity-robust
-    sandwich (X'X)^-1 (sum_i x_i x_i' e_i^2) (X'X)^-1.
+    """Least-squares fit: coefficients, residuals, and the classical
+    covariance sigma2_hat * (X'X)^-1 with the usual residual variance
+    (RSS / (n - p)).
     """
 
     coefficients: np.ndarray
     residuals: np.ndarray
     vcov_classical: np.ndarray
-    vcov_hc0: np.ndarray
     r_squared: float
     sigma2_hat: float
     column_names: tuple[str, ...]
 
     def se_classical(self) -> np.ndarray:
         return np.sqrt(np.diag(self.vcov_classical))
-
-    def se_hc0(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.vcov_hc0))
 
 
 def _lstsq(V: np.ndarray, b: np.ndarray, names: tuple[str, ...]):
@@ -102,11 +96,7 @@ def _lstsq(V: np.ndarray, b: np.ndarray, names: tuple[str, ...]):
         col = names[piv[bad[0]]]
         raise RankDeficiencyError(
             f"design matrix is rank deficient at column {col!r} "
-            f"(pivot ratio {diag[bad[0]] / ref if ref > 0 else 0.0:.2e}); "
-            "with a normal-scores correction this typically means the "
-            "first-stage residuals are too close to Gaussian for the "
-            "correction term to be distinguishable from the endogenous "
-            "regressor (identification failure)",
+            f"(pivot ratio {diag[bad[0]] / ref if ref > 0 else 0.0:.2e})",
             column=col,
         )
     coef_perm = solve_triangular(R, Q.T @ b, lower=False, check_finite=False)
@@ -116,8 +106,8 @@ def _lstsq(V: np.ndarray, b: np.ndarray, names: tuple[str, ...]):
 
 
 def ols_fit(X: DesignMatrix, y: np.ndarray) -> OlsFit:
-    """Least squares of ``y`` on ``X`` with R² and the classical and HC0
-    covariances.
+    """Least squares of ``y`` on ``X`` with R² and the classical
+    covariance.
 
     Parameters
     ----------
@@ -146,9 +136,6 @@ def ols_fit(X: DesignMatrix, y: np.ndarray) -> OlsFit:
     xtx_inv = np.empty((p, p))
     xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
 
-    xe = V * resid[:, None]
-    vcov_hc0 = xtx_inv @ (xe.T @ xe) @ xtx_inv
-
     tss = float(np.sum((y - y.mean()) ** 2)) if X.has_intercept else float(y @ y)
     r2 = 1.0 - rss / tss if tss > 0.0 else (1.0 if rss <= 1e-28 else 0.0)
 
@@ -156,7 +143,6 @@ def ols_fit(X: DesignMatrix, y: np.ndarray) -> OlsFit:
         coefficients=beta,
         residuals=resid,
         vcov_classical=sigma2 * xtx_inv,
-        vcov_hc0=vcov_hc0,
         r_squared=r2,
         sigma2_hat=sigma2,
         column_names=X.column_names,

@@ -16,8 +16,7 @@ from scipy.special import ndtri
 from .errors import ConstantInputError, DomainError
 from .regress import DesignMatrix, _lstsq
 
-__all__ = ["FirstStage", "average_ranks", "ecdf_rescaled", "normal_scores",
-           "first_stage"]
+__all__ = ["FirstStage", "average_ranks", "normal_scores", "first_stage"]
 
 # First-stage residuals whose standard deviation is at most this fraction
 # of the endogenous column's scale count as constant.
@@ -79,14 +78,6 @@ def _rank_rows(rows: np.ndarray):
     ranks = np.empty(rows.size, dtype=np.float64)
     ranks[order.ravel()] = np.repeat(0.5 * (2 * lo + counts + 1), counts)
     return ranks.reshape(rows.shape), order, sv
-
-
-def ecdf_rescaled(v: np.ndarray) -> np.ndarray:
-    """Rescaled empirical CDF values rank(v_i) / (n + 1), all in (0, 1)."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if v.size < 2:
-        raise DomainError("ecdf_rescaled needs n >= 2")
-    return average_ranks(v) / (v.size + 1.0)
 
 
 def normal_scores(v: np.ndarray) -> np.ndarray:

@@ -141,18 +141,6 @@ class TestSigmaAsymptotic:
         S = sigma_asymptotic(CG32, [1.0], 0.5, m, SPEC)
         assert S.schur_margin > 0.01
 
-    def test_simulated_moments_match_analytic(self):
-        # homoskedastic unit-normal errors: the simulation route must land
-        # on the closed forms
-        sim = MomentSet.simulated(RngStream(40), DistSpec.gamma(1, 1),
-                                  DistSpec.gamma(1, 1), n=400_000)
-        ana = self._moments(CEXP)
-        assert sim.sigma_e2 == pytest.approx(ana.sigma_e2, rel=0.02)
-        assert sim.e_e2_eps2 == pytest.approx(ana.e_e2_eps2, rel=0.05)
-        assert sim.e_eta2_eps2 == pytest.approx(ana.e_eta2_eps2, rel=0.05)
-        assert sim.e_eeta_eps2 == pytest.approx(ana.e_eeta_eps2, rel=0.05)
-        assert sim.e_xx_eps2[0, 0] == pytest.approx(ana.e_xx_eps2[0, 0],
-                                                    rel=0.05)
 
 
 class TestMonteCarloOracleForC2:

@@ -444,6 +444,33 @@ class TestFitCommand:
         assert rc == 3
 
 
+def test_two_scope_names_exogenous_columns_that_score_alike(tmp_path,
+                                                           capsys):
+    # x >= 0, so x and x^2 order the rows alike and have equal normal
+    # scores: 2scope's scored exogenous block is rank deficient, which is
+    # no identification failure of the control function
+    rng = np.random.default_rng(1)
+    x = rng.gamma(2.0, 1.0, 200)
+    z = 0.5 * x + rng.gamma(1.0, 1.0, 200)
+    y = 1.0 + x - 0.05 * x ** 2 + z + rng.standard_normal(200)
+    p = tmp_path / "d.csv"
+    _write_csv(p, ["y", "x", "z"], zip(y, x, z))
+    rc = main(["fit", "--data", str(p), "--outcome", "y", "--exog", "x",
+               "square:x", "--endog", "z", "--estimator", "2scope",
+               "--bootstrap", "9"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("endofix: numeric failure: design matrix is rank "
+                          "deficient at column 'score[x")
+    assert "two scored exogenous columns coincide" in err
+    assert "Gaussian" not in err and "identification" not in err
+    assert err.count("\n") == 1
+    # the other estimators fit this design
+    assert main(["fit", "--data", str(p), "--outcome", "y", "--exog", "x",
+                 "square:x", "--endog", "z", "--estimator", "npcf",
+                 "--bootstrap", "9"]) == 0
+
+
 class TestFiniteReports:
     """A report holds only finite numbers and parses as strict JSON, or the
     run exits 3 naming the first non-finite statistic."""
@@ -472,7 +499,9 @@ class TestFiniteReports:
     def test_overflowing_statistic_exits_3(self, tmp_path, capsys,
                                            estimator):
         # one finite y of 1e300 among 30 rows: its squared residual
-        # overflows, so ols's standard errors and R^2 would be inf and nan
+        # overflows, so ols's standard errors and R^2 would be inf and nan.
+        # stderr holds the one-line message and no numpy warning: main
+        # raises none, or it would end the run here
         rng = np.random.default_rng(0)
         x = rng.standard_normal(30)
         z = x + rng.gamma(1.0, 1.0, 30)
@@ -481,7 +510,7 @@ class TestFiniteReports:
         csv_path, out = tmp_path / "d.csv", tmp_path / "r.json"
         _write_csv(csv_path, ["y", "x", "z"], zip(y, x, z))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             rc = main(["fit", "--data", str(csv_path), "--outcome", "y",
                        "--exog", "x", "--endog", "z", "--estimator",
                        estimator, "--bootstrap", "19", "--out", str(out)])

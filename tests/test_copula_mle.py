@@ -2,113 +2,70 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
-from endofix.copula_mle import (GpParams, KernelCdf, _loglik_core, gp_fit,
-                                gp_loglik, kernel_cdf_eval,
-                                silverman_bandwidth)
+from endofix.copula_mle import gp_fit
 from endofix.data import Dataset
-from endofix.errors import ConstantInputError, DataError, DomainError
-from endofix.estimators import ModelSpec, build_design, fit_ols
+from endofix.errors import ConstantInputError
+from endofix.estimators import build_design, fit_ols
 from endofix.numerics import DistSpec, RngStream, sample
 from endofix.simulation import MODEL_SPEC, DgpConfig, generate
 from endofix.transform import normal_scores
 
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-class TestKernelCdf:
-    def test_clipped_at_lower_end(self):
-        F = KernelCdf(np.array([0.0, 1.0, 2.0, 3.0]), 0.5)
-        assert kernel_cdf_eval(F, -1e6) == 1.0 / 8.0     # 1/(2n)
-        assert kernel_cdf_eval(F, 1e6) == 1.0 - 1.0 / 8.0
 
-    def test_support_at_origin_collapses_to_normal_cdf(self):
-        # all mass at 0 with unit bandwidth: the raw smoothed CDF is the
-        # standard normal CDF; inside the clip band the values pass through
-        # (with a single point the band [1/(2n), 1-1/(2n)] degenerates to
-        # {1/2}, so two coincident points are used)
-        F2 = KernelCdf(np.array([0.0, 0.0]), 1.0)
-        t2 = np.array([-0.6, 0.0, 0.3])
-        assert kernel_cdf_eval(F2, t2) == pytest.approx(ndtr(t2))
-        F1 = KernelCdf(np.array([0.0]), 1.0)
-        assert kernel_cdf_eval(F1, np.array([2.0]))[0] == 0.5  # fully clipped
+def _loglik_core(u: np.ndarray, eta: np.ndarray, rho: float,
+                 sigma_u: float) -> float:
+    """Gaussian-copula log likelihood given generalized residuals ``u`` and
+    the regressor's normal scores ``eta``: the oracle that gp_fit's closed
+    form maximises."""
+    n = u.size
+    q = u / sigma_u
+    one_m = 1.0 - rho * rho
+    ll = float(np.sum(-0.5 * q * q)) - n * (_LOG_SQRT_2PI + math.log(sigma_u))
+    ll -= 0.5 * n * math.log(one_m)
+    quad = rho * rho * (eta @ eta + q @ q) - 2.0 * rho * (eta @ q)
+    ll -= quad / (2.0 * one_m)
+    return ll
 
-    def test_exponential_median_oracle(self):
-        # the rule-of-thumb bandwidth leaves a systematic smoothing bias of
-        # about -h^2 f'(m)/2 (~ -0.01 at this n) on top of sampling noise,
-        # so the band is set accordingly
-        e = sample(RngStream(30), DistSpec.gamma(1, 1), 4000)
-        F = KernelCdf.from_sample(e)
-        med = float(np.median(e))
-        assert kernel_cdf_eval(F, med) == pytest.approx(1 - math.exp(-med),
-                                                        abs=0.04)
 
-    def test_strictly_increasing(self):
-        e = sample(RngStream(31), DistSpec.gamma(3, 2), 200)
-        F = KernelCdf.from_sample(e)
-        t = np.linspace(np.min(e), np.max(e), 500)
-        assert np.all(np.diff(kernel_cdf_eval(F, t)) > 0)
-
-    def test_bandwidth_validation(self):
-        with pytest.raises(DomainError):
-            KernelCdf(np.array([1.0, 2.0]), 0.0)
-        with pytest.raises(DomainError):
-            silverman_bandwidth(np.full(10, 3.0))
+def _rank_loglik(d):
+    """(alpha, rho, sigma_u) -> log likelihood on the rank scores of z."""
+    X, Z, y = build_design(d, MODEL_SPEC)
+    D = np.column_stack([X.values, Z])
+    eta = normal_scores(Z[:, 0])
+    return lambda a, r, s: _loglik_core(y - D @ a, eta, r, s)
 
 
 class TestGpLoglik:
-    def _setup(self, n=300, seed=32):
+    @staticmethod
+    def _setup(n=300, seed=32):
         cfg_rng = RngStream(seed)
         x = sample(cfg_rng.child(1), DistSpec.gamma(1, 1), n)
         z = sample(cfg_rng.child(2), DistSpec.gamma(1, 1), n)
         y = 1.0 - x + z + cfg_rng.child(3).generator().standard_normal(n)
-        d = Dataset({"y": y, "x": x, "z": z})
-        F = KernelCdf.from_sample(z)
-        return d, F
+        return Dataset({"y": y, "x": x, "z": z})
 
     def test_rho_zero_reduces_to_gaussian_loglik(self):
-        d, F = self._setup()
-        p = GpParams(np.array([1.0, -1.0, 1.0]), rho=0.0, sigma_u=1.3)
+        d = self._setup()
+        alpha = np.array([1.0, -1.0, 1.0])
         X, Z, y = build_design(d, MODEL_SPEC)
-        u = y - np.column_stack([X.values, Z]) @ p.alpha
+        u = y - np.column_stack([X.values, Z]) @ alpha
         q = u / 1.3
         direct = float(np.sum(-0.5 * q * q - 0.5 * math.log(2 * math.pi)
                               - math.log(1.3)))
-        assert gp_loglik(p, d, MODEL_SPEC, F) == pytest.approx(direct, rel=1e-12)
+        assert _rank_loglik(d)(alpha, 0.0, 1.3) == pytest.approx(direct,
+                                                                rel=1e-12)
 
     def test_sign_symmetry(self):
-        # negating the regressor flips its scores exactly; with gamma and
-        # rho negated as well the likelihood value is unchanged
-        d, F = self._setup()
-        p = GpParams(np.array([0.8, -1.1, 0.9]), rho=0.35, sigma_u=1.1)
-        base = gp_loglik(p, d, MODEL_SPEC, F)
+        # negating the regressor flips its rank scores exactly; with gamma
+        # and rho negated as well the likelihood value is unchanged
+        d = self._setup()
+        base = _rank_loglik(d)(np.array([0.8, -1.1, 0.9]), 0.35, 1.1)
         d2 = Dataset({"y": d.column("y"), "x": d.column("x"),
                       "z": -d.column("z")})
-        F2 = KernelCdf(-F.support_points, F.bandwidth)
-        p2 = GpParams(np.array([0.8, -1.1, -0.9]), rho=-0.35, sigma_u=1.1)
-        assert gp_loglik(p2, d2, MODEL_SPEC, F2) == pytest.approx(base, rel=1e-12)
-
-    def test_finite_difference_gradient_in_gamma(self):
-        d, F = self._setup()
-        h = 1e-5
-        def ll(g):
-            return gp_loglik(GpParams(np.array([1.0, -1.0, g]), 0.3, 1.2),
-                             d, MODEL_SPEC, F)
-        num = (ll(1.0 + h) - ll(1.0 - h)) / (2 * h)
-        num2 = (ll(1.0 + 2 * h) - ll(1.0 - 2 * h)) / (4 * h)
-        # Richardson agreement to 1e-4 relative confirms smoothness in gamma
-        assert num == pytest.approx(num2, rel=1e-4)
-
-    def test_rho_domain(self):
-        with pytest.raises(DomainError):
-            GpParams(np.array([1.0]), rho=1.0)
-        with pytest.raises(DomainError):
-            GpParams(np.array([1.0]), rho=0.0, sigma_u=0.0)
-
-    def test_requires_single_endogenous(self):
-        d, F = self._setup()
-        spec = ModelSpec("y", (), ("x", "z"))
-        with pytest.raises(DataError):
-            gp_loglik(GpParams(np.array([1.0, 1.0, 1.0]), 0.0), d, spec, F)
+        flipped = _rank_loglik(d2)(np.array([0.8, -1.1, -0.9]), -0.35, 1.1)
+        assert flipped == pytest.approx(base, rel=1e-12)
 
 
 class TestGpFit:
@@ -142,11 +99,6 @@ class TestGpFit:
         assert fit.extra["sigma_u"] > 0.0
         assert fit.names == ("const", "x", "z", "rho[z]")
 
-    def test_kernel_marginal_variant_runs(self, dgp1_small):
-        fit = gp_fit(dgp1_small, MODEL_SPEC, marginal="kernel")
-        assert fit.extra["marginal"] == "kernel"
-        assert np.all(np.isfinite(fit.theta))
-
     def test_recovers_copula_correlation(self):
         # exogenous-regressor world generated exactly under the model the
         # comparator assumes: coefficients and copula correlation recovered
@@ -179,26 +131,14 @@ def _dgp(kind):
 
 
 class TestGpFitOptimality:
-    """The closed-form fit against the likelihood itself: ``gp_loglik``
-    (kernel scores) or ``_loglik_core`` on the rank scores."""
+    """The closed-form fit against the likelihood itself, on the rank
+    scores."""
 
-    @staticmethod
-    def _oracle(d, marginal):
-        X, Z, y = build_design(d, MODEL_SPEC)
-        D = np.column_stack([X.values, Z])
-        if marginal == "kernel":
-            F = KernelCdf.from_sample(Z[:, 0])
-            return lambda a, r, s: gp_loglik(GpParams(a, r, s), d,
-                                              MODEL_SPEC, F)
-        eta = normal_scores(Z[:, 0])
-        return lambda a, r, s: _loglik_core(y - D @ a, eta, r, s)
-
-    @pytest.mark.parametrize("marginal", ["ranks", "kernel"])
     @pytest.mark.parametrize("kind", ["dgp1", "dgp2"])
-    def test_beats_every_neighbour(self, kind, marginal):
+    def test_beats_every_neighbour(self, kind):
         d = _dgp(kind)
-        fit = gp_fit(d, MODEL_SPEC, marginal=marginal)
-        ll = self._oracle(d, marginal)
+        fit = gp_fit(d, MODEL_SPEC)
+        ll = _rank_loglik(d)
         alpha, rho, sigma = fit.theta[:-1], fit.theta[-1], fit.extra["sigma_u"]
         best = ll(alpha, rho, sigma)
         neighbours = [(rho + dr, sigma) for dr in (-1e-3, 1e-3)]
@@ -211,12 +151,11 @@ class TestGpFitOptimality:
                 step[j] += h
                 assert best > ll(step, rho, sigma)
 
-    @pytest.mark.parametrize("marginal", ["ranks", "kernel"])
     @pytest.mark.parametrize("kind", ["dgp1", "dgp2"])
-    def test_reported_loglik_matches_oracle(self, kind, marginal):
+    def test_reported_loglik_matches_oracle(self, kind):
         d = _dgp(kind)
-        fit = gp_fit(d, MODEL_SPEC, marginal=marginal)
-        ll = self._oracle(d, marginal)
+        fit = gp_fit(d, MODEL_SPEC)
+        ll = _rank_loglik(d)
         assert fit.extra["loglik"] == pytest.approx(
             ll(fit.theta[:-1], fit.theta[-1], fit.extra["sigma_u"]),
             rel=1e-10)
@@ -224,18 +163,13 @@ class TestGpFitOptimality:
 
 class TestGpLoglikInvariance:
     def test_permutation_invariance(self):
-        rng = RngStream(35)
-        n = 200
-        x = sample(rng.child(1), DistSpec.gamma(1, 1), n)
-        z = sample(rng.child(2), DistSpec.gamma(1, 1), n)
-        y = 1.0 - x + z + rng.child(3).generator().standard_normal(n)
-        d = Dataset({"y": y, "x": x, "z": z})
-        F = KernelCdf.from_sample(z)
-        p = GpParams(np.array([1.0, -1.0, 1.0]), rho=0.4, sigma_u=1.2)
-        base = gp_loglik(p, d, MODEL_SPEC, F)
-        perm = np.random.default_rng(0).permutation(n)
+        d = TestGpLoglik._setup(n=200, seed=35)
+        alpha = np.array([1.0, -1.0, 1.0])
+        base = _rank_loglik(d)(alpha, 0.4, 1.2)
+        perm = np.random.default_rng(0).permutation(d.n)
         d2 = Dataset({k: v[perm] for k, v in d.columns.items()})
-        assert gp_loglik(p, d2, MODEL_SPEC, F) == pytest.approx(base, rel=1e-12)
+        assert _rank_loglik(d2)(alpha, 0.4, 1.2) == pytest.approx(base,
+                                                                 rel=1e-12)
 
     def test_unbiased_without_endogeneity(self):
         # all four estimators should be centered when rho = 0; this covers

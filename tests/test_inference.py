@@ -10,12 +10,11 @@ from endofix import inference
 from endofix.copula_mle import gp_fit
 from endofix.data import Dataset
 from endofix.errors import (BootstrapError, ConstantInputError, DataError,
-                            DomainError, EndofixError, IdentificationError,
+                            DomainError, IdentificationError,
                             RankDeficiencyError)
 from endofix.estimators import ESTIMATORS, ModelSpec, build_design, fit_npcf
 from endofix.inference import (_BOOT_KEY, _CHUNK_BYTES, _split_ties,
-                               bootstrap_t_test, exogeneity_test,
-                               exogeneity_test_of_fit,
+                               exogeneity_test, exogeneity_test_of_fit,
                                identification_diagnostic, pairs_bootstrap)
 from endofix.numerics import DistSpec, RngStream, sample, words_generator
 from endofix.regress import _lstsq
@@ -526,10 +525,9 @@ class TestConstantEndogenousResample:
 
     def test_gp_counts_constant_z_resamples(self):
         # z holds two ones among zeros, so about e^-2 of the resamples
-        # miss both.  Picking a bandwidth for such a z would raise
-        # DomainError and end the bootstrap; they must count as constant
-        # input instead.  gp also fails every other resample, whose binary
-        # z makes the scores of z affine in z.
+        # miss both; they must count as constant input rather than end the
+        # bootstrap.  gp also fails every other resample, whose binary z
+        # makes the scores of z affine in z.
         rng = np.random.default_rng(3)
         z = np.zeros(300)
         z[[10, 200]] = 1.0
@@ -543,40 +541,8 @@ class TestConstantEndogenousResample:
                             seed=RngStream(5))
         assert "{'ConstantInputError': 27}" in str(npcf.value)
         assert "'ConstantInputError': 27" in str(gp.value)
-        for marginal in ("ranks", "kernel"):
-            with pytest.raises(ConstantInputError):
-                gp_fit(d.take(np.arange(10)), MODEL_SPEC, marginal)
-
-
-class TestBootstrapTTest:
-    def _fit_and_boot(self, dgp1_small):
-        fit = fit_npcf(dgp1_small, MODEL_SPEC)
-        boot = pairs_bootstrap(dgp1_small, MODEL_SPEC, "npcf", B=99,
-                               seed=RngStream(11))
-        return fit, boot
-
-    def test_zero_at_null(self, dgp1_small):
-        fit, boot = self._fit_and_boot(dgp1_small)
-        res = bootstrap_t_test(fit, boot, "z", float(fit.coef("z")))
-        assert res.statistic == 0.0
-        assert res.p_value == 1.0
-
-    def test_hand_computed_ratio(self, dgp1_small):
-        # the reference application reports estimate 0.072 with bootstrap
-        # standard error 0.003 and a t-statistic of about 25
-        fit, boot = self._fit_and_boot(dgp1_small)
-        j = fit.names.index("z")
-        fit2 = fit
-        fit2.theta[j] = 0.072
-        boot.se[j] = 0.003
-        res = bootstrap_t_test(fit2, boot, "z", 0.0)
-        assert 23.9 <= res.statistic <= 25.1
-
-    def test_zero_se_rejected(self, dgp1_small):
-        fit, boot = self._fit_and_boot(dgp1_small)
-        boot.se[0] = 0.0
-        with pytest.raises(EndofixError):
-            bootstrap_t_test(fit, boot, "const", 0.0)
+        with pytest.raises(ConstantInputError):
+            gp_fit(d.take(np.arange(10)), MODEL_SPEC)
 
 
 class TestExogeneityTest:

@@ -308,17 +308,6 @@ class TestSample:
         assert abs(x.mean() - 1.5) <= 5 * sd / math.sqrt(n)
         assert x.var() == pytest.approx(0.75, rel=0.05)
 
-    def test_mvnormal_correlations(self):
-        cov = np.array([[1, 0.5, 0.5], [0.5, 1, 0.0], [0.5, 0.0, 1]])
-        W = sample(RngStream(3), DistSpec.mvnormal(cov), 100_000)
-        r = np.corrcoef(W.T)
-        assert np.abs(r - cov).max() <= 0.02
-
-    def test_mvnormal_rejects_non_pd(self):
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(DomainError):
-            sample(RngStream(0), DistSpec.mvnormal(bad), 10)
-
     def test_centered_gamma(self):
         d = DistSpec.gamma(3, 2, centered=True)
         x = sample(RngStream(4), d, 200_000)
@@ -326,10 +315,9 @@ class TestSample:
         assert d.mean() == pytest.approx(0.0)
         assert d.quantile(d.cdf(0.3)) == pytest.approx(0.3, abs=1e-9)
 
-    def test_empirical_distspec(self):
-        base = sample(RngStream(5), DistSpec.gamma(1, 1), 500)
-        d = DistSpec.empirical(base)
-        u = np.linspace(0.05, 0.95, 19)
-        q = d.quantile(u)
-        assert np.all(np.diff(q) > 0)
-        assert np.abs(d.cdf(q) - u).max() <= 1e-6
+
+class TestDistSpec:
+    @pytest.mark.parametrize("family", ["empirical", "mvnormal", "Normal"])
+    def test_only_normal_and_gamma_families(self, family):
+        with pytest.raises(DomainError, match=repr(family)):
+            DistSpec(family, (0.0, 1.0))

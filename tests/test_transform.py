@@ -10,8 +10,7 @@ from endofix.errors import ConstantInputError, DomainError
 from endofix.numerics import DistSpec, RngStream, sample
 from endofix.regress import DesignMatrix, _lstsq
 from endofix.transform import (_half_rank_scores, _scores_of_ranks,
-                               average_ranks, ecdf_rescaled, first_stage,
-                               normal_scores)
+                               average_ranks, first_stage, normal_scores)
 
 
 def _brute_force_average_ranks(v):
@@ -25,20 +24,7 @@ def _brute_force_average_ranks(v):
     return out
 
 
-class TestEcdfRescaled:
-    def test_reference_triple(self):
-        # (0.5, -1, 2) has ranks (2, 1, 3) out of n+1 = 4
-        assert ecdf_rescaled(np.array([0.5, -1.0, 2.0])) == pytest.approx(
-            [2 / 4, 1 / 4, 3 / 4])
-
-    def test_sorted_input(self):
-        n = 17
-        v = np.arange(n, dtype=float)
-        assert ecdf_rescaled(v) == pytest.approx(np.arange(1, n + 1) / (n + 1))
-
-    def test_tie_pair(self):
-        assert ecdf_rescaled(np.array([1.0, 1.0])) == pytest.approx([1.5 / 3, 1.5 / 3])
-
+class TestAverageRanks:
     def test_ties_match_brute_force(self):
         rng = np.random.default_rng(0)
         v = rng.integers(0, 5, size=40).astype(float)   # plenty of ties
@@ -53,11 +39,6 @@ class TestEcdfRescaled:
     ])
     def test_average_ranks_bit_identical_to_brute_force(self, v):
         assert np.array_equal(average_ranks(v), _brute_force_average_ranks(v))
-
-    def test_outputs_strictly_inside_unit_interval(self):
-        rng = np.random.default_rng(1)
-        u = ecdf_rescaled(rng.standard_normal(500))
-        assert u.min() > 0.0 and u.max() < 1.0
 
 
 class TestNormalScores:
