@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .data import Dataset
 from .errors import (BootstrapError, ConstantInputError, DataError,
                      DomainError, EndofixError, IdentificationError,
-                     QuadratureError, RankDeficiencyError)
+                     NonFiniteError, QuadratureError, RankDeficiencyError)
 from .numerics import DistSpec, QuadratureSpec, RngStream, sample
 from .regress import DesignMatrix, OlsFit, ols_fit
 from .transform import FirstStage, first_stage, normal_scores
@@ -43,5 +43,5 @@ __all__ = [
     "DgpConfig", "McSummary", "gen_dgp1", "gen_dgp2", "mc_run",
     "EndofixError", "DataError", "DomainError", "RankDeficiencyError",
     "ConstantInputError", "QuadratureError", "IdentificationError",
-    "BootstrapError",
+    "BootstrapError", "NonFiniteError",
 ]

@@ -15,6 +15,20 @@ integral is reduced exactly to a single cumulative integral over the
 triangle below the diagonal, evaluated on a doubling composite-Simpson
 grid.
 
+Every integrand is a function of g(t) = F^-1(Phi(t)), and g is evaluated
+once per abscissa.  c1, c2 and the lemma-B integral are QUADPACK
+integrals over the same interval, which pass one scalar abscissa at a
+time and meet many abscissae more than once; they read g from a memo
+(:func:`_g_memo`) that one computation makes and drops, and a scalar g
+skips numpy's masked array path.  Each doubled c3 grid holds the
+previous one at its even points, bit for bit, so only its odd points
+are evaluated.
+
+c1 is infinite for a gamma error of shape <= 1 (:func:`_c1_diverges`).
+:func:`constants_c` then gives c1's truncated integral by default, the
+value the plug-in covariance uses, or inf on request without
+integrating it, as the ``constants`` command asks.
+
 These formulas assume a mean-zero first-stage error; distributions are
 centered automatically where that matters.  If the error distribution is
 Gaussian the scores are a linear function of the error and the moment
@@ -39,8 +53,11 @@ __all__ = ["AsymptoticConstants", "MomentSet", "SigmaAsymptotic",
 T_TRUNC = 8.5
 
 
-def _quantile_of_normal(F: DistSpec, t: np.ndarray) -> np.ndarray:
+def _quantile_of_normal(F: DistSpec, t):
     """g(t) = F^-1(Phi(t)), evaluated tail-accurately on both sides."""
+    if np.ndim(t) == 0:
+        # quad's abscissae are scalars: no masks of 0-d arrays for them
+        return F.quantile(ndtr(t)) if t <= 0.0 else F.isf(ndtr(-t))
     t = np.asarray(t, dtype=np.float64)
     out = np.empty_like(t)
     neg = t <= 0.0
@@ -49,6 +66,30 @@ def _quantile_of_normal(F: DistSpec, t: np.ndarray) -> np.ndarray:
     if np.any(~neg):
         out[~neg] = F.isf(ndtr(-t[~neg]))
     return out
+
+
+def _g_memo(F: DistSpec):
+    """g = F^-1 o Phi at scalar abscissae, each computed once per memo.
+
+    The integrals of c1, c2 and lemma B all run over [-T_TRUNC, T_TRUNC],
+    so QUADPACK meets many abscissae in more than one of them.  A memo
+    lives only as long as the computation that makes it.
+    """
+    memo = {}
+
+    def g(t: float):
+        v = memo.get(t)
+        if v is None:
+            v = memo[t] = _quantile_of_normal(F, t)
+        return v
+    return g
+
+
+def _c1_diverges(F: DistSpec) -> bool:
+    """Is c1 infinite?  For a gamma error of shape a <= 1 the c1 integrand
+    behaves like u^(-1/a) / sqrt(2 log(1/u)) near u = 0, whose integral
+    diverges; for larger shapes and for the normal it is finite."""
+    return F.family == "gamma" and F.params[0] <= 1.0
 
 
 @dataclass(frozen=True)
@@ -65,53 +106,88 @@ class AsymptoticConstants:
             raise DomainError("c3 is a variance and cannot be negative")
 
 
-def _c3_simpson(g_of, M: int) -> float:
+def _g_phi(F: DistSpec, t: np.ndarray) -> np.ndarray:
+    """Rows g(t), Phi(t) and 1 - Phi(t) = Phi(-t) at the points ``t``."""
+    return np.stack([_quantile_of_normal(F, t), ndtr(t), ndtr(-t)])
+
+
+def _c3_simpson(t: np.ndarray, vals: np.ndarray) -> float:
     """c3 on a fixed grid: 2 * int g(s) (1-Phi(s)) C1(s) ds with
-    C1(s) = int_{-T}^{s} g Phi, both by composite Simpson with M panels."""
-    edges = np.linspace(-T_TRUNC, T_TRUNC, M + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    h = edges[1] - edges[0]
-    ge, gm = g_of(edges), g_of(mids)
-    Fe, Fm = ndtr(edges), ndtr(mids)
-    w_e, w_m = ge * Fe, gm * Fm
+    C1(s) = int_{-T}^{s} g Phi, both by composite Simpson with M panels.
+
+    ``t`` is np.linspace(-T, T, 2M + 1), whose even points are the panel
+    edges and odd points the midpoints, and ``vals`` is ``_g_phi(F, t)``.
+    """
+    g, Phi, Phi_c = vals
+    h = t[2] - t[0]
+    ge = g[0::2]
+    w_e, w_m = ge * Phi[0::2], g[1::2] * Phi[1::2]
     panel = h / 6.0 * (w_e[:-1] + 4.0 * w_m + w_e[1:])
     C1 = np.concatenate([[0.0], np.cumsum(panel)])
-    v = 2.0 * ge * ndtr(-edges) * C1
+    v = 2.0 * ge * Phi_c[0::2] * C1
     # composite Simpson over the edge grid (M is even)
     return h / 3.0 * (v[0] + v[-1] + 4.0 * np.sum(v[1:-1:2])
                       + 2.0 * np.sum(v[2:-1:2]))
 
 
-def constants_c(F: DistSpec, spec: QuadratureSpec = QuadratureSpec()) -> AsymptoticConstants:
+def _c3_doubling(F: DistSpec, spec: QuadratureSpec):
+    """c3 on Simpson grids of 2048, 4096, ... panels, doubled until two
+    successive values agree to ``spec.abs_tol`` (or 1e-12); returns (c3,
+    last change, panels).  Each doubled grid's even points are the
+    previous grid bit for bit (with T_TRUNC = 8.5 and power-of-two panel
+    counts every grid point is exact in double precision), so only its
+    odd points are evaluated."""
+    M = 2048
+    t = np.linspace(-T_TRUNC, T_TRUNC, 2 * M + 1)
+    vals = _g_phi(F, t)
+    prev = _c3_simpson(t, vals)
+    c3_err = math.inf
+    while M <= 16384:
+        M *= 2
+        t = np.linspace(-T_TRUNC, T_TRUNC, 2 * M + 1)
+        fine = np.empty((3, t.size))
+        fine[:, 0::2] = vals
+        fine[:, 1::2] = _g_phi(F, t[1::2])
+        vals = fine
+        cur = _c3_simpson(t, vals)
+        c3_err = abs(cur - prev)
+        prev = cur
+        if c3_err <= max(spec.abs_tol, 1e-12):
+            return prev, c3_err, M
+    raise QuadratureError(
+        f"c3 grid did not stabilize (last doubling changed it by {c3_err:.2e})")
+
+
+def constants_c(F: DistSpec, spec: QuadratureSpec = QuadratureSpec(), *,
+                g=None, truncate_c1: bool = True) -> AsymptoticConstants:
     """Compute (c1, c2, c3) for a continuous scalar distribution.
 
     ``c2`` and ``c1`` do not depend on the distribution's location; ``c3``
     does, and the covariance formulas require a centered error, so pass a
     centered spec (``DistSpec.centered_version()``) when that matters.
+
+    ``g`` is a memo of F^-1 o Phi from :func:`_g_memo` for F, to share
+    its evaluations with other integrals of F; one is made here when it
+    is None.  Where c1 diverges (a gamma error of shape <= 1), the
+    default ``truncate_c1=True`` gives its integral over |t| <= T_TRUNC,
+    a finite artefact of the truncation that the plug-in covariance
+    uses; ``truncate_c1=False`` gives c1 = inf without integrating it,
+    and the report has no ``c1_err``.
     """
-    g = lambda t: _quantile_of_normal(F, t)
-
-    c1, e1 = integrate_1d(lambda t: F.pdf(g(t)), -T_TRUNC, T_TRUNC, spec)
-    c2, e2 = _c2_quadrature(g, spec)
-
-    M = 2048
-    prev = _c3_simpson(g, M)
-    c3_err = math.inf
-    while M <= 16384:
-        M *= 2
-        cur = _c3_simpson(g, M)
-        c3_err = abs(cur - prev)
-        prev = cur
-        if c3_err <= max(spec.abs_tol, 1e-12):
-            break
+    if g is None:
+        g = _g_memo(F)
+    report = {}
+    if truncate_c1 or not _c1_diverges(F):
+        c1, e1 = integrate_1d(lambda t: F.pdf(g(t)), -T_TRUNC, T_TRUNC, spec)
+        report["c1_err"] = float(e1)
     else:
-        raise QuadratureError(
-            f"c3 grid did not stabilize (last doubling changed it by {c3_err:.2e})")
-    report = {"c1_err": float(e1), "c2_err": float(e2),
-              "c3_doubling_delta": float(c3_err), "c3_panels": M,
-              "t_truncation": T_TRUNC}
+        c1 = math.inf
+    c2, e2 = _c2_quadrature(g, spec)
+    c3, c3_err, M = _c3_doubling(F, spec)
+    report.update({"c2_err": float(e2), "c3_doubling_delta": float(c3_err),
+                   "c3_panels": M, "t_truncation": T_TRUNC})
     return AsymptoticConstants(c1=float(c1), c2=float(c2),
-                               c3=float(max(prev, 0.0)),
+                               c3=float(max(c3, 0.0)),
                                quadrature_report=report)
 
 
@@ -133,20 +209,19 @@ def lemma_b_residual(F: DistSpec, spec: QuadratureSpec = QuadratureSpec()) -> fl
     Requires int (F^-1)^2 du < infinity, which every supported family with
     a finite variance satisfies.
     """
-    lhs = _lemma_b_lhs(F, spec)
-    c2, _ = _c2_quadrature(lambda t: _quantile_of_normal(F, t), spec)
-    return abs(lhs - 0.5 * c2)
+    g = _g_memo(F)
+    c2, _ = _c2_quadrature(g, spec)
+    return abs(_lemma_b_lhs(g, spec) - 0.5 * c2)
 
 
-def _lemma_b_lhs(F: DistSpec, spec: QuadratureSpec) -> float:
+def _lemma_b_lhs(g, spec: QuadratureSpec) -> float:
     """The double integral on the left of :func:`lemma_b_residual`.
 
     The inner v-integral has the closed form (1-Phi(s)) A1(s) +
     Phi(s) A2(s), with A1, A2 antiderivatives of t*Phi(t) and t*(1-Phi(t)),
-    so it reduces to a single quadrature after u = Phi(s).
+    so it reduces to a single quadrature after u = Phi(s).  ``g`` is a
+    memo of F^-1 o Phi from :func:`_g_memo`.
     """
-    g = lambda t: _quantile_of_normal(F, t)
-
     def A1(s):
         return 0.5 * ((s * s - 1.0) * ndtr(s) + s * std_normal_pdf(s))
 

@@ -26,12 +26,12 @@ import numpy as np
 from . import __version__
 from . import copula_mle  # noqa: F401  (registers the copula estimator)
 from .data import Dataset
-from .errors import DataError, DomainError, EndofixError
+from .errors import DataError, DomainError, EndofixError, NonFiniteError
 from .estimators import ESTIMATORS, ModelSpec, ThetaEstimate, fit_npcf, fit_ols
 from .inference import (exogeneity_test_of_fit, identification_diagnostic,
                         pairs_bootstrap)
 from .numerics import DistSpec, QuadratureSpec, RngStream
-from .asymptotics import _lemma_b_lhs, constants_c
+from .asymptotics import _g_memo, _lemma_b_lhs, constants_c
 from .simulation import DgpConfig, mc_run
 
 REPORT_SCHEMA = "endofix-report/2"
@@ -298,12 +298,13 @@ def _non_finite(obj, path: str = "") -> str | None:
 
 
 def _check_report(report: dict) -> None:
-    """Raise EndofixError naming the first non-finite statistic: a report
-    holds only finite numbers, which is also what strict JSON allows."""
+    """Raise NonFiniteError naming the first non-finite statistic: a
+    report holds only finite numbers, which is also what strict JSON
+    allows."""
     bad = _non_finite(report)
     if bad is not None:
-        raise EndofixError(f"statistic {bad} is not finite: a computation "
-                           "overflowed double precision")
+        raise NonFiniteError(f"statistic {bad} is not finite: a "
+                             "computation overflowed double precision")
 
 
 def _write_report(report: dict, path: str) -> None:
@@ -431,12 +432,18 @@ def cmd_constants(args) -> int:
     else:
         raise DataError(f"unknown distribution {args.dist!r}")
     spec = QuadratureSpec(abs_tol=args.tol, max_subdivisions=40000)
-    cons = constants_c(F, spec)
+    # one evaluation of F^-1 o Phi per abscissa for all three quadratures
+    g = _g_memo(F)
+    cons = constants_c(F, spec, g=g, truncate_c1=False)
     # lemma_b_residual(F, spec), with the c2 that constants_c integrated
-    resid = abs(_lemma_b_lhs(F, spec) - 0.5 * cons.c2)
+    resid = abs(_lemma_b_lhs(g, spec) - 0.5 * cons.c2)
     margin = float(np.min(np.abs(np.linalg.eigvalsh(
         np.array([[F.var(), cons.c2], [cons.c2, 1.0]])))))
-    print(f"c1 = {cons.c1:.10f}")
+    if math.isinf(cons.c1):
+        print("c1 = inf   [DIVERGES: for gamma shape a <= 1 the integrand "
+              "behaves like u^(-1/a) / sqrt(2 log(1/u)) near u = 0]")
+    else:
+        print(f"c1 = {cons.c1:.10f}")
     print(f"c2 = {cons.c2:.10f}")
     print(f"c3 = {cons.c3:.10f}")
     print(f"lemma-b residual      = {resid:.3e}")

@@ -30,6 +30,11 @@ class ConstantInputError(EndofixError):
     """A vector that must vary is constant (ranks are degenerate)."""
 
 
+class NonFiniteError(EndofixError):
+    """A computed statistic is not finite: it overflowed double precision
+    (or is undefined)."""
+
+
 class QuadratureError(EndofixError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 

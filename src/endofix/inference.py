@@ -32,7 +32,7 @@ from scipy.special import ndtr
 from .data import Dataset
 from .errors import (BootstrapError, ConstantInputError, DataError,
                      DomainError, EndofixError, IdentificationError,
-                     RankDeficiencyError)
+                     NonFiniteError, RankDeficiencyError)
 from .estimators import (ESTIMATORS, ModelSpec, ThetaEstimate, _check_finite,
                          _names, fit_npcf)
 from .numerics import RngStream, _SeedWords, words_generator
@@ -91,9 +91,11 @@ class BootstrapResult:
     """Bootstrap draws and the statistics derived from them.
 
     ``draws`` holds one row per successful resample, in resample order;
-    ``n_failed`` counts degenerate resamples that were dropped (rank
-    failures), and ``failures`` splits that count by exception type name,
-    e.g. ``{"RankDeficiencyError": 2}``.  ``se`` is the per-coefficient
+    ``n_failed`` counts the resamples that were dropped, degenerate ones
+    (rank, constant-input and identification failures) and those whose
+    coefficients are not finite (``NonFiniteError``), and ``failures``
+    splits that count by exception type name, e.g.
+    ``{"RankDeficiencyError": 2}``.  ``se`` is the per-coefficient
     standard deviation of the draws and ``percentile_ci`` the (lo, hi)
     empirical quantiles at level 1 - alpha.
     ``n_extreme_draws`` counts draws farther than 10 interquartile ranges
@@ -283,9 +285,9 @@ def _fit_stack(estimator: str, data: Dataset, spec: ModelSpec,
     Returns (theta, ok, se).  ``theta[s]`` holds the coefficients in the
     scalar estimator's order.  ``ok[s]`` is False when problem s comes
     near one of the scalar estimator's rejections, or near a rounding
-    tie, and must be refitted by the scalar estimator, which then
-    decides.  ``se`` holds ols's classical standard errors, and is None
-    for the other estimators.
+    tie, or its coefficients are not finite, and must be refitted by the
+    scalar estimator, which then decides.  ``se`` holds ols's classical
+    standard errors, and is None for the other estimators.
 
     Each stage factors the augmented ``[design | rhs]`` with an unpivoted
     QR: the top-right block of R is Q'rhs, so Q is never formed.  The
@@ -326,6 +328,7 @@ def _fit_stack(estimator: str, data: Dataset, spec: ModelSpec,
     del W
     ok &= _well_conditioned(R[:, :q, :q])
     theta = _solve_upper(R[:, :q, :q], R[:, :q, q:], ok)[..., 0]
+    ok &= np.isfinite(theta).all(axis=1)
     # when y is fitted exactly the residuals are rounding noise, and so
     # are gp's rho and every standard error (ols's classical ones and the
     # bootstrap's): flag a problem near that
@@ -359,9 +362,10 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
     estimator, which then decides whether it fails; ``iv_internal`` and
     estimators registered later refit every resample.  The stacked draws
     equal those of refitting every resample to rounding (about 1e-14
-    relative), not bit for bit.  The full sample is not fitted here: a
-    dataset the estimator cannot fit makes its resamples fail, which
-    raises BootstrapError.
+    relative), not bit for bit.  A resample whose refitted coefficients
+    are not finite fails as a ``NonFiniteError``.  The full sample is not
+    fitted here: a dataset the estimator cannot fit makes its resamples
+    fail, which raises BootstrapError.
 
     Resample b's rows are ``seed.child(_BOOT_KEY, b).generator()
     .integers(0, n, size=n)``, bit for bit, however they are drawn: a
@@ -385,7 +389,10 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
     Raises
     ------
     BootstrapError
-        If B < 2, or more than 1% of resamples are degenerate.
+        If B < 2, or more than 1% of resamples fail.
+    NonFiniteError
+        If a standard error or interval bound is not finite: the spread
+        of finite draws overflowed double precision.
     DomainError
         If ``level`` is not strictly between 0 and 1, a model column holds
         a non-finite value, or there are no more rows than coefficients.
@@ -421,21 +428,29 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
         try:
             rows = _resample_rows(words[b], n)
             theta[b] = fit_fn(data.take(rows), spec).theta
+            if not np.all(np.isfinite(theta[b])):
+                raise NonFiniteError("non-finite bootstrap coefficients")
             solved[b] = True
         except (RankDeficiencyError, ConstantInputError,
-                IdentificationError) as exc:
+                IdentificationError, NonFiniteError) as exc:
             kind = type(exc).__name__
             failures[kind] = failures.get(kind, 0) + 1
     n_failed = B - int(solved.sum())
     if n_failed > 0.01 * B:
         raise BootstrapError(
-            f"{n_failed} of {B} bootstrap resamples were degenerate "
-            f"(rank failures: {failures}); the design is too fragile for "
+            f"{n_failed} of {B} bootstrap resamples failed "
+            f"(by type: {failures}); the design is too fragile for "
             "resampling")
     draws = theta[solved]
 
     se = draws.std(axis=0, ddof=1)
     ci = np.quantile(draws, [level / 2.0, 1.0 - level / 2.0], axis=0)
+    bad = ~(np.isfinite(se) & np.isfinite(ci).all(axis=0))
+    if bad.any():
+        raise NonFiniteError(
+            f"bootstrap standard error or interval of "
+            f"{names[int(np.argmax(bad))]} is not finite: the spread of "
+            "the draws overflowed double precision")
     q1, med, q3 = np.percentile(draws, [25.0, 50.0, 75.0], axis=0)
     iqr = np.maximum(q3 - q1, 1e-300)
     extreme = int(np.sum(np.any(np.abs(draws - med) > 10.0 * iqr, axis=1)))
@@ -488,9 +503,11 @@ def identification_diagnostic(fs: FirstStage) -> list[TestResult]:
     for j in range(fs.m):
         e = fs.e_hat[:, j]
         c = e - e.mean()
-        m2 = float(np.mean(c ** 2))
-        skew = float(np.mean(c ** 3)) / m2 ** 1.5
-        kurt = float(np.mean(c ** 4)) / m2 ** 2
+        # products, not c ** 3 and c ** 4, which go through libm's pow
+        c2 = c * c
+        m2 = float(np.mean(c2))
+        skew = float(np.mean(c2 * c)) / m2 ** 1.5
+        kurt = float(np.mean(c2 * c2)) / m2 ** 2
         jb = fs.n * (skew ** 2 / 6.0 + (kurt - 3.0) ** 2 / 24.0)
         p = math.exp(-jb / 2.0)  # chi-squared(2) upper tail, exact
         out.append(TestResult(

@@ -37,9 +37,17 @@ def _check_gamma_params(shape: float, rate: float) -> None:
         raise DomainError(f"gamma rate must be positive, got {rate}")
 
 
-def _check_prob(u, what: str) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+def _check_prob(u, what: str):
+    """``u`` as float64 (a float for a scalar); raises DomainError unless
+    0 < u < 1 everywhere, and lets NaN through."""
+    if np.ndim(u) == 0:
+        # a scalar skips the array machinery (quadrature calls one at a time)
+        u = float(u)
+        bad = u <= 0.0 or u >= 1.0
+    else:
+        u = np.asarray(u, dtype=np.float64)
+        bad = np.any(u <= 0.0) or np.any(u >= 1.0)
+    if bad:
         raise DomainError(f"{what} requires 0 < u < 1")
     return u
 

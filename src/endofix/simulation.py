@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 
 from .data import Dataset
-from .errors import DataError, DomainError, EndofixError
+from .errors import DataError, DomainError, EndofixError, NonFiniteError
 from .estimators import ESTIMATORS, ModelSpec, _names
 from .inference import _STACKED, _chunk, _fit_stack, pairs_bootstrap
 from .numerics import DistSpec, RngStream, words_generator
@@ -241,13 +241,14 @@ class McSummary:
     negligible at the rep counts used here.  ``draws`` holds the raw
     per-repetition coefficient estimates when the run was asked to keep
     them (estimator -> {coefficient -> list of reps values}).
-    ``completed`` counts the repetitions with a point estimate per
+    ``completed`` counts the repetitions with a finite point estimate per
     estimator.  ``failures`` counts failed fits and failed bootstraps by
-    exception type name (estimator -> {type name -> count}); a
-    repetition whose bootstrap failed keeps its point estimate in
-    bias/std/rmse and is left out of ``size`` only.  ``scalar_refits``
-    counts, per estimator, the repetitions fitted by the registered scalar
-    estimator rather than the stacked engine.
+    exception type name (estimator -> {type name -> count}); a point
+    estimate that is not finite counts as a ``NonFiniteError`` fit
+    failure.  A repetition whose bootstrap failed keeps its point
+    estimate in bias/std/rmse and is left out of ``size`` only.
+    ``scalar_refits`` counts, per estimator, the repetitions fitted by the
+    registered scalar estimator rather than the stacked engine.
     """
 
     cells: dict[tuple[str, str], McCell]
@@ -313,14 +314,18 @@ def _rep_result(est: str, data: Dataset, point, B: int, master: RngStream,
     ``est`` here with the registered scalar estimator.  ``data`` may be
     None when neither that fit nor a bootstrap runs.  The bootstrap
     stream is derived from ``master`` only when a bootstrap runs.  A
-    failed bootstrap keeps the point estimate and leaves only the tests
-    out.
+    point estimate that is not finite fails the repetition as a
+    ``NonFiniteError``.  A failed bootstrap keeps the point estimate and
+    leaves only the tests out.
     """
     if point is None:
         try:
             fit = ESTIMATORS[est](data, MODEL_SPEC)
         except (EndofixError, np.linalg.LinAlgError) as exc:
             return None, None, type(exc).__name__
+        # the stacked engine leaves a non-finite point to this fit
+        if not np.all(np.isfinite(fit.theta)):
+            return None, None, NonFiniteError.__name__
         point = fit.names, fit.theta, fit.se() if est == "ols" else None
     names, theta, se = point
     failure = None
@@ -350,8 +355,10 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
     for the corrected estimators and classical standard errors for plain
     OLS.  Pass ``B=0`` to skip the tests (bias/std/rmse only), which is
     much cheaper; any other B below 2 raises DomainError.  A repetition
-    whose bootstrap fails keeps its point estimate and is left out of the
-    size only; ``McSummary.failures`` counts such failures by type.
+    whose fit fails or gives coefficients that are not finite is left out
+    of every cell; one whose bootstrap fails keeps its point estimate and
+    is left out of the size only.  ``McSummary.failures`` counts both
+    kinds by type.
     ``keep_draws`` retains the raw per-repetition estimates on the
     summary.  Fully deterministic given ``master``: data and bootstrap
     streams are keyed by (repetition, estimator identity), so the

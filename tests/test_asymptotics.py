@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import gammainc, ndtri
 
-from endofix.asymptotics import (MomentSet, _lemma_b_lhs, constants_c,
+from endofix import asymptotics
+from endofix.asymptotics import (MomentSet, _g_memo, _lemma_b_lhs,
+                                 _quantile_of_normal, constants_c,
                                  lemma_b_residual, sigma_asymptotic)
+from endofix.cli import main
 from endofix.errors import IdentificationError
 from endofix.numerics import DistSpec, QuadratureSpec, RngStream
 
@@ -87,7 +90,7 @@ class TestLemmaBResidual:
     def test_residual_from_constants_c2_is_identical(self, F):
         # the constants command forms the residual from constants_c's c2
         c2 = constants_c(F, SPEC).c2
-        resid = abs(_lemma_b_lhs(F, SPEC) - 0.5 * c2)
+        resid = abs(_lemma_b_lhs(_g_memo(F), SPEC) - 0.5 * c2)
         assert resid == lemma_b_residual(F, SPEC)
 
     def test_both_sides_half_for_gaussian(self):
@@ -156,3 +159,105 @@ class TestMonteCarloOracleForC2:
         mc, se = float(prod.mean()), float(prod.std() / math.sqrt(n))
         c2 = constants_c(CG32, SPEC).c2
         assert abs(c2 - mc) <= 3.0 * se
+
+
+def _dist(text: str) -> DistSpec:
+    if text == "normal":
+        return NORMAL
+    a, b = (float(v) for v in text.split(":")[1].split(","))
+    return DistSpec.gamma(a, b, centered=True)
+
+
+class TestScalarQuantileOfNormal:
+    """g = F^-1 o Phi at one scalar abscissa (quad's calls) equals the
+    array evaluation (c3's grids) bit for bit."""
+
+    @pytest.mark.parametrize("dist", ["normal", "gamma:3,2", "gamma:1,1",
+                                      "gamma:10,1"])
+    def test_scalar_equals_array(self, dist):
+        F = _dist(dist)
+        t = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 8.5, -8.5],
+                            np.linspace(-8.5, 8.5, 341),
+                            np.random.default_rng(3).uniform(-8.5, 8.5, 200)])
+        ref = _quantile_of_normal(F, t)
+        for ti, want in zip(t, ref):
+            for scalar in (float(ti), np.float64(ti), np.array(ti)):
+                got = _quantile_of_normal(F, scalar)
+                assert np.ndim(got) == 0
+                assert got == want, (dist, ti)
+
+
+# c1, c2, c3, lemma_b_residual and the upper triangle of sigma_asymptotic's
+# Sigma (delta 1, rho 0.9, unit Sigma_x, unit-variance Gaussian eps),
+# recorded from the implementation that evaluated g once per integrand
+# call and c3's two grids in full
+_RECORDED = [
+    ("normal", 1e-09, (0.9999999999999999, 0.9999999999999986,
+                       0.49999999999989553, 9.936496070395151e-15),
+     None),
+    ("gamma:3,2", 1e-09, (1.4502413205166842, 0.8352387208487841,
+                          0.3662307403977689, 1.5210055437364645e-14),
+     (26.513536545050343, -24.23584261325195, 20.24271418298501,
+      24.23584261325195, -20.24271418298501, 18.31249870070394)),
+    ("gamma:1,1", 1e-09, (8.292361075897324, 0.903197285568622,
+                          0.46871492751695387, 3.524958103184872e-14),
+     (63.57779249688117, -6.879558204304978, 6.213598296039599,
+      6.879558204304971, -6.213598296039592, 7.017105114596775)),
+    ("gamma:10,1", 1e-09, (0.3353565111634711, 3.1275378245413905,
+                           4.963540647411741, 3.7969627442180354e-14),
+     (7.722421008936131, -5.811462693340275, 18.175569389332892,
+      5.811462693340275, -18.175569389332892, 58.24978074771529)),
+    ("gamma:1.5,3", 1e-07, (4.567894618557189, 0.3805629459079769,
+                            0.07965321616344909, 1.2406742300186124e-14),
+     (61.90245621583696, -58.085591947594054, 22.105223986385056,
+      58.08559194759405, -22.105223986385052, 9.81742916021437)),
+    ("gamma:2,0.5", 1e-11, (0.5230886884413933, 2.681054789511717,
+                            3.8636438947281206, 5.88418203051333e-14),
+     (4.33594619051084, -1.5628770821906557, 4.190159086625355,
+      1.5628770821906557, -4.190159086625355, 12.639046088012954)),
+]
+
+
+@pytest.mark.parametrize("dist,tol,constants,sigma", _RECORDED,
+                         ids=[r[0] for r in _RECORDED])
+def test_constants_equal_recorded_values(dist, tol, constants, sigma):
+    F = _dist(dist)
+    spec = QuadratureSpec(abs_tol=tol, max_subdivisions=40000)
+    c = constants_c(F, spec)
+    assert (c.c1, c.c2, c.c3, lemma_b_residual(F, spec)) == constants
+    if sigma is not None:
+        m = MomentSet.homoskedastic_gaussian(np.array([[1.0]]), [0.0],
+                                             F.var(), c.c2, 1.0)
+        S = sigma_asymptotic(F, [1.0], 0.9, m, spec).Sigma
+        assert tuple(S[np.triu_indices(3)]) == sigma
+
+
+def test_constants_command_evaluates_g_once_per_abscissa(monkeypatch,
+                                                         capsys):
+    # c1, c2 and the lemma-B integral share one memo of g; c3's doubled
+    # grid evaluates only its new (odd) points: 4097 + 4096 points, where
+    # computing both grids in full takes 4097 + 8193
+    scalars, grid_points, integrand_points = [], [], []
+    quantile, integrate = _quantile_of_normal, asymptotics.integrate_1d
+
+    def counted_quantile(F, t):
+        if np.ndim(t) == 0:
+            scalars.append(float(t))
+        else:
+            grid_points.append(np.size(t))
+        return quantile(F, t)
+
+    def counted_integrate(f, *args):
+        def counted_f(t):
+            integrand_points.append(t)
+            return f(t)
+        return integrate(counted_f, *args)
+
+    monkeypatch.setattr(asymptotics, "_quantile_of_normal", counted_quantile)
+    monkeypatch.setattr(asymptotics, "integrate_1d", counted_integrate)
+    assert main(["constants", "--dist", "gamma:3,2"]) == 0
+    assert "c3_panels': 4096" in capsys.readouterr().out
+    assert len(scalars) == len(set(scalars)) == len(set(integrand_points))
+    assert len(integrand_points) > 2 * len(scalars)
+    assert sum(grid_points) == 8193
+

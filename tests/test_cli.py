@@ -499,7 +499,9 @@ class TestFiniteReports:
     def test_overflowing_statistic_exits_3(self, tmp_path, capsys,
                                            estimator):
         # one finite y of 1e300 among 30 rows: its squared residual
-        # overflows, so ols's standard errors and R^2 would be inf and nan.
+        # overflows, so ols's standard errors and R^2 would be inf and nan;
+        # the other estimators' bootstrap draws are finite (about 1e299),
+        # but their variance overflows, before any report is built.
         # stderr holds the one-line message and no numpy warning: main
         # raises none, or it would end the run here
         rng = np.random.default_rng(0)
@@ -516,9 +518,11 @@ class TestFiniteReports:
                        estimator, "--bootstrap", "19", "--out", str(out)])
         assert rc == 3
         cap = capsys.readouterr()
-        assert cap.err == ("endofix: numeric failure: statistic "
-                           "estimates.ols.se.const is not finite: a "
-                           "computation overflowed double precision\n")
+        assert cap.err == "endofix: numeric failure: " + (
+            "statistic estimates.ols.se.const is not finite: a computation "
+            "overflowed double precision\n" if estimator == "ols" else
+            "bootstrap standard error or interval of const is not finite: "
+            "the spread of the draws overflowed double precision\n")
         assert cap.out == ""
         assert not out.exists()
 
@@ -544,6 +548,30 @@ def test_closed_stdout_exits_141_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
     assert err == b""
+
+
+def test_fit_and_simulate_never_import_scipy_integrate(tmp_path):
+    # importing scipy.integrate pulls in scipy.optimize, 0.2 s or so of
+    # cold start that only the constants command needs
+    import endofix
+    csv_path = tmp_path / "d.csv"
+    _write_dgp1_csv(csv_path, n=60)
+    script = f"""
+import contextlib, io, sys
+import endofix.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    fit = cli.main(["fit", "--data", {str(csv_path)!r}, "--outcome", "y",
+                    "--exog", "x", "--endog", "z", "--bootstrap", "9"])
+    sim = cli.main(["simulate", "--dgp", "2", "--n", "60", "--reps", "2",
+                    "--B", "9", "--estimators", "ols", "npcf", "iv",
+                    "2scope", "gp"])
+print(fit, sim, "scipy.integrate" in sys.modules)
+"""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(endofix.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "0 0 False\n", proc.stderr
 
 
 class TestConfigurationErrors:
@@ -777,6 +805,33 @@ class TestConstantsCommand:
 
     def test_bad_dist_exit_code(self, capsys):
         assert main(["constants", "--dist", "cauchy"]) == 2
+
+    def test_gamma_constants_output(self, capsys):
+        # the benchmark's op, byte for byte
+        assert main(["constants", "--dist", "gamma:3,2"]) == 0
+        assert capsys.readouterr().out == (
+            "c1 = 1.4502413205\n"
+            "c2 = 0.8352387208\n"
+            "c3 = 0.3662307404\n"
+            "lemma-b residual      = 1.521e-14\n"
+            "singularity margin    = 3.046e-02\n"
+            "quadrature report     = {'c1_err': 7.036323684859005e-12, "
+            "'c2_err': 5.652789686350377e-10, 'c3_doubling_delta': "
+            "1.1114997811034755e-12, 'c3_panels': 4096, 't_truncation': "
+            "8.5}\n")
+
+    @pytest.mark.parametrize("dist,c2", [("gamma:1,1", "0.9031972856"),
+                                         ("gamma:0.5,1", "0.5886198032")])
+    def test_divergent_c1_is_reported(self, dist, c2, capsys):
+        # c1 is infinite for gamma shape <= 1; the other constants are not
+        assert main(["constants", "--dist", dist]) == 0
+        cap = capsys.readouterr()
+        lines = cap.out.splitlines()
+        assert lines[0].startswith("c1 = inf   [DIVERGES: ")
+        assert lines[1] == f"c2 = {c2}"
+        assert float(lines[3].split("=")[1]) < 1e-6
+        assert "c1_err" not in lines[5]
+        assert cap.err == ""
 
 
 class TestMultiEndogenousFit:

@@ -11,7 +11,7 @@ from endofix.copula_mle import gp_fit
 from endofix.data import Dataset
 from endofix.errors import (BootstrapError, ConstantInputError, DataError,
                             DomainError, IdentificationError,
-                            RankDeficiencyError)
+                            NonFiniteError, RankDeficiencyError)
 from endofix.estimators import ESTIMATORS, ModelSpec, build_design, fit_npcf
 from endofix.inference import (_BOOT_KEY, _CHUNK_BYTES, _split_ties,
                                exogeneity_test, exogeneity_test_of_fit,
@@ -631,7 +631,8 @@ class TestBootstrapDegeneracyAccounting:
     estimator registered just for these tests."""
 
     @staticmethod
-    def _register(fail_on: set, wild_on: set = frozenset()):
+    def _register(fail_on: set, wild_on: set = frozenset(),
+                  non_finite_on: set = frozenset()):
         from endofix.estimators import ESTIMATORS
         from endofix.errors import RankDeficiencyError
 
@@ -644,6 +645,8 @@ class TestBootstrapDegeneracyAccounting:
             fit = fit_npcf(data, spec)
             if calls["i"] in wild_on:
                 fit.theta[:] = fit.theta + 1e6
+            if calls["i"] in non_finite_on:
+                fit.theta[-1] = np.inf
             return fit
 
         ESTIMATORS["_fragile"] = fragile
@@ -676,6 +679,29 @@ class TestBootstrapDegeneracyAccounting:
         finally:
             self._cleanup()
 
+    def test_rare_non_finite_draw_dropped_and_counted(self, dgp1_small):
+        self._register(fail_on=set(), non_finite_on={5})
+        try:
+            boot = pairs_bootstrap(dgp1_small, MODEL_SPEC, "_fragile", B=199,
+                                   seed=RngStream(80))
+            assert boot.n_failed == 1
+            assert boot.failures == {"NonFiniteError": 1}
+            assert boot.draws.shape[0] == 198
+            assert np.isfinite(boot.se).all()
+        finally:
+            self._cleanup()
+
+    def test_excessive_non_finite_draws_raise(self, dgp1_small):
+        self._register(fail_on={1}, non_finite_on={2, 3})
+        try:
+            with pytest.raises(BootstrapError, match="3 of 99 bootstrap "
+                               "resamples failed .*'RankDeficiencyError': "
+                               "1, 'NonFiniteError': 2"):
+                pairs_bootstrap(dgp1_small, MODEL_SPEC, "_fragile", B=99,
+                                seed=RngStream(81))
+        finally:
+            self._cleanup()
+
     def test_extreme_draws_flagged(self, dgp1_small):
         self._register(fail_on=set(), wild_on={7})
         try:
@@ -684,3 +710,46 @@ class TestBootstrapDegeneracyAccounting:
             assert boot.n_extreme_draws >= 1
         finally:
             self._cleanup()
+
+
+def _huge_outcome_data(y3: float) -> Dataset:
+    """30 rows with one outcome of ``y3`` (the rest of order 1)."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(30)
+    z = x + rng.gamma(1.0, 1.0, 30)
+    y = 1.0 + x + z + rng.standard_normal(30)
+    y[3] = y3
+    return Dataset({"y": y, "x": x, "z": z})
+
+
+_HUGE_SPEC = ModelSpec("y", ("x",), ("z",))
+
+
+@pytest.mark.parametrize("estimator", ["npcf", "iv_internal", "two_scope",
+                                       "gp_copula"])
+class TestNonFiniteDraws:
+    def test_overflowing_draws_are_counted_failures(self, estimator):
+        # resamples holding the row of y = 1.7e308 more than once fit
+        # coefficients that overflow; each counts as a NonFiniteError
+        data = _huge_outcome_data(1.7e308)
+        with np.errstate(all="ignore"):
+            with pytest.raises(BootstrapError,
+                               match=r"'NonFiniteError': [1-9]"):
+                pairs_bootstrap(data, _HUGE_SPEC, estimator, B=19)
+            if estimator == "iv_internal":
+                return
+            idx = inference._resample_chunk(
+                RngStream(0).child_words(_BOOT_KEY, np.arange(99)), 30)
+            theta, ok, _ = inference._fit_stack(estimator, data, _HUGE_SPEC,
+                                                idx)
+        # the stack never accepts a non-finite draw for itself
+        assert np.isfinite(theta[ok]).all()
+
+    def test_overflowing_spread_raises(self, estimator):
+        # with y = 1e300 the draws are finite (about 1e299) but their
+        # variance overflows: no standard error of inf is returned
+        data = _huge_outcome_data(1e300)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteError, match="standard error or "
+                               "interval of const is not finite"):
+                pairs_bootstrap(data, _HUGE_SPEC, estimator, B=19)

@@ -8,8 +8,9 @@ from scipy.special import gammainc, gammaincc, gammaincinv
 
 from endofix.errors import DomainError, QuadratureError
 from endofix.numerics import (DistSpec, QuadratureSpec, RngStream,
-                              _seed_words, _splitmix64, integrate_1d, sample,
-                              std_normal_pdf, words_generator)
+                              _check_prob, _seed_words, _splitmix64,
+                              integrate_1d, sample, std_normal_pdf,
+                              words_generator)
 
 SPEC = QuadratureSpec(abs_tol=1e-10, max_subdivisions=8000)
 
@@ -163,6 +164,28 @@ class TestGamma:
             gamma_quantile(1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             DistSpec.gamma(1.0, 1.0).isf(0.0)
+
+
+class TestCheckProb:
+    @pytest.mark.parametrize("u", [0.0, 1.0, -0.0, -1e-300, 1.5])
+    @pytest.mark.parametrize("shape", ["float", "0-d", "array"])
+    def test_raises_outside_the_open_unit_interval(self, u, shape):
+        arg = {"float": u, "0-d": np.array(u),
+               "array": np.array([0.5, u, 0.25])}[shape]
+        with pytest.raises(DomainError, match="0 < u < 1"):
+            _check_prob(arg, "quantile")
+
+    def test_lets_nan_through(self):
+        assert math.isnan(_check_prob(math.nan, "quantile"))
+        got = _check_prob([0.5, math.nan], "quantile")
+        assert got[0] == 0.5 and math.isnan(got[1])
+        assert math.isnan(NORMAL.quantile(math.nan))
+        assert np.isnan(DistSpec.gamma(3, 2).isf([math.nan])).all()
+
+    def test_returns_float64(self):
+        assert _check_prob(np.float32(0.25), "isf") == 0.25
+        got = _check_prob([0.25, 0.75], "isf")
+        assert got.dtype == np.float64 and list(got) == [0.25, 0.75]
 
 
 class TestQuadrature:

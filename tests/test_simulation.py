@@ -526,3 +526,32 @@ def test_stacked_paths_take_no_scalar_refits():
         boot = pairs_bootstrap(data, MODEL_SPEC, est, B=99,
                                seed=RngStream(73))
         assert boot.scalar_refits == 0
+
+
+def test_non_finite_point_estimates_are_counted_and_left_out(monkeypatch):
+    # a fit whose coefficients overflow is a failed repetition: counted by
+    # type, out of every cell, and its bootstrap is never run
+    from endofix.estimators import ESTIMATORS, fit_npcf
+
+    calls = Counter()
+
+    def overflowing(data, spec):
+        fit = fit_npcf(data, spec)
+        calls["fits"] += 1
+        if calls["fits"] % 3 == 1:
+            fit.theta[1] = np.inf
+        return fit
+
+    monkeypatch.setitem(ESTIMATORS, "_overflowing", overflowing)
+    cfg = DgpConfig("dgp1", n=80, e_dist=DistSpec.gamma(1, 1), delta=1.0,
+                    rho=0.5)
+    s = mc_run(cfg, ("npcf", "_overflowing"), reps=6, B=0,
+               master=RngStream(74), keep_draws=True)
+    assert s.failures == {"_overflowing": {"NonFiniteError": 2}}
+    assert s.completed == {"npcf": 6, "_overflowing": 4}
+    kept = np.array(s.draws["_overflowing"]["x"])
+    assert kept.size == 4 and np.isfinite(kept).all()
+    assert s.cell("_overflowing", "x").bias == kept.mean() - cfg.truth()["x"]
+    # the repetitions kept are the (stacked) npcf fits of the same data
+    npcf = np.array(s.draws["npcf"]["x"])[[1, 2, 4, 5]]
+    assert np.abs(kept - npcf).max() <= 1e-12 * np.abs(npcf).max()
