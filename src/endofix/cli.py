@@ -321,6 +321,10 @@ def cmd_fit(args) -> int:
     if tag != "ols" and args.bootstrap < 2:
         raise DataError(f"--bootstrap must be at least 2 for the "
                         f"{args.estimator} estimator, got {args.bootstrap}")
+    # checked here, not only by pairs_bootstrap, so that it is reported
+    # before a numeric failure of the OLS block
+    if tag != "ols" and not 0.0 < args.level < 1.0:
+        raise DomainError(f"level must lie in (0, 1), got {args.level}")
     data, spec, dropped = ingest_csv(args.data, args.outcome,
                                      args.exog or [], args.endog)
     seed = RngStream(args.seed)
@@ -329,6 +333,9 @@ def cmd_fit(args) -> int:
     estimates: dict[str, dict] = {}
     ols = fit_ols(data, spec)
     estimates["ols"] = _estimate_block(ols)
+    # a non-finite OLS block ends the run here, before the corrected fit
+    # and its bootstrap are spent on data that cannot give a report
+    _check_report({"estimates": {"ols": estimates["ols"]}})
     if tag != "ols":
         fit = ESTIMATORS[tag](data, spec)
         boot = pairs_bootstrap(data, spec, tag, B=args.bootstrap, seed=seed,

@@ -9,14 +9,17 @@ generated regressor as well.
 
 :func:`_fit_stack` solves a stack of same-shaped problems at once for the
 estimators in ``_STACKED`` (``ols``, ``npcf``, ``two_scope`` and
-``gp_copula``): the bootstrap's resamples and the Monte Carlo
-repetitions.  A problem near a rank, constant-residual, exact-fit or
-copula-guard rejection, or near a rounding tie of npcf's residuals, is
-flagged and refitted by the registered scalar estimator, which then
-decides.  So are
-all problems of any other estimator (``iv_internal``, and estimators
-registered later).  Stacked results equal the scalar ones to rounding
-(about 1e-14 relative), not bit for bit.  The resampled rows themselves
+``gp_copula``): the bootstrap's resamples, gathered from the data
+columns one column at a time, and the Monte Carlo repetitions, whose
+(S, n) column stacks it reads as they are.  One sort per stack gives the
+ranks or scores and the tie check; a stack without ties, as every Monte
+Carlo chunk is, skips the tied-run step.  A problem near a rank,
+constant-residual, exact-fit or copula-guard rejection, or near a
+rounding tie of npcf's residuals, is flagged and refitted by the
+registered scalar estimator, which then decides.  So are all problems of
+any other estimator (``iv_internal``, and estimators registered later).
+Stacked results equal the scalar ones to rounding (about 1e-14
+relative), not bit for bit.  The resampled rows themselves
 are bit-identical on both paths: a chunk's rows are drawn in one pass
 that follows numpy's bounded-integer sampler on each resample's own
 PCG64 stream.
@@ -37,8 +40,7 @@ from .estimators import (ESTIMATORS, ModelSpec, ThetaEstimate, _check_finite,
                          _names, fit_npcf)
 from .numerics import RngStream, _SeedWords, words_generator
 from .regress import RANK_RTOL
-from .transform import (CONSTANT_RESIDUAL_RTOL, FirstStage, _rank_rows,
-                        _scores_of_ranks)
+from .transform import CONSTANT_RESIDUAL_RTOL, FirstStage, _score_rows
 
 __all__ = ["BootstrapResult", "TestResult", "pairs_bootstrap",
            "exogeneity_test", "exogeneity_test_of_fit",
@@ -199,20 +201,39 @@ def _solve_upper(R: np.ndarray, rhs: np.ndarray, ok: np.ndarray) -> np.ndarray:
     return np.linalg.solve(R, rhs)
 
 
-def _split_ties(cols, rows: np.ndarray, sv: np.ndarray,
-                mag: np.ndarray) -> np.ndarray:
-    """Which sorted residual vectors (rows of ``sv``, drawn from data rows
-    ``rows`` of the design columns ``cols``) hold two residuals of
-    different data within _TIE_RTOL * ``mag`` of each other; duplicates of
-    one data row always tie exactly in both fits and are left alone."""
+def _split_ties(W: np.ndarray, k: int, m: int, order: np.ndarray,
+                sv: np.ndarray, mag: np.ndarray,
+                rows: np.ndarray | None = None) -> np.ndarray:
+    """Problems of the stack ``W`` that hold two first-stage residuals of
+    different data within _TIE_RTOL * ``mag`` of each other.
+
+    The residual vectors are the S * m rows of the (S, m, n) residuals,
+    sorted as ``sv`` by ``order`` (positions in their ravel); ``mag``
+    holds one magnitude per vector.  Two residuals come from different
+    data when their design values ``W[..., 1:k+m]`` differ.  When the
+    problems repeat data rows (the bootstrap's resamples), ``rows`` (S, n)
+    names them: duplicates of one data row always tie exactly in both
+    fits, so those pairs are left out before any design value is read.
+    """
+    n = W.shape[1]
     r, j = np.nonzero(np.diff(sv, axis=1) <= _TIE_RTOL * mag[:, None])
-    left, right = rows[r, j], rows[r, j + 1]
-    pair = left != right
-    r, left, right = r[pair], left[pair], right[pair]
+    # each pair's sorted positions in order.ravel(): two flat gathers cost
+    # less than indexing order by (r, j)
+    at, flat = r * n + j, order.ravel()
+    left, right = flat[at], flat[at + 1]
+    if m > 1:
+        # position in the (S, m, n) residuals -> row of W.reshape(S * n, -1)
+        left = left // (m * n) * n + left % n
+        right = right // (m * n) * n + right % n
+    if rows is not None:
+        ids = rows.ravel()
+        pair = ids[left] != ids[right]
+        r, left, right = r[pair], left[pair], right[pair]
+    D = W.reshape(-1, W.shape[2])
     differ = np.zeros(r.size, dtype=bool)
-    for col in cols:
-        differ |= col[left] != col[right]
-    return r[differ]
+    for c in range(1, k + m):
+        differ |= D[:, c][left] != D[:, c][right]
+    return r[differ] // m
 
 
 def _scale(V: np.ndarray) -> np.ndarray:
@@ -220,12 +241,6 @@ def _scale(V: np.ndarray) -> np.ndarray:
     over the rows (axis 1): the scale that the constant checks compare
     with."""
     return np.maximum(1.0, np.maximum(V.std(axis=1), np.abs(V.mean(axis=1))))
-
-
-def _scores_of_rows(V: np.ndarray) -> np.ndarray:
-    """Normal scores of each row of ``V``, as :func:`normal_scores`
-    computes them for one row."""
-    return _scores_of_ranks(_rank_rows(V)[0])
 
 
 def _first_step(A: np.ndarray, k: int, m: int):
@@ -248,25 +263,23 @@ def _first_step(A: np.ndarray, k: int, m: int):
     return E, ok
 
 
-def _npcf_scores(W: np.ndarray, k: int, m: int, cols, idx: np.ndarray):
+def _npcf_scores(W: np.ndarray, k: int, m: int, rows: np.ndarray | None):
     """Fill ``W[..., k+m:k+2m]`` with the normal scores of the first-stage
     residuals of ``W[..., k:k+m]`` on ``W[..., :k]``; returns ok.
 
     Besides the rank check, a problem is flagged whose residuals come
     near the constant-residual rejection, or hold two residuals of
-    different data rows (``cols`` gathered by ``idx``) that near-tie.
+    different data that near-tie (:func:`_split_ties`, given ``rows``).
     """
     n = W.shape[1]
     E, ok = _first_step(W, k, m)
     Zb = W[..., k:k + m]
     ok &= np.all(E.std(axis=2)
                  > _FLAG_MARGIN * CONSTANT_RESIDUAL_RTOL * _scale(Zb), axis=1)
-    ranks, order, sv = _rank_rows(E.reshape(-1, n))
+    scores, order, sv = _score_rows(E.reshape(-1, n))
     mag = np.abs(Zb).max(axis=1) + np.abs(E).max(axis=2)
-    rows = np.repeat(idx, m, axis=0).ravel()[order]
-    ok[_split_ties(cols, rows, sv, mag.ravel()) // m] = False
-    W[..., k + m:k + 2 * m] = _scores_of_ranks(ranks).reshape(
-        -1, m, n).transpose(0, 2, 1)
+    ok[_split_ties(W, k, m, order, sv, mag.ravel(), rows)] = False
+    W[..., k + m:k + 2 * m] = scores.reshape(-1, m, n).transpose(0, 2, 1)
     return ok
 
 
@@ -276,11 +289,17 @@ def _chunk(n: int, spec: ModelSpec) -> int:
     return max(1, _CHUNK_BYTES // (8 * n * (spec.k + 2 * spec.m + 1)))
 
 
-def _fit_stack(estimator: str, data: Dataset, spec: ModelSpec,
-               idx: np.ndarray):
-    """Fit ``estimator``, one of ``_STACKED``, on a stack of problems:
-    problem s is the rows ``idx[s]`` of ``data``, whose model columns the
-    caller has checked to be finite.
+def _fit_stack(estimator: str, columns, spec: ModelSpec,
+               rows: np.ndarray | None = None):
+    """Fit ``estimator``, one of ``_STACKED``, on a stack of S problems
+    of n rows each.
+
+    ``columns`` maps each model column to its stack, an (S, n) array
+    whose row s belongs to problem s (the Monte Carlo chunks).  When
+    ``rows`` (S, n) is given, it maps each model column to a data column
+    instead, and problem s is the rows ``rows[s]`` of it (the bootstrap's
+    resamples): each column is gathered straight into the stacked design.
+    The caller has checked the model columns to be finite.
 
     Returns (theta, ok, se).  ``theta[s]`` holds the coefficients in the
     scalar estimator's order.  ``ok[s]`` is False when problem s comes
@@ -296,23 +315,22 @@ def _fit_stack(estimator: str, data: Dataset, spec: ModelSpec,
     ``npcf``, the scores of z for ``gp_copula``, and for ``two_scope``
     the residuals of the scores of Z on the scores of X.
     """
-    S, n = idx.shape
     k, m = spec.k, spec.m
+    S, n = np.shape(columns[spec.outcome]) if rows is None else rows.shape
     q = k + m if estimator == "ols" else k + 2 * m
-    cols = [data.column(c) for c in (*spec.exogenous, *spec.endogenous)]
     W = np.empty((S, n, q + 1))
     W[..., 0] = 1.0
-    for j, col in enumerate(cols, start=1):
-        W[..., j] = col[idx]
-    W[..., q] = data.column(spec.outcome)[idx]
+    for j, c in zip((*range(1, k + m), q),
+                    (*spec.exogenous, *spec.endogenous, spec.outcome)):
+        W[..., j] = columns[c] if rows is None else columns[c][rows]
     ok = np.ones(S, dtype=bool)
     if estimator == "npcf":
-        ok = _npcf_scores(W, k, m, cols, idx)
+        ok = _npcf_scores(W, k, m, rows)
     elif estimator == "two_scope":
         A = np.empty((S, n, k + m))
         A[..., 0] = 1.0
         for j in range(1, k + m):
-            A[..., j] = _scores_of_rows(W[..., j])
+            A[..., j] = _score_rows(W[..., j])[0]
         C, ok = _first_step(A, k, m)
         W[..., k + m:q] = C.transpose(0, 2, 1)
         del A, C
@@ -320,7 +338,7 @@ def _fit_stack(estimator: str, data: Dataset, spec: ModelSpec,
         if m != 1:
             # gp_fit rejects this spec itself
             return np.zeros((S, q)), np.zeros(S, dtype=bool), None
-        W[..., q - 1] = _scores_of_rows(W[..., k])
+        W[..., q - 1] = _score_rows(W[..., k])[0]
     yscale = _scale(W[..., q])
     # at large n the first stage's temporaries are freed by now, and W is
     # freed before the next chunk builds its own
@@ -418,7 +436,7 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
         for lo in range(0, B, chunk):
             bs = np.arange(lo, min(lo + chunk, B))
             idx = _resample_chunk(words[bs], n)
-            th, ok, _ = _fit_stack(estimator, data, spec, idx)
+            th, ok, _ = _fit_stack(estimator, data.columns, spec, idx)
             theta[bs[ok]] = th[ok]
             solved[bs] = ok
     fit_fn = ESTIMATORS[estimator]

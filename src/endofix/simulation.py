@@ -13,18 +13,22 @@ transformed error itself.
 repetition keeps its own PCG64 stream and draws its normals or gammas
 from it; the transforms after the draws run once on the chunk's (S, n)
 block, so the columns equal those of :func:`gen_dgp1`/:func:`gen_dgp2`,
-the one-repetition case of the same generator, bit for bit.  The chunk's
-repetitions of ``ols``, ``npcf``, ``two_scope`` and ``gp_copula`` are
-fitted as one stack with the engine the bootstrap uses
-(:mod:`endofix.inference`).  A repetition the engine flags is fitted by
-the registered estimator, and so is every repetition of ``iv_internal``
-and of estimators registered later.  Stacked fits equal the scalar ones
-to rounding (about 1e-14 relative), not bit for bit.
+the one-repetition case of the same generator, bit for bit.  For
+``ols``, ``npcf``, ``two_scope`` and ``gp_copula`` those (S, n) columns
+are the stacks that the engine the bootstrap uses
+(:mod:`endofix.inference`) fits at once.  Each estimator's results are
+kept in arrays indexed by repetition, which a stacked chunk fills as one
+block, so no per-repetition code runs unless a repetition needs a scalar
+fit or a bootstrap: one the engine flags is fitted by the registered
+estimator, and so is every repetition of ``iv_internal`` and of
+estimators registered later.  Stacked fits equal the scalar ones to
+rounding (about 1e-14 relative), not bit for bit.
 """
 from __future__ import annotations
 
 import math
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -307,12 +311,12 @@ class McSummary:
 
 def _rep_result(est: str, data: Dataset, point, B: int, master: RngStream,
                 rep: int, truth: dict[str, float], tested: tuple[str, ...]):
-    """(coefficients or None, t-test rejections or None, exception type
-    name or None) of ``est`` on repetition ``rep``'s ``data``.
+    """((names, coefficients) or None, t-test rejections or None,
+    exception type name or None) of ``est`` on repetition ``rep``'s
+    ``data``; the rejections are a bool per coefficient of ``tested``.
 
     ``point`` is the stacked engine's (names, theta, se), or None to fit
-    ``est`` here with the registered scalar estimator.  ``data`` may be
-    None when neither that fit nor a bootstrap runs.  The bootstrap
+    ``est`` here with the registered scalar estimator.  The bootstrap
     stream is derived from ``master`` only when a bootstrap runs.  A
     point estimate that is not finite fails the repetition as a
     ``NonFiniteError``.  A failed bootstrap keeps the point estimate and
@@ -337,12 +341,57 @@ def _rep_result(est: str, data: Dataset, point, B: int, master: RngStream,
             failure = type(exc).__name__
     rejects = None
     if se is not None:
-        rejects = {}
+        rejects = []
         for coef in tested:
             j = names.index(coef)
-            rejects[coef] = (abs(theta[j] - truth[coef])
-                             > _Z975 * float(se[j]))
-    return dict(zip(names, theta)), rejects, failure
+            rejects.append(abs(theta[j] - truth[coef]) > _Z975 * float(se[j]))
+    return (names, theta), rejects, failure
+
+
+class _Tally:
+    """One estimator's results over the repetitions of a run, as arrays
+    indexed by repetition: coefficients (allocated at the first success,
+    whose names they follow), a success mask, and the t-test rejections
+    of the repetitions that ran a test."""
+
+    def __init__(self, reps: int, tested: tuple[str, ...]):
+        self.names: tuple[str, ...] | None = None
+        self.theta: np.ndarray | None = None
+        self.done = np.zeros(reps, dtype=bool)
+        self.has_test = np.zeros(reps, dtype=bool)
+        self.rejects = np.zeros((reps, len(tested)), dtype=bool)
+        self.failures: Counter[str] = Counter()
+        self.refits = 0
+
+    def _coefficients(self, names: tuple[str, ...]) -> np.ndarray:
+        if self.theta is None:
+            self.names = tuple(names)
+            self.theta = np.empty((self.done.size, len(names)))
+        return self.theta
+
+    def put_block(self, lo: int, names, theta: np.ndarray, ok: np.ndarray,
+                  rejects: np.ndarray | None) -> None:
+        """Repetitions lo, lo+1, ... as a stacked chunk fitted them; a
+        repetition not ``ok`` is left to :meth:`put`."""
+        block = slice(lo, lo + ok.size)
+        self._coefficients(names)[block] = theta
+        self.done[block] = ok
+        if rejects is not None:
+            self.has_test[block] = ok
+            self.rejects[block] = rejects
+
+    def put(self, rep: int, point, rejects, failure) -> None:
+        """Repetition ``rep`` as :func:`_rep_result` returned it."""
+        if failure is not None:
+            self.failures[failure] += 1
+        if point is None:
+            return
+        names, theta = point
+        self._coefficients(names)[rep] = theta
+        self.done[rep] = True
+        if rejects is not None:
+            self.has_test[rep] = True
+            self.rejects[rep] = rejects
 
 
 def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
@@ -358,7 +407,7 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
     whose fit fails or gives coefficients that are not finite is left out
     of every cell; one whose bootstrap fails keeps its point estimate and
     is left out of the size only.  ``McSummary.failures`` counts both
-    kinds by type.
+    kinds by type.  An estimator named twice is run once.
     ``keep_draws`` retains the raw per-repetition estimates on the
     summary.  Fully deterministic given ``master``: data and bootstrap
     streams are keyed by (repetition, estimator identity), so the
@@ -370,88 +419,90 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
     stream per repetition, and transforms them in one pass
     (``_generate``), bit for bit as :func:`gen_dgp1`/:func:`gen_dgp2`
     draw each repetition alone.  For ``ols``, ``npcf``, ``two_scope`` and
-    ``gp_copula`` each chunk is fitted as one stack by the engine the
-    bootstrap uses (:mod:`endofix.inference`); a repetition it flags is
-    fitted by the registered estimator, as is every repetition of
-    ``iv_internal`` and of estimators registered later, on a ``Dataset``
-    of views into the chunk that is built only for such a fit or a
-    bootstrap.  ``McSummary.scalar_refits`` counts those.  Stacked fits
+    ``gp_copula`` the chunk's columns are fitted as one stack by the
+    engine the bootstrap uses (:mod:`endofix.inference`), and the
+    coefficients, success mask and (ols's) rejections of the whole chunk
+    are written at once.  Only a repetition that needs a scalar fit or a
+    bootstrap runs per repetition (:func:`_rep_result`, on a ``Dataset``
+    of views into the chunk): one the engine flags, every repetition of
+    ``iv_internal`` and of estimators registered later, and, when B >= 2,
+    the bootstrap of every corrected estimator.
+    ``McSummary.scalar_refits`` counts the scalar fits.  Stacked fits
     equal the scalar ones to rounding (about 1e-14 relative), not bit for
-    bit.
+    bit.  Cells, draws and counts are reductions over the per-estimator
+    arrays in repetition order.
     """
     if reps < 2:
         raise DomainError("mc_run needs reps >= 2")
     if not (B == 0 or B >= 2):
         raise DomainError(f"mc_run needs B = 0 (no tests) or B >= 2, got {B}")
-    estimators = tuple(estimators)
+    estimators = tuple(dict.fromkeys(estimators))
     for est in estimators:
         if est not in ESTIMATORS:
             raise DataError(f"unknown estimator {est!r}")
     truth = cfg.truth()
     tested = ("x", "z")
-    model = (MODEL_SPEC.outcome, *MODEL_SPEC.exogenous,
-             *MODEL_SPEC.endogenous)
+    true_tested = np.array([truth[c] for c in tested])
 
-    results = []
-    refits = dict.fromkeys(estimators, 0)
+    tallies = {est: _Tally(reps, tested) for est in estimators}
     # the seed words of every repetition's data stream, hashed in one pass
     words = master.child_words(np.arange(reps), _DATA_KEY)
     chunk = _chunk(cfg.n, MODEL_SPEC)
     for lo in range(0, reps, chunk):
         cols = _generate(cfg, words[lo:lo + chunk])
-        # the chunk's repetitions, one after another: problem s is rows
-        # s*n .. (s+1)*n - 1 of the raveled (S, n) columns
-        stack = Dataset({c: cols[c] for c in model})
-        S = stack.n // cfg.n
-        idx = np.arange(stack.n).reshape(S, cfg.n)
-        fits = {est: _fit_stack(est, stack, MODEL_SPEC, idx)
-                for est in estimators if est in _STACKED}
-        for s in range(S):
-            points = {}
-            for est in estimators:
+        S = len(cols["y"])
+        for est, tally in tallies.items():
+            ok = np.zeros(S, dtype=bool)
+            if est in _STACKED:
+                # the chunk's (S, n) columns are the stacks themselves
+                theta, ok, se = _fit_stack(est, cols, MODEL_SPEC)
+                names = _names(MODEL_SPEC, est != "ols")
+                rejects = None
+                if se is not None:
+                    j = [names.index(c) for c in tested]
+                    rejects = (np.abs(theta[:, j] - true_tested)
+                               > _Z975 * se[:, j])
+                tally.put_block(lo, names, theta, ok, rejects)
+            tally.refits += S - int(np.count_nonzero(ok))
+            boot = est != "ols" and B >= 2
+            for s in range(S) if boot else np.flatnonzero(~ok).tolist():
                 point = None
-                if est in fits and fits[est][1][s]:
-                    theta, _, se = fits[est]
-                    point = (_names(MODEL_SPEC, est != "ols"), theta[s],
-                             None if se is None else se[s])
-                refits[est] += point is None
-                points[est] = point
-            data = None
-            if B >= 2 or None in points.values():
-                data = _repetition(cols, s)
-            results.append({est: _rep_result(est, data, points[est], B,
-                                             master, lo + s, truth, tested)
-                            for est in estimators})
+                if ok[s]:
+                    point = (names, theta[s], None if se is None else se[s])
+                tally.put(lo + s, *_rep_result(
+                    est, _repetition(cols, s), point, B, master, lo + s,
+                    truth, tested))
 
     cells: dict[tuple[str, str], McCell] = {}
     completed: dict[str, int] = {}
     failures: dict[str, dict[str, int]] = {}
     draws: dict[str, dict[str, list[float]]] = {}
-    for est in estimators:
-        kinds = [r[est][2] for r in results if r[est][2] is not None]
-        if kinds:
-            failures[est] = {k: kinds.count(k) for k in sorted(set(kinds))}
-        ok = [r[est] for r in results if r[est][0] is not None]
-        completed[est] = len(ok)
-        if not ok:
+    for est, tally in tallies.items():
+        if tally.failures:
+            failures[est] = dict(sorted(tally.failures.items()))
+        completed[est] = int(np.count_nonzero(tally.done))
+        if not completed[est]:
             continue
-        tested_ok = [r[1] for r in ok if r[1] is not None]
-        coef_names = list(ok[0][0].keys())
         if keep_draws:
-            draws[est] = {coef: [float(r[0][coef]) for r in ok]
-                          for coef in coef_names}
-        for coef in coef_names:
-            vals = np.array([r[0][coef] for r in ok])
+            draws[est] = {coef: tally.theta[tally.done, j].tolist()
+                          for j, coef in enumerate(tally.names)}
+        for j, coef in enumerate(tally.names):
             true = truth.get(coef)
             if true is None:
                 continue
+            # a contiguous copy in repetition order: its sums add in the
+            # order, and so to the bits, of a list of the repetitions
+            vals = tally.theta[tally.done, j]
             bias = float(vals.mean() - true)
             std = float(vals.std(ddof=0))
             rmse = math.sqrt(bias * bias + std * std)
             size = None
-            if coef in tested and tested_ok:
-                size = float(np.mean([rej[coef] for rej in tested_ok]))
+            if coef in tested and tally.has_test.any():
+                size = float(np.mean(
+                    tally.rejects[tally.has_test, tested.index(coef)]))
             cells[(est, coef)] = McCell(bias=bias, std=std, rmse=rmse, size=size)
     return McSummary(cells=cells, reps=reps, completed=completed, config=cfg,
                      B=B, draws=draws if keep_draws else None,
-                     failures=failures, scalar_refits=refits)
+                     failures=failures,
+                     scalar_refits={est: t.refits
+                                    for est, t in tallies.items()})

@@ -55,29 +55,72 @@ def average_ranks(v: np.ndarray) -> np.ndarray:
     return _rank_rows(v[None, :])[0][0]
 
 
-def _rank_rows(rows: np.ndarray):
-    """Average ranks of each row of a 2-D array, with the sort behind them.
+def _sort_rows(rows: np.ndarray):
+    """The sort of each row of a 2-D array: (order, sorted values, runs).
 
-    Returns (ranks, order, sorted values): ``order`` holds the positions
-    in ``rows.ravel()`` of each row's sort.  Equal values occupy adjacent
-    positions, and each tied run [start, stop) of a sorted row gets the
-    mean of ranks start+1..stop, so the ranks and sorted values do not
-    depend on the order the (unstable) sort leaves within a tied run.
+    ``order`` holds the positions in ``rows.ravel()`` of each row's sort.
+    ``runs`` marks the sorted positions that start a run of equal values,
+    and is None when no row holds a tie.
     """
     n = rows.shape[1]
     order = np.argsort(rows, axis=1)
     order += n * np.arange(rows.shape[0])[:, None]
     sv = rows.ravel()[order]
-    new_run = np.ones(rows.shape, dtype=bool)
-    new_run[:, 1:] = sv[:, 1:] != sv[:, :-1]
+    runs = np.ones(rows.shape, dtype=bool)
+    runs[:, 1:] = sv[:, 1:] != sv[:, :-1]
+    return order, sv, None if runs.all() else runs
+
+
+def _through_sort(order: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The array whose sorted row s is ``values`` (n,), for each row
+    sorted by ``order``: value i lands at row s's i-th smallest entry."""
+    out = np.empty(order.size, dtype=np.float64)
+    out[order] = values
+    return out.reshape(order.shape)
+
+
+def _run_ranks(order: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """Average ranks of rows sorted by ``order`` with the runs ``runs``:
+    each run [start, stop) of a sorted row gets the mean of ranks
+    start+1..stop."""
+    n = order.shape[1]
     # runs of the flattened sorted rows; every row starts a new run
-    starts = np.flatnonzero(new_run)
-    stops = np.append(starts[1:], rows.size)
-    counts = stops - starts
-    lo = starts % max(n, 1)         # where each run starts within its row
-    ranks = np.empty(rows.size, dtype=np.float64)
+    starts = np.flatnonzero(runs)
+    counts = np.append(starts[1:], order.size) - starts
+    lo = starts % n                 # where each run starts within its row
+    ranks = np.empty(order.size, dtype=np.float64)
     ranks[order.ravel()] = np.repeat(0.5 * (2 * lo + counts + 1), counts)
-    return ranks.reshape(rows.shape), order, sv
+    return ranks.reshape(order.shape)
+
+
+def _rank_rows(rows: np.ndarray):
+    """Average ranks of each row of a 2-D array, with the sort behind them.
+
+    Returns (ranks, order, sorted values), ``order`` as in
+    :func:`_sort_rows`.  Equal values occupy adjacent positions and share
+    the mean of their ranks, so the ranks and sorted values do not depend
+    on the order the (unstable) sort leaves within a tied run.  When no
+    row holds a tie, the ranks 1..n go straight through the sort.
+    """
+    order, sv, runs = _sort_rows(rows)
+    if runs is None:
+        ranks = _through_sort(order, np.arange(1.0, rows.shape[1] + 1.0))
+    else:
+        ranks = _run_ranks(order, runs)
+    return ranks, order, sv
+
+
+def _score_rows(rows: np.ndarray):
+    """Normal scores of each row of a 2-D array, as :func:`normal_scores`
+    computes them for one row, with the sort behind them: (scores, order,
+    sorted values) as in :func:`_rank_rows`.  When no row holds a tie,
+    the symmetric grid goes straight through the sort."""
+    order, sv, runs = _sort_rows(rows)
+    if runs is None:
+        scores = _through_sort(order, _symmetric_score_grid(rows.shape[1]))
+    else:
+        scores = _scores_of_ranks(_run_ranks(order, runs))
+    return scores, order, sv
 
 
 def normal_scores(v: np.ndarray) -> np.ndarray:
@@ -100,7 +143,7 @@ def normal_scores(v: np.ndarray) -> np.ndarray:
     if np.all(v == v[0]):
         raise ConstantInputError(
             "normal_scores input is constant; ranks are degenerate")
-    return _scores_of_ranks(average_ranks(v))
+    return _score_rows(v[None, :])[0][0]
 
 
 def _scores_of_ranks(ranks: np.ndarray) -> np.ndarray:

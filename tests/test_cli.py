@@ -494,23 +494,27 @@ class TestFiniteReports:
                      "--dump", "--out", str(out)]) == 0
         assert _strict_json(out.read_text())["summary"]["reps"] == 3
 
-    @pytest.mark.parametrize("estimator", ["ols", "npcf", "iv", "2scope",
-                                           "gp"])
-    def test_overflowing_statistic_exits_3(self, tmp_path, capsys,
-                                           estimator):
-        # one finite y of 1e300 among 30 rows: its squared residual
-        # overflows, so ols's standard errors and R^2 would be inf and nan;
-        # the other estimators' bootstrap draws are finite (about 1e299),
-        # but their variance overflows, before any report is built.
-        # stderr holds the one-line message and no numpy warning: main
-        # raises none, or it would end the run here
+    @staticmethod
+    def _overflowing_csv(path):
+        """30 rows with one finite y of 1e300 among them."""
         rng = np.random.default_rng(0)
         x = rng.standard_normal(30)
         z = x + rng.gamma(1.0, 1.0, 30)
         y = 1.0 + x + z + rng.standard_normal(30)
         y[3] = 1e300
+        _write_csv(path, ["y", "x", "z"], zip(y, x, z))
+
+    @pytest.mark.parametrize("estimator", ["ols", "npcf", "iv", "2scope",
+                                           "gp"])
+    def test_overflowing_statistic_exits_3(self, tmp_path, capsys,
+                                           estimator):
+        # one finite y of 1e300 among 30 rows: its squared residual
+        # overflows, so ols's standard errors and R^2 would be inf and nan,
+        # and every estimator's run ends at the OLS block it fits first.
+        # stderr holds the one-line message and no numpy warning: main
+        # raises none, or it would end the run here
         csv_path, out = tmp_path / "d.csv", tmp_path / "r.json"
-        _write_csv(csv_path, ["y", "x", "z"], zip(y, x, z))
+        self._overflowing_csv(csv_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main(["fit", "--data", str(csv_path), "--outcome", "y",
@@ -518,13 +522,37 @@ class TestFiniteReports:
                        estimator, "--bootstrap", "19", "--out", str(out)])
         assert rc == 3
         cap = capsys.readouterr()
-        assert cap.err == "endofix: numeric failure: " + (
-            "statistic estimates.ols.se.const is not finite: a computation "
-            "overflowed double precision\n" if estimator == "ols" else
-            "bootstrap standard error or interval of const is not finite: "
-            "the spread of the draws overflowed double precision\n")
+        assert cap.err == (
+            "endofix: numeric failure: statistic estimates.ols.se.const is "
+            "not finite: a computation overflowed double precision\n")
         assert cap.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("estimator", ["npcf", "iv", "2scope", "gp"])
+    def test_non_finite_ols_block_skips_the_bootstrap(self, tmp_path, capsys,
+                                                      monkeypatch, estimator):
+        # the run ends at the OLS block, so no resample is ever fitted
+        def never(*args, **kwargs):
+            raise AssertionError("pairs_bootstrap was entered")
+
+        monkeypatch.setattr(cli, "pairs_bootstrap", never)
+        csv_path = tmp_path / "d.csv"
+        self._overflowing_csv(csv_path)
+        assert main(["fit", "--data", str(csv_path), "--outcome", "y",
+                     "--exog", "x", "--endog", "z", "--estimator", estimator,
+                     "--bootstrap", "999"]) == 3
+        assert "estimates.ols.se.const" in capsys.readouterr().err
+
+    def test_configuration_error_comes_before_the_ols_check(self, tmp_path,
+                                                            capsys):
+        csv_path = tmp_path / "d.csv"
+        self._overflowing_csv(csv_path)
+        assert main(["fit", "--data", str(csv_path), "--outcome", "y",
+                     "--exog", "x", "--endog", "z", "--bootstrap", "9",
+                     "--level", "1.5"]) == 2
+        assert capsys.readouterr().err == (
+            "endofix: configuration error: level must lie in (0, 1), "
+            "got 1.5\n")
 
     def test_non_finite_path_names_the_first(self):
         report = {"a": 1.0, "b": {"c": [0.5, float("nan")],
@@ -731,6 +759,58 @@ def test_fuzzed_csv_exits_0_2_or_3(cells):
             if rc:
                 assert err.getvalue().startswith("endofix: ")
                 assert err.getvalue().count("\n") == 1
+
+
+# the largest finite double
+_MAX_FINITE = float(np.finfo(np.float64).max)
+
+
+@st.composite
+def _huge_cells(draw):
+    """A small CSV body of finite values whose magnitudes reach 1e308:
+    each column is uniform on (-1, 1) times a power of ten up to 1e308
+    (a regressor's half the time up to 100 only, so that some designs
+    are well conditioned), and a few cells, most of them outcomes, hold a
+    magnitude drawn from 1e300 to the largest finite double."""
+    n = draw(st.integers(5, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    exponents = [draw(st.integers(0, 308))] + [
+        draw(st.integers(0, 2) | st.integers(0, 308)) for _ in range(2)]
+    cols = [rng.uniform(-1.0, 1.0, n) * 10.0 ** e for e in exponents]
+    cells = [[repr(float(v)) for v in row] for row in zip(*cols)]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.just(0) | st.integers(0, 2))
+        big = draw(st.sampled_from((1e300, 1e307, 1e308, _MAX_FINITE))
+                   | st.floats(1e300, _MAX_FINITE))
+        cells[i][j] = repr(big if draw(st.booleans()) else -big)
+    return cells
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cells=_huge_cells())
+def test_huge_finite_csv_gives_strict_json_or_exits_2_or_3(cells):
+    # finite inputs up to the largest double: a report that is written
+    # holds only finite numbers, and every other run ends in a documented
+    # exit code with a one-line message, never in a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        p, report = Path(tmp) / "d.csv", Path(tmp) / "r.json"
+        _write_csv(p, ["y", "x", "z"], cells)
+        for est in ("ols", "npcf", "iv", "2scope", "gp"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["fit", "--data", str(p), "--outcome", "y",
+                           "--exog", "x", "--endog", "z", "--estimator", est,
+                           "--bootstrap", "9", "--out", str(report)])
+            if rc == 0:
+                _strict_json(report.read_text())
+                report.unlink()
+            else:
+                assert rc in (2, 3)
+                assert err.getvalue().startswith("endofix: ")
+                assert err.getvalue().count("\n") == 1
+                assert not report.exists()
 
 
 def _loaded_after_cli_import(module: str) -> bool:

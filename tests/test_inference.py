@@ -19,7 +19,8 @@ from endofix.inference import (_BOOT_KEY, _CHUNK_BYTES, _split_ties,
 from endofix.numerics import DistSpec, RngStream, sample, words_generator
 from endofix.regress import _lstsq
 from endofix.simulation import MODEL_SPEC, DgpConfig, gen_dgp1, generate
-from endofix.transform import _rank_rows, first_stage
+from endofix.transform import (_rank_rows, _scores_of_ranks, _score_rows,
+                               _sort_rows, first_stage)
 
 
 class TestPairsBootstrap:
@@ -151,13 +152,28 @@ def _stable_rank_rows(rows):
     return ranks.reshape(rows.shape), order, sv
 
 
+def _tie_design(x, z, idx):
+    """The design block [1 | x | z] of the problems ``idx`` (B, n), laid
+    out as _fit_stack's stacked design (k = 2, m = 1)."""
+    W = np.empty((*idx.shape, 3))
+    W[..., 0] = 1.0
+    W[..., 1] = x[idx]
+    W[..., 2] = z[idx]
+    return W
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 400), B=st.integers(1, 4), levels=st.integers(1, 6),
-       jitter=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_rank_order_within_ties_changes_nothing(n, B, levels, jitter, seed):
+       jitter=st.booleans(),
+       stack=st.sampled_from(["tied", "untied", "mixed"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rank_order_within_ties_changes_nothing(n, B, levels, jitter, stack,
+                                                seed):
     # integer z with a binary x, resampled with duplicates: residual runs
     # tie exactly within one data row, across rows of equal (x, z) and
-    # across rows of different (x, z); jitter adds near-ties between runs
+    # across rows of different (x, z); jitter adds near-ties between runs.
+    # An untied row holds continuous draws instead; a mixed stack holds
+    # both kinds of row
     rng = np.random.default_rng(seed)
     x = rng.integers(0, 2, n).astype(np.float64)
     z = rng.integers(0, levels, n) + x
@@ -166,13 +182,65 @@ def test_rank_order_within_ties_changes_nothing(n, B, levels, jitter, seed):
         resid *= 1.0 + 1e-15 * rng.integers(0, 3, n)
     idx = rng.integers(0, n, (B, n))
     E = resid[idx]
+    if stack != "tied":
+        untied = (np.ones(B, dtype=bool) if stack == "untied"
+                  else np.arange(B) % 2 == 0)
+        E[untied] = rng.standard_normal((np.count_nonzero(untied), n))
+    if stack == "untied":
+        assert _sort_rows(E)[2] is None         # the untied path runs
     mag = np.abs(E).max(axis=1) + 1.0
     got, want = _rank_rows(E), _stable_rank_rows(E)
     assert got[0].tobytes() == want[0].tobytes()       # ranks
     assert got[2].tobytes() == want[2].tobytes()       # sorted values
-    flagged = [set(_split_ties([x, z], idx.ravel()[order], sv, mag).tolist())
+    scores, order, sv = _score_rows(E)
+    assert scores.tobytes() == _scores_of_ranks(want[0]).tobytes()
+    assert order.tobytes() == got[1].tobytes()
+    assert sv.tobytes() == want[2].tobytes()
+    W = _tie_design(x, z, idx)
+    flagged = [set(_split_ties(W, 2, 1, order, sv, mag, idx).tolist())
                for _, order, sv in (got, want)]
     assert flagged[0] == flagged[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 300), B=st.integers(1, 4), m=st.integers(1, 2),
+       levels=st.integers(1, 6),
+       data=st.sampled_from(["tied", "near-tied", "untied"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_split_ties_without_row_ids_flags_as_distinct_ids(n, B, m, levels,
+                                                          data, seed):
+    # problems whose rows are all distinct data (the Monte Carlo chunks)
+    # need no row ids: distinct ids filter out no pair
+    rng = np.random.default_rng(seed)
+    W = np.empty((B, n, 2 + m))
+    W[..., 0] = 1.0
+    W[..., 1] = rng.integers(0, 2, (B, n))
+    for j in range(m):
+        z = rng.integers(0, levels, (B, n)) + W[..., 1]
+        if data == "near-tied":
+            z *= 1.0 + 1e-15 * rng.integers(0, 3, (B, n))
+        elif data == "untied":
+            z = rng.standard_normal((B, n)) + W[..., 1]
+        W[..., 2 + j] = z
+    E = (W[..., 2:] - 2.0 * W[..., 1:2]).transpose(0, 2, 1)    # (B, m, n)
+    _, order, sv = _rank_rows(E.reshape(-1, n))
+    mag = (np.abs(W[..., 2:]).max(axis=1) + np.abs(E).max(axis=2)).ravel()
+    ids = np.arange(B * n).reshape(B, n)
+    without = _split_ties(W, 2, m, order, sv, mag)
+    assert without.tolist() == _split_ties(W, 2, m, order, sv, mag,
+                                           ids).tolist()
+    # the problems a loop over each residual vector's sorted neighbours
+    # flags: a gap within the tolerance between rows of different design
+    flagged = set()
+    for s in range(B):
+        for j in range(m):
+            e = E[s, j]
+            o = np.argsort(e, kind="stable")
+            for a, b in zip(o[:-1], o[1:]):
+                if (e[b] - e[a] <= inference._TIE_RTOL * mag[s * m + j]
+                        and np.any(W[s, a, 1:2 + m] != W[s, b, 1:2 + m])):
+                    flagged.add(s)
+    assert set(without.tolist()) == flagged
 
 
 class TestResampleStreams:
@@ -740,8 +808,8 @@ class TestNonFiniteDraws:
                 return
             idx = inference._resample_chunk(
                 RngStream(0).child_words(_BOOT_KEY, np.arange(99)), 30)
-            theta, ok, _ = inference._fit_stack(estimator, data, _HUGE_SPEC,
-                                                idx)
+            theta, ok, _ = inference._fit_stack(estimator, data.columns,
+                                                _HUGE_SPEC, idx)
         # the stack never accepts a non-finite draw for itself
         assert np.isfinite(theta[ok]).all()
 

@@ -465,14 +465,78 @@ def _degenerate_every_fifth(cfg, master, reps):
     return patched
 
 
+def _rep_loop_mc(cfg, estimators, reps, B, master, keep_draws):
+    """Reference for mc_run's per-estimator arrays: the same chunks and
+    stacked fits, then every repetition of every estimator through
+    _rep_result, reduced from per-repetition lists.
+
+    Returns (cells, completed, failures, draws, scalar_refits) as
+    McSummary holds them."""
+    from endofix.estimators import _names
+    from endofix.inference import _STACKED, _chunk, _fit_stack
+    from endofix.simulation import McCell
+
+    truth, tested = cfg.truth(), ("x", "z")
+    results, refits = [], dict.fromkeys(estimators, 0)
+    words = master.child_words(np.arange(reps), _DATA_KEY)
+    chunk = _chunk(cfg.n, MODEL_SPEC)
+    for lo in range(0, reps, chunk):
+        cols = simulation._generate(cfg, words[lo:lo + chunk])
+        fits = {est: _fit_stack(est, cols, MODEL_SPEC)
+                for est in estimators if est in _STACKED}
+        for s in range(len(cols["y"])):
+            row = {}
+            for est in estimators:
+                point = None
+                if est in fits and fits[est][1][s]:
+                    theta, _, se = fits[est]
+                    point = (_names(MODEL_SPEC, est != "ols"), theta[s],
+                             None if se is None else se[s])
+                refits[est] += point is None
+                row[est] = simulation._rep_result(
+                    est, simulation._repetition(cols, s), point, B, master,
+                    lo + s, truth, tested)
+            results.append(row)
+
+    cells, completed, failures, draws = {}, {}, {}, {}
+    for est in estimators:
+        kinds = [r[est][2] for r in results if r[est][2] is not None]
+        if kinds:
+            failures[est] = {k: kinds.count(k) for k in sorted(set(kinds))}
+        ok = [r[est] for r in results if r[est][0] is not None]
+        completed[est] = len(ok)
+        if not ok:
+            continue
+        names = ok[0][0][0]
+        tested_ok = [r[1] for r in ok if r[1] is not None]
+        if keep_draws:
+            draws[est] = {c: [float(r[0][1][j]) for r in ok]
+                          for j, c in enumerate(names)}
+        for j, coef in enumerate(names):
+            if coef not in truth:
+                continue
+            vals = np.array([r[0][1][j] for r in ok])
+            bias = float(vals.mean() - truth[coef])
+            std = float(vals.std(ddof=0))
+            size = None
+            if coef in tested and tested_ok:
+                size = float(np.mean([rej[tested.index(coef)]
+                                      for rej in tested_ok]))
+            cells[(est, coef)] = McCell(
+                bias=bias, std=std, rmse=math.sqrt(bias * bias + std * std),
+                size=size)
+    return cells, completed, failures, draws, refits
+
+
 class TestStackedMcMatchesLoop:
     """mc_run, whose repetitions are fitted as stacks, against fitting
     every repetition with the registered scalar estimator."""
 
-    @pytest.mark.parametrize("chunk_reps", [None, 3])
-    @pytest.mark.parametrize("B", [0, 9])
-    @pytest.mark.parametrize("kind", ["dgp1", "dgp2"])
-    def test_matches_scalar_loop(self, kind, B, chunk_reps, monkeypatch):
+    @staticmethod
+    def _setup(monkeypatch, kind, chunk_reps):
+        """The design, with degenerate repetitions and a later-registered
+        estimator (which has no stacked form): (cfg, master, reps,
+        estimators)."""
         from endofix import inference
         from endofix.estimators import ESTIMATORS, fit_npcf
 
@@ -485,10 +549,16 @@ class TestStackedMcMatchesLoop:
                                 chunk_reps * 8 * cfg.n * 5)
         monkeypatch.setattr(simulation, "_generate",
                             _degenerate_every_fifth(cfg, master, reps))
-        # a later-registered estimator, which has no stacked form
         monkeypatch.setitem(ESTIMATORS, "_later",
                             lambda data, spec: fit_npcf(data, spec))
-        estimators = (*_ALL_STACKED, "_later")
+        return cfg, master, reps, (*_ALL_STACKED, "_later")
+
+    @pytest.mark.parametrize("chunk_reps", [None, 3])
+    @pytest.mark.parametrize("B", [0, 9])
+    @pytest.mark.parametrize("kind", ["dgp1", "dgp2"])
+    def test_matches_scalar_loop(self, kind, B, chunk_reps, monkeypatch):
+        cfg, master, reps, estimators = self._setup(monkeypatch, kind,
+                                                    chunk_reps)
         s = mc_run(cfg, estimators, reps=reps, B=B, master=master,
                    keep_draws=True)
         draws, failures, sizes = _loop_mc(cfg, estimators, reps, B, master)
@@ -509,6 +579,27 @@ class TestStackedMcMatchesLoop:
         assert s.scalar_refits["gp_copula"] >= 3 * (reps // 5)
         assert s.scalar_refits["ols"] >= reps // 5
         assert s.failures["ols"] == {"RankDeficiencyError": reps // 5}
+
+    @pytest.mark.parametrize("chunk_reps", [None, 3])
+    @pytest.mark.parametrize("B", [0, 9])
+    @pytest.mark.parametrize("kind", ["dgp1", "dgp2"])
+    def test_arrays_equal_per_repetition_results(self, kind, B, chunk_reps,
+                                                 monkeypatch):
+        # the per-estimator arrays reduce to exactly what reducing every
+        # repetition's _rep_result gives: equal floats, not close ones
+        cfg, master, reps, estimators = self._setup(monkeypatch, kind,
+                                                    chunk_reps)
+        for keep_draws in (True, False):
+            s = mc_run(cfg, estimators, reps=reps, B=B, master=master,
+                       keep_draws=keep_draws)
+            cells, completed, failures, draws, refits = _rep_loop_mc(
+                cfg, estimators, reps, B, master, keep_draws)
+            assert s.cells == cells
+            assert s.draws == (draws if keep_draws else None)
+            assert s.failures == failures
+            assert s.completed == completed
+            assert s.scalar_refits == refits
+            assert list(s.cells) == list(cells)
 
 
 def test_stacked_paths_take_no_scalar_refits():
