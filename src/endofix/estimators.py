@@ -205,17 +205,20 @@ def fit_two_scope(data: Dataset, spec: ModelSpec) -> ThetaEstimate:
     SX = np.column_stack([np.ones(data.n), *(normal_scores(data.column(c))
                                              for c in spec.exogenous)])
     sx_names = (INTERCEPT, *(f"score[{c}]" for c in spec.exogenous))
-    corr = np.empty_like(Z)
+    # one factorisation of SX for the whole scored block, each column
+    # contiguous as in first_stage
+    SZ = np.empty(Z.shape, order="F")
     for j in range(Z.shape[1]):
-        try:
-            corr[:, j] = _lstsq(SX, normal_scores(Z[:, j]), sx_names)[1]
-        except RankDeficiencyError as exc:
-            raise RankDeficiencyError(
-                f"{exc}: two scored exogenous columns coincide or are "
-                "collinear; normal scores do not change under an increasing "
-                "transform, so exogenous columns that order the rows alike "
-                "(x and x^2 with x >= 0, say) get the same scores",
-                column=exc.column) from exc
+        SZ[:, j] = normal_scores(Z[:, j])
+    try:
+        corr = _lstsq(SX, SZ, sx_names)[1]
+    except RankDeficiencyError as exc:
+        raise RankDeficiencyError(
+            f"{exc}: two scored exogenous columns coincide or are "
+            "collinear; normal scores do not change under an increasing "
+            "transform, so exogenous columns that order the rows alike "
+            "(x and x^2 with x >= 0, say) get the same scores",
+            column=exc.column) from exc
     fit = _augmented_fit(X, Z, corr, y, spec)
     return ThetaEstimate(fit.coefficients, fit.column_names, "two_scope",
                          vcov=fit.vcov_classical, vcov_source="classical",

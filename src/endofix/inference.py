@@ -12,14 +12,16 @@ estimators in ``_STACKED`` (``ols``, ``npcf``, ``two_scope`` and
 ``gp_copula``): the bootstrap's resamples, gathered from the data
 columns one column at a time, and the Monte Carlo repetitions, whose
 (S, n) column stacks it reads as they are.  One sort per stack gives the
-ranks or scores and the tie check; a stack without ties, as every Monte
-Carlo chunk is, skips the tied-run step.  A problem near a rank,
-constant-residual, exact-fit or copula-guard rejection, or near a
-rounding tie of npcf's residuals, is flagged and refitted by the
-registered scalar estimator, which then decides.  So are all problems of
-any other estimator (``iv_internal``, and estimators registered later).
-Stacked results equal the scalar ones to rounding (about 1e-14
-relative), not bit for bit.  The resampled rows themselves
+ranks or scores and the ties; a stack without ties, as every Monte Carlo
+chunk is, skips the tied-run step.  npcf's first-stage residuals tie by
+the rule of :func:`~endofix.transform.first_stage`, sorted neighbours
+within TIE_RTOL times max|z| + max|e|, in the stacked and the scalar fit
+alike, so no problem is refitted for a tie.  A problem near a rank,
+constant-residual, exact-fit or copula-guard rejection is flagged and
+refitted by the registered scalar estimator, which then decides.  So are
+all problems of any other estimator (``iv_internal``, and estimators
+registered later).  Stacked results equal the scalar ones to rounding
+(about 1e-14 relative), not bit for bit.  The resampled rows themselves
 are bit-identical on both paths: a chunk's rows are drawn in one pass
 that follows numpy's bounded-integer sampler on each resample's own
 PCG64 stream.
@@ -68,13 +70,6 @@ _CHUNK_BYTES = 256 * 1024
 # so rounding differences between the stacked and the pivoted
 # factorisations cannot hide a rejection from it.
 _FLAG_MARGIN = 100.0
-
-# Stacked and pivoted first stages give residuals a few ulps of their
-# magnitude apart.  Two residuals of different data rows closer than this
-# fraction of the magnitude (an exact tie in exact arithmetic, say) may
-# rank differently in the two, so such a problem is refitted by the
-# scalar estimator.
-_TIE_RTOL = 2e-14
 
 
 @dataclass(frozen=True)
@@ -201,41 +196,6 @@ def _solve_upper(R: np.ndarray, rhs: np.ndarray, ok: np.ndarray) -> np.ndarray:
     return np.linalg.solve(R, rhs)
 
 
-def _split_ties(W: np.ndarray, k: int, m: int, order: np.ndarray,
-                sv: np.ndarray, mag: np.ndarray,
-                rows: np.ndarray | None = None) -> np.ndarray:
-    """Problems of the stack ``W`` that hold two first-stage residuals of
-    different data within _TIE_RTOL * ``mag`` of each other.
-
-    The residual vectors are the S * m rows of the (S, m, n) residuals,
-    sorted as ``sv`` by ``order`` (positions in their ravel); ``mag``
-    holds one magnitude per vector.  Two residuals come from different
-    data when their design values ``W[..., 1:k+m]`` differ.  When the
-    problems repeat data rows (the bootstrap's resamples), ``rows`` (S, n)
-    names them: duplicates of one data row always tie exactly in both
-    fits, so those pairs are left out before any design value is read.
-    """
-    n = W.shape[1]
-    r, j = np.nonzero(np.diff(sv, axis=1) <= _TIE_RTOL * mag[:, None])
-    # each pair's sorted positions in order.ravel(): two flat gathers cost
-    # less than indexing order by (r, j)
-    at, flat = r * n + j, order.ravel()
-    left, right = flat[at], flat[at + 1]
-    if m > 1:
-        # position in the (S, m, n) residuals -> row of W.reshape(S * n, -1)
-        left = left // (m * n) * n + left % n
-        right = right // (m * n) * n + right % n
-    if rows is not None:
-        ids = rows.ravel()
-        pair = ids[left] != ids[right]
-        r, left, right = r[pair], left[pair], right[pair]
-    D = W.reshape(-1, W.shape[2])
-    differ = np.zeros(r.size, dtype=bool)
-    for c in range(1, k + m):
-        differ |= D[:, c][left] != D[:, c][right]
-    return r[differ] // m
-
-
 def _scale(V: np.ndarray) -> np.ndarray:
     """max(1, std, |mean|) of each problem's column(s) in ``V``, taken
     over the rows (axis 1): the scale that the constant checks compare
@@ -263,22 +223,21 @@ def _first_step(A: np.ndarray, k: int, m: int):
     return E, ok
 
 
-def _npcf_scores(W: np.ndarray, k: int, m: int, rows: np.ndarray | None):
+def _npcf_scores(W: np.ndarray, k: int, m: int):
     """Fill ``W[..., k+m:k+2m]`` with the normal scores of the first-stage
     residuals of ``W[..., k:k+m]`` on ``W[..., :k]``; returns ok.
 
+    The residuals tie as in :func:`~endofix.transform.first_stage`.
     Besides the rank check, a problem is flagged whose residuals come
-    near the constant-residual rejection, or hold two residuals of
-    different data that near-tie (:func:`_split_ties`, given ``rows``).
+    near the constant-residual rejection.
     """
     n = W.shape[1]
     E, ok = _first_step(W, k, m)
     Zb = W[..., k:k + m]
     ok &= np.all(E.std(axis=2)
                  > _FLAG_MARGIN * CONSTANT_RESIDUAL_RTOL * _scale(Zb), axis=1)
-    scores, order, sv = _score_rows(E.reshape(-1, n))
     mag = np.abs(Zb).max(axis=1) + np.abs(E).max(axis=2)
-    ok[_split_ties(W, k, m, order, sv, mag.ravel(), rows)] = False
+    scores = _score_rows(E.reshape(-1, n), mag.ravel())
     W[..., k + m:k + 2 * m] = scores.reshape(-1, m, n).transpose(0, 2, 1)
     return ok
 
@@ -303,10 +262,11 @@ def _fit_stack(estimator: str, columns, spec: ModelSpec,
 
     Returns (theta, ok, se).  ``theta[s]`` holds the coefficients in the
     scalar estimator's order.  ``ok[s]`` is False when problem s comes
-    near one of the scalar estimator's rejections, or near a rounding
-    tie, or its coefficients are not finite, and must be refitted by the
-    scalar estimator, which then decides.  ``se`` holds ols's classical
-    standard errors, and is None for the other estimators.
+    near one of the scalar estimator's rejections or its coefficients are
+    not finite, and must be refitted by the scalar estimator, which then
+    decides; npcf's residuals tie as the scalar estimator's do (TIE_RTOL
+    times max|z| + max|e|), so a tie flags nothing.  ``se`` holds ols's
+    classical standard errors, and is None for the other estimators.
 
     Each stage factors the augmented ``[design | rhs]`` with an unpivoted
     QR: the top-right block of R is Q'rhs, so Q is never formed.  The
@@ -325,12 +285,12 @@ def _fit_stack(estimator: str, columns, spec: ModelSpec,
         W[..., j] = columns[c] if rows is None else columns[c][rows]
     ok = np.ones(S, dtype=bool)
     if estimator == "npcf":
-        ok = _npcf_scores(W, k, m, rows)
+        ok = _npcf_scores(W, k, m)
     elif estimator == "two_scope":
         A = np.empty((S, n, k + m))
         A[..., 0] = 1.0
         for j in range(1, k + m):
-            A[..., j] = _score_rows(W[..., j])[0]
+            A[..., j] = _score_rows(W[..., j])
         C, ok = _first_step(A, k, m)
         W[..., k + m:q] = C.transpose(0, 2, 1)
         del A, C
@@ -338,7 +298,7 @@ def _fit_stack(estimator: str, columns, spec: ModelSpec,
         if m != 1:
             # gp_fit rejects this spec itself
             return np.zeros((S, q)), np.zeros(S, dtype=bool), None
-        W[..., q - 1] = _score_rows(W[..., k])[0]
+        W[..., q - 1] = _score_rows(W[..., k])
     yscale = _scale(W[..., q])
     # at large n the first stage's temporaries are freed by now, and W is
     # freed before the next chunk builds its own
@@ -376,14 +336,16 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
     For ``npcf``, ``two_scope`` and ``gp_copula`` the resamples are
     solved in chunks of stacked arrays by :func:`_fit_stack`.  A resample
     it flags (near a rank, constant-residual, exact-fit or copula-guard
-    rejection, or near a rounding tie) is refitted by the registered
-    estimator, which then decides whether it fails; ``iv_internal`` and
-    estimators registered later refit every resample.  The stacked draws
-    equal those of refitting every resample to rounding (about 1e-14
-    relative), not bit for bit.  A resample whose refitted coefficients
-    are not finite fails as a ``NonFiniteError``.  The full sample is not
-    fitted here: a dataset the estimator cannot fit makes its resamples
-    fail, which raises BootstrapError.
+    rejection) is refitted by the registered estimator, which then
+    decides whether it fails; ``iv_internal`` and estimators registered
+    later refit every resample.  npcf's first-stage residuals within
+    TIE_RTOL times max|z| + max|e| of each other tie in both paths, so no
+    resample is refitted for a tie.  The stacked draws equal those of
+    refitting every resample to rounding (about 1e-14 relative), not bit
+    for bit.  A resample whose refitted coefficients are not finite fails
+    as a ``NonFiniteError``.  The full sample is not fitted here: a
+    dataset the estimator cannot fit makes its resamples fail, which
+    raises BootstrapError.
 
     Resample b's rows are ``seed.child(_BOOT_KEY, b).generator()
     .integers(0, n, size=n)``, bit for bit, however they are drawn: a

@@ -1,7 +1,7 @@
 """Distribution specifications, quadrature, and seeded random sampling.
 
-The special functions are scipy's (:mod:`scipy.special`: ``ndtr``,
-``ndtri``, ``gammainc``, ``gammaincinv``, ``gammainccinv``); this module
+The special functions are scipy's (:mod:`scipy.special`: ``ndtri``,
+``gammaincinv``, ``gammainccinv``); this module
 adds the parameter and domain checks around them, one quadrature entry
 point, and reproducible random streams.  Everything here is deterministic
 given its inputs; random draws are reproducible from an
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammainccinv, gammaincinv, ndtr, ndtri
+from scipy.special import gammainccinv, gammaincinv, ndtri
 
 from .errors import DomainError, QuadratureError
 
@@ -288,14 +288,6 @@ class DistSpec:
         return DistSpec(self.family, self.params, True)
 
     # -- evaluations ----------------------------------------------------
-    def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64) + self._shift
-        if self.family == "normal":
-            m, s = self.params
-            return ndtr((x - m) / s)
-        a, b = self.params
-        return gammainc(a, b * np.maximum(x, 0.0))
-
     def pdf(self, x):
         x = np.asarray(x, dtype=np.float64) + self._shift
         if self.family == "normal":

@@ -70,9 +70,6 @@ class OlsFit:
     sigma2_hat: float
     column_names: tuple[str, ...]
 
-    def se_classical(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.vcov_classical))
-
 
 def _lstsq(V: np.ndarray, b: np.ndarray, names: tuple[str, ...]):
     """Least squares of ``b`` (a vector or a matrix of columns) on the n x p

@@ -22,6 +22,16 @@ __all__ = ["FirstStage", "average_ranks", "normal_scores", "first_stage"]
 # of the endogenous column's scale count as constant.
 CONSTANT_RESIDUAL_RTOL = 1e-12
 
+# Residuals equal in exact arithmetic come out of a least-squares fit a few
+# ulps of their magnitude apart, in an order rounding decides.  Sorted
+# neighbours of a residual column within this fraction of its magnitude,
+# max|z| + max|e|, tie, so that order decides no rank.
+TIE_RTOL = 2e-14
+
+# _sort_rows compares this many sorted neighbours at a time: a gap array
+# as large as the rows would raise the peak memory of a large fit.
+_GAP_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class FirstStage:
@@ -29,7 +39,11 @@ class FirstStage:
 
     ``delta_hat`` stacks the regression coefficients column by column,
     ``e_hat`` the residuals, ``eta_hat`` their normal scores, and ``ranks``
-    the (average) ranks used.  Each residual column is orthogonal to the
+    the (average) ranks used.  Residuals of a column whose sorted
+    neighbours lie within TIE_RTOL * (max|z| + max|e|) of each other tie
+    and share the mean of their ranks, as in the stacked bootstrap and
+    Monte Carlo fits, so rounding does not order residuals that are equal
+    in exact arithmetic.  Each residual column is orthogonal to the
     exogenous design; without ties each score column sums to zero exactly.
     """
 
@@ -50,25 +64,36 @@ class FirstStage:
 
 def average_ranks(v: np.ndarray) -> np.ndarray:
     """1-based ranks with ties resolved by averaging (see
-    :func:`_rank_rows`).  O(n log n), with no Python-level loop."""
+    :func:`_rank_rows`); only equal values tie.  O(n log n), with no
+    Python-level loop."""
     v = np.asarray(v, dtype=np.float64).ravel()
-    return _rank_rows(v[None, :])[0][0]
+    return _rank_rows(v[None, :])[0]
 
 
-def _sort_rows(rows: np.ndarray):
-    """The sort of each row of a 2-D array: (order, sorted values, runs).
+def _sort_rows(rows: np.ndarray, mag=None):
+    """The sort of each row of a 2-D array: (order, runs).
 
     ``order`` holds the positions in ``rows.ravel()`` of each row's sort.
-    ``runs`` marks the sorted positions that start a run of equal values,
-    and is None when no row holds a tie.
+    ``runs`` marks the sorted positions that start a run of tied values,
+    and is None when no row holds a tie.  Without ``mag`` only equal
+    values tie.  With ``mag``, one magnitude per row of computed values,
+    sorted neighbours at most TIE_RTOL * mag apart tie too, and a chain
+    of such gaps is one run.
     """
     n = rows.shape[1]
     order = np.argsort(rows, axis=1)
     order += n * np.arange(rows.shape[0])[:, None]
     sv = rows.ravel()[order]
     runs = np.ones(rows.shape, dtype=bool)
-    runs[:, 1:] = sv[:, 1:] != sv[:, :-1]
-    return order, sv, None if runs.all() else runs
+    if mag is None:
+        np.not_equal(sv[:, 1:], sv[:, :-1], out=runs[:, 1:])
+    else:
+        tol = TIE_RTOL * np.reshape(mag, (-1, 1))
+        for lo in range(1, n, _GAP_BLOCK):
+            hi = min(lo + _GAP_BLOCK, n)
+            np.greater(sv[:, lo:hi] - sv[:, lo - 1:hi - 1], tol,
+                       out=runs[:, lo:hi])
+    return order, None if runs.all() else runs
 
 
 def _through_sort(order: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -93,34 +118,29 @@ def _run_ranks(order: np.ndarray, runs: np.ndarray) -> np.ndarray:
     return ranks.reshape(order.shape)
 
 
-def _rank_rows(rows: np.ndarray):
-    """Average ranks of each row of a 2-D array, with the sort behind them.
+def _rank_rows(rows: np.ndarray, mag=None) -> np.ndarray:
+    """Average ranks of each row of a 2-D array, with the ties that
+    :func:`_sort_rows` finds given ``mag``.
 
-    Returns (ranks, order, sorted values), ``order`` as in
-    :func:`_sort_rows`.  Equal values occupy adjacent positions and share
-    the mean of their ranks, so the ranks and sorted values do not depend
-    on the order the (unstable) sort leaves within a tied run.  When no
-    row holds a tie, the ranks 1..n go straight through the sort.
+    Tied values share the mean of their ranks, so the ranks do not depend
+    on the order the (unstable) sort leaves within a run.  When no row
+    holds a tie, the ranks 1..n go straight through the sort.
     """
-    order, sv, runs = _sort_rows(rows)
+    order, runs = _sort_rows(rows, mag)
     if runs is None:
-        ranks = _through_sort(order, np.arange(1.0, rows.shape[1] + 1.0))
-    else:
-        ranks = _run_ranks(order, runs)
-    return ranks, order, sv
+        return _through_sort(order, np.arange(1.0, rows.shape[1] + 1.0))
+    return _run_ranks(order, runs)
 
 
-def _score_rows(rows: np.ndarray):
+def _score_rows(rows: np.ndarray, mag=None) -> np.ndarray:
     """Normal scores of each row of a 2-D array, as :func:`normal_scores`
-    computes them for one row, with the sort behind them: (scores, order,
-    sorted values) as in :func:`_rank_rows`.  When no row holds a tie,
-    the symmetric grid goes straight through the sort."""
-    order, sv, runs = _sort_rows(rows)
+    computes them for one row, of the ranks :func:`_rank_rows` gives.
+    When no row holds a tie, the symmetric grid goes straight through the
+    sort."""
+    order, runs = _sort_rows(rows, mag)
     if runs is None:
-        scores = _through_sort(order, _symmetric_score_grid(rows.shape[1]))
-    else:
-        scores = _scores_of_ranks(_run_ranks(order, runs))
-    return scores, order, sv
+        return _through_sort(order, _symmetric_score_grid(rows.shape[1]))
+    return _scores_of_ranks(_run_ranks(order, runs))
 
 
 def normal_scores(v: np.ndarray) -> np.ndarray:
@@ -143,7 +163,7 @@ def normal_scores(v: np.ndarray) -> np.ndarray:
     if np.all(v == v[0]):
         raise ConstantInputError(
             "normal_scores input is constant; ranks are degenerate")
-    return _score_rows(v[None, :])[0][0]
+    return _score_rows(v[None, :])[0]
 
 
 def _scores_of_ranks(ranks: np.ndarray) -> np.ndarray:
@@ -242,7 +262,8 @@ def first_stage(X: DesignMatrix, Z: np.ndarray,
                 "exogenous design, so its ranks are pure noise")
         # the check above rules out constant residuals, so the ranks are
         # computed once and give the scores directly
-        ranks[:, j] = average_ranks(resid)
+        mag = max(z.max(), -z.min()) + max(resid.max(), -resid.min())
+        ranks[:, j] = _rank_rows(resid[None, :], mag)[0]
         eta[:, j] = _scores_of_ranks(ranks[:, j])
     if names is None:
         names = tuple(f"z{j}" for j in range(m))

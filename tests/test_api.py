@@ -26,6 +26,8 @@ def test_every_exported_name_resolves(module):
     ("copula_mle", "gp_loglik"), ("copula_mle", "_loglik_core"),
     ("regress", "OlsFit.vcov_hc0"), ("regress", "OlsFit.se_hc0"),
     ("inference", "bootstrap_t_test"), ("transform", "ecdf_rescaled"),
+    ("inference", "_split_ties"), ("inference", "_TIE_RTOL"),
+    ("regress", "OlsFit.se_classical"), ("numerics", "DistSpec.cdf"),
 ])
 def test_deleted_names_are_gone(module, name):
     obj = importlib.import_module(f"endofix.{module}")

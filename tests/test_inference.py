@@ -13,14 +13,14 @@ from endofix.errors import (BootstrapError, ConstantInputError, DataError,
                             DomainError, IdentificationError,
                             NonFiniteError, RankDeficiencyError)
 from endofix.estimators import ESTIMATORS, ModelSpec, build_design, fit_npcf
-from endofix.inference import (_BOOT_KEY, _CHUNK_BYTES, _split_ties,
-                               exogeneity_test, exogeneity_test_of_fit,
+from endofix.inference import (_BOOT_KEY, _CHUNK_BYTES, exogeneity_test,
+                               exogeneity_test_of_fit,
                                identification_diagnostic, pairs_bootstrap)
 from endofix.numerics import DistSpec, RngStream, sample, words_generator
 from endofix.regress import _lstsq
 from endofix.simulation import MODEL_SPEC, DgpConfig, gen_dgp1, generate
-from endofix.transform import (_rank_rows, _scores_of_ranks, _score_rows,
-                               _sort_rows, first_stage)
+from endofix.transform import (TIE_RTOL, _rank_rows, _scores_of_ranks,
+                               _score_rows, _sort_rows, first_stage)
 
 
 class TestPairsBootstrap:
@@ -136,111 +136,67 @@ def _endogenous_design(rng, n):
     return x, e, z, y
 
 
-def _stable_rank_rows(rows):
-    """_rank_rows with a stable sort: the reference for the unstable one."""
+def _stable_rank_rows(rows, mag=None):
+    """_rank_rows with a stable sort and the runs written out: the
+    reference for the unstable one.  Returns (ranks, runs), runs marking
+    the sorted positions that start a run."""
     n = rows.shape[1]
     order = np.argsort(rows, axis=1, kind="stable")
     order += n * np.arange(rows.shape[0])[:, None]
-    sv = rows.ravel()[order]
+    gaps = np.diff(rows.ravel()[order], axis=1)
     new_run = np.ones(rows.shape, dtype=bool)
-    new_run[:, 1:] = sv[:, 1:] != sv[:, :-1]
+    new_run[:, 1:] = (gaps != 0.0 if mag is None
+                      else gaps > TIE_RTOL * mag[:, None])
     starts = np.flatnonzero(new_run)
     counts = np.append(starts[1:], rows.size) - starts
     ranks = np.empty(rows.size, dtype=np.float64)
     ranks[order.ravel()] = np.repeat(0.5 * (2 * (starts % n) + counts + 1),
                                      counts)
-    return ranks.reshape(rows.shape), order, sv
-
-
-def _tie_design(x, z, idx):
-    """The design block [1 | x | z] of the problems ``idx`` (B, n), laid
-    out as _fit_stack's stacked design (k = 2, m = 1)."""
-    W = np.empty((*idx.shape, 3))
-    W[..., 0] = 1.0
-    W[..., 1] = x[idx]
-    W[..., 2] = z[idx]
-    return W
+    return ranks.reshape(rows.shape), new_run
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 400), B=st.integers(1, 4), levels=st.integers(1, 6),
-       jitter=st.booleans(),
+       jitter=st.booleans(), tolerant=st.booleans(),
        stack=st.sampled_from(["tied", "untied", "mixed"]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_rank_order_within_ties_changes_nothing(n, B, levels, jitter, stack,
-                                                seed):
+def test_rank_order_within_ties_changes_nothing(n, B, levels, jitter,
+                                                tolerant, stack, seed):
     # integer z with a binary x, resampled with duplicates: residual runs
     # tie exactly within one data row, across rows of equal (x, z) and
-    # across rows of different (x, z); jitter adds near-ties between runs.
-    # An untied row holds continuous draws instead; a mixed stack holds
-    # both kinds of row
+    # across rows of different (x, z); jitter moves residuals a few ulps,
+    # as rounding does.  An untied row holds continuous draws instead; a
+    # mixed stack holds both kinds of row.  Exact and tolerant runs of
+    # the unstable sort equal those of the stable one.
     rng = np.random.default_rng(seed)
     x = rng.integers(0, 2, n).astype(np.float64)
     z = rng.integers(0, levels, n) + x
     resid = z - 2.0 * x
+    exact = resid.copy()
     if jitter:
         resid *= 1.0 + 1e-15 * rng.integers(0, 3, n)
     idx = rng.integers(0, n, (B, n))
-    E = resid[idx]
+    E, E_exact = resid[idx], exact[idx]
     if stack != "tied":
         untied = (np.ones(B, dtype=bool) if stack == "untied"
                   else np.arange(B) % 2 == 0)
-        E[untied] = rng.standard_normal((np.count_nonzero(untied), n))
+        E[untied] = E_exact[untied] = rng.standard_normal(
+            (np.count_nonzero(untied), n))
+    mag = np.abs(E).max(axis=1) + 1.0 if tolerant else None
+    order, runs = _sort_rows(E, mag)
     if stack == "untied":
-        assert _sort_rows(E)[2] is None         # the untied path runs
-    mag = np.abs(E).max(axis=1) + 1.0
-    got, want = _rank_rows(E), _stable_rank_rows(E)
-    assert got[0].tobytes() == want[0].tobytes()       # ranks
-    assert got[2].tobytes() == want[2].tobytes()       # sorted values
-    scores, order, sv = _score_rows(E)
-    assert scores.tobytes() == _scores_of_ranks(want[0]).tobytes()
-    assert order.tobytes() == got[1].tobytes()
-    assert sv.tobytes() == want[2].tobytes()
-    W = _tie_design(x, z, idx)
-    flagged = [set(_split_ties(W, 2, 1, order, sv, mag, idx).tolist())
-               for _, order, sv in (got, want)]
-    assert flagged[0] == flagged[1]
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(2, 300), B=st.integers(1, 4), m=st.integers(1, 2),
-       levels=st.integers(1, 6),
-       data=st.sampled_from(["tied", "near-tied", "untied"]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_split_ties_without_row_ids_flags_as_distinct_ids(n, B, m, levels,
-                                                          data, seed):
-    # problems whose rows are all distinct data (the Monte Carlo chunks)
-    # need no row ids: distinct ids filter out no pair
-    rng = np.random.default_rng(seed)
-    W = np.empty((B, n, 2 + m))
-    W[..., 0] = 1.0
-    W[..., 1] = rng.integers(0, 2, (B, n))
-    for j in range(m):
-        z = rng.integers(0, levels, (B, n)) + W[..., 1]
-        if data == "near-tied":
-            z *= 1.0 + 1e-15 * rng.integers(0, 3, (B, n))
-        elif data == "untied":
-            z = rng.standard_normal((B, n)) + W[..., 1]
-        W[..., 2 + j] = z
-    E = (W[..., 2:] - 2.0 * W[..., 1:2]).transpose(0, 2, 1)    # (B, m, n)
-    _, order, sv = _rank_rows(E.reshape(-1, n))
-    mag = (np.abs(W[..., 2:]).max(axis=1) + np.abs(E).max(axis=2)).ravel()
-    ids = np.arange(B * n).reshape(B, n)
-    without = _split_ties(W, 2, m, order, sv, mag)
-    assert without.tolist() == _split_ties(W, 2, m, order, sv, mag,
-                                           ids).tolist()
-    # the problems a loop over each residual vector's sorted neighbours
-    # flags: a gap within the tolerance between rows of different design
-    flagged = set()
-    for s in range(B):
-        for j in range(m):
-            e = E[s, j]
-            o = np.argsort(e, kind="stable")
-            for a, b in zip(o[:-1], o[1:]):
-                if (e[b] - e[a] <= inference._TIE_RTOL * mag[s * m + j]
-                        and np.any(W[s, a, 1:2 + m] != W[s, b, 1:2 + m])):
-                    flagged.add(s)
-    assert set(without.tolist()) == flagged
+        assert runs is None                     # the untied path runs
+    want, want_runs = _stable_rank_rows(E, mag)
+    assert np.array_equal(np.ones(E.shape, bool) if runs is None else runs,
+                          want_runs)
+    assert np.array_equal(E.ravel()[order], np.sort(E, axis=1))
+    ranks = _rank_rows(E, mag)
+    assert ranks.tobytes() == want.tobytes()
+    assert _score_rows(E, mag).tobytes() == _scores_of_ranks(want).tobytes()
+    if tolerant:
+        # the jitter is far inside the tolerance and the gaps between
+        # levels far outside it, so the ranks are those of exact ties
+        assert ranks.tobytes() == _rank_rows(E_exact).tobytes()
 
 
 class TestResampleStreams:
@@ -446,6 +402,16 @@ class TestStackedBootstrapMatchesLoop:
         ranks = fit_npcf(d, MODEL_SPEC).first_stage.ranks
         assert np.any(ranks != np.round(ranks))
         _assert_matches_loop(d, MODEL_SPEC, 199, RngStream(96))
+
+    @pytest.mark.parametrize("seed", [1, 3, 6, 7])
+    def test_tied_groups_take_no_scalar_refits(self, tied_groups, seed):
+        # each of these seeds draws resamples whose group means of z differ
+        # by an integer, so their residuals tie across the two x groups in
+        # exact arithmetic only: both paths rank them as ties, so the draws
+        # agree and no resample is refitted for a tie
+        got = _assert_matches_loop(tied_groups(seed), MODEL_SPEC, 199,
+                                   RngStream(seed))
+        assert got.scalar_refits == got.n_failed
 
     def test_one_resample_per_chunk(self, dgp1_small, monkeypatch):
         # one resample per chunk, as at large n, where each chunk frees

@@ -428,13 +428,14 @@ def _loop_mc(cfg, estimators, reps, B, master):
 
 def _degenerate_every_fifth(cfg, master, reps):
     """A chunk generator that replaces some repetitions by data the stacked
-    engine must flag.  rep % 5 == 1 gets x = 0, 1, 0, 1, ... and
-    z = k + 2x, with each integer k once in each x group, so first-stage
-    residuals of rows with different x tie in exact arithmetic and their
-    order depends on rounding.  rep % 5 == 3 gets a constant x (rank
-    failures in every estimator), and rep % 5 == 4 an outcome fitted
-    exactly (the residual variance behind ols's standard errors and gp's
-    rho is rounding noise).  rep % 5 == 0 gets an outcome that gp's design
+    engine must flag or rank as the scalar fit does.  rep % 5 == 1 gets
+    x = 0, 1, 0, 1, ... and z = k + 2x, with each integer k once in each x
+    group, so first-stage residuals of rows with different x tie in exact
+    arithmetic, and rounding alone orders them: both paths must rank them
+    as ties.  rep % 5 == 3 gets a constant x (rank failures in every
+    estimator), and rep % 5 == 4 an outcome fitted exactly (the residual
+    variance behind ols's standard errors and gp's rho is rounding
+    noise).  rep % 5 == 0 gets an outcome that gp's design
     fits to within 1e-8, so its 1 - rho^2 rounds to 0.  Repetitions are
     told apart by their seed words, so mc_run's chunks and the scalar
     generate of each repetition get the same data."""

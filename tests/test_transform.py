@@ -9,6 +9,7 @@ from scipy.special import ndtri
 from endofix.errors import ConstantInputError, DomainError
 from endofix.numerics import DistSpec, RngStream, sample
 from endofix.regress import DesignMatrix, _lstsq
+from endofix import transform
 from endofix.transform import (_half_rank_scores, _scores_of_ranks,
                                average_ranks, first_stage, normal_scores)
 
@@ -186,6 +187,18 @@ class TestFirstStage:
         assert fs.eta_hat.shape == (n, 2)
         for j in range(2):
             assert math.fsum(fs.eta_hat[:, j]) == 0.0
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, transform._GAP_BLOCK])
+    def test_tolerant_runs_span_gap_blocks(self, monkeypatch, block):
+        # integers moved a few ulps tie as the integers do, whichever
+        # blocks of neighbours the gap test compares at a time
+        monkeypatch.setattr(transform, "_GAP_BLOCK", block)
+        rng = np.random.default_rng(12)
+        exact = rng.integers(0, 5, (3, 40)).astype(np.float64)
+        E = exact * (1.0 + 1e-15 * rng.integers(0, 3, exact.shape))
+        mag = np.abs(E).max(axis=1) + 1.0
+        assert (transform._rank_rows(E, mag).tobytes()
+                == transform._rank_rows(exact).tobytes())
 
     @pytest.mark.parametrize("tied", [False, True])
     def test_scores_and_ranks_match_per_column_transforms(self, tied):
