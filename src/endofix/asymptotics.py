@@ -173,6 +173,9 @@ def constants_c(F: DistSpec, spec: QuadratureSpec = QuadratureSpec(), *,
     a finite artefact of the truncation that the plug-in covariance
     uses; ``truncate_c1=False`` gives c1 = inf without integrating it,
     and the report has no ``c1_err``.
+
+    Raises QuadratureError if the integrated c2, positive for every F,
+    is not: rounding has then erased the centered quantiles.
     """
     if g is None:
         g = _g_memo(F)
@@ -183,6 +186,11 @@ def constants_c(F: DistSpec, spec: QuadratureSpec = QuadratureSpec(), *,
     else:
         c1 = math.inf
     c2, e2 = _c2_quadrature(g, spec)
+    if not c2 > 0.0:
+        # g is increasing, so c2 = Cov(g(T), T) > 0 for T standard normal
+        raise QuadratureError(
+            f"c2 = {c2:.3e} is not positive: the centered quantiles of the "
+            "distribution have no significant digits left at its scale")
     c3, c3_err, M = _c3_doubling(F, spec)
     report.update({"c2_err": float(e2), "c3_doubling_delta": float(c3_err),
                    "c3_panels": M, "t_truncation": T_TRUNC})

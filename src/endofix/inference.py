@@ -7,24 +7,27 @@ the complete two-step pipeline (first stage, scores, second stage) on each
 resample, so the standard errors reflect the sampling noise of the
 generated regressor as well.
 
-:func:`_fit_stack` solves a stack of same-shaped problems at once for the
-estimators in ``_STACKED`` (``ols``, ``npcf``, ``two_scope`` and
-``gp_copula``): the bootstrap's resamples, gathered from the data
-columns one column at a time, and the Monte Carlo repetitions, whose
-(S, n) column stacks it reads as they are.  One sort per stack gives the
-ranks or scores and the ties; a stack without ties, as every Monte Carlo
-chunk is, skips the tied-run step.  npcf's first-stage residuals tie by
-the rule of :func:`~endofix.transform.first_stage`, sorted neighbours
-within TIE_RTOL times max|z| + max|e|, in the stacked and the scalar fit
-alike, so no problem is refitted for a tie.  A problem near a rank,
-constant-residual, exact-fit or copula-guard rejection is flagged and
-refitted by the registered scalar estimator, which then decides.  So are
-all problems of any other estimator (``iv_internal``, and estimators
-registered later).  Stacked results equal the scalar ones to rounding
-(about 1e-14 relative), not bit for bit.  The resampled rows themselves
-are bit-identical on both paths: a chunk's rows are drawn in one pass
-that follows numpy's bounded-integer sampler on each resample's own
-PCG64 stream.
+:func:`_fit_stack` solves a stack of same-shaped problems at once for
+every built-in estimator (``_STACKED``; ``iv_internal``, whose
+coefficients equal npcf's in exact arithmetic, as npcf's stack): the
+bootstrap's resamples, gathered from the data columns one column at a
+time, and the Monte Carlo repetitions, whose (S, n) column stacks it
+reads as they are.  :func:`_resample_fits` bootstraps S datasets at
+once, so the resamples of several Monte Carlo repetitions share chunks;
+:func:`pairs_bootstrap` is its one-dataset case.  One sort per stack
+gives the ranks or scores and the ties; a stack without ties, as every
+Monte Carlo chunk is, skips the tied-run step.  npcf's first-stage
+residuals tie by the rule of :func:`~endofix.transform.first_stage`,
+sorted neighbours within TIE_RTOL times max|z| + max|e|, in the stacked
+and the scalar fit alike, so no problem is refitted for a tie.  A
+problem near a rank, constant-residual, exact-fit or copula-guard
+rejection is flagged and refitted by the registered scalar estimator,
+which then decides.  So are all problems of estimators registered later.
+Stacked results equal the scalar ones to rounding (about 1e-14
+relative), not bit for bit.  The resampled rows themselves are
+bit-identical on both paths: a chunk's rows are drawn in one pass that
+follows numpy's bounded-integer sampler on each resample's own PCG64
+stream.
 """
 from __future__ import annotations
 
@@ -59,7 +62,7 @@ _BOOT_KEY = 0xB00
 # The estimators _fit_stack solves.  The bootstrap and the Monte Carlo
 # harness choose the stacked path by name, so a wrapper registered in
 # ESTIMATORS under one of these names does not change the path.
-_STACKED = ("ols", "npcf", "two_scope", "gp_copula")
+_STACKED = ("ols", "npcf", "iv_internal", "two_scope", "gp_copula")
 
 # Size in bytes of one stacked (problem, row, column) array: a chunk holds
 # this many bytes' worth of problems, and one problem at large n.
@@ -272,8 +275,9 @@ def _fit_stack(estimator: str, columns, spec: ModelSpec,
     QR: the top-right block of R is Q'rhs, so Q is never formed.  The
     second stage regresses y on ``[X | Z | corrections]``: no correction
     for ``ols``, the normal scores of the first-stage residuals for
-    ``npcf``, the scores of z for ``gp_copula``, and for ``two_scope``
-    the residuals of the scores of Z on the scores of X.
+    ``npcf`` and ``iv_internal``, the scores of z for ``gp_copula``, and
+    for ``two_scope`` the residuals of the scores of Z on the scores of
+    X.
     """
     k, m = spec.k, spec.m
     S, n = np.shape(columns[spec.outcome]) if rows is None else rows.shape
@@ -284,7 +288,10 @@ def _fit_stack(estimator: str, columns, spec: ModelSpec,
                     (*spec.exogenous, *spec.endogenous, spec.outcome)):
         W[..., j] = columns[c] if rows is None else columns[c][rows]
     ok = np.ones(S, dtype=bool)
-    if estimator == "npcf":
+    if estimator in ("npcf", "iv_internal"):
+        # iv's theta is npcf's in exact arithmetic, and its solves (on the
+        # scores, and on the regressors partialled on them) are no worse
+        # conditioned than npcf's design, so npcf's flags cover iv's
         ok = _npcf_scores(W, k, m)
     elif estimator == "two_scope":
         A = np.empty((S, n, k + m))
@@ -328,24 +335,76 @@ def _fit_stack(estimator: str, columns, spec: ModelSpec,
     return theta, ok, None
 
 
+def _resample_fits(estimator: str, datasets, spec: ModelSpec, seeds,
+                   B: int):
+    """Fit ``estimator`` on B resamples of each of S datasets of n rows,
+    whose model columns the caller has checked to be finite.  Resample b
+    of dataset s draws its rows from ``seeds[s].child(_BOOT_KEY, b)``.
+
+    Problem (s, b) is the rows ``s * n + rows_b`` of the datasets' model
+    columns laid end to end, so the resamples of several datasets share
+    the chunks of :func:`_fit_stack`.  A problem it flags, and every
+    problem of an estimator outside ``_STACKED``, is refitted by the
+    registered estimator on ``datasets[s].take(rows_b)``, which then
+    decides whether it fails; non-finite coefficients fail as a
+    ``NonFiniteError``.
+
+    Returns (theta (S, B, p), solved (S, B), failures, refits), the last
+    two summed over the datasets: the failed resamples by exception type
+    name, and the number refitted.  A failed resample's theta is 0.
+    """
+    S, n = len(datasets), datasets[0].n
+    words = np.concatenate([seed.child_words(_BOOT_KEY, np.arange(B))
+                            for seed in seeds])
+    theta = np.zeros((S * B, len(_names(spec, True))))
+    solved = np.zeros(S * B, dtype=bool)
+    if estimator in _STACKED:
+        # one dataset's own columns: at large n no copy of them is made
+        flat = {c: (np.concatenate([d.column(c) for d in datasets])
+                    if S > 1 else datasets[0].column(c))
+                for c in (spec.outcome, *spec.exogenous, *spec.endogenous)}
+        chunk = _chunk(n, spec)
+        for lo in range(0, S * B, chunk):
+            ps = np.arange(lo, min(lo + chunk, S * B))
+            idx = _resample_chunk(words[ps], n)
+            idx += n * (ps // B)[:, None]
+            th, ok, _ = _fit_stack(estimator, flat, spec, idx)
+            theta[ps[ok]] = th[ok]
+            solved[ps] = ok
+    failures: dict[str, int] = {}
+    refits = np.flatnonzero(~solved)
+    for p in refits:
+        try:
+            rows = _resample_rows(words[p], n)
+            th = ESTIMATORS[estimator](datasets[p // B].take(rows), spec).theta
+            if not np.all(np.isfinite(th)):
+                raise NonFiniteError("non-finite bootstrap coefficients")
+            theta[p], solved[p] = th, True
+        except (RankDeficiencyError, ConstantInputError,
+                IdentificationError, NonFiniteError) as exc:
+            kind = type(exc).__name__
+            failures[kind] = failures.get(kind, 0) + 1
+    return theta.reshape(S, B, -1), solved.reshape(S, B), failures, refits.size
+
+
 def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
                     B: int = 199, seed: RngStream = RngStream(0),
                     level: float = 0.05) -> BootstrapResult:
     """Resample rows with replacement and refit ``estimator`` B times.
 
-    For ``npcf``, ``two_scope`` and ``gp_copula`` the resamples are
-    solved in chunks of stacked arrays by :func:`_fit_stack`.  A resample
-    it flags (near a rank, constant-residual, exact-fit or copula-guard
-    rejection) is refitted by the registered estimator, which then
-    decides whether it fails; ``iv_internal`` and estimators registered
-    later refit every resample.  npcf's first-stage residuals within
-    TIE_RTOL times max|z| + max|e| of each other tie in both paths, so no
-    resample is refitted for a tie.  The stacked draws equal those of
-    refitting every resample to rounding (about 1e-14 relative), not bit
-    for bit.  A resample whose refitted coefficients are not finite fails
-    as a ``NonFiniteError``.  The full sample is not fitted here: a
-    dataset the estimator cannot fit makes its resamples fail, which
-    raises BootstrapError.
+    The one-dataset case of :func:`_resample_fits`: for every built-in
+    estimator (``iv_internal`` as npcf's) the resamples are solved in
+    chunks of stacked arrays by :func:`_fit_stack`, and one it flags
+    (near a rank, constant-residual, exact-fit or copula-guard rejection)
+    is refitted by the registered estimator, which then decides whether
+    it fails; estimators registered later refit every resample.  npcf's
+    first-stage residuals within TIE_RTOL times max|z| + max|e| of each
+    other tie in both paths, so no resample is refitted for a tie.  The
+    stacked draws equal those of refitting every resample to rounding
+    (about 1e-14 relative), not bit for bit.  A resample whose refitted
+    coefficients are not finite fails as a ``NonFiniteError``.  The full
+    sample is not fitted here: a dataset the estimator cannot fit makes
+    its resamples fail, which raises BootstrapError.
 
     Resample b's rows are ``seed.child(_BOOT_KEY, b).generator()
     .integers(0, n, size=n)``, bit for bit, however they are drawn: a
@@ -384,44 +443,20 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
     if estimator not in ESTIMATORS or estimator == "ols":
         raise DataError(f"unknown bootstrap estimator {estimator!r}")
     names = _names(spec, True)
-    n = data.n
     _check_finite(data, spec)
-    if n <= len(names):
+    if data.n <= len(names):
         raise DomainError(f"need more rows than coefficients "
-                          f"(n={n}, p={len(names)})")
+                          f"(n={data.n}, p={len(names)})")
 
-    words = seed.child_words(_BOOT_KEY, np.arange(B))
-    theta = np.empty((B, len(names)))
-    solved = np.zeros(B, dtype=bool)
-    if estimator in _STACKED:
-        chunk = _chunk(n, spec)
-        for lo in range(0, B, chunk):
-            bs = np.arange(lo, min(lo + chunk, B))
-            idx = _resample_chunk(words[bs], n)
-            th, ok, _ = _fit_stack(estimator, data.columns, spec, idx)
-            theta[bs[ok]] = th[ok]
-            solved[bs] = ok
-    fit_fn = ESTIMATORS[estimator]
-    failures: dict[str, int] = {}
-    refits = np.flatnonzero(~solved)
-    for b in refits:
-        try:
-            rows = _resample_rows(words[b], n)
-            theta[b] = fit_fn(data.take(rows), spec).theta
-            if not np.all(np.isfinite(theta[b])):
-                raise NonFiniteError("non-finite bootstrap coefficients")
-            solved[b] = True
-        except (RankDeficiencyError, ConstantInputError,
-                IdentificationError, NonFiniteError) as exc:
-            kind = type(exc).__name__
-            failures[kind] = failures.get(kind, 0) + 1
+    theta, solved, failures, refits = _resample_fits(estimator, [data], spec,
+                                                     [seed], B)
     n_failed = B - int(solved.sum())
     if n_failed > 0.01 * B:
         raise BootstrapError(
             f"{n_failed} of {B} bootstrap resamples failed "
             f"(by type: {failures}); the design is too fragile for "
             "resampling")
-    draws = theta[solved]
+    draws = theta[0][solved[0]]
 
     se = draws.std(axis=0, ddof=1)
     ci = np.quantile(draws, [level / 2.0, 1.0 - level / 2.0], axis=0)
@@ -437,7 +472,7 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
     return BootstrapResult(draws=draws, names=names, se=se,
                            percentile_ci=ci, level=level, B=B, seed=seed,
                            n_failed=n_failed, n_extreme_draws=extreme,
-                           failures=failures, scalar_refits=refits.size)
+                           failures=failures, scalar_refits=refits)
 
 
 def exogeneity_test(data: Dataset, spec: ModelSpec) -> TestResult:

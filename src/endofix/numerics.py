@@ -203,12 +203,18 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=(self.seed, self.stream_id))
         return np.random.Generator(np.random.PCG64(ss))
 
-    def child(self, *keys: int) -> "RngStream":
-        """Derive a sub-stream by mixing integer keys into ``stream_id``."""
+    def _child_id(self, keys):
+        """``stream_id`` with ``keys`` mixed in; an array if a key is."""
         h = _splitmix64(self.stream_id ^ 0xA5A5A5A5A5A5A5A5)
         for k in keys:
-            h = _splitmix64(h ^ _splitmix64(int(k) & _MASK64))
-        return RngStream(self.seed, h)
+            k = (np.asarray(k).astype(np.uint64) if np.ndim(k)
+                 else int(k) & _MASK64)
+            h = _splitmix64(h ^ _splitmix64(k))
+        return h
+
+    def child(self, *keys: int) -> "RngStream":
+        """Derive a sub-stream by mixing integer keys into ``stream_id``."""
+        return RngStream(self.seed, self._child_id(keys))
 
     def words(self) -> np.ndarray:
         """The (1, 4) uint64 PCG64 seed words of :meth:`generator`."""
@@ -221,12 +227,7 @@ class RngStream:
         position (``child_words(key, bs)`` or ``child_words(bs, key)``),
         hashed in one pass; :func:`words_generator` turns a row into that
         child's generator."""
-        h = _splitmix64(self.stream_id ^ 0xA5A5A5A5A5A5A5A5)
-        for k in keys:
-            k = (np.asarray(k).astype(np.uint64) if np.ndim(k)
-                 else int(k) & _MASK64)
-            h = _splitmix64(h ^ _splitmix64(k))
-        return _seed_words(self.seed, h)
+        return _seed_words(self.seed, self._child_id(keys))
 
 
 # ---------------------------------------------------------------------------

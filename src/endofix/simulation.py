@@ -13,16 +13,16 @@ transformed error itself.
 repetition keeps its own PCG64 stream and draws its normals or gammas
 from it; the transforms after the draws run once on the chunk's (S, n)
 block, so the columns equal those of :func:`gen_dgp1`/:func:`gen_dgp2`,
-the one-repetition case of the same generator, bit for bit.  For
-``ols``, ``npcf``, ``two_scope`` and ``gp_copula`` those (S, n) columns
-are the stacks that the engine the bootstrap uses
-(:mod:`endofix.inference`) fits at once.  Each estimator's results are
-kept in arrays indexed by repetition, which a stacked chunk fills as one
-block, so no per-repetition code runs unless a repetition needs a scalar
-fit or a bootstrap: one the engine flags is fitted by the registered
-estimator, and so is every repetition of ``iv_internal`` and of
-estimators registered later.  Stacked fits equal the scalar ones to
-rounding (about 1e-14 relative), not bit for bit.
+the one-repetition case of the same generator, bit for bit.  For every
+built-in estimator those (S, n) columns are the stacks that the engine
+the bootstrap uses (:mod:`endofix.inference`) fits at once, and the
+bootstraps of a chunk's repetitions run through that engine together, so
+their resamples share stacked chunks.  Each estimator's results are kept
+in arrays indexed by repetition, which a chunk fills as one block, so no
+per-repetition code runs unless a repetition needs a scalar fit: one the
+engine flags is fitted by the registered estimator, and so is every
+repetition of estimators registered later.  Stacked fits equal the
+scalar ones to rounding (about 1e-14 relative), not bit for bit.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 from .data import Dataset
 from .errors import DataError, DomainError, EndofixError, NonFiniteError
 from .estimators import ESTIMATORS, ModelSpec, _names
-from .inference import _STACKED, _chunk, _fit_stack, pairs_bootstrap
+from .inference import _STACKED, _chunk, _fit_stack, _resample_fits
 from .numerics import DistSpec, RngStream, words_generator
 
 __all__ = ["DgpConfig", "gen_dgp1", "gen_dgp2", "mc_run", "McSummary",
@@ -309,89 +309,43 @@ class McSummary:
         return "\n".join(lines)
 
 
-def _rep_result(est: str, data: Dataset, point, B: int, master: RngStream,
-                rep: int, truth: dict[str, float], tested: tuple[str, ...]):
-    """((names, coefficients) or None, t-test rejections or None,
-    exception type name or None) of ``est`` on repetition ``rep``'s
-    ``data``; the rejections are a bool per coefficient of ``tested``.
-
-    ``point`` is the stacked engine's (names, theta, se), or None to fit
-    ``est`` here with the registered scalar estimator.  The bootstrap
-    stream is derived from ``master`` only when a bootstrap runs.  A
-    point estimate that is not finite fails the repetition as a
-    ``NonFiniteError``.  A failed bootstrap keeps the point estimate and
-    leaves only the tests out.
-    """
-    if point is None:
-        try:
-            fit = ESTIMATORS[est](data, MODEL_SPEC)
-        except (EndofixError, np.linalg.LinAlgError) as exc:
-            return None, None, type(exc).__name__
-        # the stacked engine leaves a non-finite point to this fit
-        if not np.all(np.isfinite(fit.theta)):
-            return None, None, NonFiniteError.__name__
-        point = fit.names, fit.theta, fit.se() if est == "ols" else None
-    names, theta, se = point
-    failure = None
-    if est != "ols" and B >= 2:
-        try:
-            se = pairs_bootstrap(data, MODEL_SPEC, est, B=B,
-                                 seed=master.child(rep, _est_key(est))).se
-        except (EndofixError, np.linalg.LinAlgError) as exc:
-            failure = type(exc).__name__
-    rejects = None
-    if se is not None:
-        rejects = []
-        for coef in tested:
-            j = names.index(coef)
-            rejects.append(abs(theta[j] - truth[coef]) > _Z975 * float(se[j]))
-    return (names, theta), rejects, failure
-
-
 class _Tally:
     """One estimator's results over the repetitions of a run, as arrays
-    indexed by repetition: coefficients (allocated at the first success,
-    whose names they follow), a success mask, and the t-test rejections
-    of the repetitions that ran a test."""
+    indexed by repetition: coefficients, named ``names``, a success mask,
+    and the standard errors of the repetitions that run a t-test."""
 
-    def __init__(self, reps: int, tested: tuple[str, ...]):
-        self.names: tuple[str, ...] | None = None
-        self.theta: np.ndarray | None = None
+    def __init__(self, reps: int, names: tuple[str, ...]):
+        self.names = names
+        self.theta = np.empty((reps, len(names)))
         self.done = np.zeros(reps, dtype=bool)
+        self.se = np.empty((reps, len(names)))
         self.has_test = np.zeros(reps, dtype=bool)
-        self.rejects = np.zeros((reps, len(tested)), dtype=bool)
         self.failures: Counter[str] = Counter()
         self.refits = 0
 
-    def _coefficients(self, names: tuple[str, ...]) -> np.ndarray:
-        if self.theta is None:
-            self.names = tuple(names)
-            self.theta = np.empty((self.done.size, len(names)))
-        return self.theta
-
-    def put_block(self, lo: int, names, theta: np.ndarray, ok: np.ndarray,
-                  rejects: np.ndarray | None) -> None:
-        """Repetitions lo, lo+1, ... as a stacked chunk fitted them; a
-        repetition not ``ok`` is left to :meth:`put`."""
-        block = slice(lo, lo + ok.size)
-        self._coefficients(names)[block] = theta
-        self.done[block] = ok
-        if rejects is not None:
-            self.has_test[block] = ok
-            self.rejects[block] = rejects
-
-    def put(self, rep: int, point, rejects, failure) -> None:
-        """Repetition ``rep`` as :func:`_rep_result` returned it."""
-        if failure is not None:
-            self.failures[failure] += 1
-        if point is None:
-            return
-        names, theta = point
-        self._coefficients(names)[rep] = theta
-        self.done[rep] = True
-        if rejects is not None:
-            self.has_test[rep] = True
-            self.rejects[rep] = rejects
+    def bootstrap(self, est: str, cols: dict[str, np.ndarray], lo: int,
+                  B: int, master: RngStream) -> None:
+        """Bootstrap standard errors of ``est`` for the fitted repetitions
+        lo + s of the chunk ``cols``, in one call of the bootstrap's
+        engine; one whose bootstrap fails keeps its point estimate."""
+        keep = np.flatnonzero(self.done[lo:lo + len(cols["y"])])
+        theta, solved, _, _ = _resample_fits(
+            est, [_repetition(cols, s) for s in keep], MODEL_SPEC,
+            [master.child(lo + s, _est_key(est)) for s in keep], B)
+        # pairs_bootstrap's BootstrapError: more than 1% of resamples failed
+        boot = B - np.count_nonzero(solved, axis=1) <= 0.01 * B
+        self.failures["BootstrapError"] += int(np.count_nonzero(~boot))
+        # pairs_bootstrap's standard errors to the bit: with 3 or more
+        # coefficients numpy adds each one's draws in resample order in both
+        se = np.std(theta[boot], axis=1, ddof=1,
+                    where=solved[boot][..., None])
+        # a percentile interval that is not finite needs draws whose
+        # spread overflows, and then the standard error is not finite too
+        finite = np.isfinite(se).all(axis=1)
+        self.failures["NonFiniteError"] += int(np.count_nonzero(~finite))
+        tested = lo + keep[boot][finite]
+        self.se[tested] = se[finite]
+        self.has_test[tested] = True
 
 
 def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
@@ -413,24 +367,13 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
     streams are keyed by (repetition, estimator identity), so the
     estimator ordering changes nothing.
 
-    Repetitions are generated a chunk at a time, so the data in memory do
-    not grow with ``reps``.  The seed words of all data streams are hashed
-    once; each chunk draws its repetitions' random inputs, one PCG64
-    stream per repetition, and transforms them in one pass
-    (``_generate``), bit for bit as :func:`gen_dgp1`/:func:`gen_dgp2`
-    draw each repetition alone.  For ``ols``, ``npcf``, ``two_scope`` and
-    ``gp_copula`` the chunk's columns are fitted as one stack by the
-    engine the bootstrap uses (:mod:`endofix.inference`), and the
-    coefficients, success mask and (ols's) rejections of the whole chunk
-    are written at once.  Only a repetition that needs a scalar fit or a
-    bootstrap runs per repetition (:func:`_rep_result`, on a ``Dataset``
-    of views into the chunk): one the engine flags, every repetition of
-    ``iv_internal`` and of estimators registered later, and, when B >= 2,
-    the bootstrap of every corrected estimator.
-    ``McSummary.scalar_refits`` counts the scalar fits.  Stacked fits
-    equal the scalar ones to rounding (about 1e-14 relative), not bit for
-    bit.  Cells, draws and counts are reductions over the per-estimator
-    arrays in repetition order.
+    Repetitions are generated and fitted a chunk at a time (see the module
+    docstring), so memory does not grow with ``reps``.  When B >= 2 one
+    call of the bootstrap's engine bootstraps a chunk's fitted
+    repetitions, each as ``pairs_bootstrap`` would alone, bit for bit.
+    ``McSummary.scalar_refits`` counts the repetitions fitted one by one.
+    Cells, draws and counts are reductions over per-estimator arrays in
+    repetition order; the t-tests are one vectorized comparison.
     """
     if reps < 2:
         raise DomainError("mc_run needs reps >= 2")
@@ -444,48 +387,61 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
     tested = ("x", "z")
     true_tested = np.array([truth[c] for c in tested])
 
-    tallies = {est: _Tally(reps, tested) for est in estimators}
+    tallies = {est: _Tally(reps, _names(MODEL_SPEC, est != "ols"))
+               for est in estimators}
     # the seed words of every repetition's data stream, hashed in one pass
     words = master.child_words(np.arange(reps), _DATA_KEY)
     chunk = _chunk(cfg.n, MODEL_SPEC)
     for lo in range(0, reps, chunk):
         cols = _generate(cfg, words[lo:lo + chunk])
         S = len(cols["y"])
+        block = slice(lo, lo + S)
         for est, tally in tallies.items():
             ok = np.zeros(S, dtype=bool)
             if est in _STACKED:
                 # the chunk's (S, n) columns are the stacks themselves
                 theta, ok, se = _fit_stack(est, cols, MODEL_SPEC)
-                names = _names(MODEL_SPEC, est != "ols")
-                rejects = None
+                tally.theta[block] = theta
                 if se is not None:
-                    j = [names.index(c) for c in tested]
-                    rejects = (np.abs(theta[:, j] - true_tested)
-                               > _Z975 * se[:, j])
-                tally.put_block(lo, names, theta, ok, rejects)
+                    tally.se[block] = se
             tally.refits += S - int(np.count_nonzero(ok))
-            boot = est != "ols" and B >= 2
-            for s in range(S) if boot else np.flatnonzero(~ok).tolist():
-                point = None
-                if ok[s]:
-                    point = (names, theta[s], None if se is None else se[s])
-                tally.put(lo + s, *_rep_result(
-                    est, _repetition(cols, s), point, B, master, lo + s,
-                    truth, tested))
+            for s in np.flatnonzero(~ok):
+                try:
+                    fit = ESTIMATORS[est](_repetition(cols, s), MODEL_SPEC)
+                    # the stacked engine leaves a non-finite point to this fit
+                    if not np.all(np.isfinite(fit.theta)):
+                        raise NonFiniteError("non-finite coefficients")
+                except (EndofixError, np.linalg.LinAlgError) as exc:
+                    tally.failures[type(exc).__name__] += 1
+                    continue
+                tally.theta[lo + s], ok[s] = fit.theta, True
+                if est == "ols":
+                    tally.se[lo + s] = fit.se()
+            tally.done[block] = ok
+            if est == "ols":
+                tally.has_test[block] = ok
+            elif B >= 2 and ok.any():
+                tally.bootstrap(est, cols, lo, B, master)
 
     cells: dict[tuple[str, str], McCell] = {}
     completed: dict[str, int] = {}
     failures: dict[str, dict[str, int]] = {}
     draws: dict[str, dict[str, list[float]]] = {}
     for est, tally in tallies.items():
-        if tally.failures:
-            failures[est] = dict(sorted(tally.failures.items()))
+        kinds = +tally.failures
+        if kinds:
+            failures[est] = dict(sorted(kinds.items()))
         completed[est] = int(np.count_nonzero(tally.done))
         if not completed[est]:
             continue
         if keep_draws:
             draws[est] = {coef: tally.theta[tally.done, j].tolist()
                           for j, coef in enumerate(tally.names)}
+        # the 5%-level t-tests of the true values, one per repetition with
+        # a standard error
+        j = [tally.names.index(c) for c in tested]
+        rejects = (np.abs(tally.theta[tally.has_test][:, j] - true_tested)
+                   > _Z975 * tally.se[tally.has_test][:, j])
         for j, coef in enumerate(tally.names):
             true = truth.get(coef)
             if true is None:
@@ -498,8 +454,7 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
             rmse = math.sqrt(bias * bias + std * std)
             size = None
             if coef in tested and tally.has_test.any():
-                size = float(np.mean(
-                    tally.rejects[tally.has_test, tested.index(coef)]))
+                size = float(np.mean(rejects[:, tested.index(coef)]))
             cells[(est, coef)] = McCell(bias=bias, std=std, rmse=rmse, size=size)
     return McSummary(cells=cells, reps=reps, completed=completed, config=cfg,
                      B=B, draws=draws if keep_draws else None,

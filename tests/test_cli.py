@@ -914,6 +914,18 @@ class TestConstantsCommand:
         assert cap.err == ""
 
 
+    @pytest.mark.parametrize("dist", ["gamma:1e100,1", "gamma:1e250,1",
+                                      "gamma:1e300,1"])
+    def test_rounded_away_quantiles_exit_3(self, dist, capsys):
+        # the centered quantiles have no significant digits left, so every
+        # integrand is 0; c2 = Cov(g(T), T) > 0 for every distribution
+        assert main(["constants", "--dist", dist]) == 3
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.count("\n") == 1
+        assert "c2 = 0.000e+00 is not positive" in cap.err
+
+
 class TestMultiEndogenousFit:
     def test_two_endogenous_columns_end_to_end(self, tmp_path):
         rng = np.random.default_rng(7)

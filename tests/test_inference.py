@@ -449,7 +449,8 @@ class TestStackedBootstrapMatchesLoop:
             _loop_bootstrap(d, spec, 100, RngStream(8))
         assert _assert_matches_loop(d, spec, 100, RngStream(8)) is None
 
-    @pytest.mark.parametrize("estimator", ["two_scope", "gp_copula"])
+    @pytest.mark.parametrize("estimator",
+                             ["iv_internal", "two_scope", "gp_copula"])
     def test_other_stacked_estimators(self, dgp1_small, estimator):
         # untied continuous data, then integer z with a binary x, whose
         # scores take the tied (ndtri) branch in every resample
@@ -463,7 +464,8 @@ class TestStackedBootstrapMatchesLoop:
                      "z": z})
         _assert_matches_loop(d, MODEL_SPEC, 199, RngStream(96), estimator)
 
-    @pytest.mark.parametrize("estimator", ["two_scope", "gp_copula"])
+    @pytest.mark.parametrize("estimator",
+                             ["iv_internal", "two_scope", "gp_copula"])
     def test_other_stacked_estimators_rank_failures(self, estimator):
         # the rare dummy of test_rare_dummy_rank_failures: its all-zero
         # resamples are flagged, refitted and fail in both paths; with two
@@ -770,8 +772,6 @@ class TestNonFiniteDraws:
             with pytest.raises(BootstrapError,
                                match=r"'NonFiniteError': [1-9]"):
                 pairs_bootstrap(data, _HUGE_SPEC, estimator, B=19)
-            if estimator == "iv_internal":
-                return
             idx = inference._resample_chunk(
                 RngStream(0).child_words(_BOOT_KEY, np.arange(99)), 30)
             theta, ok, _ = inference._fit_stack(estimator, data.columns,

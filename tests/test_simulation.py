@@ -378,7 +378,7 @@ class TestScoresOnScoresCopulaDesign:
         assert s.cell("two_scope", "z").bias == pytest.approx(0.055, abs=0.05)
 
 
-_ALL_STACKED = ("ols", "npcf", "two_scope", "gp_copula")
+_ALL_STACKED = ("ols", "npcf", "iv_internal", "two_scope", "gp_copula")
 
 
 def _loop_mc(cfg, estimators, reps, B, master):
@@ -467,56 +467,79 @@ def _degenerate_every_fifth(cfg, master, reps):
 
 
 def _rep_loop_mc(cfg, estimators, reps, B, master, keep_draws):
-    """Reference for mc_run's per-estimator arrays: the same chunks and
-    stacked fits, then every repetition of every estimator through
-    _rep_result, reduced from per-repetition lists.
+    """Reference for mc_run's per-estimator arrays and its bootstraps in
+    shared chunks: the same chunks' stacked point fits, the scalar fit of
+    each flagged repetition, and one pairs_bootstrap call per repetition,
+    each reduced from per-repetition lists.
 
     Returns (cells, completed, failures, draws, scalar_refits) as
     McSummary holds them."""
-    from endofix.estimators import _names
-    from endofix.inference import _STACKED, _chunk, _fit_stack
-    from endofix.simulation import McCell
+    from endofix.estimators import ESTIMATORS, _names
+    from endofix.errors import EndofixError, NonFiniteError
+    from endofix.inference import _STACKED, _chunk, _fit_stack, pairs_bootstrap
+    from endofix.simulation import _Z975, McCell, _est_key
 
     truth, tested = cfg.truth(), ("x", "z")
-    results, refits = [], dict.fromkeys(estimators, 0)
+    errors = (EndofixError, np.linalg.LinAlgError)
+    results = {est: [] for est in estimators}
+    failures = {est: Counter() for est in estimators}
+    refits = dict.fromkeys(estimators, 0)
     words = master.child_words(np.arange(reps), _DATA_KEY)
     chunk = _chunk(cfg.n, MODEL_SPEC)
     for lo in range(0, reps, chunk):
         cols = simulation._generate(cfg, words[lo:lo + chunk])
-        fits = {est: _fit_stack(est, cols, MODEL_SPEC)
-                for est in estimators if est in _STACKED}
-        for s in range(len(cols["y"])):
-            row = {}
-            for est in estimators:
-                point = None
-                if est in fits and fits[est][1][s]:
-                    theta, _, se = fits[est]
-                    point = (_names(MODEL_SPEC, est != "ols"), theta[s],
-                             None if se is None else se[s])
-                refits[est] += point is None
-                row[est] = simulation._rep_result(
-                    est, simulation._repetition(cols, s), point, B, master,
-                    lo + s, truth, tested)
-            results.append(row)
+        for est in estimators:
+            names = _names(MODEL_SPEC, est != "ols")
+            fits = (_fit_stack(est, cols, MODEL_SPEC) if est in _STACKED
+                    else None)
+            for s in range(len(cols["y"])):
+                data = simulation._repetition(cols, s)
+                if fits is not None and fits[1][s]:
+                    theta = fits[0][s]
+                    se = None if fits[2] is None else fits[2][s]
+                else:
+                    refits[est] += 1
+                    try:
+                        fit = ESTIMATORS[est](data, MODEL_SPEC)
+                    except errors as exc:
+                        failures[est][type(exc).__name__] += 1
+                        continue
+                    if not np.all(np.isfinite(fit.theta)):
+                        failures[est][NonFiniteError.__name__] += 1
+                        continue
+                    theta = fit.theta
+                    se = fit.se() if est == "ols" else None
+                if est != "ols" and B >= 2:
+                    try:
+                        se = pairs_bootstrap(
+                            data, MODEL_SPEC, est, B=B,
+                            seed=master.child(lo + s, _est_key(est))).se
+                    except errors as exc:
+                        failures[est][type(exc).__name__] += 1
+                rejects = None
+                if se is not None:
+                    rejects = [abs(theta[names.index(c)] - truth[c])
+                               > _Z975 * float(se[names.index(c)])
+                               for c in tested]
+                results[est].append((names, theta, rejects))
 
-    cells, completed, failures, draws = {}, {}, {}, {}
+    cells, completed, fails, draws = {}, {}, {}, {}
     for est in estimators:
-        kinds = [r[est][2] for r in results if r[est][2] is not None]
-        if kinds:
-            failures[est] = {k: kinds.count(k) for k in sorted(set(kinds))}
-        ok = [r[est] for r in results if r[est][0] is not None]
+        if failures[est]:
+            fails[est] = dict(sorted(failures[est].items()))
+        ok = results[est]
         completed[est] = len(ok)
         if not ok:
             continue
-        names = ok[0][0][0]
-        tested_ok = [r[1] for r in ok if r[1] is not None]
+        names = ok[0][0]
+        tested_ok = [r[2] for r in ok if r[2] is not None]
         if keep_draws:
-            draws[est] = {c: [float(r[0][1][j]) for r in ok]
+            draws[est] = {c: [float(r[1][j]) for r in ok]
                           for j, c in enumerate(names)}
         for j, coef in enumerate(names):
             if coef not in truth:
                 continue
-            vals = np.array([r[0][1][j] for r in ok])
+            vals = np.array([r[1][j] for r in ok])
             bias = float(vals.mean() - truth[coef])
             std = float(vals.std(ddof=0))
             size = None
@@ -526,7 +549,7 @@ def _rep_loop_mc(cfg, estimators, reps, B, master, keep_draws):
             cells[(est, coef)] = McCell(
                 bias=bias, std=std, rmse=math.sqrt(bias * bias + std * std),
                 size=size)
-    return cells, completed, failures, draws, refits
+    return cells, completed, fails, draws, refits
 
 
 class TestStackedMcMatchesLoop:
@@ -586,8 +609,10 @@ class TestStackedMcMatchesLoop:
     @pytest.mark.parametrize("kind", ["dgp1", "dgp2"])
     def test_arrays_equal_per_repetition_results(self, kind, B, chunk_reps,
                                                  monkeypatch):
-        # the per-estimator arrays reduce to exactly what reducing every
-        # repetition's _rep_result gives: equal floats, not close ones
+        # the per-estimator arrays, and the bootstraps whose resamples
+        # share chunks across repetitions, reduce to exactly what one
+        # pairs_bootstrap call per repetition gives: equal floats, not
+        # close ones
         cfg, master, reps, estimators = self._setup(monkeypatch, kind,
                                                     chunk_reps)
         for keep_draws in (True, False):
