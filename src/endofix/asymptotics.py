@@ -132,8 +132,10 @@ def _c3_simpson(t: np.ndarray, vals: np.ndarray) -> float:
 
 def _c3_doubling(F: DistSpec, spec: QuadratureSpec):
     """c3 on Simpson grids of 2048, 4096, ... panels, doubled until two
-    successive values agree to ``spec.abs_tol`` (or 1e-12); returns (c3,
-    last change, panels).  Each doubled grid's even points are the
+    successive values agree to ``spec.abs_tol`` (or 1e-12) times
+    max(1, |c3|); returns (c3, last change, panels).  c3 scales with the
+    error's variance, so a change relative to it stops the doubling alike
+    in any units.  Each doubled grid's even points are the
     previous grid bit for bit (with T_TRUNC = 8.5 and power-of-two panel
     counts every grid point is exact in double precision), so only its
     odd points are evaluated."""
@@ -152,7 +154,7 @@ def _c3_doubling(F: DistSpec, spec: QuadratureSpec):
         cur = _c3_simpson(t, vals)
         c3_err = abs(cur - prev)
         prev = cur
-        if c3_err <= max(spec.abs_tol, 1e-12):
+        if c3_err <= max(spec.abs_tol, 1e-12) * max(1.0, abs(cur)):
             return prev, c3_err, M
     raise QuadratureError(
         f"c3 grid did not stabilize (last doubling changed it by {c3_err:.2e})")

@@ -17,8 +17,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConstantInputError, DataError
-from .estimators import (ESTIMATORS, ModelSpec, ThetaEstimate, _names,
-                         build_design)
+from .estimators import ESTIMATORS, ModelSpec, ThetaEstimate, _design, _names
 from .regress import _lstsq
 from .transform import normal_scores
 
@@ -45,11 +44,12 @@ def gp_fit(data: Dataset, spec: ModelSpec) -> ThetaEstimate:
     """
     if spec.m != 1:
         raise DataError("the copula comparator handles a single endogenous column")
-    X, Z, y = build_design(data, spec)
-    eta = normal_scores(Z[:, 0])
+    W = _design(data, spec, extra=1)
+    W[:, -1] = normal_scores(W[:, -2])
+    y = data.column(spec.outcome)
 
     names = _names(spec, True)
-    coef, resid, _ = _lstsq(np.column_stack([X.values, Z, eta]), y, names)
+    coef, resid, _ = _lstsq(W, y, names, overwrite=True)
     n = y.size
     c = float(coef[-1])
     s2 = float(resid @ resid) / n

@@ -94,17 +94,26 @@ def _check_finite(data: Dataset, spec: ModelSpec) -> None:
             raise DomainError(f"column {col!r} contains non-finite entries")
 
 
-def build_design(data: Dataset, spec: ModelSpec):
-    """Return (X exogenous design, Z endogenous block, y), all finite."""
+def _design(data: Dataset, spec: ModelSpec, extra: int = 0) -> np.ndarray:
+    """The Fortran-ordered n x (k + m + extra) array [1 | exogenous |
+    endogenous | extra columns left for the caller], checked finite: a
+    fit's one copy of its design, in the layout :func:`_lstsq` factors."""
     _check_finite(data, spec)
-    y = data.column(spec.outcome)
-    X = DesignMatrix(
-        np.column_stack([np.ones(data.n), *(data.column(c) for c in spec.exogenous)]),
-        (INTERCEPT, *spec.exogenous),
-        has_intercept=True,
-    )
-    Z = data.matrix(spec.endogenous)
-    return X, Z, y
+    cols = (*spec.exogenous, *spec.endogenous)
+    W = np.empty((data.n, 1 + len(cols) + extra), order="F")
+    W[:, 0] = 1.0
+    for j, c in enumerate(cols, 1):
+        W[:, j] = data.column(c)
+    return W
+
+
+def build_design(data: Dataset, spec: ModelSpec):
+    """Return (X exogenous design, Z endogenous block, y), all finite; X
+    and Z are views of one :func:`_design` array."""
+    W = _design(data, spec)
+    X = DesignMatrix(W[:, :spec.k], (INTERCEPT, *spec.exogenous),
+                     has_intercept=True)
+    return X, W[:, spec.k:], data.column(spec.outcome)
 
 
 def _names(spec: ModelSpec, with_rho: bool) -> tuple[str, ...]:
@@ -117,20 +126,18 @@ def _names(spec: ModelSpec, with_rho: bool) -> tuple[str, ...]:
 def fit_ols(data: Dataset, spec: ModelSpec) -> ThetaEstimate:
     """Plain OLS of the outcome on (exogenous, endogenous) — the
     uncorrected baseline.  No rho block."""
-    X, Z, y = build_design(data, spec)
-    W = DesignMatrix(np.column_stack([X.values, Z]), _names(spec, False))
-    fit = ols_fit(W, y)
+    W = DesignMatrix(_design(data, spec), _names(spec, False))
+    fit = ols_fit(W, data.column(spec.outcome), overwrite=True)
     return ThetaEstimate(fit.coefficients, W.column_names, "ols",
                          vcov=fit.vcov_classical, vcov_source="classical",
                          r_squared=fit.r_squared)
 
 
-def _augmented_fit(X: DesignMatrix, Z: np.ndarray, correction: np.ndarray,
-                   y: np.ndarray, spec: ModelSpec) -> OlsFit:
-    W = DesignMatrix(np.column_stack([X.values, Z, correction]),
-                     _names(spec, True))
+def _augmented_fit(W: np.ndarray, y: np.ndarray, spec: ModelSpec) -> OlsFit:
+    """OLS of ``y`` on the :func:`_design` array ``W`` whose extra columns
+    hold the corrections; W is factored in place."""
     try:
-        return ols_fit(W, y)
+        return ols_fit(DesignMatrix(W, _names(spec, True)), y, overwrite=True)
     except RankDeficiencyError as exc:
         # the collinear pair in the identification failure is (endogenous
         # column, its correction); pivoting may flag either one
@@ -155,9 +162,13 @@ def fit_npcf(data: Dataset, spec: ModelSpec) -> ThetaEstimate:
     attached for the exogeneity t-test; use the pairs bootstrap for
     inference on the other coefficients.
     """
-    X, Z, y = build_design(data, spec)
-    fs = first_stage(X, Z, spec.endogenous)
-    fit = _augmented_fit(X, Z, fs.eta_hat, y, spec)
+    k, m = spec.k, spec.m
+    W = _design(data, spec, extra=m)
+    X = DesignMatrix(W[:, :k], (INTERCEPT, *spec.exogenous),
+                     has_intercept=True)
+    fs = first_stage(X, W[:, k:k + m], spec.endogenous)
+    W[:, k + m:] = fs.eta_hat
+    fit = _augmented_fit(W, data.column(spec.outcome), spec)
     return ThetaEstimate(fit.coefficients, fit.column_names, "npcf",
                          vcov=fit.vcov_classical, vcov_source="classical",
                          first_stage=fs, r_squared=fit.r_squared)
@@ -177,13 +188,16 @@ def fit_iv_internal(data: Dataset, spec: ModelSpec) -> ThetaEstimate:
     (Frisch-Waugh-Lovell); both solves are pivoted QRs, and a rank failure
     names its column.
     """
-    X, Z, y = build_design(data, spec)
-    fs = first_stage(X, Z, spec.endogenous)
+    A = _design(data, spec)
+    k = spec.k
+    fs = first_stage(DesignMatrix(A[:, :k], (INTERCEPT, *spec.exogenous),
+                                  has_intercept=True),
+                     A[:, k:], spec.endogenous)
     names = _names(spec, True)
-    A = np.column_stack([X.values, Z])
+    y = data.column(spec.outcome)
     H = fs.eta_hat
     Q = _lstsq(H, A, names[-spec.m:])[1]
-    ab = _lstsq(Q, y, names[:-spec.m])[0]
+    ab = _lstsq(Q, y, names[:-spec.m], overwrite=True)[0]
     rho = _lstsq(H, y - A @ ab, names[-spec.m:])[0]
     theta = np.concatenate([ab, rho])
     return ThetaEstimate(theta, names, "iv_internal",
@@ -201,17 +215,18 @@ def fit_two_scope(data: Dataset, spec: ModelSpec) -> ThetaEstimate:
     regressors; with a linear exogenous/endogenous relation it is known to
     leave bias behind.
     """
-    X, Z, y = build_design(data, spec)
+    k, m = spec.k, spec.m
+    W = _design(data, spec, extra=m)
     SX = np.column_stack([np.ones(data.n), *(normal_scores(data.column(c))
                                              for c in spec.exogenous)])
     sx_names = (INTERCEPT, *(f"score[{c}]" for c in spec.exogenous))
     # one factorisation of SX for the whole scored block, each column
     # contiguous as in first_stage
-    SZ = np.empty(Z.shape, order="F")
-    for j in range(Z.shape[1]):
-        SZ[:, j] = normal_scores(Z[:, j])
+    SZ = np.empty((data.n, m), order="F")
+    for j in range(m):
+        SZ[:, j] = normal_scores(W[:, k + j])
     try:
-        corr = _lstsq(SX, SZ, sx_names)[1]
+        corr = _lstsq(SX, SZ, sx_names, overwrite=True)[1]
     except RankDeficiencyError as exc:
         raise RankDeficiencyError(
             f"{exc}: two scored exogenous columns coincide or are "
@@ -219,7 +234,8 @@ def fit_two_scope(data: Dataset, spec: ModelSpec) -> ThetaEstimate:
             "transform, so exogenous columns that order the rows alike "
             "(x and x^2 with x >= 0, say) get the same scores",
             column=exc.column) from exc
-    fit = _augmented_fit(X, Z, corr, y, spec)
+    W[:, k + m:] = corr
+    fit = _augmented_fit(W, data.column(spec.outcome), spec)
     return ThetaEstimate(fit.coefficients, fit.column_names, "two_scope",
                          vcov=fit.vcov_classical, vcov_source="classical",
                          r_squared=fit.r_squared, extra={"correction": corr})

@@ -1,33 +1,34 @@
 """Pairs bootstrap, the exogeneity test, the normality diagnostic for the
-first-stage residuals, and the stacked least-squares engine behind the
-bootstrap and the Monte Carlo harness.
+first-stage residuals, and the engines that solve the bootstrap's
+resamples and the Monte Carlo repetitions as arrays.
 
 The bootstrap resamples whole observation rows with replacement and reruns
 the complete two-step pipeline (first stage, scores, second stage) on each
 resample, so the standard errors reflect the sampling noise of the
 generated regressor as well.
 
-:func:`_fit_stack` solves a stack of same-shaped problems at once for
-every built-in estimator (``_STACKED``; ``iv_internal``, whose
-coefficients equal npcf's in exact arithmetic, as npcf's stack): the
-bootstrap's resamples, gathered from the data columns one column at a
-time, and the Monte Carlo repetitions, whose (S, n) column stacks it
-reads as they are.  :func:`_resample_fits` bootstraps S datasets at
-once, so the resamples of several Monte Carlo repetitions share chunks;
-:func:`pairs_bootstrap` is its one-dataset case.  One sort per stack
-gives the ranks or scores and the ties; a stack without ties, as every
-Monte Carlo chunk is, skips the tied-run step.  npcf's first-stage
-residuals tie by the rule of :func:`~endofix.transform.first_stage`,
-sorted neighbours within TIE_RTOL times max|z| + max|e|, in the stacked
-and the scalar fit alike, so no problem is refitted for a tie.  A
-problem near a rank, constant-residual, exact-fit or copula-guard
-rejection is flagged and refitted by the registered scalar estimator,
-which then decides.  So are all problems of estimators registered later.
-Stacked results equal the scalar ones to rounding (about 1e-14
-relative), not bit for bit.  The resampled rows themselves are
-bit-identical on both paths: a chunk's rows are drawn in one pass that
-follows numpy's bounded-integer sampler on each resample's own PCG64
-stream.
+For every built-in estimator (``_STACKED``; ``iv_internal``, whose
+coefficients equal npcf's in exact arithmetic, as npcf) a resample is its
+row counts, the bincount of the rows it draws, and
+:class:`_CountDesign` fits a chunk of one dataset's resamples as
+weighted least squares on the data's own rows: one factor of the fixed
+columns per dataset, and per chunk the resamples' weighted Gram
+matrices, small Cholesky factors and ranks from the counts; no design
+is gathered.  :func:`_resample_fits` bootstraps S datasets, each in
+chunks of its own; :func:`pairs_bootstrap` is its one-dataset case.
+:func:`_fit_stack` solves the Monte Carlo repetitions, whose (S, n)
+column stacks it factors with unpivoted QRs; one sort per stack gives
+their ranks or scores.  npcf's first-stage residuals tie by the rule of
+:func:`~endofix.transform.first_stage`, sorted neighbours within
+TIE_RTOL times max|z| + max|e|, among a resample's drawn rows, in every
+path, so no problem is refitted for a tie.  A problem near a rank,
+constant-residual, exact-fit or copula-guard rejection is flagged and
+refitted by the registered scalar estimator, which then decides.  So
+are all problems of estimators registered later.  Results of the arrays
+equal the scalar ones to rounding (about 1e-14 relative), not bit for
+bit.  The resampled rows themselves are bit-identical on both paths: a
+chunk's rows are drawn in one pass that follows numpy's bounded-integer
+sampler on each resample's own PCG64 stream.
 """
 from __future__ import annotations
 
@@ -44,8 +45,9 @@ from .errors import (BootstrapError, ConstantInputError, DataError,
 from .estimators import (ESTIMATORS, ModelSpec, ThetaEstimate, _check_finite,
                          _names, fit_npcf)
 from .numerics import RngStream, _SeedWords, words_generator
-from .regress import RANK_RTOL
-from .transform import CONSTANT_RESIDUAL_RTOL, FirstStage, _score_rows
+from .regress import RANK_RTOL, _right_divide
+from .transform import (CONSTANT_RESIDUAL_RTOL, FirstStage, _counted_scores,
+                        _score_rows, _sort_rows, _sorted_rows, _tie_runs)
 
 __all__ = ["BootstrapResult", "TestResult", "pairs_bootstrap",
            "exogeneity_test", "exogeneity_test_of_fit",
@@ -59,14 +61,29 @@ __all__ = ["BootstrapResult", "TestResult", "pairs_bootstrap",
 # generator's integers(0, n, size=n).
 _BOOT_KEY = 0xB00
 
-# The estimators _fit_stack solves.  The bootstrap and the Monte Carlo
-# harness choose the stacked path by name, so a wrapper registered in
-# ESTIMATORS under one of these names does not change the path.
+# The estimators _fit_stack and _CountDesign solve.  The bootstrap and the
+# Monte Carlo harness choose those paths by name, so a wrapper registered
+# in ESTIMATORS under one of these names does not change the path.
 _STACKED = ("ols", "npcf", "iv_internal", "two_scope", "gp_copula")
 
 # Size in bytes of one stacked (problem, row, column) array: a chunk holds
 # this many bytes' worth of problems, and one problem at large n.
 _CHUNK_BYTES = 256 * 1024
+
+# Where a bootstrap fit sorts a resample's first-stage residuals, the data
+# rows it does not draw take this value: they sort after the drawn ones
+# and tie only with each other.
+_BIG = np.finfo(np.float64).max
+
+# A bootstrap fit whose residual sum of squares from the Cholesky factor
+# is below this fraction of y's (after the fixed design) computes it from
+# the residuals: the factor's loses about eps / fraction of it.
+_RSS_RECOMPUTE = 1e-2
+
+# Rows per block of a bootstrap fit's products over the data rows: at
+# large n a chunk is one resample, and these products then allocate no
+# array as long as the data.
+_ROW_BLOCK = 8192
 
 # A stacked problem within this factor of a rank, constant-residual,
 # exact-fit or copula-guard rejection is refitted by the scalar estimator,
@@ -184,12 +201,32 @@ def _resample_chunk(words: np.ndarray, n: int) -> np.ndarray:
     return rows
 
 
-def _well_conditioned(R: np.ndarray) -> np.ndarray:
-    """Per stacked triangular factor: is sigma_min / sigma_max clear of
-    RANK_RTOL?  sigma_min <= every |diag| and sigma_max >= every |diag| of
-    a pivoted factor, so a design the pivoted QR rejects is never clear."""
-    s = np.linalg.svd(R, compute_uv=False)
-    return s[:, -1] > _FLAG_MARGIN * RANK_RTOL * s[:, 0]
+def _counts(rows: np.ndarray) -> np.ndarray:
+    """How often each resample, a row of ``rows`` (S, n), draws each of
+    the n data rows: an (S, n) float array."""
+    S, n = rows.shape
+    flat = rows.ravel() if S == 1 else (rows + n * np.arange(S)[:, None]).ravel()
+    return np.bincount(flat, minlength=S * n).reshape(S, n).astype(np.float64)
+
+
+def _well_conditioned(R: np.ndarray, Rinv=None) -> np.ndarray:
+    """Per stacked triangular factor: is sigma_max / sigma_min clear of
+    RANK_RTOL?  ||R||_F ||R^-1||_F bounds that ratio from above, so a
+    factor passes only if the ratio does; and sigma_min <= every |diag|
+    <= sigma_max, so a design the pivoted QR rejects never passes.
+    ``Rinv`` is R^-1 when the caller has it.  A factor that is not finite,
+    or so large or small that the bound overflows, does not pass."""
+    q = R.shape[-1]
+    ok = np.ones(len(R), dtype=bool)
+    if Rinv is None:
+        ok = (np.isfinite(R).all(axis=(1, 2))
+              & (np.diagonal(R, axis1=1, axis2=2) != 0.0).all(axis=1))
+        Rinv = np.linalg.inv(np.where(ok[:, None, None], R, np.eye(q)))
+    limit = 1.0 / (_FLAG_MARGIN * RANK_RTOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (np.einsum("sij,sij->s", R, R)
+                 * np.einsum("sij,sij->s", Rinv, Rinv))
+    return ok & (bound < limit * limit)
 
 
 def _solve_upper(R: np.ndarray, rhs: np.ndarray, ok: np.ndarray) -> np.ndarray:
@@ -199,6 +236,22 @@ def _solve_upper(R: np.ndarray, rhs: np.ndarray, ok: np.ndarray) -> np.ndarray:
     return np.linalg.solve(R, rhs)
 
 
+def _cholesky(G: np.ndarray):
+    """Upper Cholesky factors of the stacked symmetric matrices ``G``, and
+    which of them exist; a matrix that is not positive definite gets an
+    identity factor."""
+    try:
+        return np.linalg.cholesky(G, upper=True), np.ones(len(G), dtype=bool)
+    except np.linalg.LinAlgError:
+        U, ok = np.empty_like(G), np.ones(len(G), dtype=bool)
+        for s, g in enumerate(G):
+            try:
+                U[s] = np.linalg.cholesky(g, upper=True)
+            except np.linalg.LinAlgError:
+                U[s], ok[s] = np.eye(len(g)), False
+        return U, ok
+
+
 def _scale(V: np.ndarray) -> np.ndarray:
     """max(1, std, |mean|) of each problem's column(s) in ``V``, taken
     over the rows (axis 1): the scale that the constant checks compare
@@ -206,23 +259,34 @@ def _scale(V: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.maximum(V.std(axis=1), np.abs(V.mean(axis=1))))
 
 
+def _residuals(targets, regressors, coef: np.ndarray, out=None) -> np.ndarray:
+    """``targets[j] - coef[:, 0, j] - sum_i coef[:, i+1, j] * regressors[i]``
+    for each of S problems, stacked (S, len(targets), n); each target and
+    regressor is a column (n,) or a stack of them (S, n), and ``out`` may
+    be the targets' own stack.  Computed elementwise on each row, so rows
+    with equal values get equal residuals, bit for bit."""
+    if out is None:
+        out = np.empty((len(coef), len(targets), np.shape(targets[0])[-1]))
+    for j, t in enumerate(targets):
+        e = out[:, j]
+        np.subtract(t, coef[:, :1, j], out=e)
+        for i, x in enumerate(regressors):
+            e -= coef[:, i + 1:i + 2, j] * x
+    return out
+
+
 def _first_step(A: np.ndarray, k: int, m: int):
     """Stacked least squares of the columns ``A[..., k:k+m]`` on
     ``A[..., :k]``, whose first column is the intercept.
 
     Returns (residuals (S, m, n), ok).  The residuals are computed
-    elementwise on the rows of ``A``, so rows with equal values get equal
-    residuals, bit for bit.
+    elementwise on the rows of ``A`` (:func:`_residuals`).
     """
     R = np.linalg.qr(A[..., :k + m], mode="r")
     ok = _well_conditioned(R[:, :k, :k])
     delta = _solve_upper(R[:, :k, :k], R[:, :k, k:], ok)
-    E = np.empty((A.shape[0], m, A.shape[1]))
-    for j in range(m):
-        e = A[..., k + j] - delta[:, :1, j]
-        for i in range(1, k):
-            e -= delta[:, i:i + 1, j] * A[..., i]
-        E[:, j] = e
+    E = _residuals([A[..., k + j] for j in range(m)],
+                   [A[..., i] for i in range(1, k)], delta)
     return E, ok
 
 
@@ -246,22 +310,39 @@ def _npcf_scores(W: np.ndarray, k: int, m: int):
 
 
 def _chunk(n: int, spec: ModelSpec) -> int:
-    """Problems per stack: ``_CHUNK_BYTES`` of the widest stacked design
-    ``[X | Z | corrections | y]``, and at least one."""
+    """Problems per stack: ``_CHUNK_BYTES`` of a problem's n-long columns,
+    as many as the widest stacked design ``[X | Z | corrections | y]``
+    has, and at least one."""
     return max(1, _CHUNK_BYTES // (8 * n * (spec.k + 2 * spec.m + 1)))
 
 
-def _fit_stack(estimator: str, columns, spec: ModelSpec,
-               rows: np.ndarray | None = None):
-    """Fit ``estimator``, one of ``_STACKED``, on a stack of S problems
-    of n rows each.
+def _accept(estimator: str, theta: np.ndarray, rss: np.ndarray,
+            yscale: np.ndarray, n: int, ok: np.ndarray) -> np.ndarray:
+    """The flags both stacked solvers take from a problem's coefficients
+    ``theta`` and residual sum of squares ``rss``: non-finite
+    coefficients, an exact fit, and gp_copula's 1 - rho^2 > 0 guard.
+    Returns the new ok; gp_copula's last coefficient becomes its rho."""
+    ok = ok & np.isfinite(theta).all(axis=1)
+    # when y is fitted exactly the residuals are rounding noise, and so
+    # are gp's rho and every standard error (ols's classical ones and the
+    # bootstrap's): flag a problem near that
+    tol = _FLAG_MARGIN * CONSTANT_RESIDUAL_RTOL
+    ok &= np.sqrt(rss / n) > tol * yscale
+    if estimator == "gp_copula":
+        # gp_fit's rho = c / sqrt(c^2 + s^2) with s^2 = RSS / n: flag a
+        # problem near its 1 - rho^2 > 0 guard too
+        c, s2 = theta[:, -1], rss / n
+        sigma = np.sqrt(c * c + s2)
+        ok &= s2 > tol * sigma * sigma
+        theta[:, -1] = np.divide(c, sigma, out=np.zeros(len(c)), where=ok)
+    return ok
 
-    ``columns`` maps each model column to its stack, an (S, n) array
-    whose row s belongs to problem s (the Monte Carlo chunks).  When
-    ``rows`` (S, n) is given, it maps each model column to a data column
-    instead, and problem s is the rows ``rows[s]`` of it (the bootstrap's
-    resamples): each column is gathered straight into the stacked design.
-    The caller has checked the model columns to be finite.
+
+def _fit_stack(estimator: str, columns, spec: ModelSpec):
+    """Fit ``estimator``, one of ``_STACKED``, on a stack of S problems
+    of n rows each: ``columns`` maps each model column to its stack, an
+    (S, n) array whose row s belongs to problem s (the Monte Carlo
+    chunks).  The caller has checked the model columns to be finite.
 
     Returns (theta, ok, se).  ``theta[s]`` holds the coefficients in the
     scalar estimator's order.  ``ok[s]`` is False when problem s comes
@@ -280,13 +361,13 @@ def _fit_stack(estimator: str, columns, spec: ModelSpec,
     X.
     """
     k, m = spec.k, spec.m
-    S, n = np.shape(columns[spec.outcome]) if rows is None else rows.shape
+    S, n = np.shape(columns[spec.outcome])
     q = k + m if estimator == "ols" else k + 2 * m
     W = np.empty((S, n, q + 1))
     W[..., 0] = 1.0
     for j, c in zip((*range(1, k + m), q),
                     (*spec.exogenous, *spec.endogenous, spec.outcome)):
-        W[..., j] = columns[c] if rows is None else columns[c][rows]
+        W[..., j] = columns[c]
     ok = np.ones(S, dtype=bool)
     if estimator in ("npcf", "iv_internal"):
         # iv's theta is npcf's in exact arithmetic, and its solves (on the
@@ -307,32 +388,252 @@ def _fit_stack(estimator: str, columns, spec: ModelSpec,
             return np.zeros((S, q)), np.zeros(S, dtype=bool), None
         W[..., q - 1] = _score_rows(W[..., k])
     yscale = _scale(W[..., q])
-    # at large n the first stage's temporaries are freed by now, and W is
-    # freed before the next chunk builds its own
     R = np.linalg.qr(W, mode="r")
     del W
     ok &= _well_conditioned(R[:, :q, :q])
     theta = _solve_upper(R[:, :q, :q], R[:, :q, q:], ok)[..., 0]
-    ok &= np.isfinite(theta).all(axis=1)
-    # when y is fitted exactly the residuals are rounding noise, and so
-    # are gp's rho and every standard error (ols's classical ones and the
-    # bootstrap's): flag a problem near that
     rss = R[:, q, q] ** 2
-    tol = _FLAG_MARGIN * CONSTANT_RESIDUAL_RTOL
-    ok &= np.sqrt(rss / n) > tol * yscale
+    ok = _accept(estimator, theta, rss, yscale, n, ok)
     if estimator == "ols":
         Rinv = _solve_upper(R[:, :q, :q],
                             np.broadcast_to(np.eye(q), R[:, :q, :q].shape), ok)
         return theta, ok, np.sqrt(rss[:, None] / (n - q)
                                   * np.sum(Rinv ** 2, axis=2))
-    if estimator == "gp_copula":
-        # gp_fit's rho = c / sqrt(c^2 + s^2) with s^2 = RSS / n: flag a
-        # problem near its 1 - rho^2 > 0 guard too
-        c, s2 = theta[:, -1], rss / n
-        sigma = np.sqrt(c * c + s2)
-        ok &= s2 > tol * sigma * sigma
-        theta[:, -1] = np.divide(c, sigma, out=np.zeros(S), where=ok)
     return theta, ok, None
+
+
+class _CountDesign:
+    """One dataset's fixed design, for fitting ``estimator`` on its
+    bootstrap resamples given as row counts (:meth:`fit`).
+
+    A resample that draws data row i c_i times is the least-squares
+    problem on the data's own rows with weights c.  The fixed columns
+    D = [1 | X | Z] are factored once, D = Q R0, Q = D R0^-1 being
+    computed by substitution a block of rows at a time.  A resample's
+    weighted Gram matrix H = Q' diag(c) Q is near the identity whatever
+    the units or the collinearity of D, so its Cholesky factor U is
+    accurate, and U R0 is the R factor of the resample's design.  The
+    first stage, and the projection of the per-resample columns
+    [corrections | y] on D, are solved with it; the second stage adds the
+    corrections to D by the Cholesky factor of the weighted Gram matrix
+    of those columns' residuals.
+    """
+
+    def __init__(self, data: Dataset, spec: ModelSpec, estimator: str):
+        self.estimator = estimator
+        self.k, self.m = spec.k, spec.m
+        self.cols = [data.column(c) for c in (*spec.exogenous,
+                                              *spec.endogenous)]
+        self.y = data.column(spec.outcome)
+        n = data.n
+        self.blocks = [slice(lo, min(lo + _ROW_BLOCK, n))
+                       for lo in range(0, n, _ROW_BLOCK)]
+        # R0 a block at a time: the R factor of [R0 so far; next block]
+        R0 = np.empty((0, self.k + self.m))
+        for rows in self.blocks:
+            R0 = np.linalg.qr(np.vstack([R0, self._design(rows)]), mode="r")
+        self.R0 = R0
+        # a singular R0 (a rank-deficient D) makes every resample's design
+        # rank deficient: every one is left to the scalar estimator
+        self.usable = bool(np.isfinite(R0).all() and np.diag(R0).all())
+        if self.usable:
+            self.R0inv = _right_divide(np.eye(len(R0)), R0)
+        self._cached = ([self._basis(self.blocks[0])]
+                        if self.usable and len(self.blocks) == 1 else None)
+        self._sorts = {}
+
+    def _design(self, rows: slice) -> np.ndarray:
+        return np.column_stack([np.ones(rows.stop - rows.start),
+                                *(c[rows] for c in self.cols)])
+
+    def _moments(self, rows: slice) -> np.ndarray:
+        """The block's values and squares of y and of each endogenous
+        column: weighted by the counts, their sums give the means and
+        variances over the draws."""
+        return np.column_stack([w for v in (self.y, *self.cols[self.k - 1:])
+                                for w in (v[rows], v[rows] ** 2)])
+
+    def _basis(self, rows: slice):
+        """(rows, D, Q, F): the block's rows of D and of Q = D R0^-1 and,
+        for the one block of a small dataset, which is kept, each row's
+        outer product with itself, flattened, beside :meth:`_moments`: a
+        chunk's weighted Gram matrices and sums are then one product.
+        Else F is None."""
+        D = self._design(rows)
+        Q = _right_divide(D, self.R0)
+        if len(self.blocks) > 1:
+            return rows, D, Q, None
+        return rows, D, Q, np.hstack([(Q[:, :, None] * Q[:, None, :])
+                                      .reshape(len(Q), -1),
+                                      self._moments(rows)])
+
+    def _bases(self):
+        """The blocks of :meth:`_basis`; kept when there is one block."""
+        if self._cached is not None:
+            return self._cached
+        return (self._basis(rows) for rows in self.blocks)
+
+    def fit(self, C: np.ndarray):
+        """Fit the resamples whose row counts are the rows of ``C`` (S, n).
+
+        Returns (theta, ok), as :func:`_fit_stack` does: ``ok[s]`` is
+        False when resample s comes near one of the scalar estimator's
+        rejections or its coefficients are not finite.
+        """
+        S, n = C.shape
+        k, m = self.k, self.m
+        q0 = k + m
+        est = self.estimator
+        mc = 0 if est == "ols" else m
+        if not self.usable or (est == "gp_copula" and m != 1):
+            # gp_fit rejects the spec itself
+            return np.zeros((S, q0 + mc)), np.zeros(S, dtype=bool)
+        F = np.zeros((S, q0 * q0 + 2 * (m + 1)))
+        for rows, _, Q, QF in self._bases():
+            if QF is not None:
+                F += C[:, rows] @ QF
+                continue
+            Cb = C[:, rows]
+            F[:, :q0 * q0] += ((Cb[:, :, None] * Q).transpose(0, 2, 1)
+                               @ Q).reshape(S, -1)
+            F[:, q0 * q0:] += Cb @ self._moments(rows)
+        # _scale of y and of each endogenous column over the draws: where
+        # the mean square less the squared mean cancels, the mean bounds
+        # the scale
+        mean = F[:, q0 * q0::2] / n
+        var = np.maximum(F[:, q0 * q0 + 1::2] / n - mean * mean, 0.0)
+        scale = np.maximum(1.0, np.maximum(np.sqrt(var), np.abs(mean)))
+        U, ok = _cholesky(F[:, :q0 * q0].reshape(S, q0, q0))
+        # U is near the identity, and H^-1 = Uinv Uinv'
+        Uinv = np.linalg.inv(U)
+        RD = U @ self.R0
+        if est in ("npcf", "iv_internal"):
+            delta = self.R0inv[:k, :k] @ (Uinv[:, :k, :k] @ RD[:, :k, k:])
+            corr, fine = self._first_stage_scores(C, delta, scale[:, 1:])
+            ok &= fine
+        elif est == "two_scope":
+            corr, fine = self._scored_residuals(C)
+            ok &= fine
+        elif est == "gp_copula":
+            corr = self._data_scores(C, k - 1)[:, None]
+        else:
+            corr = np.empty((S, 0, n))
+        V = np.empty((S, mc + 1, n))
+        V[:, :mc] = corr
+        V[:, mc] = self.y
+        del corr
+        # [corrections | y] = D beta + residuals, R0 beta = Y with
+        # Y = H^-1 Q' diag(c) V; V becomes the residuals
+        P = np.zeros((S * (mc + 1), q0))
+        for rows, _, Q, _ in self._bases():
+            P += (C[:, None, rows] * V[..., rows]).reshape(-1, len(Q)) @ Q
+        Y = Uinv @ (Uinv.transpose(0, 2, 1)
+                    @ P.reshape(S, mc + 1, q0).transpose(0, 2, 1))
+        beta = self.R0inv @ Y
+        Bt = beta.transpose(0, 2, 1).reshape(-1, q0)
+        G = np.zeros((S, mc + 1, mc + 1))
+        for rows in self.blocks:
+            Vb = V[..., rows]
+            D = self._cached[0][1] if self._cached else self._design(rows)
+            Vb -= (Bt @ D.T).reshape(Vb.shape)
+            G += (C[:, None, rows] * Vb) @ Vb.transpose(0, 2, 1)
+        RV, fine = _cholesky(G)
+        ok &= fine
+        RVinv = np.linalg.inv(RV[:, :mc, :mc])
+        rho = RVinv @ RV[:, :mc, mc:]
+        theta = np.empty((S, q0 + mc))
+        theta[:, :q0] = (beta[:, :, mc:] - beta[:, :, :mc] @ rho)[..., 0]
+        theta[:, q0:] = rho[..., 0]
+        # RV's last pivot is the residual sum of squares less rounding of
+        # the order of its y part's: near an exact fit the residuals
+        # themselves give it
+        rss = RV[:, mc, mc] ** 2
+        near = np.flatnonzero(rss < _RSS_RECOMPUTE * G[:, mc, mc])
+        if near.size:
+            Cn, Vn = C[near], V[near]
+            r = Vn[:, mc] - (rho[near, :, :1] * Vn[:, :mc]).sum(axis=1)
+            rss[near] = np.einsum("sn,sn,sn->s", Cn, r, r)
+        # the R factor of the resample's second-stage design and its
+        # inverse, from those of its blocks
+        R = np.zeros((S, q0 + mc, q0 + mc))
+        R[:, :q0, :q0] = RD
+        R[:, :q0, q0:] = U @ Y[:, :, :mc]
+        R[:, q0:, q0:] = RV[:, :mc, :mc]
+        Rinv = np.zeros_like(R)
+        Rinv[:, :q0, :q0] = self.R0inv @ Uinv
+        Rinv[:, :q0, q0:] = -beta[:, :, :mc] @ RVinv
+        Rinv[:, q0:, q0:] = RVinv
+        ok &= _well_conditioned(R, Rinv)
+        return theta, _accept(est, theta, rss, scale[:, 0], n, ok)
+
+    def _first_stage_scores(self, C: np.ndarray, delta: np.ndarray,
+                     zscale: np.ndarray):
+        """Normal scores (S, m, n) of the first-stage residuals on the data
+        rows, ranked with each resample's counts, and ok.
+
+        The residuals tie as in :func:`~endofix.transform.first_stage`,
+        among the resample's draws: the rows not drawn sort after the
+        drawn ones, so they neither move a rank nor link two drawn
+        residuals into a tie, and get an arbitrary finite score.  Besides
+        the rank check, a resample is flagged whose residuals come near
+        the constant-residual rejection, relative to ``zscale``, the
+        endogenous columns' :func:`_scale` over its draws.
+        """
+        S, n = C.shape
+        k, m = self.k, self.m
+        Z = self.cols[k - 1:]
+        E = _residuals(Z, self.cols[:k - 1], delta)
+        # a least-squares fit with an intercept leaves residuals of mean
+        # 0, so their root mean square is their standard deviation
+        std = np.sqrt(np.einsum("sn,sjn,sjn->sj", C, E, E) / n)
+        ok = np.all(std > _FLAG_MARGIN * CONSTANT_RESIDUAL_RTOL * zscale,
+                    axis=1)
+        drawn = C > 0
+        order, sv = _sorted_rows(
+            np.where(drawn[:, None], E, _BIG).reshape(S * m, n))
+        del E
+        # the drawn residuals sort first: their extremes are the first and
+        # the last of them
+        last = np.repeat(np.count_nonzero(drawn, axis=1), m) - 1
+        mag = np.maximum(sv[np.arange(S * m), last], -sv[:, 0])
+        mag += np.stack([(np.abs(z) * drawn).max(axis=1) for z in Z],
+                        axis=1).ravel()
+        runs = _tie_runs(sv, mag)
+        del sv
+        counts = C if m == 1 else np.repeat(C, m, axis=0)
+        scores = np.empty(S * m * n)
+        scores[order.ravel()] = _counted_scores(counts.ravel()[order],
+                                                runs).ravel()
+        return scores.reshape(S, m, n), ok
+
+    def _data_scores(self, C: np.ndarray, j: int) -> np.ndarray:
+        """Normal scores (S, n) of data column ``cols[j]`` within each
+        resample; the column is sorted once."""
+        if j not in self._sorts:
+            self._sorts[j] = _sort_rows(self.cols[j][None])
+        order, runs = self._sorts[j]
+        scores = np.empty(C.shape)
+        scores[:, order[0]] = _counted_scores(C[:, order[0]], runs)
+        return scores
+
+    def _scored_residuals(self, C: np.ndarray):
+        """two_scope's corrections: the residuals (S, m, n) of the scores
+        of Z on the scores of X within each resample, and ok."""
+        S, n = C.shape
+        k, m = self.k, self.m
+        A = np.empty((S, k + m, n))
+        A[:, 0] = 1.0
+        for j in range(k + m - 1):
+            A[:, 1 + j] = self._data_scores(C, j)
+        M = np.zeros((S, k + m, k + m))
+        for rows in self.blocks:
+            M += (C[:, None, rows] * A[..., rows]) @ A[..., rows].transpose(
+                0, 2, 1)
+        RA, ok = _cholesky(M)
+        ok &= _well_conditioned(RA[:, :k, :k])
+        gamma = _solve_upper(RA[:, :k, :k], RA[:, :k, k:], ok)
+        return _residuals(list(A[:, k:].transpose(1, 0, 2)),
+                          list(A[:, 1:k].transpose(1, 0, 2)), gamma), ok
 
 
 def _resample_fits(estimator: str, datasets, spec: ModelSpec, seeds,
@@ -341,13 +642,13 @@ def _resample_fits(estimator: str, datasets, spec: ModelSpec, seeds,
     whose model columns the caller has checked to be finite.  Resample b
     of dataset s draws its rows from ``seeds[s].child(_BOOT_KEY, b)``.
 
-    Problem (s, b) is the rows ``s * n + rows_b`` of the datasets' model
-    columns laid end to end, so the resamples of several datasets share
-    the chunks of :func:`_fit_stack`.  A problem it flags, and every
-    problem of an estimator outside ``_STACKED``, is refitted by the
-    registered estimator on ``datasets[s].take(rows_b)``, which then
-    decides whether it fails; non-finite coefficients fail as a
-    ``NonFiniteError``.
+    For every estimator in ``_STACKED`` each dataset's resamples are
+    fitted a chunk at a time as row counts (:class:`_CountDesign`), so a
+    resample's result does not depend on the other datasets.  A resample
+    it flags, and every resample of an estimator outside ``_STACKED``, is
+    refitted by the registered estimator on ``datasets[s].take(rows_b)``,
+    which then decides whether it fails; non-finite coefficients fail as
+    a ``NonFiniteError``.
 
     Returns (theta (S, B, p), solved (S, B), failures, refits), the last
     two summed over the datasets: the failed resamples by exception type
@@ -356,21 +657,17 @@ def _resample_fits(estimator: str, datasets, spec: ModelSpec, seeds,
     S, n = len(datasets), datasets[0].n
     words = np.concatenate([seed.child_words(_BOOT_KEY, np.arange(B))
                             for seed in seeds])
-    theta = np.zeros((S * B, len(_names(spec, True))))
+    theta = np.zeros((S * B, len(_names(spec, estimator != "ols"))))
     solved = np.zeros(S * B, dtype=bool)
     if estimator in _STACKED:
-        # one dataset's own columns: at large n no copy of them is made
-        flat = {c: (np.concatenate([d.column(c) for d in datasets])
-                    if S > 1 else datasets[0].column(c))
-                for c in (spec.outcome, *spec.exogenous, *spec.endogenous)}
         chunk = _chunk(n, spec)
-        for lo in range(0, S * B, chunk):
-            ps = np.arange(lo, min(lo + chunk, S * B))
-            idx = _resample_chunk(words[ps], n)
-            idx += n * (ps // B)[:, None]
-            th, ok, _ = _fit_stack(estimator, flat, spec, idx)
-            theta[ps[ok]] = th[ok]
-            solved[ps] = ok
+        for s, data in enumerate(datasets):
+            design = _CountDesign(data, spec, estimator)
+            for lo in range(s * B, (s + 1) * B, chunk):
+                ps = np.arange(lo, min(lo + chunk, (s + 1) * B))
+                th, ok = design.fit(_counts(_resample_chunk(words[ps], n)))
+                theta[ps[ok]] = th[ok]
+                solved[ps] = ok
     failures: dict[str, int] = {}
     refits = np.flatnonzero(~solved)
     for p in refits:

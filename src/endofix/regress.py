@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
+from scipy.linalg.lapack import dormqr
 
 from .errors import DomainError, RankDeficiencyError
 
@@ -71,9 +72,16 @@ class OlsFit:
     column_names: tuple[str, ...]
 
 
-def _lstsq(V: np.ndarray, b: np.ndarray, names: tuple[str, ...]):
+def _lstsq(V: np.ndarray, b: np.ndarray, names: tuple[str, ...],
+           overwrite: bool = False):
     """Least squares of ``b`` (a vector or a matrix of columns) on the n x p
     array ``V``, which the caller has checked to be finite.
+
+    ``V`` is factored by one column-pivoted QR, in a Fortran-ordered copy,
+    or in place when ``overwrite`` is set and V is Fortran-ordered (the
+    caller gives V up).  Q is never formed: Q'b comes from the
+    Householder reflectors.  The residuals are b - V coef, or, when V was
+    factored in place, Q [0; (Q'b)[p:]] from the reflectors again.
 
     Returns (coefficients, residuals, (R, piv)), the pivoted factor of
     ``V``.  Raises DomainError unless n > p, and RankDeficiencyError naming
@@ -82,10 +90,10 @@ def _lstsq(V: np.ndarray, b: np.ndarray, names: tuple[str, ...]):
     n, p = V.shape
     if n <= p:
         raise DomainError(f"need more rows than columns (n={n}, p={p})")
-    # factor a Fortran-ordered copy in place: given V itself, scipy makes
-    # a second copy of it for LAPACK while the first is still alive
-    Q, R, piv = qr(np.array(V, order="F"), overwrite_a=True,
-                   mode="economic", pivoting=True, check_finite=False)
+    in_place = overwrite and V.flags.f_contiguous
+    (H, tau), R, piv = qr(V if in_place else np.array(V, order="F"),
+                          overwrite_a=True, mode="raw", pivoting=True,
+                          check_finite=False)
     diag = np.abs(np.diag(R))
     ref = diag[0] if diag[0] > 0.0 else 0.0
     bad = np.flatnonzero(diag < RANK_RTOL * ref) if ref > 0.0 else np.arange(p)
@@ -96,13 +104,45 @@ def _lstsq(V: np.ndarray, b: np.ndarray, names: tuple[str, ...]):
             f"(pivot ratio {diag[bad[0]] / ref if ref > 0 else 0.0:.2e})",
             column=col,
         )
-    coef_perm = solve_triangular(R, Q.T @ b, lower=False, check_finite=False)
-    coef = np.empty_like(coef_perm)
-    coef[piv] = coef_perm
-    return coef, b - V @ coef, (R, piv)
+    B = np.reshape(b, (n, -1))
+    c = _apply_q(H, tau, np.array(B, order="F"), "T")
+    coef = np.empty((p, B.shape[1]))
+    coef[piv] = solve_triangular(R, c[:p], lower=False, check_finite=False)
+    if in_place:
+        c[:p] = 0.0
+        resid = _apply_q(H, tau, c, "N")
+    else:
+        del c
+        resid = V @ coef
+        np.subtract(B, resid, out=resid)
+    if np.ndim(b) == 1:
+        return coef[:, 0], resid[:, 0], (R, piv)
+    return coef, resid, (R, piv)
 
 
-def ols_fit(X: DesignMatrix, y: np.ndarray) -> OlsFit:
+def _apply_q(H: np.ndarray, tau: np.ndarray, c: np.ndarray, trans: str):
+    """Q'c (``trans`` "T") or Q c ("N") for the Q of the Householder
+    reflectors ``H``, ``tau`` of a QR, overwriting the Fortran-ordered
+    n x r array ``c``."""
+    lwork = int(dormqr("L", trans, H, tau, c, -1)[1][0])
+    return dormqr("L", trans, H, tau, c, lwork, overwrite_c=1)[0]
+
+
+def _right_divide(D: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """D R^-1 for an upper triangular R, by substitution along each row of
+    D, elementwise: with two BLAS threads, scipy's triangular solve of a
+    small block with many right-hand sides took milliseconds."""
+    X = np.empty(D.shape)
+    for j in range(R.shape[0]):
+        x = D[:, j].copy()
+        for i in range(j):
+            x -= X[:, i] * R[i, j]
+        X[:, j] = x / R[j, j]
+    return X
+
+
+def ols_fit(X: DesignMatrix, y: np.ndarray,
+            overwrite: bool = False) -> OlsFit:
     """Least squares of ``y`` on ``X`` with R² and the classical
     covariance.
 
@@ -112,6 +152,9 @@ def ols_fit(X: DesignMatrix, y: np.ndarray) -> OlsFit:
         Full-column-rank design (checked; raises RankDeficiencyError).
     y : ndarray, shape (n,)
         Response vector.
+    overwrite : bool
+        Factor ``X.values`` in place when it is Fortran-ordered: the
+        caller gives the design up (see :func:`_lstsq`).
 
     Returns
     -------
@@ -125,15 +168,20 @@ def ols_fit(X: DesignMatrix, y: np.ndarray) -> OlsFit:
     if not np.all(np.isfinite(y)):
         raise DomainError("y contains non-finite entries")
 
-    beta, resid, (R, piv) = _lstsq(V, y, X.column_names)
+    beta, resid, (R, piv) = _lstsq(V, y, X.column_names, overwrite)
     rss = float(resid @ resid)
     sigma2 = rss / (n - p)
 
-    r_inv = solve_triangular(R, np.eye(p), lower=False)
+    r_inv = _right_divide(np.eye(p), R)
     xtx_inv = np.empty((p, p))
     xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
 
-    tss = float(np.sum((y - y.mean()) ** 2)) if X.has_intercept else float(y @ y)
+    if X.has_intercept:
+        dev = y - y.mean()
+        dev *= dev
+        tss = float(np.sum(dev))
+    else:
+        tss = float(y @ y)
     r2 = 1.0 - rss / tss if tss > 0.0 else (1.0 if rss <= 1e-28 else 0.0)
 
     return OlsFit(

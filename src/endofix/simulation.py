@@ -14,10 +14,10 @@ repetition keeps its own PCG64 stream and draws its normals or gammas
 from it; the transforms after the draws run once on the chunk's (S, n)
 block, so the columns equal those of :func:`gen_dgp1`/:func:`gen_dgp2`,
 the one-repetition case of the same generator, bit for bit.  For every
-built-in estimator those (S, n) columns are the stacks that the engine
-the bootstrap uses (:mod:`endofix.inference`) fits at once, and the
-bootstraps of a chunk's repetitions run through that engine together, so
-their resamples share stacked chunks.  Each estimator's results are kept
+built-in estimator those (S, n) columns are the stacks that
+:mod:`endofix.inference` fits at once, and the bootstraps of a chunk's
+repetitions run through the bootstrap's own engine in one call, each
+repetition's resamples fitted as row counts of its own data.  Each estimator's results are kept
 in arrays indexed by repetition, which a chunk fills as one block, so no
 per-repetition code runs unless a repetition needs a scalar fit: one the
 engine flags is fitted by the registered estimator, and so is every

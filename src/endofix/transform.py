@@ -73,18 +73,31 @@ def average_ranks(v: np.ndarray) -> np.ndarray:
 def _sort_rows(rows: np.ndarray, mag=None):
     """The sort of each row of a 2-D array: (order, runs).
 
-    ``order`` holds the positions in ``rows.ravel()`` of each row's sort.
-    ``runs`` marks the sorted positions that start a run of tied values,
-    and is None when no row holds a tie.  Without ``mag`` only equal
-    values tie.  With ``mag``, one magnitude per row of computed values,
-    sorted neighbours at most TIE_RTOL * mag apart tie too, and a chain
-    of such gaps is one run.
+    ``order`` holds the positions in ``rows.ravel()`` of each row's sort,
+    and ``runs`` the sorted positions that start a run of tied values
+    (:func:`_tie_runs`).
     """
+    order, sv = _sorted_rows(rows)
+    return order, _tie_runs(sv, mag)
+
+
+def _sorted_rows(rows: np.ndarray):
+    """(order, sorted values) of each row of a 2-D array, ``order``
+    holding the positions in ``rows.ravel()`` of each row's sort."""
     n = rows.shape[1]
     order = np.argsort(rows, axis=1)
     order += n * np.arange(rows.shape[0])[:, None]
-    sv = rows.ravel()[order]
-    runs = np.ones(rows.shape, dtype=bool)
+    return order, rows.ravel()[order]
+
+
+def _tie_runs(sv: np.ndarray, mag=None):
+    """The sorted positions of the rows of ``sv`` that start a run of tied
+    values, or None when no row holds a tie.  Without ``mag`` only equal
+    values tie.  With ``mag``, one magnitude per row of computed values,
+    sorted neighbours at most TIE_RTOL * mag apart tie too, and a chain
+    of such gaps is one run."""
+    n = sv.shape[1]
+    runs = np.ones(sv.shape, dtype=bool)
     if mag is None:
         np.not_equal(sv[:, 1:], sv[:, :-1], out=runs[:, 1:])
     else:
@@ -93,7 +106,7 @@ def _sort_rows(rows: np.ndarray, mag=None):
             hi = min(lo + _GAP_BLOCK, n)
             np.greater(sv[:, lo:hi] - sv[:, lo - 1:hi - 1], tol,
                        out=runs[:, lo:hi])
-    return order, None if runs.all() else runs
+    return None if runs.all() else runs
 
 
 def _through_sort(order: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -141,6 +154,54 @@ def _score_rows(rows: np.ndarray, mag=None) -> np.ndarray:
     if runs is None:
         return _through_sort(order, _symmetric_score_grid(rows.shape[1]))
     return _scores_of_ranks(_run_ranks(order, runs))
+
+
+def _counted_scores(counts: np.ndarray, runs) -> np.ndarray:
+    """Normal scores of resamples given as row counts, in sorted order.
+
+    ``counts[r, i]`` is how often resample r draws the value at its i-th
+    sorted position, and ``runs`` marks the sorted positions that start a
+    run of tied values, as :func:`_sort_rows` gives them (None: no ties),
+    for each row or for all rows at once.  The draws of a run share the
+    mean of their ranks among the resample's draws: the draws sorted
+    before the run plus (the run's draws + 1) / 2.  So these are the
+    scores that :func:`_score_rows` gives the drawn rows themselves, the
+    copies of a row forming a tied run, looked up in
+    :func:`_half_rank_scores` (a single row's are computed, bit for bit
+    alike).  A value not drawn gets an arbitrary finite score.
+    """
+    R, n = counts.shape
+    if runs is not None and np.all(runs | (counts == 0)):
+        # only values not drawn tie, and they add no draws to a run
+        runs = None
+    cum = np.cumsum(counts, axis=1)
+    # twice the average rank, less 2: the index into the score table
+    if runs is None:
+        cum *= 2.0
+        cum -= counts
+        cum -= 1.0
+        index = cum
+    else:
+        # every row starts a run, so a run ends where the next one
+        # starts, or with its row
+        starts = np.flatnonzero(np.broadcast_to(runs, counts.shape))
+        before = cum.ravel()[starts] - counts.ravel()[starts]
+        through = np.append(before[1:], 0.0)
+        last = np.append(starts[1:] % n == 0, True)
+        through[last] = cum[starts[last] // n, -1]
+        index = np.repeat(before + through - 1.0,
+                          np.diff(np.append(starts, counts.size)))
+        index = index.reshape(R, n)
+    if R > 1:
+        scores = _half_rank_scores(n).take(index.astype(np.intp),
+                                           mode="clip")
+    else:
+        # the table's own arithmetic, without a table of 2n - 1 entries
+        index += 2.0
+        index /= 2.0
+        index /= n + 1.0
+        scores = ndtri(index, out=index)
+    return scores
 
 
 def normal_scores(v: np.ndarray) -> np.ndarray:
@@ -250,8 +311,7 @@ def first_stage(X: DesignMatrix, Z: np.ndarray,
     # of Z
     Z = np.asfortranarray(Z)
     delta, e_hat, _ = _lstsq(X.values, Z, X.column_names)
-    eta = np.empty((n, m))
-    ranks = np.empty((n, m))
+    eta, ranks = [], []
     for j in range(m):
         z, resid = Z[:, j], e_hat[:, j]
         scale = max(1.0, float(np.std(z)), abs(float(np.mean(z))))
@@ -263,9 +323,20 @@ def first_stage(X: DesignMatrix, Z: np.ndarray,
         # the check above rules out constant residuals, so the ranks are
         # computed once and give the scores directly
         mag = max(z.max(), -z.min()) + max(resid.max(), -resid.min())
-        ranks[:, j] = _rank_rows(resid[None, :], mag)[0]
-        eta[:, j] = _scores_of_ranks(ranks[:, j])
+        order, runs = _sort_rows(resid[None, :], mag)
+        if runs is None:
+            ranks.append(_through_sort(order, np.arange(1.0, n + 1.0))[0])
+            eta.append(_through_sort(order, _symmetric_score_grid(n))[0])
+        else:
+            ranks.append(_run_ranks(order, runs)[0])
+            eta.append(_scores_of_ranks(ranks[-1]))
     if names is None:
         names = tuple(f"z{j}" for j in range(m))
-    return FirstStage(delta_hat=delta, e_hat=e_hat, eta_hat=eta, ranks=ranks,
-                      endogenous_names=tuple(names))
+    return FirstStage(delta_hat=delta, e_hat=e_hat, eta_hat=_columns(eta),
+                      ranks=_columns(ranks), endogenous_names=tuple(names))
+
+
+def _columns(cols: list) -> np.ndarray:
+    """The (n, len(cols)) array of the columns ``cols``; one column is
+    not copied."""
+    return cols[0][:, None] if len(cols) == 1 else np.column_stack(cols)

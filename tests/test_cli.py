@@ -914,6 +914,16 @@ class TestConstantsCommand:
         assert cap.err == ""
 
 
+    def test_c3_stops_alike_in_any_units(self, capsys):
+        # c3 scales as 1 / rate^2: gamma:3,1e-3 is gamma:3,1 in units a
+        # thousand times smaller, whose c3 grid stops at the same doubling
+        def c3(dist):
+            assert main(["constants", "--dist", dist]) == 0
+            out = capsys.readouterr().out
+            return float(out.splitlines()[2].split("=")[1])
+        assert c3("gamma:3,1e-3") == pytest.approx(1e6 * c3("gamma:3,1"),
+                                                   rel=1e-8)
+
     @pytest.mark.parametrize("dist", ["gamma:1e100,1", "gamma:1e250,1",
                                       "gamma:1e300,1"])
     def test_rounded_away_quantiles_exit_3(self, dist, capsys):

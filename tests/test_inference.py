@@ -13,7 +13,8 @@ from endofix.errors import (BootstrapError, ConstantInputError, DataError,
                             DomainError, IdentificationError,
                             NonFiniteError, RankDeficiencyError)
 from endofix.estimators import ESTIMATORS, ModelSpec, build_design, fit_npcf
-from endofix.inference import (_BOOT_KEY, _CHUNK_BYTES, exogeneity_test,
+from endofix.inference import (_BOOT_KEY, _CHUNK_BYTES, _resample_rows,
+                               exogeneity_test,
                                exogeneity_test_of_fit,
                                identification_diagnostic, pairs_bootstrap)
 from endofix.numerics import DistSpec, RngStream, sample, words_generator
@@ -266,13 +267,16 @@ class TestResampleStreams:
 
     @pytest.mark.parametrize("seed", list(_PARENT_DRAWS))
     def test_stacked_npcf_draws_unchanged(self, seed):
+        # the resamples are fitted as row counts now, which moves the draws
+        # by rounding; other rows would move them by far more
         x, _, z, y = _endogenous_design(np.random.default_rng(7), 60)
         boot = pairs_bootstrap(Dataset({"y": y, "x": x, "z": z}), MODEL_SPEC,
                                "npcf", B=4, seed=seed)
         want = np.array([[float.fromhex(v) for v in row]
                          for row in self._PARENT_DRAWS[seed]])
         assert boot.scalar_refits == 0
-        assert np.array_equal(boot.draws, want)
+        scale = np.abs(want).max(axis=0)
+        assert np.all(np.abs(boot.draws - want) <= 1e-12 * scale)
 
 
 def _reference_rows(words, n, size=None):
@@ -348,10 +352,10 @@ class TestResampleChunk:
 
 class TestStackedBootstrapMemory:
     def test_peak_of_one_resample_chunk(self):
-        # at large n a chunk is one resample; its temporaries are freed
-        # before the second-stage QR copies the stacked design, so the
-        # high-water mark stays within 18 n-long float columns (24 when
-        # they were kept)
+        # at large n a chunk is one resample, fitted from its row counts
+        # with products over blocks of rows: no gathered design and no
+        # per-row outer products, so the high-water mark stays within 6.4
+        # n-long float columns (measured 5.4; 18 with gathered designs)
         n = 50_000
         rng = np.random.default_rng(99)
         x, _, z, y = _endogenous_design(rng, n)
@@ -365,7 +369,7 @@ class TestStackedBootstrapMemory:
         finally:
             tracemalloc.stop()
         assert boot.n_failed == 0
-        assert peak <= 18 * n * 8
+        assert peak <= 6.4 * n * 8
 
 
 class TestStackedBootstrapMatchesLoop:
@@ -424,6 +428,73 @@ class TestStackedBootstrapMatchesLoop:
         d = Dataset({"y": 1.0 + x + z + rng.standard_normal(300), "x": x,
                      "z": z})
         _assert_matches_loop(d, MODEL_SPEC, 99, RngStream(96))
+
+    def test_undrawn_row_links_no_tie(self):
+        # z is 0.5, 0.5 + g and 0.5 + 2g on three rows, where g lies
+        # between a half and the whole of TIE_RTOL * mag for every
+        # resample (many rows hold z = +-1, so mag = max|z| + max|e| stays
+        # near 2): a resample that draws the outer two rows but not the
+        # middle one must not tie them through it, as the refit of its
+        # rows alone does not
+        rng = np.random.default_rng(12)
+        n = 120
+        z = np.concatenate([np.repeat([-1.0, 1.0], 25),
+                            rng.uniform(-0.9, 0.4, n - 53)])
+        g = 1.5 * TIE_RTOL
+        z = np.concatenate([z, 0.5 + g * np.arange(3)])
+        y = 1.0 + z + rng.standard_normal(n)
+        d = Dataset({"y": y, "z": z})
+        spec = ModelSpec("y", (), ("z",))
+        seed, B = RngStream(13), 99
+        rows = [_resample_rows(seed.child(_BOOT_KEY, b).words()[0], n)
+                for b in range(B)]
+        outer = [set(r) >= {n - 3, n - 1} and n - 2 not in r for r in rows]
+        assert sum(outer) >= 5
+        got = _assert_matches_loop(d, spec, B, seed)
+        assert got.scalar_refits == 0
+
+    def test_near_collinear_design_fails_as_the_loop(self):
+        # a column equal to another plus 1e-11 noise: every resample's
+        # design is flagged, refitted, and fails as the scalar fit does
+        rng = np.random.default_rng(14)
+        x, _, z, y = _endogenous_design(rng, 200)
+        d = Dataset({"y": y, "x": x, "x2": x + 1e-11 * rng.standard_normal(200),
+                     "z": z})
+        spec = ModelSpec("y", ("x", "x2"), ("z",))
+        rows = _resample_rows(RngStream(15).child(_BOOT_KEY, 0).words()[0],
+                              200)
+        for estimator in ("npcf", "iv_internal", "two_scope", "gp_copula"):
+            with pytest.raises(RankDeficiencyError):
+                ESTIMATORS[estimator](d.take(rows), spec)
+            with pytest.raises(BootstrapError, match="20 of 20"):
+                _loop_bootstrap(d, spec, 20, RngStream(15), estimator)
+            with pytest.raises(BootstrapError, match=r"20 of 20 .*\{'"
+                               r"RankDeficiencyError': 20\}"):
+                pairs_bootstrap(d, spec, estimator, B=20, seed=RngStream(15))
+
+    @pytest.mark.parametrize("estimator", ["npcf", "two_scope",
+                                           "gp_copula"])
+    def test_rows_in_blocks(self, dgp1_small, monkeypatch, estimator):
+        # at large n the products over the data rows run a block of rows
+        # at a time, recomputing the blocks of Q = D R0^-1
+        monkeypatch.setattr(inference, "_ROW_BLOCK", 40)
+        monkeypatch.setattr(inference, "_CHUNK_BYTES", 1)
+        _assert_matches_loop(dgp1_small, MODEL_SPEC, 49, RngStream(90),
+                             estimator)
+        if estimator == "gp_copula":
+            return
+        # two endogenous columns, and for npcf a squared regressor; the
+        # scores of x and x^2 coincide, so two_scope takes another one
+        rng = np.random.default_rng(93)
+        x, _, z, y = _endogenous_design(rng, 300)
+        z2 = 0.5 * x + rng.gamma(3.0, 0.5, 300)
+        w = x ** 2 if estimator == "npcf" else rng.standard_normal(300)
+        d = Dataset({"y": y + z2 + 0.2 * w, "x": x, "w": w, "z": z,
+                     "z2": z2})
+        got = _assert_matches_loop(d, ModelSpec("y", ("x", "w"),
+                                                ("z", "z2")),
+                                   49, RngStream(94), estimator)
+        assert got.scalar_refits == 0
 
     def test_rare_dummy_rank_failures(self):
         # a dummy with five ones is all zero in about 0.7% of resamples;
@@ -774,8 +845,9 @@ class TestNonFiniteDraws:
                 pairs_bootstrap(data, _HUGE_SPEC, estimator, B=19)
             idx = inference._resample_chunk(
                 RngStream(0).child_words(_BOOT_KEY, np.arange(99)), 30)
-            theta, ok, _ = inference._fit_stack(estimator, data.columns,
-                                                _HUGE_SPEC, idx)
+            theta, ok = inference._CountDesign(data, _HUGE_SPEC,
+                                               estimator).fit(
+                inference._counts(idx))
         # the stack never accepts a non-finite draw for itself
         assert np.isfinite(theta[ok]).all()
 

@@ -165,15 +165,18 @@ class TestLstsq:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("rhs_width", [None, 1, 3])
     def test_in_place_factor_matches_copying_call(self, order, rhs_width):
-        # _lstsq factors a Fortran-ordered copy in place; the reference
-        # hands V itself to qr, which copies it again
+        # _lstsq factors a Fortran-ordered copy, or V itself when told it
+        # may; the reference hands V to qr and forms Q.  The factor is
+        # LAPACK's either way; Q'b from the reflectors moves the
+        # coefficients by rounding only
         rng = np.random.default_rng(11)
         for n, p in ((40, 1), (250, 5), (3001, 4)):
             V = np.array(_random_design(rng, n, p).values, order=order)
             b = rng.standard_normal(n if rhs_width is None
                                     else (n, rhs_width))
             before = V.copy()
-            coef, resid, (R, piv) = _lstsq(V, b, tuple("abcde")[:p])
+            names = tuple("abcde")[:p]
+            coef, resid, (R, piv) = _lstsq(V, b, names)
             Q0, R0, piv0 = qr(V, mode="economic", pivoting=True,
                               check_finite=False)
             perm = solve_triangular(R0, Q0.T @ b, lower=False,
@@ -182,8 +185,17 @@ class TestLstsq:
             coef0[piv0] = perm
             assert np.array_equal(V, before)
             assert np.array_equal(R, R0) and np.array_equal(piv, piv0)
-            assert np.array_equal(coef, coef0)
-            assert np.array_equal(resid, b - V @ coef0)
+            assert np.abs(coef - coef0).max() <= (
+                1e-12 * max(1.0, np.abs(coef0).max()))
+            assert np.array_equal(resid, b - V @ coef)
+            # in place: the same factor and coefficients, the residuals
+            # from the reflectors
+            W = np.array(V, order="F")
+            coef1, resid1, (R1, piv1) = _lstsq(W, b, names, overwrite=True)
+            assert np.array_equal(R1, R) and np.array_equal(piv1, piv)
+            assert np.array_equal(coef1, coef)
+            assert resid1.shape == resid.shape
+            assert np.abs(resid1 - resid).max() <= 1e-12 * np.abs(b).max()
 
     @pytest.mark.parametrize("shape", [(3, 3), (2, 3)])
     def test_needs_more_rows_than_columns(self, shape):
