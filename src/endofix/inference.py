@@ -44,7 +44,7 @@ from .errors import (BootstrapError, ConstantInputError, DataError,
                      NonFiniteError, RankDeficiencyError)
 from .estimators import (ESTIMATORS, ModelSpec, ThetaEstimate, _check_finite,
                          _names, fit_npcf)
-from .numerics import RngStream, _SeedWords, words_generator
+from .numerics import RngStream, _SeedWords, _seed_words, words_generator
 from .regress import RANK_RTOL, _right_divide
 from .transform import (CONSTANT_RESIDUAL_RTOL, FirstStage, _counted_scores,
                         _score_rows, _sort_rows, _sorted_rows, _tie_runs)
@@ -55,10 +55,10 @@ __all__ = ["BootstrapResult", "TestResult", "pairs_bootstrap",
 
 # Resample b draws its rows from seed.child(_BOOT_KEY, b), so its draw does
 # not depend on the order or the chunk in which resamples are computed.  The
-# seed words of all B children are hashed in one pass (RngStream.child_words)
-# and equal those of each child's own generator(); a chunk's rows are drawn
-# from those streams in one pass (_resample_chunk), equal to each child
-# generator's integers(0, n, size=n).
+# seed words of all B children of every dataset's seed are hashed in one
+# pass (_boot_words) and equal those of each child's own generator(); a
+# chunk's rows are drawn from those streams in one pass (_resample_chunk),
+# equal to each child generator's integers(0, n, size=n).
 _BOOT_KEY = 0xB00
 
 # The estimators _fit_stack and _CountDesign solve.  The bootstrap and the
@@ -66,9 +66,15 @@ _BOOT_KEY = 0xB00
 # in ESTIMATORS under one of these names does not change the path.
 _STACKED = ("ols", "npcf", "iv_internal", "two_scope", "gp_copula")
 
-# Size in bytes of one stacked (problem, row, column) array: a chunk holds
-# this many bytes' worth of problems, and one problem at large n.
-_CHUNK_BYTES = 256 * 1024
+# The chunk budget of both engines, _fit_stack's Monte Carlo stacks and
+# _CountDesign's bootstrap counts: a chunk takes as many problems as fit
+# in this many bytes of n-long float columns, counted per problem as the
+# widest design [X | Z | corrections | y] has (_chunk).  Larger chunks
+# spread each chunk's fixed cost of numpy calls over more problems and
+# hold more memory: at n = 250 a chunk takes 209 problems, five chunks per
+# bootstrap of 999 resamples.  A problem of 50 000 rows with
+# [1 | x | x^2 | z] already exceeds it, so a large-n chunk is one problem.
+_CHUNK_BYTES = 2 * 1024 * 1024
 
 # Where a bootstrap fit sorts a resample's first-stage residuals, the data
 # rows it does not draw take this value: they sort after the drawn ones
@@ -148,9 +154,6 @@ def _resample_rows(words: np.ndarray, n: int) -> np.ndarray:
     return words_generator(words).integers(0, n, size=n)
 
 
-_MASK32 = np.uint64(0xFFFFFFFF)
-
-
 def _bounded_draws(words: np.ndarray, n: int, size: int):
     """``words_generator(w).integers(0, n, size=size)`` for each row w of
     the seed words ``words`` (S, 4), computed for the whole block at once.
@@ -175,15 +178,17 @@ def _bounded_draws(words: np.ndarray, n: int, size: int):
     for s, w in enumerate(words):
         raw[s] = np.random.PCG64(_SeedWords(w)).random_raw(k)
     # each word as two little-endian uint32s, the low half first
-    m = raw.astype("<u8", copy=False).view("<u4").astype(np.uint64)
-    del raw
-    m *= np.uint64(n)
-    accept = (m & _MASK32) >= np.uint64(threshold)
-    m >>= np.uint64(32)
-    rows = m.view(np.int64)
+    u = raw.astype("<u8", copy=False).view("<u4")
+    rows = np.multiply(u, np.uint64(n), dtype=np.uint64)
+    rows >>= np.uint64(32)
+    rows = rows.view(np.int64)
+
+    def rejected(v):
+        # the low 32 bits of u * n are the wrapped uint32 product
+        return np.multiply(v, np.uint32(n), dtype=np.uint32) < threshold
     exact = np.ones(S, dtype=bool)
-    for s in np.flatnonzero(~accept[:, :size].all(axis=1)):
-        kept = rows[s][accept[s]]
+    for s in np.flatnonzero(rejected(u[:, :size]).any(axis=1)):
+        kept = rows[s][~rejected(u[s])]
         if kept.size >= size:
             rows[s, :size] = kept[:size]
         else:
@@ -206,7 +211,12 @@ def _counts(rows: np.ndarray) -> np.ndarray:
     the n data rows: an (S, n) float array."""
     S, n = rows.shape
     flat = rows.ravel() if S == 1 else (rows + n * np.arange(S)[:, None]).ravel()
-    return np.bincount(flat, minlength=S * n).reshape(S, n).astype(np.float64)
+    # each array is dropped once used: at small n these are a chunk's
+    # largest
+    del rows
+    counts = np.bincount(flat, minlength=S * n)
+    del flat
+    return counts.reshape(S, n).astype(np.float64)
 
 
 def _well_conditioned(R: np.ndarray, Rinv=None) -> np.ndarray:
@@ -310,9 +320,9 @@ def _npcf_scores(W: np.ndarray, k: int, m: int):
 
 
 def _chunk(n: int, spec: ModelSpec) -> int:
-    """Problems per stack: ``_CHUNK_BYTES`` of a problem's n-long columns,
-    as many as the widest stacked design ``[X | Z | corrections | y]``
-    has, and at least one."""
+    """Problems per chunk, in either engine: as many as fit in
+    ``_CHUNK_BYTES`` when each takes as many n-long float columns as the
+    widest design ``[X | Z | corrections | y]`` has, and at least one."""
     return max(1, _CHUNK_BYTES // (8 * n * (spec.k + 2 * spec.m + 1)))
 
 
@@ -589,8 +599,9 @@ class _CountDesign:
         ok = np.all(std > _FLAG_MARGIN * CONSTANT_RESIDUAL_RTOL * zscale,
                     axis=1)
         drawn = C > 0
-        order, sv = _sorted_rows(
-            np.where(drawn[:, None], E, _BIG).reshape(S * m, n))
+        # in place: E is this call's own
+        np.putmask(E, np.broadcast_to(~drawn[:, None], E.shape), _BIG)
+        order, sv = _sorted_rows(E.reshape(S * m, n))
         del E
         # the drawn residuals sort first: their extremes are the first and
         # the last of them
@@ -600,10 +611,11 @@ class _CountDesign:
                         axis=1).ravel()
         runs = _tie_runs(sv, mag)
         del sv
-        counts = C if m == 1 else np.repeat(C, m, axis=0)
+        sorted_scores = _counted_scores(
+            (C if m == 1 else np.repeat(C, m, axis=0)).ravel()[order], runs)
+        # allocated after the lookup, whose temporaries are freed by now
         scores = np.empty(S * m * n)
-        scores[order.ravel()] = _counted_scores(counts.ravel()[order],
-                                                runs).ravel()
+        scores[order.ravel()] = sorted_scores.ravel()
         return scores.reshape(S, m, n), ok
 
     def _data_scores(self, C: np.ndarray, j: int) -> np.ndarray:
@@ -612,8 +624,9 @@ class _CountDesign:
         if j not in self._sorts:
             self._sorts[j] = _sort_rows(self.cols[j][None])
         order, runs = self._sorts[j]
+        sorted_scores = _counted_scores(C[:, order[0]], runs)
         scores = np.empty(C.shape)
-        scores[:, order[0]] = _counted_scores(C[:, order[0]], runs)
+        scores[:, order[0]] = sorted_scores
         return scores
 
     def _scored_residuals(self, C: np.ndarray):
@@ -636,6 +649,20 @@ class _CountDesign:
                           list(A[:, 1:k].transpose(1, 0, 2)), gamma), ok
 
 
+def _boot_words(seeds, B: int) -> np.ndarray:
+    """The seed words (len(seeds) * B, 4) of resamples 0..B-1 of each of
+    ``seeds``: ``seed.child_words(_BOOT_KEY, np.arange(B))`` stacked,
+    hashed in one pass per root seed (mc_run's seeds share one)."""
+    ids = np.concatenate([seed._child_id((_BOOT_KEY, np.arange(B)))
+                          for seed in seeds])
+    roots = np.repeat(np.array([seed.seed for seed in seeds], np.uint64), B)
+    words = np.empty((len(ids), 4), np.uint64)
+    for root in np.unique(roots):
+        at = roots == root
+        words[at] = _seed_words(int(root), ids[at])
+    return words
+
+
 def _resample_fits(estimator: str, datasets, spec: ModelSpec, seeds,
                    B: int):
     """Fit ``estimator`` on B resamples of each of S datasets of n rows,
@@ -655,8 +682,7 @@ def _resample_fits(estimator: str, datasets, spec: ModelSpec, seeds,
     name, and the number refitted.  A failed resample's theta is 0.
     """
     S, n = len(datasets), datasets[0].n
-    words = np.concatenate([seed.child_words(_BOOT_KEY, np.arange(B))
-                            for seed in seeds])
+    words = _boot_words(seeds, B)
     theta = np.zeros((S * B, len(_names(spec, estimator != "ols"))))
     solved = np.zeros(S * B, dtype=bool)
     if estimator in _STACKED:
@@ -690,22 +716,23 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
     """Resample rows with replacement and refit ``estimator`` B times.
 
     The one-dataset case of :func:`_resample_fits`: for every built-in
-    estimator (``iv_internal`` as npcf's) the resamples are solved in
-    chunks of stacked arrays by :func:`_fit_stack`, and one it flags
-    (near a rank, constant-residual, exact-fit or copula-guard rejection)
-    is refitted by the registered estimator, which then decides whether
-    it fails; estimators registered later refit every resample.  npcf's
-    first-stage residuals within TIE_RTOL times max|z| + max|e| of each
-    other tie in both paths, so no resample is refitted for a tie.  The
-    stacked draws equal those of refitting every resample to rounding
-    (about 1e-14 relative), not bit for bit.  A resample whose refitted
-    coefficients are not finite fails as a ``NonFiniteError``.  The full
-    sample is not fitted here: a dataset the estimator cannot fit makes
-    its resamples fail, which raises BootstrapError.
+    estimator (``iv_internal`` as npcf's) the resamples are solved a
+    chunk at a time from their row counts by :class:`_CountDesign`, and
+    one it flags (near a rank, constant-residual, exact-fit or
+    copula-guard rejection) is refitted by the registered estimator,
+    which then decides whether it fails; estimators registered later
+    refit every resample.  npcf's first-stage residuals within TIE_RTOL
+    times max|z| + max|e| of each other tie in both paths, so no resample
+    is refitted for a tie.  The chunks' draws equal those of refitting
+    every resample to rounding (about 1e-14 relative), not bit for bit.
+    A resample whose refitted coefficients are not finite fails as a
+    ``NonFiniteError``.  The full sample is not fitted here: a dataset
+    the estimator cannot fit makes its resamples fail, which raises
+    BootstrapError.
 
     Resample b's rows are ``seed.child(_BOOT_KEY, b).generator()
     .integers(0, n, size=n)``, bit for bit, however they are drawn: a
-    stacked chunk draws the rows of all its resamples in one pass
+    chunk draws the rows of all its resamples in one pass
     (:func:`_resample_chunk`), and a refit draws its own
     (:func:`_resample_rows`).
 

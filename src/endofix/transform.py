@@ -192,9 +192,11 @@ def _counted_scores(counts: np.ndarray, runs) -> np.ndarray:
         index = np.repeat(before + through - 1.0,
                           np.diff(np.append(starts, counts.size)))
         index = index.reshape(R, n)
+    # counts and cum are no longer needed: free them before the lookup
+    del counts, cum
     if R > 1:
-        scores = _half_rank_scores(n).take(index.astype(np.intp),
-                                           mode="clip")
+        index = index.astype(np.intp)
+        scores = _half_rank_scores(n).take(index, mode="clip")
     else:
         # the table's own arithmetic, without a table of 2n - 1 entries
         index += 2.0

@@ -13,7 +13,8 @@ from endofix.errors import (BootstrapError, ConstantInputError, DataError,
                             DomainError, IdentificationError,
                             NonFiniteError, RankDeficiencyError)
 from endofix.estimators import ESTIMATORS, ModelSpec, build_design, fit_npcf
-from endofix.inference import (_BOOT_KEY, _CHUNK_BYTES, _resample_rows,
+from endofix.inference import (_BOOT_KEY, _CHUNK_BYTES, _chunk,
+                               _resample_rows,
                                exogeneity_test,
                                exogeneity_test_of_fit,
                                identification_diagnostic, pairs_bootstrap)
@@ -242,6 +243,17 @@ class TestResampleStreams:
         order = [w.tobytes() for w, _ in (chunks if stacked else refits)]
         assert order == list(want)
 
+    def test_words_of_many_seeds_in_one_pass(self):
+        # mc_run bootstraps a chunk of repetitions, each from a child of
+        # one master: their words are hashed in one pass, and a seed of
+        # another root apart, in order
+        master = RngStream(2 ** 40 + 1, 3)
+        seeds = ([master.child(r, 7) for r in range(5)]
+                 + [RngStream(9), master.child(99), RngStream(0)])
+        want = np.concatenate([s.child_words(_BOOT_KEY, np.arange(13))
+                               for s in seeds])
+        assert np.array_equal(inference._boot_words(seeds, 13), want)
+
     # npcf draws of the stacked bootstrap as each resample built its own
     # SeedSequence: n=60, B=4, one seed of one 32-bit word and one of two
     _PARENT_DRAWS = {
@@ -340,14 +352,18 @@ class TestResampleChunk:
         assert np.array_equal(inference._resample_chunk(words, 1),
                               np.zeros((3, 1), dtype=np.int64))
 
-    @pytest.mark.parametrize("n,B", [(250, 999), (200_000, 9)])
-    def test_benchmark_designs_need_no_exact_redraw(self, n, B):
-        # the fit-boot and fit-large resamples: a redraw that fired on
-        # every row would keep the rows exact but switch the block pass
-        # off unnoticed.  (mc_run's chunk generator has no redraw.)
+    @pytest.mark.parametrize("n,B,exog", [(250, 999, ("x",)),
+                                          (200_000, 9, ("x", "x^2"))])
+    def test_benchmark_designs_need_no_exact_redraw(self, n, B, exog):
+        # the fit-boot and fit-large resamples, in the chunks the
+        # bootstrap draws: a redraw that fired on every row would keep the
+        # rows exact but switch the block pass off unnoticed.  (mc_run's
+        # chunk generator has no redraw.)
         words = RngStream(101).child_words(_BOOT_KEY, np.arange(B))
-        for lo in range(0, B, 26):
-            assert inference._bounded_draws(words[lo:lo + 26], n, n)[1].all()
+        chunk = _chunk(n, ModelSpec("y", exog, ("z",)))
+        for lo in range(0, B, chunk):
+            assert inference._bounded_draws(words[lo:lo + chunk], n,
+                                            n)[1].all()
 
 
 class TestStackedBootstrapMemory:
@@ -370,6 +386,24 @@ class TestStackedBootstrapMemory:
             tracemalloc.stop()
         assert boot.n_failed == 0
         assert peak <= 6.4 * n * 8
+
+    def test_peak_of_full_small_n_chunks(self, dgp1_small):
+        # at small n a chunk holds _chunk(n, spec) resamples, fitted from
+        # their counts: the high-water mark stays within 6.8 n-long float
+        # columns per resample of a chunk (measured 5.8; 7.7 before the
+        # chunk's dead arrays were dropped early)
+        n = dgp1_small.n
+        chunk = _chunk(n, MODEL_SPEC)
+        assert 1 < chunk < 999
+        tracemalloc.start()
+        try:
+            boot = pairs_bootstrap(dgp1_small, MODEL_SPEC, "npcf", B=999,
+                                   seed=RngStream(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert boot.n_failed == 0
+        assert peak <= 6.8 * n * 8 * chunk
 
 
 class TestStackedBootstrapMatchesLoop:
@@ -428,6 +462,32 @@ class TestStackedBootstrapMatchesLoop:
         d = Dataset({"y": 1.0 + x + z + rng.standard_normal(300), "x": x,
                      "z": z})
         _assert_matches_loop(d, MODEL_SPEC, 99, RngStream(96))
+
+    @pytest.mark.parametrize("estimator", ["npcf", "iv_internal",
+                                           "two_scope", "gp_copula"])
+    def test_draws_do_not_depend_on_the_chunk(self, dgp1_small, monkeypatch,
+                                              estimator):
+        # a resample's fit reads its own counts only: one resample per
+        # chunk gives the draws of the default chunks to rounding, and
+        # the same failures and refits
+        rng = np.random.default_rng(95)
+        x = rng.integers(0, 2, 300).astype(float)
+        z = rng.integers(0, 6, 300) + x
+        tied = Dataset({"y": 1.0 + x + z + rng.standard_normal(300), "x": x,
+                        "z": z})
+        for d in (dgp1_small, tied):
+            assert 1 < _chunk(d.n, MODEL_SPEC) < 250
+            want = pairs_bootstrap(d, MODEL_SPEC, estimator, B=250,
+                                   seed=RngStream(17))
+            with monkeypatch.context() as m:
+                m.setattr(inference, "_CHUNK_BYTES", 1)
+                got = pairs_bootstrap(d, MODEL_SPEC, estimator, B=250,
+                                      seed=RngStream(17))
+            assert got.n_failed == want.n_failed
+            assert got.failures == want.failures
+            assert got.scalar_refits == want.scalar_refits
+            scale = np.abs(want.draws).max(axis=0)
+            assert np.all(np.abs(got.draws - want.draws) <= 1e-13 * scale)
 
     def test_undrawn_row_links_no_tie(self):
         # z is 0.5, 0.5 + g and 0.5 + 2g on three rows, where g lies
