@@ -1,5 +1,5 @@
 """Pairs bootstrap, the exogeneity test, the normality diagnostic for the
-first-stage residuals, and the engines that solve the bootstrap's
+first-stage residuals, and the engine that solves the bootstrap's
 resamples and the Monte Carlo repetitions as arrays.
 
 The bootstrap resamples whole observation rows with replacement and reruns
@@ -8,19 +8,19 @@ resample, so the standard errors reflect the sampling noise of the
 generated regressor as well.
 
 For every built-in estimator (``_STACKED``; ``iv_internal``, whose
-coefficients equal npcf's in exact arithmetic, as npcf) a resample is its
-row counts, the bincount of the rows it draws, and
-:class:`_CountDesign` fits a chunk of one dataset's resamples as
-weighted least squares on the data's own rows: one factor of the fixed
-columns per dataset, and per chunk the resamples' weighted Gram
-matrices, small Cholesky factors and ranks from the counts; no design
-is gathered.  :func:`_resample_fits` bootstraps S datasets, each in
-chunks of its own; :func:`pairs_bootstrap` is its one-dataset case.
-:func:`_fit_stack` solves the Monte Carlo repetitions, whose (S, n)
-column stacks it factors with unpivoted QRs; one sort per stack gives
-their ranks or scores.  npcf's first-stage residuals tie by the rule of
+coefficients equal npcf's in exact arithmetic, as npcf) a problem is a
+dataset's row counts: a bootstrap resample is the bincount of the rows
+it draws, and a Monte Carlo repetition is its own data, every count 1.
+:class:`_CountDesign` fits a chunk of problems of S datasets as weighted
+least squares on the data's own rows: one factor of the fixed columns
+per dataset, and per problem its weighted Gram matrix, small Cholesky
+factors and ranks from the counts; no design is gathered.
+:func:`_resample_fits` bootstraps S datasets, each in chunks of its own,
+and :func:`pairs_bootstrap` is its one-dataset case;
+:func:`~endofix.simulation.mc_run` fits a chunk of repetitions as one
+design of S datasets.  npcf's first-stage residuals tie by the rule of
 :func:`~endofix.transform.first_stage`, sorted neighbours within
-TIE_RTOL times max|z| + max|e|, among a resample's drawn rows, in every
+TIE_RTOL times max|z| + max|e|, among a problem's drawn rows, in every
 path, so no problem is refitted for a tie.  A problem near a rank,
 constant-residual, exact-fit or copula-guard rejection is flagged and
 refitted by the registered scalar estimator, which then decides.  So
@@ -47,7 +47,7 @@ from .estimators import (ESTIMATORS, ModelSpec, ThetaEstimate, _check_finite,
 from .numerics import RngStream, _SeedWords, _seed_words, words_generator
 from .regress import RANK_RTOL, _right_divide
 from .transform import (CONSTANT_RESIDUAL_RTOL, FirstStage, _counted_scores,
-                        _score_rows, _sort_rows, _sorted_rows, _tie_runs)
+                        _sort_rows, _sorted_rows, _tie_runs)
 
 __all__ = ["BootstrapResult", "TestResult", "pairs_bootstrap",
            "exogeneity_test", "exogeneity_test_of_fit",
@@ -61,14 +61,14 @@ __all__ = ["BootstrapResult", "TestResult", "pairs_bootstrap",
 # equal to each child generator's integers(0, n, size=n).
 _BOOT_KEY = 0xB00
 
-# The estimators _fit_stack and _CountDesign solve.  The bootstrap and the
-# Monte Carlo harness choose those paths by name, so a wrapper registered
+# The estimators _CountDesign solves.  The bootstrap and the Monte Carlo
+# harness choose that path by name, so a wrapper registered
 # in ESTIMATORS under one of these names does not change the path.
 _STACKED = ("ols", "npcf", "iv_internal", "two_scope", "gp_copula")
 
-# The chunk budget of both engines, _fit_stack's Monte Carlo stacks and
-# _CountDesign's bootstrap counts: a chunk takes as many problems as fit
-# in this many bytes of n-long float columns, counted per problem as the
+# The chunk budget of _CountDesign, for a bootstrap's resamples and for
+# Monte Carlo repetitions alike: a chunk takes as many problems as fit in
+# this many bytes of n-long float columns, counted per problem as the
 # widest design [X | Z | corrections | y] has (_chunk).  Larger chunks
 # spread each chunk's fixed cost of numpy calls over more problems and
 # hold more memory: at n = 250 a chunk takes 209 problems, five chunks per
@@ -91,10 +91,10 @@ _RSS_RECOMPUTE = 1e-2
 # array as long as the data.
 _ROW_BLOCK = 8192
 
-# A stacked problem within this factor of a rank, constant-residual,
-# exact-fit or copula-guard rejection is refitted by the scalar estimator,
-# so rounding differences between the stacked and the pivoted
-# factorisations cannot hide a rejection from it.
+# A problem within this factor of a rank, constant-residual, exact-fit or
+# copula-guard rejection is refitted by the scalar estimator, so rounding
+# differences between the count-based and the pivoted factorisations
+# cannot hide a rejection from it.
 _FLAG_MARGIN = 100.0
 
 
@@ -124,7 +124,7 @@ class BootstrapResult:
     ``n_extreme_draws`` counts draws farther than 10 interquartile ranges
     from the median, a heuristic flag for heavy-tailed resampling noise.
     ``scalar_refits`` counts the resamples fitted by the scalar estimator
-    rather than the stacked engine, failed ones included.
+    rather than the count-based engine, failed ones included.
     """
 
     draws: np.ndarray
@@ -219,119 +219,85 @@ def _counts(rows: np.ndarray) -> np.ndarray:
     return counts.reshape(S, n).astype(np.float64)
 
 
-def _well_conditioned(R: np.ndarray, Rinv=None) -> np.ndarray:
-    """Per stacked triangular factor: is sigma_max / sigma_min clear of
-    RANK_RTOL?  ||R||_F ||R^-1||_F bounds that ratio from above, so a
-    factor passes only if the ratio does; and sigma_min <= every |diag|
-    <= sigma_max, so a design the pivoted QR rejects never passes.
-    ``Rinv`` is R^-1 when the caller has it.  A factor that is not finite,
-    or so large or small that the bound overflows, does not pass."""
-    q = R.shape[-1]
-    ok = np.ones(len(R), dtype=bool)
-    if Rinv is None:
-        ok = (np.isfinite(R).all(axis=(1, 2))
-              & (np.diagonal(R, axis1=1, axis2=2) != 0.0).all(axis=1))
-        Rinv = np.linalg.inv(np.where(ok[:, None, None], R, np.eye(q)))
+def _well_conditioned(R: np.ndarray, Rinv: np.ndarray) -> np.ndarray:
+    """Per stacked R factor (..., q, q) of a design, with inverse ``Rinv``:
+    is the design, its columns scaled to unit norm, clear of RANK_RTOL?
+    With d the column norms of R, those of the design,
+    ||R diag(1/d)||_F ||diag(d) R^-1||_F = sqrt(q) ||diag(d) R^-1||_F
+    bounds the scaled design's sigma_max / sigma_min from above, so a
+    factor passes only if that ratio does.
+    :func:`~endofix.regress._lstsq` scales the columns to within a factor
+    2 of unit norm and rejects a pivot ratio below RANK_RTOL, where that
+    ratio is at least 1 / (2 RANK_RTOL), far beyond the flag's margin: a
+    design it rejects never passes.  A factor so large or small that the
+    bound overflows does not pass."""
     limit = 1.0 / (_FLAG_MARGIN * RANK_RTOL)
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = (np.einsum("sij,sij->s", R, R)
-                 * np.einsum("sij,sij->s", Rinv, Rinv))
-    return ok & (bound < limit * limit)
-
-
-def _solve_upper(R: np.ndarray, rhs: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """Solve the stacked systems R x = rhs; rows not ``ok`` get an identity
-    factor so one singular factor cannot fail the whole stack."""
-    R = np.where(ok[:, None, None], R, np.eye(R.shape[-1]))
-    return np.linalg.solve(R, rhs)
+        d2 = np.einsum("...ij,...ij->...j", R, R)
+        bound = R.shape[-1] * np.einsum("...i,...ij,...ij->...", d2, Rinv,
+                                        Rinv)
+    return bound < limit * limit
 
 
 def _cholesky(G: np.ndarray):
-    """Upper Cholesky factors of the stacked symmetric matrices ``G``, and
-    which of them exist; a matrix that is not positive definite gets an
-    identity factor."""
+    """Upper Cholesky factors of the stacked symmetric matrices ``G``
+    (..., q, q), and which of them exist; a matrix that is not positive
+    definite gets an identity factor."""
+    ok = np.ones(G.shape[:-2], dtype=bool)
     try:
-        return np.linalg.cholesky(G, upper=True), np.ones(len(G), dtype=bool)
+        return np.linalg.cholesky(G, upper=True), ok
     except np.linalg.LinAlgError:
-        U, ok = np.empty_like(G), np.ones(len(G), dtype=bool)
-        for s, g in enumerate(G):
+        U = np.empty_like(G)
+        for s in np.ndindex(ok.shape):
             try:
-                U[s] = np.linalg.cholesky(g, upper=True)
+                U[s] = np.linalg.cholesky(G[s], upper=True)
             except np.linalg.LinAlgError:
-                U[s], ok[s] = np.eye(len(g)), False
+                U[s], ok[s] = np.eye(G.shape[-1]), False
         return U, ok
 
 
-def _scale(V: np.ndarray) -> np.ndarray:
-    """max(1, std, |mean|) of each problem's column(s) in ``V``, taken
-    over the rows (axis 1): the scale that the constant checks compare
-    with."""
-    return np.maximum(1.0, np.maximum(V.std(axis=1), np.abs(V.mean(axis=1))))
-
-
-def _residuals(targets, regressors, coef: np.ndarray, out=None) -> np.ndarray:
-    """``targets[j] - coef[:, 0, j] - sum_i coef[:, i+1, j] * regressors[i]``
-    for each of S problems, stacked (S, len(targets), n); each target and
-    regressor is a column (n,) or a stack of them (S, n), and ``out`` may
+def _residuals(targets, regressors, coef: np.ndarray,
+               out=None) -> np.ndarray:
+    """``targets[j] - coef[..., 0, j] - sum_i coef[..., i+1, j] *
+    regressors[i]`` for each problem of ``coef`` (..., 1 + len(regressors),
+    len(targets)), stacked (..., len(targets), n); each target and
+    regressor broadcasts against the problems' (..., n), and ``out`` may
     be the targets' own stack.  Computed elementwise on each row, so rows
     with equal values get equal residuals, bit for bit."""
     if out is None:
-        out = np.empty((len(coef), len(targets), np.shape(targets[0])[-1]))
+        out = np.empty((*coef.shape[:-2], len(targets),
+                        np.shape(targets[0])[-1]))
     for j, t in enumerate(targets):
-        e = out[:, j]
-        np.subtract(t, coef[:, :1, j], out=e)
+        e = out[..., j, :]
+        np.subtract(t, coef[..., :1, j], out=e)
         for i, x in enumerate(regressors):
-            e -= coef[:, i + 1:i + 2, j] * x
+            e -= coef[..., i + 1:i + 2, j] * x
     return out
 
 
-def _first_step(A: np.ndarray, k: int, m: int):
-    """Stacked least squares of the columns ``A[..., k:k+m]`` on
-    ``A[..., :k]``, whose first column is the intercept.
-
-    Returns (residuals (S, m, n), ok).  The residuals are computed
-    elementwise on the rows of ``A`` (:func:`_residuals`).
-    """
-    R = np.linalg.qr(A[..., :k + m], mode="r")
-    ok = _well_conditioned(R[:, :k, :k])
-    delta = _solve_upper(R[:, :k, :k], R[:, :k, k:], ok)
-    E = _residuals([A[..., k + j] for j in range(m)],
-                   [A[..., i] for i in range(1, k)], delta)
-    return E, ok
-
-
-def _npcf_scores(W: np.ndarray, k: int, m: int):
-    """Fill ``W[..., k+m:k+2m]`` with the normal scores of the first-stage
-    residuals of ``W[..., k:k+m]`` on ``W[..., :k]``; returns ok.
-
-    The residuals tie as in :func:`~endofix.transform.first_stage`.
-    Besides the rank check, a problem is flagged whose residuals come
-    near the constant-residual rejection.
-    """
-    n = W.shape[1]
-    E, ok = _first_step(W, k, m)
-    Zb = W[..., k:k + m]
-    ok &= np.all(E.std(axis=2)
-                 > _FLAG_MARGIN * CONSTANT_RESIDUAL_RTOL * _scale(Zb), axis=1)
-    mag = np.abs(Zb).max(axis=1) + np.abs(E).max(axis=2)
-    scores = _score_rows(E.reshape(-1, n), mag.ravel())
-    W[..., k + m:k + 2 * m] = scores.reshape(-1, m, n).transpose(0, 2, 1)
-    return ok
-
-
 def _chunk(n: int, spec: ModelSpec) -> int:
-    """Problems per chunk, in either engine: as many as fit in
+    """Problems per chunk of :class:`_CountDesign`: as many as fit in
     ``_CHUNK_BYTES`` when each takes as many n-long float columns as the
     widest design ``[X | Z | corrections | y]`` has, and at least one."""
     return max(1, _CHUNK_BYTES // (8 * n * (spec.k + 2 * spec.m + 1)))
 
 
+def _column_scale(first: np.ndarray, rest: np.ndarray,
+                  n: int) -> np.ndarray:
+    """max(std, |mean|) of a column over a problem's n draws, the scale
+    that the constant checks compare with, from ``first`` = sqrt(n) mean
+    and ``rest`` = n var: the first coordinate of the column in a basis
+    orthonormal under the weights whose first vector is the intercept's,
+    and the sum of squares of the others."""
+    return np.sqrt(np.maximum(rest, first * first) / n)
+
+
 def _accept(estimator: str, theta: np.ndarray, rss: np.ndarray,
             yscale: np.ndarray, n: int, ok: np.ndarray) -> np.ndarray:
-    """The flags both stacked solvers take from a problem's coefficients
-    ``theta`` and residual sum of squares ``rss``: non-finite
-    coefficients, an exact fit, and gp_copula's 1 - rho^2 > 0 guard.
-    Returns the new ok; gp_copula's last coefficient becomes its rho."""
+    """The flags a problem takes from its coefficients ``theta`` and
+    residual sum of squares ``rss``: non-finite coefficients, an exact
+    fit, and gp_copula's 1 - rho^2 > 0 guard.  Returns the new ok;
+    gp_copula's last coefficient becomes its rho."""
     ok = ok & np.isfinite(theta).all(axis=1)
     # when y is fitted exactly the residuals are rounding noise, and so
     # are gp's rho and every standard error (ols's classical ones and the
@@ -348,305 +314,292 @@ def _accept(estimator: str, theta: np.ndarray, rss: np.ndarray,
     return ok
 
 
-def _fit_stack(estimator: str, columns, spec: ModelSpec):
-    """Fit ``estimator``, one of ``_STACKED``, on a stack of S problems
-    of n rows each: ``columns`` maps each model column to its stack, an
-    (S, n) array whose row s belongs to problem s (the Monte Carlo
-    chunks).  The caller has checked the model columns to be finite.
-
-    Returns (theta, ok, se).  ``theta[s]`` holds the coefficients in the
-    scalar estimator's order.  ``ok[s]`` is False when problem s comes
-    near one of the scalar estimator's rejections or its coefficients are
-    not finite, and must be refitted by the scalar estimator, which then
-    decides; npcf's residuals tie as the scalar estimator's do (TIE_RTOL
-    times max|z| + max|e|), so a tie flags nothing.  ``se`` holds ols's
-    classical standard errors, and is None for the other estimators.
-
-    Each stage factors the augmented ``[design | rhs]`` with an unpivoted
-    QR: the top-right block of R is Q'rhs, so Q is never formed.  The
-    second stage regresses y on ``[X | Z | corrections]``: no correction
-    for ``ols``, the normal scores of the first-stage residuals for
-    ``npcf`` and ``iv_internal``, the scores of z for ``gp_copula``, and
-    for ``two_scope`` the residuals of the scores of Z on the scores of
-    X.
-    """
-    k, m = spec.k, spec.m
-    S, n = np.shape(columns[spec.outcome])
-    q = k + m if estimator == "ols" else k + 2 * m
-    W = np.empty((S, n, q + 1))
-    W[..., 0] = 1.0
-    for j, c in zip((*range(1, k + m), q),
-                    (*spec.exogenous, *spec.endogenous, spec.outcome)):
-        W[..., j] = columns[c]
-    ok = np.ones(S, dtype=bool)
-    if estimator in ("npcf", "iv_internal"):
-        # iv's theta is npcf's in exact arithmetic, and its solves (on the
-        # scores, and on the regressors partialled on them) are no worse
-        # conditioned than npcf's design, so npcf's flags cover iv's
-        ok = _npcf_scores(W, k, m)
-    elif estimator == "two_scope":
-        A = np.empty((S, n, k + m))
-        A[..., 0] = 1.0
-        for j in range(1, k + m):
-            A[..., j] = _score_rows(W[..., j])
-        C, ok = _first_step(A, k, m)
-        W[..., k + m:q] = C.transpose(0, 2, 1)
-        del A, C
-    elif estimator == "gp_copula":
-        if m != 1:
-            # gp_fit rejects this spec itself
-            return np.zeros((S, q)), np.zeros(S, dtype=bool), None
-        W[..., q - 1] = _score_rows(W[..., k])
-    yscale = _scale(W[..., q])
-    R = np.linalg.qr(W, mode="r")
-    del W
-    ok &= _well_conditioned(R[:, :q, :q])
-    theta = _solve_upper(R[:, :q, :q], R[:, :q, q:], ok)[..., 0]
-    rss = R[:, q, q] ** 2
-    ok = _accept(estimator, theta, rss, yscale, n, ok)
-    if estimator == "ols":
-        Rinv = _solve_upper(R[:, :q, :q],
-                            np.broadcast_to(np.eye(q), R[:, :q, :q].shape), ok)
-        return theta, ok, np.sqrt(rss[:, None] / (n - q)
-                                  * np.sum(Rinv ** 2, axis=2))
-    return theta, ok, None
-
-
 class _CountDesign:
-    """One dataset's fixed design, for fitting ``estimator`` on its
-    bootstrap resamples given as row counts (:meth:`fit`).
+    """The fixed designs of S datasets of n rows, for fitting any of
+    ``_STACKED`` on problems given as row counts of their rows
+    (:meth:`fit`): a bootstrap's resamples, or the Monte Carlo
+    repetitions themselves, whose counts are all 1.
 
-    A resample that draws data row i c_i times is the least-squares
-    problem on the data's own rows with weights c.  The fixed columns
-    D = [1 | X | Z] are factored once, D = Q R0, Q = D R0^-1 being
-    computed by substitution a block of rows at a time.  A resample's
-    weighted Gram matrix H = Q' diag(c) Q is near the identity whatever
-    the units or the collinearity of D, so its Cholesky factor U is
-    accurate, and U R0 is the R factor of the resample's design.  The
-    first stage, and the projection of the per-resample columns
-    [corrections | y] on D, are solved with it; the second stage adds the
-    corrections to D by the Cholesky factor of the weighted Gram matrix
-    of those columns' residuals.
+    ``columns`` maps each model column to its (S, n) stack, row s
+    belonging to dataset s, or to one column (n,) when S = 1 (a
+    ``Dataset``'s columns); the caller has checked them to be finite.
+
+    A problem that draws data row i c_i times is the least-squares
+    problem on the data's own rows with weights c.  Each dataset's fixed
+    columns D = [1 | X | Z] are preconditioned once: R0 is the Cholesky
+    factor of D'D, and Q = D R0^-1 is computed by substitution a block of
+    rows at a time.  Q's columns are orthonormal up to about eps k^2, k
+    the condition number of D with its columns scaled to unit norm, so a
+    problem's weighted Gram matrix H = Q' diag(c) Q is near the identity
+    whatever the units of D, and its Cholesky factor U is accurate.  As
+    the substitution leaves Q R0 within rounding of D, U R0 is the R
+    factor of the problem's design to rounding.  The first stage, and the
+    projection of the per-problem columns [corrections | y] on D, are
+    solved with it; the second stage adds the corrections to D by the
+    Cholesky factor of the weighted Gram matrix of those columns'
+    residuals.  A D too near rank deficiency for that (k beyond about
+    1e8) has no Cholesky factor, or one the rank flag rejects.
     """
 
-    def __init__(self, data: Dataset, spec: ModelSpec, estimator: str):
-        self.estimator = estimator
+    def __init__(self, columns, spec: ModelSpec):
         self.k, self.m = spec.k, spec.m
-        self.cols = [data.column(c) for c in (*spec.exogenous,
-                                              *spec.endogenous)]
-        self.y = data.column(spec.outcome)
-        n = data.n
+        self.cols = [np.atleast_2d(columns[c]) for c in (*spec.exogenous,
+                                                         *spec.endogenous)]
+        self.y = np.atleast_2d(columns[spec.outcome])
+        S, n = self.y.shape
+        q0 = self.k + self.m
         self.blocks = [slice(lo, min(lo + _ROW_BLOCK, n))
                        for lo in range(0, n, _ROW_BLOCK)]
-        # R0 a block at a time: the R factor of [R0 so far; next block]
-        R0 = np.empty((0, self.k + self.m))
-        for rows in self.blocks:
-            R0 = np.linalg.qr(np.vstack([R0, self._design(rows)]), mode="r")
-        self.R0 = R0
-        # a singular R0 (a rank-deficient D) makes every resample's design
-        # rank deficient: every one is left to the scalar estimator
-        self.usable = bool(np.isfinite(R0).all() and np.diag(R0).all())
-        if self.usable:
-            self.R0inv = _right_divide(np.eye(len(R0)), R0)
-        self._cached = ([self._basis(self.blocks[0])]
-                        if self.usable and len(self.blocks) == 1 else None)
+        G0 = np.zeros((S, q0, q0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in self.blocks:
+                D = self._design(rows)
+                G0 += D.swapaxes(-1, -2) @ D
+        # a D'D without a finite Cholesky factor (a D near rank deficiency,
+        # or one whose squares overflow) leaves all its problems to the
+        # scalar estimator, and an identity stands in for R0
+        R0, usable = _cholesky(G0)
+        self.usable = usable & np.isfinite(R0).all(axis=(1, 2))
+        self.R0 = np.where(self.usable[:, None, None], R0, np.eye(q0))
+        self.R0inv = _right_divide(np.eye(q0), self.R0)
+        # the one block of a small dataset: (rows, Q, table or None)
+        self._kept = None
+        if len(self.blocks) == 1:
+            self._kept = (rows, _right_divide(D, self.R0), None)
         self._sorts = {}
+        # max(std, |mean|) of y and of each endogenous column over the data
+        # rows, (S, 1, m+1): the floor of a problem's scales, which come
+        # out of sums over all the rows and carry their rounding
+        self.floor = np.stack([np.maximum(v.std(axis=-1),
+                                          np.abs(v.mean(axis=-1)))
+                               for v in (self.y, *self.cols[self.k - 1:])],
+                              axis=-1)[:, None]
 
     def _design(self, rows: slice) -> np.ndarray:
-        return np.column_stack([np.ones(rows.stop - rows.start),
-                                *(c[rows] for c in self.cols)])
+        """The block's rows of D, (S, rows, k + m), each column
+        contiguous."""
+        D = np.empty((len(self.y), len(self.cols) + 1,
+                      rows.stop - rows.start))
+        D[:, 0] = 1.0
+        for j, c in enumerate(self.cols, 1):
+            D[:, j] = c[:, rows]
+        return D.swapaxes(-1, -2)
 
-    def _moments(self, rows: slice) -> np.ndarray:
-        """The block's values and squares of y and of each endogenous
-        column: weighted by the counts, their sums give the means and
-        variances over the draws."""
-        return np.column_stack([w for v in (self.y, *self.cols[self.k - 1:])
-                                for w in (v[rows], v[rows] ** 2)])
+    def _bases(self, table: bool):
+        """(rows, Q, F) per block of rows: the block's rows of Q = D R0^-1
+        and, when ``table`` is set and there is one block, each row's outer
+        product with itself, flattened: a chunk's weighted Gram matrices
+        are then one product per dataset.  Else F is None.  One block's
+        are kept."""
+        if self._kept is None:
+            return ((rows, _right_divide(self._design(rows), self.R0), None)
+                    for rows in self.blocks)
+        rows, Q, F = self._kept
+        if table and F is None:
+            # a chunk of many problems per dataset reads Q by rows
+            Q = np.ascontiguousarray(Q)
+            F = (Q[..., :, None] * Q[..., None, :]).reshape(*Q.shape[:2], -1)
+            self._kept = rows, Q, F
+        return [(rows, Q, F if table else None)]
 
-    def _basis(self, rows: slice):
-        """(rows, D, Q, F): the block's rows of D and of Q = D R0^-1 and,
-        for the one block of a small dataset, which is kept, each row's
-        outer product with itself, flattened, beside :meth:`_moments`: a
-        chunk's weighted Gram matrices and sums are then one product.
-        Else F is None."""
-        D = self._design(rows)
-        Q = _right_divide(D, self.R0)
-        if len(self.blocks) > 1:
-            return rows, D, Q, None
-        return rows, D, Q, np.hstack([(Q[:, :, None] * Q[:, None, :])
-                                      .reshape(len(Q), -1),
-                                      self._moments(rows)])
+    def fit(self, est: str, C: np.ndarray):
+        """Fit estimator ``est`` on the problems whose row counts are ``C``
+        (S, b, n), b of each dataset.
 
-    def _bases(self):
-        """The blocks of :meth:`_basis`; kept when there is one block."""
-        if self._cached is not None:
-            return self._cached
-        return (self._basis(rows) for rows in self.blocks)
+        Returns (theta, ok, se), each flattened over (S, b).  ``theta``
+        holds the coefficients in the scalar estimator's order.  ``ok`` is
+        False where a problem comes near one of the scalar estimator's
+        rejections or its coefficients are not finite; the scalar
+        estimator must then refit it, and decides.  ``se`` holds the
+        classical standard errors of the second stage, ols's.
 
-    def fit(self, C: np.ndarray):
-        """Fit the resamples whose row counts are the rows of ``C`` (S, n).
-
-        Returns (theta, ok), as :func:`_fit_stack` does: ``ok[s]`` is
-        False when resample s comes near one of the scalar estimator's
-        rejections or its coefficients are not finite.
+        The weighted Gram matrices come from the kept table of outer
+        products when a chunk holds several problems per dataset (a
+        bootstrap's resamples), else (a Monte Carlo chunk, or a large
+        dataset) from the weighted rows of Q directly.
         """
-        S, n = C.shape
+        S, n = self.y.shape
+        C = C.reshape(S, -1, n)
+        b = C.shape[1]
         k, m = self.k, self.m
         q0 = k + m
-        est = self.estimator
         mc = 0 if est == "ols" else m
-        if not self.usable or (est == "gp_copula" and m != 1):
+        if est == "gp_copula" and m != 1:
             # gp_fit rejects the spec itself
-            return np.zeros((S, q0 + mc)), np.zeros(S, dtype=bool)
-        F = np.zeros((S, q0 * q0 + 2 * (m + 1)))
-        for rows, _, Q, QF in self._bases():
+            zeros = np.zeros((S * b, q0 + mc))
+            return zeros, np.zeros(S * b, dtype=bool), zeros
+        H = np.zeros((S, b, q0, q0))
+        for rows, Q, QF in self._bases(b > 1):
+            Cb = C[..., rows]
             if QF is not None:
-                F += C[:, rows] @ QF
-                continue
-            Cb = C[:, rows]
-            F[:, :q0 * q0] += ((Cb[:, :, None] * Q).transpose(0, 2, 1)
-                               @ Q).reshape(S, -1)
-            F[:, q0 * q0:] += Cb @ self._moments(rows)
-        # _scale of y and of each endogenous column over the draws: where
-        # the mean square less the squared mean cancels, the mean bounds
-        # the scale
-        mean = F[:, q0 * q0::2] / n
-        var = np.maximum(F[:, q0 * q0 + 1::2] / n - mean * mean, 0.0)
-        scale = np.maximum(1.0, np.maximum(np.sqrt(var), np.abs(mean)))
-        U, ok = _cholesky(F[:, :q0 * q0].reshape(S, q0, q0))
+                H += (Cb @ QF).reshape(H.shape)
+            else:
+                H += ((Cb[..., None, :] * Q.swapaxes(-1, -2)[:, None])
+                      @ Q[:, None])
+        U, ok = _cholesky(H)
+        ok &= self.usable[:, None]
         # U is near the identity, and H^-1 = Uinv Uinv'
-        Uinv = np.linalg.inv(U)
-        RD = U @ self.R0
+        Uinv = _right_divide(np.eye(q0), U)
+        R0, R0inv = self.R0[:, None], self.R0inv[:, None]
+        # the R factor of the problem's D, whose first column is the
+        # intercept: its first row holds sqrt(n) times the means over the
+        # draws, and the squares of its other rows sum to n times the
+        # variances
+        RD = U @ R0
         if est in ("npcf", "iv_internal"):
-            delta = self.R0inv[:k, :k] @ (Uinv[:, :k, :k] @ RD[:, :k, k:])
-            corr, fine = self._first_stage_scores(C, delta, scale[:, 1:])
+            delta = R0inv[..., :k, :k] @ (Uinv[..., :k, :k] @ RD[..., :k, k:])
+            zscale = np.maximum(self.floor[..., 1:], _column_scale(
+                RD[..., 0, k:], np.sum(RD[..., 1:, k:] ** 2, axis=-2), n))
+            corr, fine = self._first_stage_scores(C, delta, zscale)
             ok &= fine
         elif est == "two_scope":
             corr, fine = self._scored_residuals(C)
             ok &= fine
         elif est == "gp_copula":
-            corr = self._data_scores(C, k - 1)[:, None]
+            corr = self._data_scores(C, k - 1)[..., None, :]
         else:
-            corr = np.empty((S, 0, n))
-        V = np.empty((S, mc + 1, n))
-        V[:, :mc] = corr
-        V[:, mc] = self.y
+            corr = np.empty((S, b, 0, n))
+        V = np.empty((S, b, mc + 1, n))
+        V[..., :mc, :] = corr
+        V[..., mc, :] = self.y[:, None]
         del corr
-        # [corrections | y] = D beta + residuals, R0 beta = Y with
-        # Y = H^-1 Q' diag(c) V; V becomes the residuals
-        P = np.zeros((S * (mc + 1), q0))
-        for rows, _, Q, _ in self._bases():
-            P += (C[:, None, rows] * V[..., rows]).reshape(-1, len(Q)) @ Q
-        Y = Uinv @ (Uinv.transpose(0, 2, 1)
-                    @ P.reshape(S, mc + 1, q0).transpose(0, 2, 1))
-        beta = self.R0inv @ Y
-        Bt = beta.transpose(0, 2, 1).reshape(-1, q0)
-        G = np.zeros((S, mc + 1, mc + 1))
-        for rows in self.blocks:
+        # [corrections | y] = D beta + residuals = Q Y + residuals, with
+        # Y = R0 beta = H^-1 Q' diag(c) V; V becomes the residuals
+        P = np.zeros((S, b * (mc + 1), q0))
+        for rows, Q, _ in self._bases(False):
+            P += (C[..., None, rows] * V[..., rows]).reshape(
+                S, -1, Q.shape[1]) @ Q
+        # [corrections | y] in the basis Q Uinv, orthonormal under the
+        # weights, whose first vector is the intercept's
+        X = (Uinv.swapaxes(-1, -2)
+             @ P.reshape(S, b, mc + 1, q0).swapaxes(-1, -2))
+        Y = Uinv @ X
+        beta = R0inv @ Y
+        Yt = Y.swapaxes(-1, -2).reshape(S, -1, q0)
+        G = np.zeros((S, b, mc + 1, mc + 1))
+        for rows, Q, _ in self._bases(False):
             Vb = V[..., rows]
-            D = self._cached[0][1] if self._cached else self._design(rows)
-            Vb -= (Bt @ D.T).reshape(Vb.shape)
-            G += (C[:, None, rows] * Vb) @ Vb.transpose(0, 2, 1)
+            Vb -= (Yt @ Q.swapaxes(-1, -2)).reshape(Vb.shape)
+            G += (C[..., None, rows] * Vb) @ Vb.swapaxes(-1, -2)
         RV, fine = _cholesky(G)
         ok &= fine
-        RVinv = np.linalg.inv(RV[:, :mc, :mc])
-        rho = RVinv @ RV[:, :mc, mc:]
-        theta = np.empty((S, q0 + mc))
-        theta[:, :q0] = (beta[:, :, mc:] - beta[:, :, :mc] @ rho)[..., 0]
-        theta[:, q0:] = rho[..., 0]
+        RVinv = _right_divide(np.eye(mc), RV[..., :mc, :mc])
+        rho = RVinv @ RV[..., :mc, mc:]
+        theta = np.empty((S, b, q0 + mc))
+        theta[..., :q0] = (beta[..., mc:] - beta[..., :mc] @ rho)[..., 0]
+        theta[..., q0:] = rho[..., 0]
         # RV's last pivot is the residual sum of squares less rounding of
         # the order of its y part's: near an exact fit the residuals
         # themselves give it
-        rss = RV[:, mc, mc] ** 2
-        near = np.flatnonzero(rss < _RSS_RECOMPUTE * G[:, mc, mc])
-        if near.size:
+        rss = RV[..., mc, mc] ** 2
+        near = np.nonzero(rss < _RSS_RECOMPUTE * G[..., mc, mc])
+        if near[0].size:
             Cn, Vn = C[near], V[near]
-            r = Vn[:, mc] - (rho[near, :, :1] * Vn[:, :mc]).sum(axis=1)
+            r = Vn[:, mc] - (rho[near][:, :, :1] * Vn[:, :mc]).sum(axis=1)
             rss[near] = np.einsum("sn,sn,sn->s", Cn, r, r)
-        # the R factor of the resample's second-stage design and its
+        # the R factor of the problem's second-stage design and its
         # inverse, from those of its blocks
-        R = np.zeros((S, q0 + mc, q0 + mc))
-        R[:, :q0, :q0] = RD
-        R[:, :q0, q0:] = U @ Y[:, :, :mc]
-        R[:, q0:, q0:] = RV[:, :mc, :mc]
+        R = np.zeros((S, b, q0 + mc, q0 + mc))
+        R[..., :q0, :q0] = RD
+        R[..., :q0, q0:] = U @ Y[..., :mc]
+        R[..., q0:, q0:] = RV[..., :mc, :mc]
         Rinv = np.zeros_like(R)
-        Rinv[:, :q0, :q0] = self.R0inv @ Uinv
-        Rinv[:, :q0, q0:] = -beta[:, :, :mc] @ RVinv
-        Rinv[:, q0:, q0:] = RVinv
+        Rinv[..., :q0, :q0] = R0inv @ Uinv
+        Rinv[..., :q0, q0:] = -beta[..., :mc] @ RVinv
+        Rinv[..., q0:, q0:] = RVinv
         ok &= _well_conditioned(R, Rinv)
-        return theta, _accept(est, theta, rss, scale[:, 0], n, ok)
+        # the classical covariance is sigma^2 (R'R)^-1 = sigma^2 Rinv Rinv'
+        se = np.sqrt(rss[..., None] / (n - q0 - mc)
+                     * np.sum(Rinv * Rinv, axis=-1))
+        theta, rss = theta.reshape(S * b, -1), rss.ravel()
+        yscale = np.maximum(self.floor[..., 0], _column_scale(
+            X[..., 0, mc],
+            G[..., mc, mc] + np.sum(X[..., 1:, mc] ** 2, axis=-1), n))
+        ok = _accept(est, theta, rss, yscale.ravel(), n, ok.ravel())
+        return theta, ok, se.reshape(S * b, -1)
 
     def _first_stage_scores(self, C: np.ndarray, delta: np.ndarray,
-                     zscale: np.ndarray):
-        """Normal scores (S, m, n) of the first-stage residuals on the data
-        rows, ranked with each resample's counts, and ok.
+                            zscale: np.ndarray):
+        """Normal scores (S, b, m, n) of the first-stage residuals on the
+        data rows, ranked with each problem's counts, and ok.
 
         The residuals tie as in :func:`~endofix.transform.first_stage`,
-        among the resample's draws: the rows not drawn sort after the
+        among the problem's draws: the rows not drawn sort after the
         drawn ones, so they neither move a rank nor link two drawn
         residuals into a tie, and get an arbitrary finite score.  Besides
-        the rank check, a resample is flagged whose residuals come near
+        the rank check, a problem is flagged whose residuals come near
         the constant-residual rejection, relative to ``zscale``, the
-        endogenous columns' :func:`_scale` over its draws.
+        endogenous columns' scale max(std, |mean|) over its draws.
         """
-        S, n = C.shape
+        S, b, n = C.shape
         k, m = self.k, self.m
-        Z = self.cols[k - 1:]
-        E = _residuals(Z, self.cols[:k - 1], delta)
+        Z = [z[:, None] for z in self.cols[k - 1:]]
+        E = _residuals(Z, [x[:, None] for x in self.cols[:k - 1]], delta)
         # a least-squares fit with an intercept leaves residuals of mean
         # 0, so their root mean square is their standard deviation
-        std = np.sqrt(np.einsum("sn,sjn,sjn->sj", C, E, E) / n)
+        std = np.sqrt(np.einsum("...n,...jn,...jn->...j", C, E, E) / n)
         ok = np.all(std > _FLAG_MARGIN * CONSTANT_RESIDUAL_RTOL * zscale,
-                    axis=1)
+                    axis=-1)
         drawn = C > 0
         # in place: E is this call's own
-        np.putmask(E, np.broadcast_to(~drawn[:, None], E.shape), _BIG)
-        order, sv = _sorted_rows(E.reshape(S * m, n))
+        np.putmask(E, np.broadcast_to(~drawn[..., None, :], E.shape), _BIG)
+        order, sv = _sorted_rows(E.reshape(-1, n))
         del E
         # the drawn residuals sort first: their extremes are the first and
         # the last of them
-        last = np.repeat(np.count_nonzero(drawn, axis=1), m) - 1
-        mag = np.maximum(sv[np.arange(S * m), last], -sv[:, 0])
-        mag += np.stack([(np.abs(z) * drawn).max(axis=1) for z in Z],
-                        axis=1).ravel()
+        last = np.repeat(np.count_nonzero(drawn, axis=-1).ravel(), m) - 1
+        mag = np.maximum(sv[np.arange(len(sv)), last], -sv[:, 0])
+        mag += np.stack([(np.abs(z) * drawn).max(axis=-1) for z in Z],
+                        axis=-1).ravel()
         runs = _tie_runs(sv, mag)
         del sv
         sorted_scores = _counted_scores(
-            (C if m == 1 else np.repeat(C, m, axis=0)).ravel()[order], runs)
+            (C if m == 1 else np.repeat(C, m, axis=1)).ravel()[order], runs)
         # allocated after the lookup, whose temporaries are freed by now
-        scores = np.empty(S * m * n)
+        scores = np.empty(C.size * m)
         scores[order.ravel()] = sorted_scores.ravel()
-        return scores.reshape(S, m, n), ok
+        return scores.reshape(S, b, m, n), ok
 
     def _data_scores(self, C: np.ndarray, j: int) -> np.ndarray:
-        """Normal scores (S, n) of data column ``cols[j]`` within each
-        resample; the column is sorted once."""
+        """Normal scores (S, b, n) of data column ``cols[j]`` within each
+        problem; the column is sorted once."""
         if j not in self._sorts:
-            self._sorts[j] = _sort_rows(self.cols[j][None])
+            self._sorts[j] = _sort_rows(self.cols[j])
+        # order holds positions in the datasets' (S, n) rows, each problem
+        # b's counts a row of Cb (a view when S or b is 1)
         order, runs = self._sorts[j]
-        sorted_scores = _counted_scores(C[:, order[0]], runs)
-        scores = np.empty(C.shape)
-        scores[:, order[0]] = sorted_scores
-        return scores
+        S, b, n = C.shape
+        Cb = C.swapaxes(0, 1).reshape(b, S * n)
+        sorted_scores = _counted_scores(Cb[:, order], runs)
+        scores = np.empty(Cb.shape)
+        scores[:, order] = sorted_scores
+        return scores.reshape(b, S, n).swapaxes(0, 1)
 
     def _scored_residuals(self, C: np.ndarray):
-        """two_scope's corrections: the residuals (S, m, n) of the scores
-        of Z on the scores of X within each resample, and ok."""
-        S, n = C.shape
+        """two_scope's corrections: the residuals (S, b, m, n) of the
+        scores of Z on the scores of X within each problem, and ok."""
+        S, b, n = C.shape
         k, m = self.k, self.m
-        A = np.empty((S, k + m, n))
-        A[:, 0] = 1.0
+        A = np.empty((S, b, k + m - 1, n))
         for j in range(k + m - 1):
-            A[:, 1 + j] = self._data_scores(C, j)
-        M = np.zeros((S, k + m, k + m))
+            A[..., j, :] = self._data_scores(C, j)
+        # the weighted Gram matrix of [1 | A']
+        M = np.zeros((S, b, k + m, k + m))
         for rows in self.blocks:
-            M += (C[:, None, rows] * A[..., rows]) @ A[..., rows].transpose(
-                0, 2, 1)
+            CA = C[..., None, rows] * A[..., rows]
+            M[..., 0, 0] += C[..., rows].sum(axis=-1)
+            M[..., 1:, 0] += CA.sum(axis=-1)
+            M[..., 1:, 1:] += CA @ A[..., rows].swapaxes(-1, -2)
+        del CA
+        M[..., 0, 1:] = M[..., 1:, 0]
         RA, ok = _cholesky(M)
-        ok &= _well_conditioned(RA[:, :k, :k])
-        gamma = _solve_upper(RA[:, :k, :k], RA[:, :k, k:], ok)
-        return _residuals(list(A[:, k:].transpose(1, 0, 2)),
-                          list(A[:, 1:k].transpose(1, 0, 2)), gamma), ok
+        RAinv = _right_divide(np.eye(k), RA[..., :k, :k])
+        ok &= _well_conditioned(RA[..., :k, :k], RAinv)
+        gamma = RAinv @ RA[..., :k, k:]
+        # in place: A is this call's own
+        return _residuals([A[..., j, :] for j in range(k - 1, k + m - 1)],
+                          [A[..., i, :] for i in range(k - 1)], gamma,
+                          out=A[..., k - 1:, :]), ok
 
 
 def _boot_words(seeds, B: int) -> np.ndarray:
@@ -688,10 +641,11 @@ def _resample_fits(estimator: str, datasets, spec: ModelSpec, seeds,
     if estimator in _STACKED:
         chunk = _chunk(n, spec)
         for s, data in enumerate(datasets):
-            design = _CountDesign(data, spec, estimator)
+            design = _CountDesign(data.columns, spec)
             for lo in range(s * B, (s + 1) * B, chunk):
                 ps = np.arange(lo, min(lo + chunk, (s + 1) * B))
-                th, ok = design.fit(_counts(_resample_chunk(words[ps], n)))
+                th, ok, _ = design.fit(
+                    estimator, _counts(_resample_chunk(words[ps], n)))
                 theta[ps[ok]] = th[ok]
                 solved[ps] = ok
     failures: dict[str, int] = {}
@@ -842,6 +796,8 @@ def identification_diagnostic(fs: FirstStage) -> list[TestResult]:
     for j in range(fs.m):
         e = fs.e_hat[:, j]
         c = e - e.mean()
+        # in units of max|c|, so that no power overflows whatever e's units
+        c /= np.abs(c).max()
         # products, not c ** 3 and c ** 4, which go through libm's pow
         c2 = c * c
         m2 = float(np.mean(c2))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
+from scipy.linalg.blas import dnrm2
 from scipy.linalg.lapack import dormqr
 
 from .errors import DomainError, RankDeficiencyError
@@ -79,9 +80,12 @@ def _lstsq(V: np.ndarray, b: np.ndarray, names: tuple[str, ...],
 
     ``V`` is factored by one column-pivoted QR, in a Fortran-ordered copy,
     or in place when ``overwrite`` is set and V is Fortran-ordered (the
-    caller gives V up).  Q is never formed: Q'b comes from the
-    Householder reflectors.  The residuals are b - V coef, or, when V was
-    factored in place, Q [0; (Q'b)[p:]] from the reflectors again.
+    caller gives V up).  Each column is first divided by a power of two
+    near its norm, which is exact, so the pivots, and the rank decision,
+    do not depend on the columns' units.  Q is never formed: Q'b comes
+    from the Householder reflectors.  The residuals are b - V coef, or,
+    when V was factored in place, Q [0; (Q'b)[p:]] from the reflectors
+    again.
 
     Returns (coefficients, residuals, (R, piv)), the pivoted factor of
     ``V``.  Raises DomainError unless n > p, and RankDeficiencyError naming
@@ -91,8 +95,12 @@ def _lstsq(V: np.ndarray, b: np.ndarray, names: tuple[str, ...],
     if n <= p:
         raise DomainError(f"need more rows than columns (n={n}, p={p})")
     in_place = overwrite and V.flags.f_contiguous
-    (H, tau), R, piv = qr(V if in_place else np.array(V, order="F"),
-                          overwrite_a=True, mode="raw", pivoting=True,
+    A = V if in_place else np.array(V, order="F")
+    # 2^e with norm = f 2^e, 1/2 <= f < 1, 2^e and 2^-e finite; a zero
+    # column has e = 0
+    e = np.clip(np.frexp([dnrm2(A[:, j]) for j in range(p)])[1], -1022, 1022)
+    A *= np.ldexp(1.0, -e)
+    (H, tau), R, piv = qr(A, overwrite_a=True, mode="raw", pivoting=True,
                           check_finite=False)
     diag = np.abs(np.diag(R))
     ref = diag[0] if diag[0] > 0.0 else 0.0
@@ -104,6 +112,8 @@ def _lstsq(V: np.ndarray, b: np.ndarray, names: tuple[str, ...],
             f"(pivot ratio {diag[bad[0]] / ref if ref > 0 else 0.0:.2e})",
             column=col,
         )
+    # back to V's units
+    R *= np.ldexp(1.0, e[piv])
     B = np.reshape(b, (n, -1))
     c = _apply_q(H, tau, np.array(B, order="F"), "T")
     coef = np.empty((p, B.shape[1]))
@@ -131,13 +141,18 @@ def _apply_q(H: np.ndarray, tau: np.ndarray, c: np.ndarray, trans: str):
 def _right_divide(D: np.ndarray, R: np.ndarray) -> np.ndarray:
     """D R^-1 for an upper triangular R, by substitution along each row of
     D, elementwise: with two BLAS threads, scipy's triangular solve of a
-    small block with many right-hand sides took milliseconds."""
-    X = np.empty(D.shape)
-    for j in range(R.shape[0]):
-        x = D[:, j].copy()
+    small block with many right-hand sides took milliseconds.  Either
+    may be a stack (..., rows, q) and (..., q, q) of them; each column of
+    the result is contiguous, as the substitution writes it."""
+    rows, q = D.shape[-2:]
+    X = np.empty(np.broadcast_shapes(D.shape[:-2], R.shape[:-2])
+                 + (q, rows)).swapaxes(-1, -2)
+    for j in range(q):
+        x = X[..., j]
+        np.copyto(x, D[..., j])
         for i in range(j):
-            x -= X[:, i] * R[i, j]
-        X[:, j] = x / R[j, j]
+            x -= X[..., i] * R[..., i, j, None]
+        x /= R[..., j, j, None]
     return X
 
 

@@ -14,15 +14,18 @@ repetition keeps its own PCG64 stream and draws its normals or gammas
 from it; the transforms after the draws run once on the chunk's (S, n)
 block, so the columns equal those of :func:`gen_dgp1`/:func:`gen_dgp2`,
 the one-repetition case of the same generator, bit for bit.  For every
-built-in estimator those (S, n) columns are the stacks that
-:mod:`endofix.inference` fits at once, and the bootstraps of a chunk's
-repetitions run through the bootstrap's own engine in one call, each
-repetition's resamples fitted as row counts of its own data.  Each estimator's results are kept
-in arrays indexed by repetition, which a chunk fills as one block, so no
-per-repetition code runs unless a repetition needs a scalar fit: one the
-engine flags is fitted by the registered estimator, and so is every
-repetition of estimators registered later.  Stacked fits equal the
-scalar ones to rounding (about 1e-14 relative), not bit for bit.
+built-in estimator a repetition is fitted as the bootstrap fits a
+resample, by :class:`endofix.inference._CountDesign`: one design of the
+chunk's S datasets serves every estimator, and each repetition is the
+problem whose row counts are all 1.  The bootstraps of a chunk's
+repetitions run through the same engine in one call, each repetition's
+resamples fitted as row counts of its own data.  Each estimator's
+results are kept in arrays indexed by repetition, which a chunk fills as
+one block, so no per-repetition code runs unless a repetition needs a
+scalar fit: one the engine flags is fitted by the registered estimator,
+and so is every repetition of estimators registered later.  The
+engine's fits equal the scalar ones to rounding (about 1e-14 relative),
+not bit for bit.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 from .data import Dataset
 from .errors import DataError, DomainError, EndofixError, NonFiniteError
 from .estimators import ESTIMATORS, ModelSpec, _names
-from .inference import _STACKED, _chunk, _fit_stack, _resample_fits
+from .inference import _STACKED, _chunk, _CountDesign, _resample_fits
 from .numerics import DistSpec, RngStream, words_generator
 
 __all__ = ["DgpConfig", "gen_dgp1", "gen_dgp2", "mc_run", "McSummary",
@@ -252,7 +255,7 @@ class McSummary:
     failure.  A repetition whose bootstrap failed keeps its point
     estimate in bias/std/rmse and is left out of ``size`` only.
     ``scalar_refits`` counts, per estimator, the repetitions fitted by the
-    registered scalar estimator rather than the stacked engine.
+    registered scalar estimator rather than the count-based engine.
     """
 
     cells: dict[tuple[str, str], McCell]
@@ -368,9 +371,11 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
     estimator ordering changes nothing.
 
     Repetitions are generated and fitted a chunk at a time (see the module
-    docstring), so memory does not grow with ``reps``.  When B >= 2 one
-    call of the bootstrap's engine bootstraps a chunk's fitted
-    repetitions, each as ``pairs_bootstrap`` would alone, bit for bit.
+    docstring), so memory does not grow with ``reps``.  A repetition's
+    point fit is that of unit row counts in the bootstrap's engine, and
+    does not depend on its chunk, bit for bit.  When B >= 2 one call of
+    that engine bootstraps a chunk's fitted repetitions, each as
+    ``pairs_bootstrap`` would alone, bit for bit.
     ``McSummary.scalar_refits`` counts the repetitions fitted one by one.
     Cells, draws and counts are reductions over per-estimator arrays in
     repetition order; the t-tests are one vectorized comparison.
@@ -396,19 +401,20 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
         cols = _generate(cfg, words[lo:lo + chunk])
         S = len(cols["y"])
         block = slice(lo, lo + S)
+        # each repetition is the problem whose row counts are all 1
+        design, ones = _CountDesign(cols, MODEL_SPEC), np.ones((S, 1, cfg.n))
         for est, tally in tallies.items():
             ok = np.zeros(S, dtype=bool)
             if est in _STACKED:
-                # the chunk's (S, n) columns are the stacks themselves
-                theta, ok, se = _fit_stack(est, cols, MODEL_SPEC)
+                theta, ok, se = design.fit(est, ones)
                 tally.theta[block] = theta
-                if se is not None:
+                if est == "ols":
                     tally.se[block] = se
             tally.refits += S - int(np.count_nonzero(ok))
             for s in np.flatnonzero(~ok):
                 try:
                     fit = ESTIMATORS[est](_repetition(cols, s), MODEL_SPEC)
-                    # the stacked engine leaves a non-finite point to this fit
+                    # the engine leaves a non-finite point to this fit
                     if not np.all(np.isfinite(fit.theta)):
                         raise NonFiniteError("non-finite coefficients")
                 except (EndofixError, np.linalg.LinAlgError) as exc:

@@ -19,7 +19,7 @@ from .regress import DesignMatrix, _lstsq
 __all__ = ["FirstStage", "average_ranks", "normal_scores", "first_stage"]
 
 # First-stage residuals whose standard deviation is at most this fraction
-# of the endogenous column's scale count as constant.
+# of the endogenous column's scale, max(std, |mean|), count as constant.
 CONSTANT_RESIDUAL_RTOL = 1e-12
 
 # Residuals equal in exact arithmetic come out of a least-squares fit a few
@@ -41,9 +41,9 @@ class FirstStage:
     ``e_hat`` the residuals, ``eta_hat`` their normal scores, and ``ranks``
     the (average) ranks used.  Residuals of a column whose sorted
     neighbours lie within TIE_RTOL * (max|z| + max|e|) of each other tie
-    and share the mean of their ranks, as in the stacked bootstrap and
-    Monte Carlo fits, so rounding does not order residuals that are equal
-    in exact arithmetic.  Each residual column is orthogonal to the
+    and share the mean of their ranks, as in the count-based bootstrap
+    and Monte Carlo fits, so rounding does not order residuals that are
+    equal in exact arithmetic.  Each residual column is orthogonal to the
     exogenous design; without ties each score column sums to zero exactly.
     """
 
@@ -145,36 +145,36 @@ def _rank_rows(rows: np.ndarray, mag=None) -> np.ndarray:
     return _run_ranks(order, runs)
 
 
-def _score_rows(rows: np.ndarray, mag=None) -> np.ndarray:
+def _score_rows(rows: np.ndarray) -> np.ndarray:
     """Normal scores of each row of a 2-D array, as :func:`normal_scores`
     computes them for one row, of the ranks :func:`_rank_rows` gives.
     When no row holds a tie, the symmetric grid goes straight through the
     sort."""
-    order, runs = _sort_rows(rows, mag)
+    order, runs = _sort_rows(rows)
     if runs is None:
         return _through_sort(order, _symmetric_score_grid(rows.shape[1]))
     return _scores_of_ranks(_run_ranks(order, runs))
 
 
 def _counted_scores(counts: np.ndarray, runs) -> np.ndarray:
-    """Normal scores of resamples given as row counts, in sorted order.
+    """Normal scores of problems given as row counts, in sorted order.
 
-    ``counts[r, i]`` is how often resample r draws the value at its i-th
+    ``counts[..., i]`` is how often a problem draws the value at its i-th
     sorted position, and ``runs`` marks the sorted positions that start a
     run of tied values, as :func:`_sort_rows` gives them (None: no ties),
-    for each row or for all rows at once.  The draws of a run share the
-    mean of their ranks among the resample's draws: the draws sorted
+    for each problem or broadcast over them.  The draws of a run share
+    the mean of their ranks among the problem's draws: the draws sorted
     before the run plus (the run's draws + 1) / 2.  So these are the
     scores that :func:`_score_rows` gives the drawn rows themselves, the
     copies of a row forming a tied run, looked up in
-    :func:`_half_rank_scores` (a single row's are computed, bit for bit
-    alike).  A value not drawn gets an arbitrary finite score.
+    :func:`_half_rank_scores` (a single problem's are computed, bit for
+    bit alike).  A value not drawn gets an arbitrary finite score.
     """
-    R, n = counts.shape
+    shape, n = counts.shape, counts.shape[-1]
     if runs is not None and np.all(runs | (counts == 0)):
         # only values not drawn tie, and they add no draws to a run
         runs = None
-    cum = np.cumsum(counts, axis=1)
+    cum = np.cumsum(counts, axis=-1)
     # twice the average rank, less 2: the index into the score table
     if runs is None:
         cum *= 2.0
@@ -182,19 +182,19 @@ def _counted_scores(counts: np.ndarray, runs) -> np.ndarray:
         cum -= 1.0
         index = cum
     else:
-        # every row starts a run, so a run ends where the next one
-        # starts, or with its row
-        starts = np.flatnonzero(np.broadcast_to(runs, counts.shape))
+        # every problem starts a run, so a run ends where the next one
+        # starts, or with its problem
+        starts = np.flatnonzero(np.broadcast_to(runs, shape))
         before = cum.ravel()[starts] - counts.ravel()[starts]
         through = np.append(before[1:], 0.0)
         last = np.append(starts[1:] % n == 0, True)
-        through[last] = cum[starts[last] // n, -1]
+        through[last] = cum.reshape(-1, n)[starts[last] // n, -1]
         index = np.repeat(before + through - 1.0,
                           np.diff(np.append(starts, counts.size)))
-        index = index.reshape(R, n)
+        index = index.reshape(shape)
     # counts and cum are no longer needed: free them before the lookup
     del counts, cum
-    if R > 1:
+    if index.size > n:
         index = index.astype(np.intp)
         scores = _half_rank_scores(n).take(index, mode="clip")
     else:
@@ -231,8 +231,10 @@ def normal_scores(v: np.ndarray) -> np.ndarray:
 
 def _scores_of_ranks(ranks: np.ndarray) -> np.ndarray:
     """Phi^-1(rank / (n + 1)) of a rank vector, or of each row of a 2-D
-    array of them; a row without ties takes the symmetric grid, and two or
-    more rows with ties look their scores up in :func:`_half_rank_scores`."""
+    array of them; a row without ties takes the symmetric grid, and a row
+    with ties ndtri of its ranks.  (The 2n - 1 scores of
+    :func:`_half_rank_scores`, kept in the cache at large n, raised the
+    peak RSS of a fit by about three times their size.)"""
     rows = np.atleast_2d(ranks)
     n = rows.shape[1]
     whole = np.all(rows == np.round(rows), axis=1)
@@ -240,15 +242,8 @@ def _scores_of_ranks(ranks: np.ndarray) -> np.ndarray:
     if whole.any():
         scores[whole] = _symmetric_score_grid(n)[
             rows[whole].astype(np.int64) - 1]
-    tied = ~whole
-    if np.count_nonzero(tied) > 1:
-        scores[tied] = _half_rank_scores(n)[
-            (2.0 * rows[tied]).astype(np.int64) - 2]
-    elif tied.any():
-        # one row needs n scores, fewer than the table's 2n - 1; kept in
-        # the cache at large n, the table also raised the peak RSS of a
-        # fit by about three times its size
-        scores[tied] = ndtri(rows[tied] / (n + 1.0))
+    if not whole.all():
+        scores[~whole] = ndtri(rows[~whole] / (n + 1.0))
     return scores.reshape(np.shape(ranks))
 
 
@@ -316,7 +311,7 @@ def first_stage(X: DesignMatrix, Z: np.ndarray,
     eta, ranks = [], []
     for j in range(m):
         z, resid = Z[:, j], e_hat[:, j]
-        scale = max(1.0, float(np.std(z)), abs(float(np.mean(z))))
+        scale = max(float(np.std(z)), abs(float(np.mean(z))))
         if float(np.std(resid)) <= CONSTANT_RESIDUAL_RTOL * scale:
             raise ConstantInputError(
                 f"first-stage residuals of endogenous column {j} are "

@@ -444,6 +444,41 @@ class TestFitCommand:
         assert rc == 3
 
 
+@pytest.mark.parametrize("estimator", ["ols", "npcf", "iv", "2scope", "gp"])
+def test_units_change_only_the_coefficients_units(tmp_path, estimator):
+    # rescaling any column by 10^+-12 keeps the exit code, and moves each
+    # coefficient by its units alone: the outcome's scale multiplies every
+    # coefficient but gp's rho, a correlation; a regressor's divides its
+    # own.  The count-based bootstrap refits no resample for the units
+    cfg = DgpConfig("dgp1", n=200, e_dist=DistSpec.gamma(1, 1), delta=1.0,
+                    rho=0.5)
+    d = gen_dgp1(cfg, RngStream(70))
+
+    def fit(cols, name):
+        p, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        _write_csv(p, ["y", "x", "z"], zip(*(cols[c] for c in "yxz")))
+        rc = main(["fit", "--data", str(p), "--outcome", "y", "--exog", "x",
+                   "--endog", "z", "--estimator", estimator, "--bootstrap",
+                   "9", "--seed", "2", "--out", str(out)])
+        return rc, json.loads(out.read_text())["estimates"][estimator]
+
+    base = {c: d.column(c) for c in "yxz"}
+    rc0, want = fit(base, "base")
+    assert rc0 == 0
+    for col in "yxz":
+        for s in (1e12, 1e-12):
+            rc, got = fit({**base, col: s * base[col]}, f"{col}{s:g}")
+            assert rc == rc0
+            for name, v in want["coefficients"].items():
+                units = s if col == "y" else 1.0
+                if name == col or estimator == "gp" and name == "rho[z]":
+                    units = 1.0 / s if name == col else 1.0
+                assert got["coefficients"][name] == pytest.approx(
+                    v * units, rel=1e-12)
+            refits = got.get("bootstrap", {}).get("scalar_refits")
+            assert refits == want.get("bootstrap", {}).get("scalar_refits")
+
+
 def test_two_scope_names_exogenous_columns_that_score_alike(tmp_path,
                                                            capsys):
     # x >= 0, so x and x^2 order the rows alike and have equal normal

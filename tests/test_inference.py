@@ -20,7 +20,8 @@ from endofix.inference import (_BOOT_KEY, _CHUNK_BYTES, _chunk,
                                identification_diagnostic, pairs_bootstrap)
 from endofix.numerics import DistSpec, RngStream, sample, words_generator
 from endofix.regress import _lstsq
-from endofix.simulation import MODEL_SPEC, DgpConfig, gen_dgp1, generate
+from endofix.simulation import (MODEL_SPEC, DgpConfig, gen_dgp1, generate,
+                                mc_run)
 from endofix.transform import (TIE_RTOL, _rank_rows, _scores_of_ranks,
                                _score_rows, _sort_rows, first_stage)
 
@@ -194,7 +195,8 @@ def test_rank_order_within_ties_changes_nothing(n, B, levels, jitter,
     assert np.array_equal(E.ravel()[order], np.sort(E, axis=1))
     ranks = _rank_rows(E, mag)
     assert ranks.tobytes() == want.tobytes()
-    assert _score_rows(E, mag).tobytes() == _scores_of_ranks(want).tobytes()
+    if not tolerant:
+        assert _score_rows(E).tobytes() == _scores_of_ranks(want).tobytes()
     if tolerant:
         # the jitter is far inside the tolerance and the gaps between
         # levels far outside it, so the ranks are those of exact ties
@@ -404,6 +406,28 @@ class TestStackedBootstrapMemory:
             tracemalloc.stop()
         assert boot.n_failed == 0
         assert peak <= 6.8 * n * 8 * chunk
+
+    # traced peak of one chunk in MB: measured 2.76, 2.96, 3.35 and 3.15,
+    # with a margin of about 3% and never above the 2.84, 3.26, 3.43 and
+    # 3.26 of the stacked QR fits the unit counts replaced
+    @pytest.mark.parametrize("estimator,bound", [
+        ("ols", 2.84), ("npcf", 3.05), ("two_scope", 3.43),
+        ("gp_copula", 3.24)])
+    def test_peak_of_one_monte_carlo_chunk(self, estimator, bound):
+        # one mc_run chunk of 100 dgp2 repetitions at n = 250: the chunk's
+        # columns, its design and the estimator's fit of unit counts
+        cfg = DgpConfig("dgp2", n=250, e_dist=DistSpec.gamma(1, 1),
+                        alpha=0.5, rho=0.5)
+        assert _chunk(cfg.n, MODEL_SPEC) >= 100
+        mc_run(cfg, (estimator,), 2, 0, RngStream(1))
+        tracemalloc.start()
+        try:
+            s = mc_run(cfg, (estimator,), 100, 0, RngStream(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.scalar_refits[estimator] == 0
+        assert peak <= bound * 1e6
 
 
 class TestStackedBootstrapMatchesLoop:
@@ -905,9 +929,9 @@ class TestNonFiniteDraws:
                 pairs_bootstrap(data, _HUGE_SPEC, estimator, B=19)
             idx = inference._resample_chunk(
                 RngStream(0).child_words(_BOOT_KEY, np.arange(99)), 30)
-            theta, ok = inference._CountDesign(data, _HUGE_SPEC,
-                                               estimator).fit(
-                inference._counts(idx))
+            theta, ok, _ = inference._CountDesign(data.columns,
+                                                  _HUGE_SPEC).fit(
+                estimator, inference._counts(idx))
         # the stack never accepts a non-finite draw for itself
         assert np.isfinite(theta[ok]).all()
 

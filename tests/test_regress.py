@@ -166,9 +166,10 @@ class TestLstsq:
     @pytest.mark.parametrize("rhs_width", [None, 1, 3])
     def test_in_place_factor_matches_copying_call(self, order, rhs_width):
         # _lstsq factors a Fortran-ordered copy, or V itself when told it
-        # may; the reference hands V to qr and forms Q.  The factor is
-        # LAPACK's either way; Q'b from the reflectors moves the
-        # coefficients by rounding only
+        # may, each column divided by a power of two near its norm; the
+        # reference hands the scaled V to qr, forms Q, and scales R back.
+        # The factor is LAPACK's either way; Q'b from the reflectors moves
+        # the coefficients by rounding only
         rng = np.random.default_rng(11)
         for n, p in ((40, 1), (250, 5), (3001, 4)):
             V = np.array(_random_design(rng, n, p).values, order=order)
@@ -177,8 +178,10 @@ class TestLstsq:
             before = V.copy()
             names = tuple("abcde")[:p]
             coef, resid, (R, piv) = _lstsq(V, b, names)
-            Q0, R0, piv0 = qr(V, mode="economic", pivoting=True,
+            scale = np.ldexp(1.0, np.frexp(np.linalg.norm(V, axis=0))[1])
+            Q0, R0, piv0 = qr(V / scale, mode="economic", pivoting=True,
                               check_finite=False)
+            R0 *= scale[piv0]
             perm = solve_triangular(R0, Q0.T @ b, lower=False,
                                     check_finite=False)
             coef0 = np.empty_like(perm)

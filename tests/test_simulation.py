@@ -468,15 +468,16 @@ def _degenerate_every_fifth(cfg, master, reps):
 
 def _rep_loop_mc(cfg, estimators, reps, B, master, keep_draws):
     """Reference for mc_run's per-estimator arrays and its bootstraps in
-    shared chunks: the same chunks' stacked point fits, the scalar fit of
-    each flagged repetition, and one pairs_bootstrap call per repetition,
-    each reduced from per-repetition lists.
+    shared chunks: the same chunks' point fits by the unit-count engine,
+    the scalar fit of each flagged repetition, and one pairs_bootstrap
+    call per repetition, each reduced from per-repetition lists.
 
     Returns (cells, completed, failures, draws, scalar_refits) as
     McSummary holds them."""
     from endofix.estimators import ESTIMATORS, _names
     from endofix.errors import EndofixError, NonFiniteError
-    from endofix.inference import _STACKED, _chunk, _fit_stack, pairs_bootstrap
+    from endofix.inference import (_STACKED, _chunk, _CountDesign,
+                                   pairs_bootstrap)
     from endofix.simulation import _Z975, McCell, _est_key
 
     truth, tested = cfg.truth(), ("x", "z")
@@ -490,13 +491,14 @@ def _rep_loop_mc(cfg, estimators, reps, B, master, keep_draws):
         cols = simulation._generate(cfg, words[lo:lo + chunk])
         for est in estimators:
             names = _names(MODEL_SPEC, est != "ols")
-            fits = (_fit_stack(est, cols, MODEL_SPEC) if est in _STACKED
-                    else None)
-            for s in range(len(cols["y"])):
+            S = len(cols["y"])
+            fits = (_CountDesign(cols, MODEL_SPEC).fit(
+                est, np.ones((S, 1, cfg.n))) if est in _STACKED else None)
+            for s in range(S):
                 data = simulation._repetition(cols, s)
                 if fits is not None and fits[1][s]:
                     theta = fits[0][s]
-                    se = None if fits[2] is None else fits[2][s]
+                    se = fits[2][s] if est == "ols" else None
                 else:
                     refits[est] += 1
                     try:
@@ -643,6 +645,59 @@ def test_stacked_paths_take_no_scalar_refits():
         boot = pairs_bootstrap(data, MODEL_SPEC, est, B=99,
                                seed=RngStream(73))
         assert boot.scalar_refits == 0
+
+
+@pytest.mark.parametrize("kind", ["dgp1", "dgp2"])
+def test_point_fits_do_not_depend_on_the_chunk(kind):
+    # a repetition's point fit reads its own columns only: in chunks of 1,
+    # 3 or all repetitions its theta, flag and ols standard errors are
+    # the same bits, the degenerate repetitions' too
+    from endofix.inference import _STACKED, _CountDesign
+
+    cfg = DgpConfig(kind, n=120, e_dist=DistSpec.gamma(1, 1), delta=1.0,
+                    alpha=0.5, rho=0.5)
+    master, reps = RngStream(70), 15
+    generate_chunk = _degenerate_every_fifth(cfg, master, reps)
+    words = master.child_words(np.arange(reps), _DATA_KEY)
+
+    def fits(size):
+        chunks = []
+        for lo in range(0, reps, size):
+            cols = generate_chunk(cfg, words[lo:lo + size])
+            design = _CountDesign(cols, MODEL_SPEC)
+            ones = np.ones((len(cols["y"]), 1, cfg.n))
+            chunks.append({est: design.fit(est, ones) for est in _STACKED})
+        return {est: [np.concatenate([c[est][i] for c in chunks]).tobytes()
+                      for i in range(3)] for est in _STACKED}
+
+    want = fits(reps)
+    for size in (1, 3):
+        got = fits(size)
+        for est in _STACKED:
+            theta, ok, se = got[est]
+            assert theta == want[est][0] and ok == want[est][1]
+            if est == "ols":
+                assert se == want[est][2]
+
+
+def test_ols_standard_errors_are_the_classical_ones():
+    # the unit-count engine's ols standard errors, from the inverse R
+    # factor it assembles, are fit_ols's classical ones
+    from endofix.estimators import fit_ols
+    from endofix.inference import _chunk, _CountDesign
+
+    cfg = DgpConfig("dgp2", n=250, e_dist=DistSpec.gamma(1, 1), alpha=0.5,
+                    rho=0.5)
+    reps = 40
+    assert _chunk(cfg.n, MODEL_SPEC) >= reps
+    cols = simulation._generate(
+        cfg, RngStream(75).child_words(np.arange(reps), _DATA_KEY))
+    _, ok, se = _CountDesign(cols, MODEL_SPEC).fit(
+        "ols", np.ones((reps, 1, cfg.n)))
+    assert ok.all()
+    for s in range(reps):
+        want = fit_ols(simulation._repetition(cols, s), MODEL_SPEC).se()
+        assert np.all(np.abs(se[s] - want) <= 1e-12 * want)
 
 
 def test_non_finite_point_estimates_are_counted_and_left_out(monkeypatch):
