@@ -39,8 +39,8 @@ def gp_fit(data: Dataset, spec: ModelSpec) -> ThetaEstimate:
     ------
     ConstantInputError
         If z is constant (its ranks carry no information), or if the
-        residual variance s^2 or 1 - rho^2 is not positive (the outcome is
-        fitted exactly and the likelihood has no maximum).
+        residual variance s^2 or 1 - rho^2 is finite and not positive (the
+        outcome is fitted exactly and the likelihood has no maximum).
     """
     if spec.m != 1:
         raise DataError("the copula comparator handles a single endogenous column")
@@ -54,7 +54,8 @@ def gp_fit(data: Dataset, spec: ModelSpec) -> ThetaEstimate:
     c = float(coef[-1])
     s2 = float(resid @ resid) / n
     sigma = math.sqrt(c * c + s2)
-    if not (s2 > 0.0 and 1.0 - (c / sigma) ** 2 > 0.0):
+    # a NaN is no exact fit: non-finite coefficients reach the caller
+    if s2 <= 0.0 or 1.0 - (c / sigma) ** 2 <= 0.0:
         raise ConstantInputError(
             "the design and the normal scores fit the outcome exactly "
             "(zero residual variance), so the copula likelihood has no "

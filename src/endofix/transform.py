@@ -4,6 +4,13 @@ The generated regressor is built in two steps: residualize each endogenous
 column on the exogenous design, then map residual ranks through the inverse
 normal CDF.  Ranks are rescaled by n + 1 so the empirical CDF never
 touches 0 or 1, where the inverse normal diverges.
+
+Ranks become scores on one path, :func:`_counted_scores`: the scalar
+functions here score one problem whose row counts are all 1, and the
+count engine of :mod:`~endofix.inference` scores bootstrap resamples and
+Monte Carlo repetitions with their own counts, so both give equal ranks
+equal scores, bit for bit.  The score of rank n + 1 - r is exactly minus
+that of rank r, so scores without ties sum to zero exactly.
 """
 from __future__ import annotations
 
@@ -16,7 +23,7 @@ from scipy.special import ndtri
 from .errors import ConstantInputError, DomainError
 from .regress import DesignMatrix, _lstsq
 
-__all__ = ["FirstStage", "average_ranks", "normal_scores", "first_stage"]
+__all__ = ["FirstStage", "normal_scores", "first_stage"]
 
 # First-stage residuals whose standard deviation is at most this fraction
 # of the endogenous column's scale, max(std, |mean|), count as constant.
@@ -38,19 +45,19 @@ class FirstStage:
     """Per-endogenous-column first-stage output.
 
     ``delta_hat`` stacks the regression coefficients column by column,
-    ``e_hat`` the residuals, ``eta_hat`` their normal scores, and ``ranks``
-    the (average) ranks used.  Residuals of a column whose sorted
-    neighbours lie within TIE_RTOL * (max|z| + max|e|) of each other tie
-    and share the mean of their ranks, as in the count-based bootstrap
-    and Monte Carlo fits, so rounding does not order residuals that are
-    equal in exact arithmetic.  Each residual column is orthogonal to the
-    exogenous design; without ties each score column sums to zero exactly.
+    ``e_hat`` the residuals and ``eta_hat`` their normal scores.  Residuals
+    of a column whose sorted neighbours lie within
+    TIE_RTOL * (max|z| + max|e|) of each other tie and share the mean of
+    their ranks, as in the count-based bootstrap and Monte Carlo fits, so
+    rounding does not order residuals that are equal in exact arithmetic;
+    the scores are those of :func:`_counted_scores` with unit counts.
+    Each residual column is orthogonal to the exogenous design; without
+    ties each score column sums to zero exactly.
     """
 
     delta_hat: np.ndarray   # (k, m)
     e_hat: np.ndarray       # (n, m)
     eta_hat: np.ndarray     # (n, m)
-    ranks: np.ndarray       # (n, m); half-integers appear under ties
     endogenous_names: tuple[str, ...]
 
     @property
@@ -60,14 +67,6 @@ class FirstStage:
     @property
     def m(self) -> int:
         return self.e_hat.shape[1]
-
-
-def average_ranks(v: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties resolved by averaging (see
-    :func:`_rank_rows`); only equal values tie.  O(n log n), with no
-    Python-level loop."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    return _rank_rows(v[None, :])[0]
 
 
 def _sort_rows(rows: np.ndarray, mag=None):
@@ -109,51 +108,13 @@ def _tie_runs(sv: np.ndarray, mag=None):
     return None if runs.all() else runs
 
 
-def _through_sort(order: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The array whose sorted row s is ``values`` (n,), for each row
-    sorted by ``order``: value i lands at row s's i-th smallest entry."""
-    out = np.empty(order.size, dtype=np.float64)
-    out[order] = values
-    return out.reshape(order.shape)
-
-
-def _run_ranks(order: np.ndarray, runs: np.ndarray) -> np.ndarray:
-    """Average ranks of rows sorted by ``order`` with the runs ``runs``:
-    each run [start, stop) of a sorted row gets the mean of ranks
-    start+1..stop."""
-    n = order.shape[1]
-    # runs of the flattened sorted rows; every row starts a new run
-    starts = np.flatnonzero(runs)
-    counts = np.append(starts[1:], order.size) - starts
-    lo = starts % n                 # where each run starts within its row
-    ranks = np.empty(order.size, dtype=np.float64)
-    ranks[order.ravel()] = np.repeat(0.5 * (2 * lo + counts + 1), counts)
-    return ranks.reshape(order.shape)
-
-
-def _rank_rows(rows: np.ndarray, mag=None) -> np.ndarray:
-    """Average ranks of each row of a 2-D array, with the ties that
-    :func:`_sort_rows` finds given ``mag``.
-
-    Tied values share the mean of their ranks, so the ranks do not depend
-    on the order the (unstable) sort leaves within a run.  When no row
-    holds a tie, the ranks 1..n go straight through the sort.
-    """
-    order, runs = _sort_rows(rows, mag)
-    if runs is None:
-        return _through_sort(order, np.arange(1.0, rows.shape[1] + 1.0))
-    return _run_ranks(order, runs)
-
-
-def _score_rows(rows: np.ndarray) -> np.ndarray:
-    """Normal scores of each row of a 2-D array, as :func:`normal_scores`
-    computes them for one row, of the ranks :func:`_rank_rows` gives.
-    When no row holds a tie, the symmetric grid goes straight through the
-    sort."""
-    order, runs = _sort_rows(rows)
-    if runs is None:
-        return _through_sort(order, _symmetric_score_grid(rows.shape[1]))
-    return _scores_of_ranks(_run_ranks(order, runs))
+def _scores(v: np.ndarray, mag=None) -> np.ndarray:
+    """Normal scores of the values ``v`` (n,), ranked with the ties that
+    :func:`_sort_rows` finds given ``mag``: one problem of unit counts."""
+    order, runs = _sort_rows(v[None, :], mag)
+    scores = np.empty(v.size)
+    scores[order[0]] = _counted_scores(np.ones((1, v.size)), runs)[0]
+    return scores
 
 
 def _counted_scores(counts: np.ndarray, runs) -> np.ndarray:
@@ -165,10 +126,13 @@ def _counted_scores(counts: np.ndarray, runs) -> np.ndarray:
     for each problem or broadcast over them.  The draws of a run share
     the mean of their ranks among the problem's draws: the draws sorted
     before the run plus (the run's draws + 1) / 2.  So these are the
-    scores that :func:`_score_rows` gives the drawn rows themselves, the
-    copies of a row forming a tied run, looked up in
-    :func:`_half_rank_scores` (a single problem's are computed, bit for
-    bit alike).  A value not drawn gets an arbitrary finite score.
+    scores of the drawn rows themselves, the copies of a row forming a
+    tied run, and unit counts give a sample's own scores (:func:`_scores`).
+    They are looked up in :func:`_half_rank_scores`; a single problem's
+    are computed with the table's arithmetic, bit for bit alike, since a
+    table of 2n - 1 scores kept in the cache at large n raised the peak
+    RSS of a fit by about three times its size.  A value not drawn gets
+    an arbitrary finite score.
     """
     shape, n = counts.shape, counts.shape[-1]
     if runs is not None and np.all(runs | (counts == 0)):
@@ -196,23 +160,32 @@ def _counted_scores(counts: np.ndarray, runs) -> np.ndarray:
     del counts, cum
     if index.size > n:
         index = index.astype(np.intp)
-        scores = _half_rank_scores(n).take(index, mode="clip")
-    else:
-        # the table's own arithmetic, without a table of 2n - 1 entries
-        index += 2.0
-        index /= 2.0
-        index /= n + 1.0
-        scores = ndtri(index, out=index)
-    return scores
+        return _half_rank_scores(n).take(index, mode="clip")
+    # the table's own arithmetic: the upper half is the negated lower one
+    upper = index > n - 1.0
+    np.subtract(2.0 * n - 2.0, index, out=index, where=upper)
+    _lower_scores(index, n)
+    np.negative(index, out=index, where=upper)
+    return index
+
+
+def _lower_scores(index: np.ndarray, n: int) -> None:
+    """ndtri(r / (n + 1)) of the average ranks r at ``index`` = 2r - 2,
+    in place."""
+    index += 2.0
+    index /= 2.0
+    index /= n + 1.0
+    ndtri(index, out=index)
 
 
 def normal_scores(v: np.ndarray) -> np.ndarray:
     """Inverse-normal transform of the rescaled ranks of ``v``.
 
     Invariant under every strictly increasing transformation of ``v``.
-    Without ties the output is a permutation of the fixed grid
-    ``quantile(i / (n + 1))``, built with exact sign symmetry so the scores
-    sum to zero exactly.
+    Equal values tie and share the mean of their ranks.  The scores are
+    :func:`_counted_scores` of one problem of unit counts, exactly
+    sign-symmetric, so without ties they are a permutation of the fixed
+    grid ``quantile(i / (n + 1))`` and sum to zero exactly.
 
     Raises
     ------
@@ -226,51 +199,24 @@ def normal_scores(v: np.ndarray) -> np.ndarray:
     if np.all(v == v[0]):
         raise ConstantInputError(
             "normal_scores input is constant; ranks are degenerate")
-    return _score_rows(v[None, :])[0]
-
-
-def _scores_of_ranks(ranks: np.ndarray) -> np.ndarray:
-    """Phi^-1(rank / (n + 1)) of a rank vector, or of each row of a 2-D
-    array of them; a row without ties takes the symmetric grid, and a row
-    with ties ndtri of its ranks.  (The 2n - 1 scores of
-    :func:`_half_rank_scores`, kept in the cache at large n, raised the
-    peak RSS of a fit by about three times their size.)"""
-    rows = np.atleast_2d(ranks)
-    n = rows.shape[1]
-    whole = np.all(rows == np.round(rows), axis=1)
-    scores = np.empty(rows.shape, dtype=np.float64)
-    if whole.any():
-        scores[whole] = _symmetric_score_grid(n)[
-            rows[whole].astype(np.int64) - 1]
-    if not whole.all():
-        scores[~whole] = ndtri(rows[~whole] / (n + 1.0))
-    return scores.reshape(np.shape(ranks))
+    return _scores(v)
 
 
 @functools.lru_cache(maxsize=1)
 def _half_rank_scores(n: int) -> np.ndarray:
     """Read-only table ndtri(r / (n + 1)) of the average ranks r = 1, 1.5,
-    ..., n, at index 2r - 2.  Each r = k / 2.0 is exact, so an entry equals
+    ..., n, at index 2r - 2.  The entries of r and n + 1 - r are exact
+    negatives and the middle one is 0: only the lower half is computed.
+    Each r = k / 2.0 is exact, so a lower entry equals
     ndtri(r / (n + 1.0)) of the rank itself bit for bit."""
-    table = np.arange(2, 2 * n + 1, dtype=np.float64)
-    table /= 2.0
-    table /= n + 1.0
-    ndtri(table, out=table)
+    table = np.empty(2 * n - 1)
+    lower = table[:n - 1]
+    lower[:] = np.arange(n - 1)
+    _lower_scores(lower, n)
+    table[n - 1] = 0.0
+    np.negative(lower[::-1], out=table[n:])
     table.flags.writeable = False
     return table
-
-
-def _symmetric_score_grid(n: int) -> np.ndarray:
-    """Grid quantile(i/(n+1)), i = 1..n, with grid[i] = -grid[n-1-i] exactly."""
-    half = n // 2
-    i = np.arange(1, half + 1, dtype=np.float64)
-    lower = ndtri(i / (n + 1.0))
-    grid = np.empty(n, dtype=np.float64)
-    grid[:half] = lower
-    grid[n - half:] = -lower[::-1]
-    if n % 2:
-        grid[half] = 0.0
-    return grid
 
 
 def first_stage(X: DesignMatrix, Z: np.ndarray,
@@ -308,7 +254,7 @@ def first_stage(X: DesignMatrix, Z: np.ndarray,
     # of Z
     Z = np.asfortranarray(Z)
     delta, e_hat, _ = _lstsq(X.values, Z, X.column_names)
-    eta, ranks = [], []
+    eta = []
     for j in range(m):
         z, resid = Z[:, j], e_hat[:, j]
         scale = max(float(np.std(z)), abs(float(np.mean(z))))
@@ -317,20 +263,12 @@ def first_stage(X: DesignMatrix, Z: np.ndarray,
                 f"first-stage residuals of endogenous column {j} are "
                 "numerically zero: the column lies in the span of the "
                 "exogenous design, so its ranks are pure noise")
-        # the check above rules out constant residuals, so the ranks are
-        # computed once and give the scores directly
         mag = max(z.max(), -z.min()) + max(resid.max(), -resid.min())
-        order, runs = _sort_rows(resid[None, :], mag)
-        if runs is None:
-            ranks.append(_through_sort(order, np.arange(1.0, n + 1.0))[0])
-            eta.append(_through_sort(order, _symmetric_score_grid(n))[0])
-        else:
-            ranks.append(_run_ranks(order, runs)[0])
-            eta.append(_scores_of_ranks(ranks[-1]))
+        eta.append(_scores(resid, mag))
     if names is None:
         names = tuple(f"z{j}" for j in range(m))
     return FirstStage(delta_hat=delta, e_hat=e_hat, eta_hat=_columns(eta),
-                      ranks=_columns(ranks), endogenous_names=tuple(names))
+                      endogenous_names=tuple(names))
 
 
 def _columns(cols: list) -> np.ndarray:

@@ -28,6 +28,10 @@ def test_every_exported_name_resolves(module):
     ("inference", "bootstrap_t_test"), ("transform", "ecdf_rescaled"),
     ("inference", "_split_ties"), ("inference", "_TIE_RTOL"),
     ("regress", "OlsFit.se_classical"), ("numerics", "DistSpec.cdf"),
+    ("transform", "average_ranks"), ("transform", "_rank_rows"),
+    ("transform", "_run_ranks"), ("transform", "_score_rows"),
+    ("transform", "_scores_of_ranks"), ("transform", "_through_sort"),
+    ("transform", "_symmetric_score_grid"), ("transform", "FirstStage.ranks"),
 ])
 def test_deleted_names_are_gone(module, name):
     obj = importlib.import_module(f"endofix.{module}")

@@ -22,8 +22,8 @@ from endofix.numerics import DistSpec, RngStream, sample, words_generator
 from endofix.regress import _lstsq
 from endofix.simulation import (MODEL_SPEC, DgpConfig, gen_dgp1, generate,
                                 mc_run)
-from endofix.transform import (TIE_RTOL, _rank_rows, _scores_of_ranks,
-                               _score_rows, _sort_rows, first_stage)
+from endofix.transform import (TIE_RTOL, _counted_scores, _half_rank_scores,
+                               _scores, _sort_rows, first_stage, normal_scores)
 
 
 class TestPairsBootstrap:
@@ -140,7 +140,7 @@ def _endogenous_design(rng, n):
 
 
 def _stable_rank_rows(rows, mag=None):
-    """_rank_rows with a stable sort and the runs written out: the
+    """Average ranks from a stable sort with the runs written out: the
     reference for the unstable one.  Returns (ranks, runs), runs marking
     the sorted positions that start a run."""
     n = rows.shape[1]
@@ -193,14 +193,18 @@ def test_rank_order_within_ties_changes_nothing(n, B, levels, jitter,
     assert np.array_equal(np.ones(E.shape, bool) if runs is None else runs,
                           want_runs)
     assert np.array_equal(E.ravel()[order], np.sort(E, axis=1))
-    ranks = _rank_rows(E, mag)
-    assert ranks.tobytes() == want.tobytes()
-    if not tolerant:
-        assert _score_rows(E).tobytes() == _scores_of_ranks(want).tobytes()
+    # the table is strictly increasing, so equal scores mean equal ranks
+    want_scores = _half_rank_scores(n)[(2 * want - 2).astype(int)]
+    scores = np.empty(E.size)
+    scores[order.ravel()] = _counted_scores(np.ones(E.shape), runs).ravel()
+    assert scores.tobytes() == want_scores.tobytes()
+    for e, m, w in zip(E, [None] * B if mag is None else mag, want_scores):
+        assert _scores(e, m).tobytes() == w.tobytes()
     if tolerant:
         # the jitter is far inside the tolerance and the gaps between
         # levels far outside it, so the ranks are those of exact ties
-        assert ranks.tobytes() == _rank_rows(E_exact).tobytes()
+        assert np.array([_scores(e) for e in E_exact]).tobytes() == (
+            want_scores.tobytes())
 
 
 class TestResampleStreams:
@@ -461,8 +465,11 @@ class TestStackedBootstrapMatchesLoop:
         z = rng.integers(0, 6, n) + x
         y = 1.0 + x + z + rng.standard_normal(n)
         d = Dataset({"y": y, "x": x, "z": z})
-        ranks = fit_npcf(d, MODEL_SPEC).first_stage.ranks
-        assert np.any(ranks != np.round(ranks))
+        e = fit_npcf(d, MODEL_SPEC).first_stage.e_hat[:, 0]
+        _, runs = _sort_rows(e[None, :], np.abs(z).max() + np.abs(e).max())
+        assert runs is not None
+        # a run of even length: a half-integer rank
+        assert np.any(np.diff(np.append(np.flatnonzero(runs), n)) % 2 == 0)
         _assert_matches_loop(d, MODEL_SPEC, 199, RngStream(96))
 
     @pytest.mark.parametrize("seed", [1, 3, 6, 7])
@@ -943,3 +950,55 @@ class TestNonFiniteDraws:
             with pytest.raises(NonFiniteError, match="standard error or "
                                "interval of const is not finite"):
                 pairs_bootstrap(data, _HUGE_SPEC, estimator, B=19)
+
+
+def test_gp_overflow_is_not_an_exact_fit():
+    # on resamples 7 and 11 of y = 1.7e308 the coefficient on the scores
+    # and s^2 overflow to inf and nan: gp_fit returns the non-finite
+    # coefficients, which the bootstrap counts as a NonFiniteError, rather
+    # than calling the fit exact
+    data = _huge_outcome_data(1.7e308)
+    with np.errstate(all="ignore"):
+        for w in RngStream(0).child_words(_BOOT_KEY, np.array([7, 11])):
+            theta = gp_fit(data.take(_resample_rows(w, 30)), _HUGE_SPEC).theta
+            assert not np.isfinite(theta).all()
+        _, solved, failures, _ = inference._resample_fits(
+            "gp_copula", [data], _HUGE_SPEC, [RngStream(0)], 12)
+    assert not solved[0, [7, 11]].any()
+    assert "ConstantInputError" not in failures
+
+
+def _three_datasets(kind, n, tied_groups):
+    """Three datasets of n rows: dgp1's continuous columns, or the integer
+    z and binary x of ``tied_groups``, whose residuals tie."""
+    if kind == "tied":
+        return [tied_groups(s, n + n % 2).take(np.arange(n))
+                for s in range(3)]
+    cfg = DgpConfig("dgp1", n=n, e_dist=DistSpec.gamma(1, 1), delta=1.0,
+                    rho=0.5)
+    return [generate(cfg, RngStream(1234, s)) for s in range(3)]
+
+
+@pytest.mark.parametrize("n", [249, 250])
+@pytest.mark.parametrize("kind", ["untied", "tied"])
+def test_scalar_scores_equal_the_engines(tied_groups, kind, n):
+    # first_stage and normal_scores give the scores of the count engine
+    # with unit counts, bit for bit: each dataset alone (a single problem,
+    # scored directly) and the three as one chunk (scored by the table)
+    datasets = _three_datasets(kind, n, tied_groups)
+    fits = [fit_npcf(d, MODEL_SPEC).first_stage for d in datasets]
+    stack = {c: np.stack([d.column(c) for d in datasets])
+             for c in ("y", "x", "z")}
+    designs = [(inference._CountDesign(stack, MODEL_SPEC), slice(None))]
+    designs += [(inference._CountDesign(d.columns, MODEL_SPEC),
+                 slice(s, s + 1)) for s, d in enumerate(datasets)]
+    for design, at in designs:
+        S = len(design.y)
+        C = np.ones((S, 1, n))
+        delta = np.stack([fs.delta_hat for fs in fits[at]])[:, None]
+        eta, _ = design._first_stage_scores(C, delta, np.ones((S, 1, 1)))
+        for fs, got in zip(fits[at], eta[:, 0, 0]):
+            assert got.tobytes() == fs.eta_hat[:, 0].tobytes()
+        for j, c in enumerate(("x", "z")):
+            for d, got in zip(datasets[at], design._data_scores(C, j)[:, 0]):
+                assert got.tobytes() == normal_scores(d.column(c)).tobytes()

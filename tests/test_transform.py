@@ -10,8 +10,8 @@ from endofix.errors import ConstantInputError, DomainError
 from endofix.numerics import DistSpec, RngStream, sample
 from endofix.regress import DesignMatrix, _lstsq
 from endofix import transform
-from endofix.transform import (_half_rank_scores, _scores_of_ranks,
-                               average_ranks, first_stage, normal_scores)
+from endofix.transform import (_counted_scores, _half_rank_scores, _scores,
+                               _sort_rows, first_stage, normal_scores)
 
 
 def _brute_force_average_ranks(v):
@@ -25,11 +25,35 @@ def _brute_force_average_ranks(v):
     return out
 
 
+def _rank_scores(ranks, n):
+    """The score table's entries of the average ranks ``ranks``.  The
+    table is strictly increasing, so scores equal bit for bit have equal
+    ranks."""
+    return _half_rank_scores(n)[(2 * ranks - 2).astype(int)]
+
+
+def _symmetric_ndtri(r, n):
+    """ndtri(r / (n + 1)) of the ranks up to the middle one, and the
+    exact negation of the mirrored rank's score above it."""
+    low = ndtri(np.minimum(r, n + 1 - r) / (n + 1.0))
+    return np.where(r > (n + 1) / 2, -low, low)
+
+
+def _row_scores(rows, mag=None):
+    """The scores of each row of a 2-D array as the count engine gives
+    them: one problem of unit counts per row."""
+    order, runs = _sort_rows(rows, mag)
+    scores = np.empty(rows.size)
+    scores[order.ravel()] = _counted_scores(np.ones(rows.shape), runs).ravel()
+    return scores.reshape(rows.shape)
+
+
 class TestAverageRanks:
     def test_ties_match_brute_force(self):
         rng = np.random.default_rng(0)
         v = rng.integers(0, 5, size=40).astype(float)   # plenty of ties
-        assert average_ranks(v) == pytest.approx(_brute_force_average_ranks(v))
+        assert np.array_equal(
+            _scores(v), _rank_scores(_brute_force_average_ranks(v), v.size))
 
     @pytest.mark.parametrize("v", [
         np.random.default_rng(3).standard_normal(57),           # no ties
@@ -39,7 +63,10 @@ class TestAverageRanks:
         np.array([1.0, -1.0, 1.0, np.inf, -np.inf, 0.0]),
     ])
     def test_average_ranks_bit_identical_to_brute_force(self, v):
-        assert np.array_equal(average_ranks(v), _brute_force_average_ranks(v))
+        want = _rank_scores(_brute_force_average_ranks(v), v.size)
+        assert _scores(v).tobytes() == want.tobytes()
+        assert _row_scores(np.stack([v, v])).tobytes() == np.stack(
+            [want, want]).tobytes()
 
 
 class TestNormalScores:
@@ -108,20 +135,28 @@ class TestNormalScores:
 
     @pytest.mark.parametrize("n", [2, 3, 250, 2001])
     def test_tied_rows_bitwise_equal_ndtri(self, n):
-        # the table at every rank 1, 1.5, ..., n, then rank rows with one
-        # tied pair, as a resample's duplicated rows give
+        # the table at every rank 1, 1.5, ..., n: ndtri of the lower half,
+        # 0 in the middle and the lower half negated above it; then the
+        # scores of rows with one tied pair, as a resample's duplicated
+        # rows give, one row at a time and as a chunk of problems
         r = np.arange(2, 2 * n + 1) / 2.0
-        assert _half_rank_scores(n).tobytes() == ndtri(r / (n + 1.0)).tobytes()
+        table = _half_rank_scores(n)
+        lower = table[:n - 1]
+        assert lower.tobytes() == ndtri(r[:n - 1] / (n + 1.0)).tobytes()
+        assert table[n - 1] == 0.0 and not np.signbit(table[n - 1])
+        assert table[n:].tobytes() == (-lower[::-1]).tobytes()
         rng = np.random.default_rng(n)
-        rows = []
+        rows, ranks = [], []
         for _ in range(3):
-            v = rng.permutation(n)
+            v = rng.permutation(n).astype(float)
             v[1] = v[0]
-            rows.append(average_ranks(v))
-            assert np.any(rows[-1] != np.round(rows[-1]))
-        for r in [*rows, np.array(rows)]:
-            assert (_scores_of_ranks(r).tobytes()
-                    == ndtri(r / (n + 1.0)).tobytes())
+            rows.append(v)
+            ranks.append(_brute_force_average_ranks(v))
+            assert np.any(ranks[-1] != np.round(ranks[-1]))
+            assert (_scores(v).tobytes()
+                    == _symmetric_ndtri(ranks[-1], n).tobytes())
+        assert (_row_scores(np.array(rows)).tobytes()
+                == _symmetric_ndtri(np.array(ranks), n).tobytes())
 
     def test_half_rank_table_is_read_only(self):
         table = _half_rank_scores(7)
@@ -197,8 +232,13 @@ class TestFirstStage:
         exact = rng.integers(0, 5, (3, 40)).astype(np.float64)
         E = exact * (1.0 + 1e-15 * rng.integers(0, 3, exact.shape))
         mag = np.abs(E).max(axis=1) + 1.0
-        assert (transform._rank_rows(E, mag).tobytes()
-                == transform._rank_rows(exact).tobytes())
+        order, runs = _sort_rows(E, mag)
+        exact_order, exact_runs = _sort_rows(exact)
+        # the same runs, each holding the same rows' values
+        assert np.array_equal(runs, exact_runs)
+        assert np.array_equal(exact.ravel()[order], exact.ravel()[exact_order])
+        assert (_row_scores(E, mag).tobytes()
+                == _row_scores(exact).tobytes())
 
     @pytest.mark.parametrize("tied", [False, True])
     def test_scores_and_ranks_match_per_column_transforms(self, tied):
@@ -215,7 +255,8 @@ class TestFirstStage:
         fs = first_stage(X, np.column_stack([x + e, e]))
         for j in range(2):
             r = fs.e_hat[:, j]
-            assert np.array_equal(fs.ranks[:, j], average_ranks(r))
+            assert np.array_equal(fs.eta_hat[:, j], _rank_scores(
+                _brute_force_average_ranks(r), n))
             assert np.array_equal(fs.eta_hat[:, j], normal_scores(r))
 
     def _per_column(self, X, Z):
@@ -238,7 +279,8 @@ class TestFirstStage:
             coef, resid = self._per_column(X, Z)
             assert fs.delta_hat.tobytes() == coef.tobytes()
             assert fs.e_hat.tobytes() == resid.tobytes()
-            assert fs.ranks.tobytes() == average_ranks(resid).tobytes()
+            assert fs.eta_hat.tobytes() == _rank_scores(
+                _brute_force_average_ranks(resid[:, 0]), n)[:, None].tobytes()
 
     def test_column_block_within_1e13_of_per_column_solve(self):
         # one factorisation for the block rounds the product Q'Z
