@@ -12,17 +12,18 @@ All three are computed after the substitution u = Phi(t), which removes
 the 1/phi singularities at the endpoints; the remaining infinite t-range
 is truncated at |t| <= 8.5 (normal mass beyond is < 1e-17).  The double
 integral is reduced exactly to a single cumulative integral over the
-triangle below the diagonal, evaluated on a doubling composite-Simpson
-grid.
+triangle below the diagonal.
 
-Every integrand is a function of g(t) = F^-1(Phi(t)), and g is evaluated
-once per abscissa.  c1, c2 and the lemma-B integral are QUADPACK
-integrals over the same interval, which pass one scalar abscissa at a
-time and meet many abscissae more than once; they read g from a memo
-(:func:`_g_memo`) that one computation makes and drops, and a scalar g
-skips numpy's masked array path.  Each doubled c3 grid holds the
-previous one at its even points, bit for bit, so only its odd points
-are evaluated.
+Every integrand is a function of g(t) = F^-1(Phi(t)).  c1 is a QUADPACK
+integral, which passes one scalar abscissa at a time (a scalar g skips
+numpy's masked array path): near t = -8.5 its integrand f(g(t)) is steep
+for gamma shapes at or below 1, where adaptive subdivision needs far
+fewer points than a uniform grid.  c2, c3 and the lemma-B integral are
+read off one doubling composite-Simpson grid of g, with one Richardson
+step per doubling (:func:`_grid_integrals`); each doubled grid holds the
+previous one at its even points, bit for bit, so only its odd points are
+evaluated; every distribution the tests record stops at 1024 panels,
+2049 evaluations of g.
 
 c1 is infinite for a gamma error of shape <= 1 (:func:`_c1_diverges`).
 :func:`constants_c` then gives c1's truncated integral by default, the
@@ -68,23 +69,6 @@ def _quantile_of_normal(F: DistSpec, t):
     return out
 
 
-def _g_memo(F: DistSpec):
-    """g = F^-1 o Phi at scalar abscissae, each computed once per memo.
-
-    The integrals of c1, c2 and lemma B all run over [-T_TRUNC, T_TRUNC],
-    so QUADPACK meets many abscissae in more than one of them.  A memo
-    lives only as long as the computation that makes it.
-    """
-    memo = {}
-
-    def g(t: float):
-        v = memo.get(t)
-        if v is None:
-            v = memo[t] = _quantile_of_normal(F, t)
-        return v
-    return g
-
-
 def _c1_diverges(F: DistSpec) -> bool:
     """Is c1 infinite?  For a gamma error of shape a <= 1 the c1 integrand
     behaves like u^(-1/a) / sqrt(2 log(1/u)) near u = 0, whose integral
@@ -94,11 +78,13 @@ def _c1_diverges(F: DistSpec) -> bool:
 
 @dataclass(frozen=True)
 class AsymptoticConstants:
-    """The three scalar functionals plus the quadrature error report."""
+    """The three scalar functionals, the lemma-B integral computed with
+    them (see :func:`lemma_b_residual`) and the quadrature error report."""
 
     c1: float
     c2: float
     c3: float
+    lemma_b_lhs: float
     quadrature_report: dict
 
     def __post_init__(self):
@@ -106,105 +92,131 @@ class AsymptoticConstants:
             raise DomainError("c3 is a variance and cannot be negative")
 
 
-def _g_phi(F: DistSpec, t: np.ndarray) -> np.ndarray:
-    """Rows g(t), Phi(t) and 1 - Phi(t) = Phi(-t) at the points ``t``."""
-    return np.stack([_quantile_of_normal(F, t), ndtr(t), ndtr(-t)])
+def _a1(t, Phi, pdf):
+    """A1(t) = int_{-inf}^t s Phi(s) ds, given Phi(t) and phi(t)."""
+    return 0.5 * ((t * t - 1.0) * Phi + t * pdf)
 
 
-def _c3_simpson(t: np.ndarray, vals: np.ndarray) -> float:
-    """c3 on a fixed grid: 2 * int g(s) (1-Phi(s)) C1(s) ds with
-    C1(s) = int_{-T}^{s} g Phi, both by composite Simpson with M panels.
+_A1_BOTTOM = float(_a1(-T_TRUNC, ndtr(-T_TRUNC), std_normal_pdf(T_TRUNC)))
+
+
+def _grid_rows(F: DistSpec, t: np.ndarray) -> np.ndarray:
+    """The grid's integrands at the points ``t``: rows g Phi and
+    g (1 - Phi) of c3, g t phi of c2 and g I of lemma B.
+
+    I(s) is lemma B's inner v-integral in closed form,
+    (1-Phi(s)) A1(s) + Phi(s) A2(s) with A2(s) = int_s^T t (1-Phi(t)) dt
+    = A1(-T) - A1(-s) by symmetry.  Written so, A2 has no cancellation
+    between terms of size T^2 / 2, which would cost lemma B two digits.
+    """
+    Phi, Phi_c, pdf = ndtr(t), ndtr(-t), std_normal_pdf(t)
+    inner = Phi_c * _a1(t, Phi, pdf) + Phi * (_A1_BOTTOM - _a1(-t, Phi_c, pdf))
+    return _quantile_of_normal(F, t) * np.stack([Phi, Phi_c, t * pdf, inner])
+
+
+def _simpson(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(c2, c3, lemma-B integral) by composite Simpson with M panels.
 
     ``t`` is np.linspace(-T, T, 2M + 1), whose even points are the panel
-    edges and odd points the midpoints, and ``vals`` is ``_g_phi(F, t)``.
+    edges and odd points the midpoints, and ``rows`` is
+    ``_grid_rows(F, t)``.  c3 = 2 int g(s) (1-Phi(s)) C1(s) ds with
+    C1(s) = int_{-T}^{s} g Phi: C1 is summed panel by panel, and the
+    outer integral is Simpson's rule over the panel edges (M is even).
     """
-    g, Phi, Phi_c = vals
     h = t[2] - t[0]
-    ge = g[0::2]
-    w_e, w_m = ge * Phi[0::2], g[1::2] * Phi[1::2]
-    panel = h / 6.0 * (w_e[:-1] + 4.0 * w_m + w_e[1:])
-    C1 = np.concatenate([[0.0], np.cumsum(panel)])
-    v = 2.0 * ge * Phi_c[0::2] * C1
-    # composite Simpson over the edge grid (M is even)
-    return h / 3.0 * (v[0] + v[-1] + 4.0 * np.sum(v[1:-1:2])
-                      + 2.0 * np.sum(v[2:-1:2]))
+    panels = h / 6.0 * (rows[:, 0:-1:2] + 4.0 * rows[:, 1::2] + rows[:, 2::2])
+    C1 = np.concatenate([[0.0], np.cumsum(panels[0])])
+    v = 2.0 * rows[1, 0::2] * C1
+    c3 = h / 3.0 * (v[0] + v[-1] + 4.0 * np.sum(v[1:-1:2])
+                    + 2.0 * np.sum(v[2:-1:2]))
+    return np.array([np.sum(panels[2]), c3, np.sum(panels[3])])
 
 
-def _c3_doubling(F: DistSpec, spec: QuadratureSpec):
-    """c3 on Simpson grids of 2048, 4096, ... panels, doubled until two
-    successive values agree to ``spec.abs_tol`` (or 1e-12) times
-    max(1, |c3|); returns (c3, last change, panels).  c3 scales with the
-    error's variance, so a change relative to it stops the doubling alike
-    in any units.  Each doubled grid's even points are the
-    previous grid bit for bit (with T_TRUNC = 8.5 and power-of-two panel
-    counts every grid point is exact in double precision), so only its
-    odd points are evaluated."""
-    M = 2048
+# the grid's last doubling, far past the 1024 panels at which the
+# distributions the tests record stop
+_MAX_PANELS = 32768
+
+
+def _grid_integrals(F: DistSpec, spec: QuadratureSpec):
+    """c2, c3 and the lemma-B integral from one doubling Simpson grid.
+
+    Starting at 256 panels, every doubling takes one Richardson step,
+    R_M = S_M + (S_M - S_{M/2}) / 15, which cancels Simpson's h^4 error
+    term, and the doubling stops once all three R changed by at most
+    ``spec.abs_tol`` (or 1e-12) times max(1, |R|) since the previous one.
+    c3 scales with the error's variance, so a relative change stops the
+    doubling alike in any units.  Returns (R, last change, panels), R and
+    the change as arrays (c2, c3, lemma B).
+
+    Each doubled grid holds the previous one at its even points, bit for
+    bit (with T_TRUNC = 8.5 and power-of-two panel counts every grid
+    point is exact in double precision), so only its odd points are
+    evaluated.
+    """
+    M = 256
     t = np.linspace(-T_TRUNC, T_TRUNC, 2 * M + 1)
-    vals = _g_phi(F, t)
-    prev = _c3_simpson(t, vals)
-    c3_err = math.inf
-    while M <= 16384:
+    rows = _grid_rows(F, t)
+    S = _simpson(t, rows)
+    R = None
+    rtol = max(spec.abs_tol, 1e-12)
+    while M < _MAX_PANELS:
         M *= 2
         t = np.linspace(-T_TRUNC, T_TRUNC, 2 * M + 1)
-        fine = np.empty((3, t.size))
-        fine[:, 0::2] = vals
-        fine[:, 1::2] = _g_phi(F, t[1::2])
-        vals = fine
-        cur = _c3_simpson(t, vals)
-        c3_err = abs(cur - prev)
-        prev = cur
-        if c3_err <= max(spec.abs_tol, 1e-12) * max(1.0, abs(cur)):
-            return prev, c3_err, M
+        fine = np.empty((len(rows), t.size))
+        fine[:, 0::2] = rows
+        fine[:, 1::2] = _grid_rows(F, t[1::2])
+        rows = fine
+        S, S_half = _simpson(t, rows), S
+        R, R_half = S + (S - S_half) / 15.0, R
+        if R_half is not None:
+            change = np.abs(R - R_half)
+            if np.all(change <= rtol * np.maximum(1.0, np.abs(R))):
+                return R, change, M
     raise QuadratureError(
-        f"c3 grid did not stabilize (last doubling changed it by {c3_err:.2e})")
+        f"c2, c3 and lemma-B grid did not stabilize at {M} panels (last "
+        f"doubling changed them by {', '.join(f'{d:.2e}' for d in change)})")
 
 
 def constants_c(F: DistSpec, spec: QuadratureSpec = QuadratureSpec(), *,
-                g=None, truncate_c1: bool = True) -> AsymptoticConstants:
+                truncate_c1: bool = True) -> AsymptoticConstants:
     """Compute (c1, c2, c3) for a continuous scalar distribution.
 
     ``c2`` and ``c1`` do not depend on the distribution's location; ``c3``
     does, and the covariance formulas require a centered error, so pass a
     centered spec (``DistSpec.centered_version()``) when that matters.
 
-    ``g`` is a memo of F^-1 o Phi from :func:`_g_memo` for F, to share
-    its evaluations with other integrals of F; one is made here when it
-    is None.  Where c1 diverges (a gamma error of shape <= 1), the
-    default ``truncate_c1=True`` gives its integral over |t| <= T_TRUNC,
-    a finite artefact of the truncation that the plug-in covariance
-    uses; ``truncate_c1=False`` gives c1 = inf without integrating it,
-    and the report has no ``c1_err``.
+    c1 is a QUADPACK integral to ``spec.abs_tol``; c2, c3 and the lemma-B
+    integral come from :func:`_grid_integrals`, and the report's
+    ``c2_err`` and ``c3_doubling_delta`` are their grid's last change and
+    ``c3_panels`` its final panel count.  Where c1 diverges (a gamma
+    error of shape <= 1), the default ``truncate_c1=True`` gives its
+    integral over |t| <= T_TRUNC, a finite artefact of the truncation
+    that the plug-in covariance uses; ``truncate_c1=False`` gives c1 =
+    inf without integrating it, and the report has no ``c1_err``.
 
-    Raises QuadratureError if the integrated c2, positive for every F,
-    is not: rounding has then erased the centered quantiles.
+    Raises QuadratureError if c2, positive for every F, is not: rounding
+    has then erased the centered quantiles.
     """
-    if g is None:
-        g = _g_memo(F)
     report = {}
     if truncate_c1 or not _c1_diverges(F):
-        c1, e1 = integrate_1d(lambda t: F.pdf(g(t)), -T_TRUNC, T_TRUNC, spec)
+        c1, e1 = integrate_1d(lambda t: F.pdf(_quantile_of_normal(F, t)),
+                              -T_TRUNC, T_TRUNC, spec)
         report["c1_err"] = float(e1)
     else:
         c1 = math.inf
-    c2, e2 = _c2_quadrature(g, spec)
+    (c2, c3, lemma_b), change, M = _grid_integrals(F, spec)
     if not c2 > 0.0:
         # g is increasing, so c2 = Cov(g(T), T) > 0 for T standard normal
         raise QuadratureError(
             f"c2 = {c2:.3e} is not positive: the centered quantiles of the "
             "distribution have no significant digits left at its scale")
-    c3, c3_err, M = _c3_doubling(F, spec)
-    report.update({"c2_err": float(e2), "c3_doubling_delta": float(c3_err),
+    report.update({"c2_err": float(change[0]),
+                   "c3_doubling_delta": float(change[1]),
                    "c3_panels": M, "t_truncation": T_TRUNC})
     return AsymptoticConstants(c1=float(c1), c2=float(c2),
                                c3=float(max(c3, 0.0)),
+                               lemma_b_lhs=float(lemma_b),
                                quadrature_report=report)
-
-
-def _c2_quadrature(g, spec: QuadratureSpec):
-    """c2 = int g(t) t phi(t) dt with g = F^-1 o Phi, and its error."""
-    return integrate_1d(lambda t: g(t) * t * std_normal_pdf(t),
-                        -T_TRUNC, T_TRUNC, spec)
 
 
 def lemma_b_residual(F: DistSpec, spec: QuadratureSpec = QuadratureSpec()) -> float:
@@ -213,36 +225,16 @@ def lemma_b_residual(F: DistSpec, spec: QuadratureSpec = QuadratureSpec()) -> fl
         int int [F^-1(u)/phi(Phi^-1(u))] [Phi^-1(v)/phi(Phi^-1(v))]
                 (min(u,v) - uv) du dv  =  (1/2) int F^-1(u) Phi^-1(u) du.
 
-    The right-hand side is c2 / 2 (see :func:`constants_c`); the left-hand
-    side is :func:`_lemma_b_lhs`.
+    The right-hand side is c2 / 2 (see :func:`constants_c`).  After
+    u = Phi(s) the inner v-integral has a closed form (see
+    :func:`_grid_rows`), so the left-hand side is a single integral,
+    taken on c2's grid; it is ``constants_c(F, spec).lemma_b_lhs``.
 
     Requires int (F^-1)^2 du < infinity, which every supported family with
     a finite variance satisfies.
     """
-    g = _g_memo(F)
-    c2, _ = _c2_quadrature(g, spec)
-    return abs(_lemma_b_lhs(g, spec) - 0.5 * c2)
-
-
-def _lemma_b_lhs(g, spec: QuadratureSpec) -> float:
-    """The double integral on the left of :func:`lemma_b_residual`.
-
-    The inner v-integral has the closed form (1-Phi(s)) A1(s) +
-    Phi(s) A2(s), with A1, A2 antiderivatives of t*Phi(t) and t*(1-Phi(t)),
-    so it reduces to a single quadrature after u = Phi(s).  ``g`` is a
-    memo of F^-1 o Phi from :func:`_g_memo`.
-    """
-    def A1(s):
-        return 0.5 * ((s * s - 1.0) * ndtr(s) + s * std_normal_pdf(s))
-
-    a1_top = A1(np.array(T_TRUNC))
-
-    def inner(s):
-        a2 = (T_TRUNC ** 2 - s * s) / 2.0 - a1_top + A1(s)
-        return ndtr(-s) * A1(s) + ndtr(s) * a2
-
-    lhs, _ = integrate_1d(lambda s: g(s) * inner(s), -T_TRUNC, T_TRUNC, spec)
-    return lhs
+    (c2, _, lemma_b), _, _ = _grid_integrals(F, spec)
+    return float(abs(lemma_b - 0.5 * c2))
 
 
 @dataclass(frozen=True, eq=False)

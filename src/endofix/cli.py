@@ -31,7 +31,7 @@ from .estimators import ESTIMATORS, ModelSpec, ThetaEstimate, fit_npcf, fit_ols
 from .inference import (exogeneity_test_of_fit, identification_diagnostic,
                         pairs_bootstrap)
 from .numerics import DistSpec, QuadratureSpec, RngStream
-from .asymptotics import _g_memo, _lemma_b_lhs, constants_c
+from .asymptotics import constants_c
 from .simulation import DgpConfig, mc_run
 
 REPORT_SCHEMA = "endofix-report/2"
@@ -439,14 +439,13 @@ def cmd_constants(args) -> int:
     else:
         raise DataError(f"unknown distribution {args.dist!r}")
     spec = QuadratureSpec(abs_tol=args.tol, max_subdivisions=40000)
-    # one evaluation of F^-1 o Phi per abscissa for all three quadratures
-    g = _g_memo(F)
-    cons = constants_c(F, spec, g=g, truncate_c1=False)
-    # lemma_b_residual(F, spec), with the c2 that constants_c integrated
-    resid = abs(_lemma_b_lhs(g, spec) - 0.5 * cons.c2)
+    cons = constants_c(F, spec, truncate_c1=False)
+    # lemma_b_residual(F, spec), from the grid that gave c2
+    resid = abs(cons.lemma_b_lhs - 0.5 * cons.c2)
     margin = float(np.min(np.abs(np.linalg.eigvalsh(
         np.array([[F.var(), cons.c2], [cons.c2, 1.0]])))))
-    if math.isinf(cons.c1):
+    diverges = math.isinf(cons.c1)
+    if diverges:
         print("c1 = inf   [DIVERGES: for gamma shape a <= 1 the integrand "
               "behaves like u^(-1/a) / sqrt(2 log(1/u)) near u = 0]")
     else:
@@ -458,6 +457,25 @@ def cmd_constants(args) -> int:
           + ("   [IDENTIFICATION FAILS: error distribution is normal]"
              if margin < 1e-6 else ""))
     print(f"quadrature report     = {cons.quadrature_report}")
+    if args.out:
+        report = {
+            "schema": REPORT_SCHEMA,
+            "version": __version__,
+            "config": {"command": "constants", "dist": args.dist,
+                       "tol": args.tol},
+            # strict JSON has no inf
+            "c1": None if diverges else cons.c1,
+            "c2": cons.c2,
+            "c3": cons.c3,
+            "lemma_b_residual": resid,
+            "singularity_margin": margin,
+            "quadrature_report": cons.quadrature_report,
+        }
+        if diverges:
+            report["c1_diverges"] = True
+        _check_report(report)
+        _write_report(report, args.out)
+        print(f"report written to {args.out}")
     return 0
 
 
@@ -511,7 +529,11 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("constants", help="asymptotic-variance constants")
     c.add_argument("--dist", required=True,
                    help="normal | gamma:SHAPE,RATE (centered)")
-    c.add_argument("--tol", type=float, default=1e-9)
+    c.add_argument("--tol", type=float, default=1e-9,
+                   help="c1's absolute tolerance, and the relative one of "
+                        "the grid that gives c2, c3 and the lemma-B "
+                        "integral")
+    c.add_argument("--out", default=None, help="write the JSON report here")
     c.set_defaults(func=cmd_constants)
     return p
 

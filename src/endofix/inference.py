@@ -47,7 +47,7 @@ from .estimators import (ESTIMATORS, ModelSpec, ThetaEstimate, _check_finite,
 from .numerics import RngStream, _SeedWords, _seed_words, words_generator
 from .regress import RANK_RTOL, _right_divide
 from .transform import (CONSTANT_RESIDUAL_RTOL, FirstStage, _counted_scores,
-                        _sort_rows, _sorted_rows, _tie_runs)
+                        _residuals, _sort_rows, _sorted_rows, _tie_runs)
 
 __all__ = ["BootstrapResult", "TestResult", "pairs_bootstrap",
            "exogeneity_test", "exogeneity_test_of_fit",
@@ -141,10 +141,6 @@ class BootstrapResult:
 
     def se_of(self, name: str) -> float:
         return float(self.se[self.names.index(name)])
-
-    def ci_of(self, name: str) -> tuple[float, float]:
-        j = self.names.index(name)
-        return float(self.percentile_ci[0, j]), float(self.percentile_ci[1, j])
 
 
 def _resample_rows(words: np.ndarray, n: int) -> np.ndarray:
@@ -254,25 +250,6 @@ def _cholesky(G: np.ndarray):
             except np.linalg.LinAlgError:
                 U[s], ok[s] = np.eye(G.shape[-1]), False
         return U, ok
-
-
-def _residuals(targets, regressors, coef: np.ndarray,
-               out=None) -> np.ndarray:
-    """``targets[j] - coef[..., 0, j] - sum_i coef[..., i+1, j] *
-    regressors[i]`` for each problem of ``coef`` (..., 1 + len(regressors),
-    len(targets)), stacked (..., len(targets), n); each target and
-    regressor broadcasts against the problems' (..., n), and ``out`` may
-    be the targets' own stack.  Computed elementwise on each row, so rows
-    with equal values get equal residuals, bit for bit."""
-    if out is None:
-        out = np.empty((*coef.shape[:-2], len(targets),
-                        np.shape(targets[0])[-1]))
-    for j, t in enumerate(targets):
-        e = out[..., j, :]
-        np.subtract(t, coef[..., :1, j], out=e)
-        for i, x in enumerate(regressors):
-            e -= coef[..., i + 1:i + 2, j] * x
-    return out
 
 
 def _chunk(n: int, spec: ModelSpec) -> int:

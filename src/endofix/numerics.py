@@ -58,7 +58,13 @@ def _check_prob(u, what: str):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Absolute tolerance and subinterval cap for :func:`integrate_1d`."""
+    """Absolute tolerance and subinterval cap for :func:`integrate_1d`.
+
+    In :func:`~endofix.asymptotics.constants_c` only c1 is a QUADPACK
+    integral, so ``max_subdivisions`` bounds c1 alone; the Simpson grid
+    of c2, c3 and the lemma-B integral takes ``abs_tol`` as its relative
+    tolerance.
+    """
 
     abs_tol: float = 1e-10
     max_subdivisions: int = 4000

@@ -45,7 +45,8 @@ class FirstStage:
     """Per-endogenous-column first-stage output.
 
     ``delta_hat`` stacks the regression coefficients column by column,
-    ``e_hat`` the residuals and ``eta_hat`` their normal scores.  Residuals
+    ``e_hat`` the residuals, formed elementwise from them so that equal
+    rows get equal residuals, and ``eta_hat`` their normal scores.  Residuals
     of a column whose sorted neighbours lie within
     TIE_RTOL * (max|z| + max|e|) of each other tie and share the mean of
     their ranks, as in the count-based bootstrap and Monte Carlo fits, so
@@ -219,6 +220,25 @@ def _half_rank_scores(n: int) -> np.ndarray:
     return table
 
 
+def _residuals(targets, regressors, coef: np.ndarray,
+               out=None) -> np.ndarray:
+    """``targets[j] - coef[..., 0, j] - sum_i coef[..., i+1, j] *
+    regressors[i]`` for each problem of ``coef`` (..., 1 + len(regressors),
+    len(targets)), stacked (..., len(targets), n); each target and
+    regressor broadcasts against the problems' (..., n), and ``out`` may
+    be the targets' own stack.  Computed elementwise on each row, so rows
+    with equal values get equal residuals, bit for bit."""
+    if out is None:
+        out = np.empty((*coef.shape[:-2], len(targets),
+                        np.shape(targets[0])[-1]))
+    for j, t in enumerate(targets):
+        e = out[..., j, :]
+        np.subtract(t, coef[..., :1, j], out=e)
+        for i, x in enumerate(regressors):
+            e -= coef[..., i + 1:i + 2, j] * x
+    return out
+
+
 def first_stage(X: DesignMatrix, Z: np.ndarray,
                 names: tuple[str, ...] | None = None) -> FirstStage:
     """Regress the endogenous columns on ``X`` and score the residuals.
@@ -253,7 +273,13 @@ def first_stage(X: DesignMatrix, Z: np.ndarray,
     # column is contiguous, so the rounding does not depend on the layout
     # of Z
     Z = np.asfortranarray(Z)
-    delta, e_hat, _ = _lstsq(X.values, Z, X.column_names)
+    delta = _lstsq(X.values, Z, X.column_names)[0]
+    # elementwise, as the count engine forms them, so that copies of one
+    # row get equal residuals and tie; b - V @ coef can round copies
+    # apart.  A zero first coefficient makes every column of X, an
+    # intercept too, a regressor: z - 0 is z and 1 * c is c exactly
+    e_hat = _residuals(list(Z.T), list(X.values.T),
+                       np.vstack([np.zeros(m), delta])).T
     eta = []
     for j in range(m):
         z, resid = Z[:, j], e_hat[:, j]

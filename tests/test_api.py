@@ -32,6 +32,8 @@ def test_every_exported_name_resolves(module):
     ("transform", "_run_ranks"), ("transform", "_score_rows"),
     ("transform", "_scores_of_ranks"), ("transform", "_through_sort"),
     ("transform", "_symmetric_score_grid"), ("transform", "FirstStage.ranks"),
+    ("inference", "BootstrapResult.ci_of"), ("asymptotics", "_g_memo"),
+    ("asymptotics", "_c2_quadrature"), ("asymptotics", "_lemma_b_lhs"),
 ])
 def test_deleted_names_are_gone(module, name):
     obj = importlib.import_module(f"endofix.{module}")

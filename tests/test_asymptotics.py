@@ -5,9 +5,9 @@ import pytest
 from scipy.special import gammainc, ndtri
 
 from endofix import asymptotics
-from endofix.asymptotics import (MomentSet, _g_memo, _lemma_b_lhs,
-                                 _quantile_of_normal, constants_c,
-                                 lemma_b_residual, sigma_asymptotic)
+from endofix.asymptotics import (MomentSet, _grid_rows, _quantile_of_normal,
+                                 _simpson, constants_c, lemma_b_residual,
+                                 sigma_asymptotic)
 from endofix.cli import main
 from endofix.errors import IdentificationError
 from endofix.numerics import DistSpec, QuadratureSpec, RngStream
@@ -89,9 +89,9 @@ class TestLemmaBResidual:
     @pytest.mark.parametrize("F", [NORMAL, CEXP, CG32])
     def test_residual_from_constants_c2_is_identical(self, F):
         # the constants command forms the residual from constants_c's c2
-        c2 = constants_c(F, SPEC).c2
-        resid = abs(_lemma_b_lhs(_g_memo(F), SPEC) - 0.5 * c2)
-        assert resid == lemma_b_residual(F, SPEC)
+        # and lemma-B integral, which come from one grid
+        c = constants_c(F, SPEC)
+        assert abs(c.lemma_b_lhs - 0.5 * c.c2) == lemma_b_residual(F, SPEC)
 
     def test_both_sides_half_for_gaussian(self):
         c = constants_c(NORMAL, SPEC)
@@ -169,8 +169,8 @@ def _dist(text: str) -> DistSpec:
 
 
 class TestScalarQuantileOfNormal:
-    """g = F^-1 o Phi at one scalar abscissa (quad's calls) equals the
-    array evaluation (c3's grids) bit for bit."""
+    """g = F^-1 o Phi at one scalar abscissa (c1's quad calls) equals the
+    array evaluation (the grid's) bit for bit."""
 
     @pytest.mark.parametrize("dist", ["normal", "gamma:3,2", "gamma:1,1",
                                       "gamma:10,1"])
@@ -188,36 +188,35 @@ class TestScalarQuantileOfNormal:
 
 
 # c1, c2, c3, lemma_b_residual and the upper triangle of sigma_asymptotic's
-# Sigma (delta 1, rho 0.9, unit Sigma_x, unit-variance Gaussian eps),
-# recorded from the implementation that evaluated g once per integrand
-# call and c3's two grids in full; gamma:2,0.5's c3 (and so its Sigma)
-# re-recorded when c3's doubling came to stop on a change relative to
-# max(1, |c3|): it stops at 4096 panels now, a change of 1.2e-11 against
-# 1e-11 * 3.86, and c3 moved by 7.2e-13
+# Sigma (delta 1, rho 0.9, unit Sigma_x, unit-variance Gaussian eps).  c1
+# was recorded from QUADPACK with g evaluated once per integrand call; c2,
+# c3, the residual and Sigma were re-recorded when c2, c3 and lemma B
+# came to be read off one Richardson-extrapolated Simpson grid, which
+# stops at 1024 panels on each of these
 _RECORDED = [
-    ("normal", 1e-09, (0.9999999999999999, 0.9999999999999986,
-                       0.49999999999989553, 9.936496070395151e-15),
+    ("normal", 1e-09, (0.9999999999999999, 0.9999999999999987,
+                       0.4999999999999987, 3.3306690738754696e-16),
      None),
-    ("gamma:3,2", 1e-09, (1.4502413205166842, 0.8352387208487841,
-                          0.3662307403977689, 1.5210055437364645e-14),
-     (26.513536545050343, -24.23584261325195, 20.24271418298501,
-      24.23584261325195, -20.24271418298501, 18.31249870070394)),
-    ("gamma:1,1", 1e-09, (8.292361075897324, 0.903197285568622,
-                          0.46871492751695387, 3.524958103184872e-14),
-     (63.57779249688117, -6.879558204304978, 6.213598296039599,
-      6.879558204304971, -6.213598296039592, 7.017105114596775)),
-    ("gamma:10,1", 1e-09, (0.3353565111634711, 3.1275378245413905,
-                           4.963540647411741, 3.7969627442180354e-14),
-     (7.722421008936131, -5.811462693340275, 18.175569389332892,
-      5.811462693340275, -18.175569389332892, 58.24978074771529)),
-    ("gamma:1.5,3", 1e-07, (4.567894618557189, 0.3805629459079769,
-                            0.07965321616344909, 1.2406742300186124e-14),
-     (61.90245621583696, -58.085591947594054, 22.105223986385056,
-      58.08559194759405, -22.105223986385052, 9.81742916021437)),
+    ("gamma:3,2", 1e-09, (1.4502413205166842, 0.8352387208487844,
+                          0.36623074039784304, 6.106226635438361e-16),
+     (26.513536545072476, -24.235842613274087, 20.242714183003507,
+      24.235842613274087, -20.242714183003507, 18.312498700719395)),
+    ("gamma:1,1", 1e-09, (8.292361075897324, 0.9031972855686221,
+                          0.4687149275170433, 9.992007221626409e-16),
+     (63.5777924968835, -6.879558204307301, 6.213598296041699,
+      6.879558204307291, -6.21359829604169, 7.017105114598671)),
+    ("gamma:10,1", 1e-09, (0.3353565111634711, 3.127537824541391,
+                           4.96354064741276, 1.7763568394002505e-15),
+     (7.722421008953394, -5.811462693357538, 18.175569389386887,
+      5.811462693357538, -18.175569389386887, 58.249780747884145)),
+    ("gamma:1.5,3", 1e-07, (4.567894618557189, 0.3805629459079768,
+                            0.07965321616346477, 3.608224830031759e-16),
+     (61.90245621586464, -58.08559194762174, 22.10522398639558,
+      58.08559194762174, -22.10522398639558, 9.81742916021837)),
     ("gamma:2,0.5", 1e-11, (0.5230886884413933, 2.681054789511717,
-                            3.8636438947273963, 5.88418203051333e-14),
-     (4.335946190509949, -1.562877082189765, 4.190159086622968,
-      1.562877082189765, -4.190159086622968, 12.639046088006552)),
+                            3.863643894728168, 2.4424906541753444e-15),
+     (4.3359461905108985, -1.562877082190714, 4.190159086625512,
+      1.562877082190714, -4.190159086625512, 12.639046088013373)),
 ]
 
 
@@ -237,9 +236,9 @@ def test_constants_equal_recorded_values(dist, tol, constants, sigma):
 
 def test_constants_command_evaluates_g_once_per_abscissa(monkeypatch,
                                                          capsys):
-    # c1, c2 and the lemma-B integral share one memo of g; c3's doubled
-    # grid evaluates only its new (odd) points: 4097 + 4096 points, where
-    # computing both grids in full takes 4097 + 8193
+    # c1's QUADPACK integrand evaluates g once per abscissa; the grid of
+    # c2, c3 and lemma B evaluates 513 points at 256 panels and then only
+    # the new (odd) points of each doubling, 512 and 1024
     scalars, grid_points, integrand_points = [], [], []
     quantile, integrate = _quantile_of_normal, asymptotics.integrate_1d
 
@@ -259,8 +258,30 @@ def test_constants_command_evaluates_g_once_per_abscissa(monkeypatch,
     monkeypatch.setattr(asymptotics, "_quantile_of_normal", counted_quantile)
     monkeypatch.setattr(asymptotics, "integrate_1d", counted_integrate)
     assert main(["constants", "--dist", "gamma:3,2"]) == 0
-    assert "c3_panels': 4096" in capsys.readouterr().out
-    assert len(scalars) == len(set(scalars)) == len(set(integrand_points))
-    assert len(integrand_points) > 2 * len(scalars)
-    assert sum(grid_points) == 8193
+    assert "c3_panels': 1024" in capsys.readouterr().out
+    assert scalars == integrand_points
+    assert grid_points == [513, 512, 1024]
 
+
+class TestExtrapolatedGrid:
+    def test_gaussian_values_to_rounding(self):
+        # c2 = 1 and c3 = lemma B's left side = 1/2 exactly for the normal
+        c = constants_c(NORMAL, SPEC)
+        assert abs(c.c2 - 1.0) <= 2e-15
+        assert abs(c.c3 - 0.5) <= 2e-15
+        assert abs(c.lemma_b_lhs - 0.5) <= 2e-15
+
+    @pytest.mark.parametrize("dist,tol", [(r[0], r[1]) for r in _RECORDED
+                                          if r[0] != "normal"])
+    def test_c3_matches_fine_extrapolated_grid(self, dist, tol):
+        # one Richardson step from 32768 to 65536 panels: a reference
+        # whose own discretisation error is far below rounding
+        F = _dist(dist)
+        fine = []
+        for M in (32768, 65536):
+            t = np.linspace(-8.5, 8.5, 2 * M + 1)
+            fine.append(_simpson(t, _grid_rows(F, t))[1])
+        ref = fine[1] + (fine[1] - fine[0]) / 15.0
+        c = constants_c(F, QuadratureSpec(abs_tol=tol, max_subdivisions=40000))
+        assert c.quadrature_report["c3_panels"] == 1024
+        assert abs(c.c3 - ref) <= 1e-14 * ref

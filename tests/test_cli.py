@@ -17,11 +17,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from endofix import cli
+from endofix.asymptotics import constants_c, lemma_b_residual
 from endofix.cli import ingest_csv, main
 from endofix.data import Dataset
 from endofix.errors import DataError
 from endofix.estimators import ModelSpec
-from endofix.numerics import DistSpec, RngStream
+from endofix.numerics import DistSpec, QuadratureSpec, RngStream
 from endofix.simulation import DgpConfig, gen_dgp1
 
 
@@ -928,12 +929,37 @@ class TestConstantsCommand:
             "c1 = 1.4502413205\n"
             "c2 = 0.8352387208\n"
             "c3 = 0.3662307404\n"
-            "lemma-b residual      = 1.521e-14\n"
+            "lemma-b residual      = 6.106e-16\n"
             "singularity margin    = 3.046e-02\n"
             "quadrature report     = {'c1_err': 7.036323684859005e-12, "
-            "'c2_err': 5.652789686350377e-10, 'c3_doubling_delta': "
-            "1.1114997811034755e-12, 'c3_panels': 4096, 't_truncation': "
+            "'c2_err': 1.1102230246251565e-16, 'c3_doubling_delta': "
+            "1.27675647831893e-15, 'c3_panels': 1024, 't_truncation': "
             "8.5}\n")
+
+    @pytest.mark.parametrize("dist", ["gamma:3,2", "gamma:1,1"])
+    def test_out_writes_the_report(self, dist, tmp_path, capsys):
+        out = tmp_path / "constants.json"
+        assert main(["constants", "--dist", dist, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        rep = json.loads(out.read_text())
+        spec = QuadratureSpec(abs_tol=1e-9, max_subdivisions=40000)
+        F = DistSpec.gamma(*(float(v) for v in dist[6:].split(",")),
+                           centered=True)
+        cons = constants_c(F, spec, truncate_c1=False)
+        assert rep["schema"] == cli.REPORT_SCHEMA
+        assert rep["config"] == {"command": "constants", "dist": dist,
+                                 "tol": 1e-9}
+        assert (rep["c2"], rep["c3"]) == (cons.c2, cons.c3)
+        assert rep["quadrature_report"] == cons.quadrature_report
+        assert rep["lemma_b_residual"] == lemma_b_residual(F, spec)
+        assert f"singularity margin    = {rep['singularity_margin']:.3e}" \
+            in printed
+        if dist == "gamma:1,1":
+            assert rep["c1"] is None and rep["c1_diverges"] is True
+        else:
+            assert rep["c1"] == cons.c1 == 1.4502413205166842
+            assert "c1_diverges" not in rep
+        assert printed.endswith(f"report written to {out}\n")
 
     @pytest.mark.parametrize("dist,c2", [("gamma:1,1", "0.9031972856"),
                                          ("gamma:0.5,1", "0.5886198032")])

@@ -544,6 +544,38 @@ class TestStackedBootstrapMatchesLoop:
         got = _assert_matches_loop(d, spec, B, seed)
         assert got.scalar_refits == 0
 
+    def test_copies_of_a_row_tie_in_a_cancelling_first_stage(self):
+        # x and w = x + 6.7e-5 noise: the first stage cancels (delta near
+        # +-2.5e3), and residuals formed as b - V @ coef round copies of
+        # one row apart by more than the tie tolerance, so fit_npcf ranked
+        # them apart while the engine tied them (2.3e-2 apart on resample
+        # 11)
+        SEED = 783041386
+        rng = np.random.default_rng(SEED)
+        n = int(rng.integers(30, 120))
+        rng.choice(["a", "b", "c", "d", "e"])
+        x, e = rng.gamma(1.0, 1.0, n), rng.gamma(1.0, 1.0, n)
+        eps = 10 ** rng.uniform(-12, -3)
+        w = x + eps * rng.standard_normal(n)
+        z = x + e
+        y = 1.0 - x + z + 0.5 * (e - 1.0) + rng.standard_normal(n)
+        d = Dataset({"y": y, "x": x, "w": w, "z": z})
+        spec = ModelSpec("y", ("x", "w"), ("z",))
+        seed = RngStream(SEED)
+        boot = pairs_bootstrap(d, spec, "npcf", B=20, seed=seed)
+        assert (boot.scalar_refits, boot.n_failed) == (0, 0)
+        rows = _resample_rows(seed.child(_BOOT_KEY, 11).words()[0], n)
+        fit = fit_npcf(d.take(rows), spec)
+        _, copy_of, counts = np.unique(rows, return_inverse=True,
+                                       return_counts=True)
+        assert np.sum(counts > 1) > 0
+        for r in np.flatnonzero(counts > 1):
+            copies = copy_of == r
+            for col in (fit.first_stage.e_hat, fit.first_stage.eta_hat):
+                assert np.unique(col[copies, 0]).size == 1
+        assert np.all(np.abs(boot.draws[11] - fit.theta)
+                      <= 1e-10 * np.abs(fit.theta))
+
     def test_near_collinear_design_fails_as_the_loop(self):
         # a column equal to another plus 1e-11 noise: every resample's
         # design is flagged, refitted, and fails as the scalar fit does

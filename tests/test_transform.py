@@ -259,6 +259,19 @@ class TestFirstStage:
                 _brute_force_average_ranks(r), n))
             assert np.array_equal(fs.eta_hat[:, j], normal_scores(r))
 
+    @staticmethod
+    def _elementwise_residuals(X, Z, coef):
+        """z - c_0 - c_1 x_1 - ..., one row at a time, left to right."""
+        V = X.values
+        resid = np.empty(Z.shape)
+        for j in range(Z.shape[1]):
+            for r in range(V.shape[0]):
+                e = Z[r, j] - coef[0, j]
+                for i in range(1, V.shape[1]):
+                    e -= coef[i, j] * V[r, i]
+                resid[r, j] = e
+        return resid
+
     def _per_column(self, X, Z):
         """The first stage's least squares one endogenous column at a time."""
         fits = [_lstsq(X.values, np.ascontiguousarray(z), X.column_names)
@@ -276,7 +289,8 @@ class TestFirstStage:
             Z = np.array(X.values.sum(axis=1, keepdims=True)
                          + rng.standard_normal((n, 1)), order=order)
             fs = first_stage(X, Z)
-            coef, resid = self._per_column(X, Z)
+            coef, _ = self._per_column(X, Z)
+            resid = self._elementwise_residuals(X, Z, coef)
             assert fs.delta_hat.tobytes() == coef.tobytes()
             assert fs.e_hat.tobytes() == resid.tobytes()
             assert fs.eta_hat.tobytes() == _rank_scores(
