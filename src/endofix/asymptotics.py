@@ -14,21 +14,20 @@ is truncated at |t| <= 8.5 (normal mass beyond is < 1e-17).  The double
 integral is reduced exactly to a single cumulative integral over the
 triangle below the diagonal.
 
-Every integrand is a function of g(t) = F^-1(Phi(t)).  c1 is a QUADPACK
-integral, which passes one scalar abscissa at a time (a scalar g skips
-numpy's masked array path): near t = -8.5 its integrand f(g(t)) is steep
-for gamma shapes at or below 1, where adaptive subdivision needs far
-fewer points than a uniform grid.  c2, c3 and the lemma-B integral are
-read off one doubling composite-Simpson grid of g, with one Richardson
-step per doubling (:func:`_grid_integrals`); each doubled grid holds the
-previous one at its even points, bit for bit, so only its odd points are
+Every integrand is a function of q(t) = F_raw^-1(Phi(t)), the quantile
+of the uncentered distribution: c1's is the density f(q), which does not
+depend on location, and those of c2, c3 and the lemma-B integral are
+functions of the centered quantile g = q - shift.  All four are read off
+one doubling composite-Simpson grid of q, with one Richardson step per
+doubling (:func:`_grid_integrals`); each doubled grid holds the previous
+one at its even points, bit for bit, so only its odd points are
 evaluated; every distribution the tests record stops at 1024 panels,
-2049 evaluations of g.
+2049 evaluations of q.
 
 c1 is infinite for a gamma error of shape <= 1 (:func:`_c1_diverges`).
 :func:`constants_c` then gives c1's truncated integral by default, the
-value the plug-in covariance uses, or inf on request without
-integrating it, as the ``constants`` command asks.
+value the plug-in covariance uses, or inf on request, as the
+``constants`` command asks; that inf does not hold up the grid.
 
 These formulas assume a mean-zero first-stage error; distributions are
 centered automatically where that matters.  If the error distribution is
@@ -45,7 +44,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DomainError, IdentificationError, QuadratureError
-from .numerics import DistSpec, QuadratureSpec, integrate_1d, std_normal_pdf
+from .numerics import DistSpec, QuadratureSpec, std_normal_pdf
 
 __all__ = ["AsymptoticConstants", "MomentSet", "SigmaAsymptotic",
            "constants_c", "lemma_b_residual", "sigma_asymptotic"]
@@ -55,11 +54,8 @@ T_TRUNC = 8.5
 
 
 def _quantile_of_normal(F: DistSpec, t):
-    """g(t) = F^-1(Phi(t)), evaluated tail-accurately on both sides."""
-    if np.ndim(t) == 0:
-        # quad's abscissae are scalars: no masks of 0-d arrays for them
-        return F.quantile(ndtr(t)) if t <= 0.0 else F.isf(ndtr(-t))
-    t = np.asarray(t, dtype=np.float64)
+    """F^-1(Phi(t)) at the array ``t``, evaluated tail-accurately on
+    both sides."""
     out = np.empty_like(t)
     neg = t <= 0.0
     if np.any(neg):
@@ -102,20 +98,27 @@ _A1_BOTTOM = float(_a1(-T_TRUNC, ndtr(-T_TRUNC), std_normal_pdf(T_TRUNC)))
 
 def _grid_rows(F: DistSpec, t: np.ndarray) -> np.ndarray:
     """The grid's integrands at the points ``t``: rows g Phi and
-    g (1 - Phi) of c3, g t phi of c2 and g I of lemma B.
+    g (1 - Phi) of c3, g t phi of c2, g I of lemma B and f(q) of c1.
 
-    I(s) is lemma B's inner v-integral in closed form,
+    q is the uncentered quantile, evaluated once per point; g = q - shift
+    is what ``F.quantile``/``F.isf`` give, bit for bit, and c1's density
+    is taken at q, so no lower-tail digits are lost by centering and
+    shifting back.  I(s) is lemma B's inner v-integral in closed form,
     (1-Phi(s)) A1(s) + Phi(s) A2(s) with A2(s) = int_s^T t (1-Phi(t)) dt
     = A1(-T) - A1(-s) by symmetry.  Written so, A2 has no cancellation
     between terms of size T^2 / 2, which would cost lemma B two digits.
     """
+    raw = DistSpec(F.family, F.params)
+    q = _quantile_of_normal(raw, t)
+    g = q - F._shift
     Phi, Phi_c, pdf = ndtr(t), ndtr(-t), std_normal_pdf(t)
     inner = Phi_c * _a1(t, Phi, pdf) + Phi * (_A1_BOTTOM - _a1(-t, Phi_c, pdf))
-    return _quantile_of_normal(F, t) * np.stack([Phi, Phi_c, t * pdf, inner])
+    return np.stack([g * Phi, g * Phi_c, g * (t * pdf), g * inner,
+                     raw.pdf(q)])
 
 
 def _simpson(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(c2, c3, lemma-B integral) by composite Simpson with M panels.
+    """(c2, c3, lemma-B integral, c1) by composite Simpson with M panels.
 
     ``t`` is np.linspace(-T, T, 2M + 1), whose even points are the panel
     edges and odd points the midpoints, and ``rows`` is
@@ -129,7 +132,8 @@ def _simpson(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
     v = 2.0 * rows[1, 0::2] * C1
     c3 = h / 3.0 * (v[0] + v[-1] + 4.0 * np.sum(v[1:-1:2])
                     + 2.0 * np.sum(v[2:-1:2]))
-    return np.array([np.sum(panels[2]), c3, np.sum(panels[3])])
+    return np.array([np.sum(panels[2]), c3, np.sum(panels[3]),
+                     np.sum(panels[4])])
 
 
 # the grid's last doubling, far past the 1024 panels at which the
@@ -137,16 +141,21 @@ def _simpson(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
 _MAX_PANELS = 32768
 
 
-def _grid_integrals(F: DistSpec, spec: QuadratureSpec):
-    """c2, c3 and the lemma-B integral from one doubling Simpson grid.
+# a c1 that is not wanted may overflow (gamma shapes near 0), and a
+# value that is wanted passes the stop rule only if it is finite
+@np.errstate(over="ignore", invalid="ignore")
+def _grid_integrals(F: DistSpec, spec: QuadratureSpec, with_c1: bool):
+    """c2, c3, the lemma-B integral and c1 from one doubling Simpson grid.
 
     Starting at 256 panels, every doubling takes one Richardson step,
     R_M = S_M + (S_M - S_{M/2}) / 15, which cancels Simpson's h^4 error
-    term, and the doubling stops once all three R changed by at most
-    ``spec.abs_tol`` (or 1e-12) times max(1, |R|) since the previous one.
-    c3 scales with the error's variance, so a relative change stops the
-    doubling alike in any units.  Returns (R, last change, panels), R and
-    the change as arrays (c2, c3, lemma B).
+    term, and the doubling stops once the R wanted changed by at most
+    ``spec.abs_tol`` (or 1e-12) times max(1, |R|) since the previous one:
+    c2, c3 and lemma B always, c1 only ``with_c1``, so a c1 that is not
+    wanted neither stops the doubling nor holds it up.  c3 scales with
+    the error's variance, so a relative change stops the doubling alike
+    in any units.  Returns (R, last change, panels), R and the change as
+    arrays (c2, c3, lemma B, c1).
 
     Each doubled grid holds the previous one at its even points, bit for
     bit (with T_TRUNC = 8.5 and power-of-two panel counts every grid
@@ -159,6 +168,7 @@ def _grid_integrals(F: DistSpec, spec: QuadratureSpec):
     S = _simpson(t, rows)
     R = None
     rtol = max(spec.abs_tol, 1e-12)
+    wanted = slice(None) if with_c1 else slice(3)
     while M < _MAX_PANELS:
         M *= 2
         t = np.linspace(-T_TRUNC, T_TRUNC, 2 * M + 1)
@@ -170,11 +180,13 @@ def _grid_integrals(F: DistSpec, spec: QuadratureSpec):
         R, R_half = S + (S - S_half) / 15.0, R
         if R_half is not None:
             change = np.abs(R - R_half)
-            if np.all(change <= rtol * np.maximum(1.0, np.abs(R))):
+            if np.all(change[wanted]
+                      <= rtol * np.maximum(1.0, np.abs(R[wanted]))):
                 return R, change, M
     raise QuadratureError(
-        f"c2, c3 and lemma-B grid did not stabilize at {M} panels (last "
-        f"doubling changed them by {', '.join(f'{d:.2e}' for d in change)})")
+        f"the constants' grid did not stabilize at {M} panels (last "
+        "doubling changed c2, c3, lemma B and c1 by "
+        f"{', '.join(f'{d:.2e}' for d in change)})")
 
 
 def constants_c(F: DistSpec, spec: QuadratureSpec = QuadratureSpec(), *,
@@ -185,36 +197,31 @@ def constants_c(F: DistSpec, spec: QuadratureSpec = QuadratureSpec(), *,
     does, and the covariance formulas require a centered error, so pass a
     centered spec (``DistSpec.centered_version()``) when that matters.
 
-    c1 is a QUADPACK integral to ``spec.abs_tol``; c2, c3 and the lemma-B
-    integral come from :func:`_grid_integrals`, and the report's
-    ``c2_err`` and ``c3_doubling_delta`` are their grid's last change and
-    ``c3_panels`` its final panel count.  Where c1 diverges (a gamma
-    error of shape <= 1), the default ``truncate_c1=True`` gives its
-    integral over |t| <= T_TRUNC, a finite artefact of the truncation
-    that the plug-in covariance uses; ``truncate_c1=False`` gives c1 =
-    inf without integrating it, and the report has no ``c1_err``.
+    All four integrals come from :func:`_grid_integrals`, to the relative
+    tolerance ``spec.abs_tol``; the report's ``c1_err``, ``c2_err`` and
+    ``c3_doubling_delta`` are their grid's last change and ``c3_panels``
+    its final panel count.  Where c1 diverges (a gamma error of shape
+    <= 1), the default ``truncate_c1=True`` gives its integral over
+    |t| <= T_TRUNC, a finite artefact of the truncation that the plug-in
+    covariance uses (b * T_TRUNC for gamma(1, b)); ``truncate_c1=False``
+    gives c1 = inf, and the report has no ``c1_err``.
 
     Raises QuadratureError if c2, positive for every F, is not: rounding
     has then erased the centered quantiles.
     """
-    report = {}
-    if truncate_c1 or not _c1_diverges(F):
-        c1, e1 = integrate_1d(lambda t: F.pdf(_quantile_of_normal(F, t)),
-                              -T_TRUNC, T_TRUNC, spec)
-        report["c1_err"] = float(e1)
-    else:
-        c1 = math.inf
-    (c2, c3, lemma_b), change, M = _grid_integrals(F, spec)
+    with_c1 = truncate_c1 or not _c1_diverges(F)
+    (c2, c3, lemma_b, c1), change, M = _grid_integrals(F, spec, with_c1)
     if not c2 > 0.0:
         # g is increasing, so c2 = Cov(g(T), T) > 0 for T standard normal
         raise QuadratureError(
             f"c2 = {c2:.3e} is not positive: the centered quantiles of the "
             "distribution have no significant digits left at its scale")
+    report = {"c1_err": float(change[3])} if with_c1 else {}
     report.update({"c2_err": float(change[0]),
                    "c3_doubling_delta": float(change[1]),
                    "c3_panels": M, "t_truncation": T_TRUNC})
-    return AsymptoticConstants(c1=float(c1), c2=float(c2),
-                               c3=float(max(c3, 0.0)),
+    return AsymptoticConstants(c1=float(c1) if with_c1 else math.inf,
+                               c2=float(c2), c3=float(max(c3, 0.0)),
                                lemma_b_lhs=float(lemma_b),
                                quadrature_report=report)
 
@@ -233,7 +240,7 @@ def lemma_b_residual(F: DistSpec, spec: QuadratureSpec = QuadratureSpec()) -> fl
     Requires int (F^-1)^2 du < infinity, which every supported family with
     a finite variance satisfies.
     """
-    (c2, _, lemma_b), _, _ = _grid_integrals(F, spec)
+    (c2, _, lemma_b, _), _, _ = _grid_integrals(F, spec, False)
     return float(abs(lemma_b - 0.5 * c2))
 
 

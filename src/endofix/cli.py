@@ -438,7 +438,7 @@ def cmd_constants(args) -> int:
         F = DistSpec.gamma(a, b, centered=True)
     else:
         raise DataError(f"unknown distribution {args.dist!r}")
-    spec = QuadratureSpec(abs_tol=args.tol, max_subdivisions=40000)
+    spec = QuadratureSpec(abs_tol=args.tol)
     cons = constants_c(F, spec, truncate_c1=False)
     # lemma_b_residual(F, spec), from the grid that gave c2
     resid = abs(cons.lemma_b_lhs - 0.5 * cons.c2)
@@ -530,9 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--dist", required=True,
                    help="normal | gamma:SHAPE,RATE (centered)")
     c.add_argument("--tol", type=float, default=1e-9,
-                   help="c1's absolute tolerance, and the relative one of "
-                        "the grid that gives c2, c3 and the lemma-B "
-                        "integral")
+                   help="relative tolerance of the grid that gives c1, c2, "
+                        "c3 and the lemma-B integral")
     c.add_argument("--out", default=None, help="write the JSON report here")
     c.set_defaults(func=cmd_constants)
     return p

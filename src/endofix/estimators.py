@@ -17,7 +17,8 @@ from .data import Dataset
 from .errors import (DataError, DomainError, IdentificationError,
                      RankDeficiencyError)
 from .regress import DesignMatrix, OlsFit, _lstsq, ols_fit
-from .transform import FirstStage, first_stage, normal_scores
+from .transform import (CONSTANT_RESIDUAL_RTOL, FirstStage, first_stage,
+                        normal_scores)
 
 __all__ = ["ModelSpec", "ThetaEstimate", "fit_ols", "fit_npcf",
            "fit_iv_internal", "fit_two_scope", "ESTIMATORS", "INTERCEPT"]
@@ -105,15 +106,6 @@ def _design(data: Dataset, spec: ModelSpec, extra: int = 0) -> np.ndarray:
     for j, c in enumerate(cols, 1):
         W[:, j] = data.column(c)
     return W
-
-
-def build_design(data: Dataset, spec: ModelSpec):
-    """Return (X exogenous design, Z endogenous block, y), all finite; X
-    and Z are views of one :func:`_design` array."""
-    W = _design(data, spec)
-    X = DesignMatrix(W[:, :spec.k], (INTERCEPT, *spec.exogenous),
-                     has_intercept=True)
-    return X, W[:, spec.k:], data.column(spec.outcome)
 
 
 def _names(spec: ModelSpec, with_rho: bool) -> tuple[str, ...]:
@@ -234,6 +226,18 @@ def fit_two_scope(data: Dataset, spec: ModelSpec) -> ThetaEstimate:
             "transform, so exogenous columns that order the rows alike "
             "(x and x^2 with x >= 0, say) get the same scores",
             column=exc.column) from exc
+    # a scored endogenous column in the span of the scored exogenous
+    # block (the two order the rows alike) leaves a correction of
+    # rounding noise, whose coefficient can take any size: the check
+    # that first_stage makes of its residuals
+    centred = np.linalg.norm(SZ - SZ.mean(axis=0), axis=0)
+    flat = np.linalg.norm(corr, axis=0) <= CONSTANT_RESIDUAL_RTOL * centred
+    if np.any(flat):
+        raise IdentificationError(
+            f"the scores of endogenous column "
+            f"{spec.endogenous[np.argmax(flat)]!r} are (numerically) a "
+            "linear function of the scored exogenous block, so the "
+            "scores-on-scores correction is rounding noise")
     W[:, k + m:] = corr
     fit = _augmented_fit(W, data.column(spec.outcome), spec)
     return ThetaEstimate(fit.coefficients, fit.column_names, "two_scope",

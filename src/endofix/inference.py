@@ -574,9 +574,20 @@ class _CountDesign:
         ok &= _well_conditioned(RA[..., :k, :k], RAinv)
         gamma = RAinv @ RA[..., :k, k:]
         # in place: A is this call's own
-        return _residuals([A[..., j, :] for j in range(k - 1, k + m - 1)],
+        corr = _residuals([A[..., j, :] for j in range(k - 1, k + m - 1)],
                           [A[..., i, :] for i in range(k - 1)], gamma,
-                          out=A[..., k - 1:, :]), ok
+                          out=A[..., k - 1:, :])
+        # flag a problem near fit_two_scope's rejection of a correction
+        # that is rounding noise.  The centred norms of the scored
+        # endogenous columns are read off RA, whose first row is the
+        # intercept's; the norm after partialling is taken of the
+        # residuals themselves, as RA resolves it only to about
+        # sqrt(eps) of the centred norm
+        after = np.sqrt(np.einsum("...n,...jn,...jn->...j", C, corr, corr))
+        centred = np.sqrt(np.sum(RA[..., 1:, k:] ** 2, axis=-2))
+        ok &= np.all(after > _FLAG_MARGIN * CONSTANT_RESIDUAL_RTOL * centred,
+                     axis=-1)
+        return corr, ok
 
 
 def _boot_words(seeds, B: int) -> np.ndarray:

@@ -1,11 +1,11 @@
-"""Distribution specifications, quadrature, and seeded random sampling.
+"""Distribution specifications, the quadrature tolerance, and seeded
+random sampling.
 
 The special functions are scipy's (:mod:`scipy.special`: ``ndtri``,
-``gammaincinv``, ``gammainccinv``); this module
-adds the parameter and domain checks around them, one quadrature entry
-point, and reproducible random streams.  Everything here is deterministic
-given its inputs; random draws are reproducible from an
-:class:`RngStream` value, which can be split into statistically
+``gammaincinv``, ``gammainccinv``); this module adds the parameter and
+domain checks around them and reproducible random streams.  Everything
+here is deterministic given its inputs; random draws are reproducible
+from an :class:`RngStream` value, which can be split into statistically
 independent child streams.
 """
 from __future__ import annotations
@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainccinv, gammaincinv, ndtri
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 
-__all__ = ["std_normal_pdf", "QuadratureSpec", "integrate_1d", "RngStream",
-           "DistSpec", "sample"]
+__all__ = ["std_normal_pdf", "QuadratureSpec", "RngStream", "DistSpec",
+           "sample"]
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -38,16 +38,10 @@ def _check_gamma_params(shape: float, rate: float) -> None:
 
 
 def _check_prob(u, what: str):
-    """``u`` as float64 (a float for a scalar); raises DomainError unless
-    0 < u < 1 everywhere, and lets NaN through."""
-    if np.ndim(u) == 0:
-        # a scalar skips the array machinery (quadrature calls one at a time)
-        u = float(u)
-        bad = u <= 0.0 or u >= 1.0
-    else:
-        u = np.asarray(u, dtype=np.float64)
-        bad = np.any(u <= 0.0) or np.any(u >= 1.0)
-    if bad:
+    """``u`` as a float64 array; raises DomainError unless 0 < u < 1
+    everywhere, and lets NaN through."""
+    u = np.asarray(u, dtype=np.float64)
+    if np.any(u <= 0.0) or np.any(u >= 1.0):
         raise DomainError(f"{what} requires 0 < u < 1")
     return u
 
@@ -58,50 +52,19 @@ def _check_prob(u, what: str):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Absolute tolerance and subinterval cap for :func:`integrate_1d`.
+    """The tolerance of :func:`~endofix.asymptotics.constants_c`'s grid.
 
-    In :func:`~endofix.asymptotics.constants_c` only c1 is a QUADPACK
-    integral, so ``max_subdivisions`` bounds c1 alone; the Simpson grid
-    of c2, c3 and the lemma-B integral takes ``abs_tol`` as its relative
-    tolerance.
+    ``abs_tol`` is one relative tolerance for all four integrals (c1,
+    where it is integrated, c2, c3 and lemma B's left side): the grid
+    doubles until each changed by at most max(abs_tol, 1e-12) times
+    max(1, |value|).
     """
 
     abs_tol: float = 1e-10
-    max_subdivisions: int = 4000
 
     def __post_init__(self):
         if not self.abs_tol > 0.0:
             raise DomainError("abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-
-
-def integrate_1d(f, lower: float, upper: float,
-                 spec: QuadratureSpec = QuadratureSpec()):
-    """Adaptive Gauss-Kronrod integral of ``f`` over [lower, upper].
-
-    QUADPACK through :func:`scipy.integrate.quad`; either bound may be
-    infinite, and ``f`` is called with scalar abscissae.  Returns
-    ``(value, error_estimate)``.
-
-    Raises
-    ------
-    QuadratureError
-        If ``spec.max_subdivisions`` subintervals do not reach
-        ``spec.abs_tol`` (or QUADPACK reports another failure), or the
-        value is not finite.
-    """
-    from scipy.integrate import quad  # fit and simulate never integrate
-    lower, upper = float(lower), float(upper)
-    if not upper > lower:
-        raise DomainError("integration requires upper > lower")
-    value, err, _, *failure = quad(f, lower, upper, epsabs=spec.abs_tol,
-                                   epsrel=0.0, limit=spec.max_subdivisions,
-                                   full_output=1)
-    if failure or not math.isfinite(value):
-        reason = failure[0] if failure else f"non-finite value {value}"
-        raise QuadratureError("quadrature failed: " + " ".join(reason.split()))
-    return value, err
 
 
 # ---------------------------------------------------------------------------

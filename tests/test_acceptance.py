@@ -22,7 +22,7 @@ from endofix.numerics import sample
 from endofix.simulation import MODEL_SPEC, gen_dgp1, generate
 from endofix.transform import normal_scores
 
-QSPEC = QuadratureSpec(abs_tol=1e-9, max_subdivisions=40000)
+QSPEC = QuadratureSpec(abs_tol=1e-9)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> bool:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammainc, ndtri
+from scipy.special import gammainc, ndtr, ndtri
 
 from endofix import asymptotics
 from endofix.asymptotics import (MomentSet, _grid_rows, _quantile_of_normal,
@@ -12,7 +12,7 @@ from endofix.cli import main
 from endofix.errors import IdentificationError
 from endofix.numerics import DistSpec, QuadratureSpec, RngStream
 
-SPEC = QuadratureSpec(abs_tol=1e-9, max_subdivisions=40000)
+SPEC = QuadratureSpec(abs_tol=1e-9)
 
 NORMAL = DistSpec.normal(0.0, 1.0)
 CEXP = DistSpec.gamma(1.0, 1.0, centered=True)
@@ -130,9 +130,9 @@ class TestSigmaAsymptotic:
         # raw constants themselves reproduce within 10x the tolerance
         m = self._moments(CG32)
         loose = sigma_asymptotic(CG32, [1.0], 0.9, m,
-                                 QuadratureSpec(1e-7, 40000))
+                                 QuadratureSpec(1e-7))
         tight = sigma_asymptotic(CG32, [1.0], 0.9, m,
-                                 QuadratureSpec(1e-9, 40000))
+                                 QuadratureSpec(1e-9))
         margin = tight.schur_margin
         assert np.abs(loose.Sigma - tight.Sigma).max() <= 10 * 1e-7 / margin ** 2
         for field in ("c1", "c2", "c3"):
@@ -168,55 +168,34 @@ def _dist(text: str) -> DistSpec:
     return DistSpec.gamma(a, b, centered=True)
 
 
-class TestScalarQuantileOfNormal:
-    """g = F^-1 o Phi at one scalar abscissa (c1's quad calls) equals the
-    array evaluation (the grid's) bit for bit."""
-
-    @pytest.mark.parametrize("dist", ["normal", "gamma:3,2", "gamma:1,1",
-                                      "gamma:10,1"])
-    def test_scalar_equals_array(self, dist):
-        F = _dist(dist)
-        t = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 8.5, -8.5],
-                            np.linspace(-8.5, 8.5, 341),
-                            np.random.default_rng(3).uniform(-8.5, 8.5, 200)])
-        ref = _quantile_of_normal(F, t)
-        for ti, want in zip(t, ref):
-            for scalar in (float(ti), np.float64(ti), np.array(ti)):
-                got = _quantile_of_normal(F, scalar)
-                assert np.ndim(got) == 0
-                assert got == want, (dist, ti)
-
-
 # c1, c2, c3, lemma_b_residual and the upper triangle of sigma_asymptotic's
-# Sigma (delta 1, rho 0.9, unit Sigma_x, unit-variance Gaussian eps).  c1
-# was recorded from QUADPACK with g evaluated once per integrand call; c2,
-# c3, the residual and Sigma were re-recorded when c2, c3 and lemma B
-# came to be read off one Richardson-extrapolated Simpson grid, which
-# stops at 1024 panels on each of these
+# Sigma (delta 1, rho 0.9, unit Sigma_x, unit-variance Gaussian eps), all
+# read off one Richardson-extrapolated Simpson grid, which stops at 1024
+# panels on each of these
 _RECORDED = [
-    ("normal", 1e-09, (0.9999999999999999, 0.9999999999999987,
+    ("normal", 1e-09, (1.0, 0.9999999999999987,
                        0.4999999999999987, 3.3306690738754696e-16),
      None),
     ("gamma:3,2", 1e-09, (1.4502413205166842, 0.8352387208487844,
                           0.36623074039784304, 6.106226635438361e-16),
      (26.513536545072476, -24.235842613274087, 20.242714183003507,
       24.235842613274087, -20.242714183003507, 18.312498700719395)),
-    ("gamma:1,1", 1e-09, (8.292361075897324, 0.9031972855686221,
+    ("gamma:1,1", 1e-09, (8.5, 0.9031972855686221,
                           0.4687149275170433, 9.992007221626409e-16),
-     (63.5777924968835, -6.879558204307301, 6.213598296041699,
+     (66.40205820430732, -6.879558204307301, 6.213598296041699,
       6.879558204307291, -6.21359829604169, 7.017105114598671)),
-    ("gamma:10,1", 1e-09, (0.3353565111634711, 3.127537824541391,
+    ("gamma:10,1", 1e-09, (0.33535651116347126, 3.127537824541391,
                            4.96354064741276, 1.7763568394002505e-15),
-     (7.722421008953394, -5.811462693357538, 18.175569389386887,
+     (7.722421008953395, -5.811462693357538, 18.175569389386887,
       5.811462693357538, -18.175569389386887, 58.249780747884145)),
-    ("gamma:1.5,3", 1e-07, (4.567894618557189, 0.3805629459079768,
+    ("gamma:1.5,3", 1e-07, (4.5678946185492375, 0.3805629459079768,
                             0.07965321616346477, 3.608224830031759e-16),
-     (61.90245621586464, -58.08559194762174, 22.10522398639558,
+     (61.90245621585483, -58.08559194762174, 22.10522398639558,
       58.08559194762174, -22.10522398639558, 9.81742916021837)),
-    ("gamma:2,0.5", 1e-11, (0.5230886884413933, 2.681054789511717,
+    ("gamma:2,0.5", 1e-11, (0.5230886884413934, 2.681054789511717,
                             3.863643894728168, 2.4424906541753444e-15),
-     (4.3359461905108985, -1.562877082190714, 4.190159086625512,
-      1.562877082190714, -4.190159086625512, 12.639046088013373)),
+     (4.335946190510898, -1.5628770821907119, 4.190159086625506,
+      1.5628770821907119, -4.190159086625506, 12.639046088013359)),
 ]
 
 
@@ -224,7 +203,7 @@ _RECORDED = [
                          ids=[r[0] for r in _RECORDED])
 def test_constants_equal_recorded_values(dist, tol, constants, sigma):
     F = _dist(dist)
-    spec = QuadratureSpec(abs_tol=tol, max_subdivisions=40000)
+    spec = QuadratureSpec(abs_tol=tol)
     c = constants_c(F, spec)
     assert (c.c1, c.c2, c.c3, lemma_b_residual(F, spec)) == constants
     if sigma is not None:
@@ -236,31 +215,19 @@ def test_constants_equal_recorded_values(dist, tol, constants, sigma):
 
 def test_constants_command_evaluates_g_once_per_abscissa(monkeypatch,
                                                          capsys):
-    # c1's QUADPACK integrand evaluates g once per abscissa; the grid of
-    # c2, c3 and lemma B evaluates 513 points at 256 panels and then only
-    # the new (odd) points of each doubling, 512 and 1024
-    scalars, grid_points, integrand_points = [], [], []
-    quantile, integrate = _quantile_of_normal, asymptotics.integrate_1d
+    # one grid gives all four integrals: 513 points at 256 panels, then
+    # only the new (odd) points of each doubling, 512 and 1024
+    grid_points = []
+    quantile = _quantile_of_normal
 
     def counted_quantile(F, t):
-        if np.ndim(t) == 0:
-            scalars.append(float(t))
-        else:
-            grid_points.append(np.size(t))
+        grid_points.append(np.shape(t))
         return quantile(F, t)
 
-    def counted_integrate(f, *args):
-        def counted_f(t):
-            integrand_points.append(t)
-            return f(t)
-        return integrate(counted_f, *args)
-
     monkeypatch.setattr(asymptotics, "_quantile_of_normal", counted_quantile)
-    monkeypatch.setattr(asymptotics, "integrate_1d", counted_integrate)
     assert main(["constants", "--dist", "gamma:3,2"]) == 0
     assert "c3_panels': 1024" in capsys.readouterr().out
-    assert scalars == integrand_points
-    assert grid_points == [513, 512, 1024]
+    assert grid_points == [(513,), (512,), (1024,)]
 
 
 class TestExtrapolatedGrid:
@@ -282,6 +249,48 @@ class TestExtrapolatedGrid:
             t = np.linspace(-8.5, 8.5, 2 * M + 1)
             fine.append(_simpson(t, _grid_rows(F, t))[1])
         ref = fine[1] + (fine[1] - fine[0]) / 15.0
-        c = constants_c(F, QuadratureSpec(abs_tol=tol, max_subdivisions=40000))
+        c = constants_c(F, QuadratureSpec(abs_tol=tol))
         assert c.quadrature_report["c3_panels"] == 1024
         assert abs(c.c3 - ref) <= 1e-14 * ref
+
+
+def _c1_oracle(F: DistSpec) -> float:
+    """c1 by QUADPACK, with the density taken at the uncentered quantile."""
+    from scipy.integrate import quad
+    raw = DistSpec(F.family, F.params)
+
+    def integrand(t):
+        q = raw.quantile(ndtr(t)) if t <= 0.0 else raw.isf(ndtr(-t))
+        return float(raw.pdf(q))
+    return quad(integrand, -8.5, 8.5, epsabs=1e-13, epsrel=0.0,
+                limit=1000)[0]
+
+
+class TestC1:
+    @pytest.mark.parametrize("rate", [1.0, 2.0])
+    def test_truncated_exponential_is_exact(self, rate):
+        # f(F^-1(Phi(t))) = b (1 - Phi(t)) for gamma(1, b), whose integral
+        # over |t| <= 8.5 is b * 8.5 by the symmetry of Phi
+        c = constants_c(DistSpec.gamma(1.0, rate, centered=True), SPEC)
+        assert abs(c.c1 - 8.5 * rate) <= 1e-14 * 8.5 * rate
+
+    @pytest.mark.parametrize("dist", ["normal", "gamma:1.01,1", "gamma:1.05,1",
+                                      "gamma:1.2,1", "gamma:1.3,1",
+                                      "gamma:1.5,1", "gamma:2,1", "gamma:3,1",
+                                      "gamma:10,1"])
+    def test_matches_quadpack(self, dist):
+        F = _dist(dist)
+        want = _c1_oracle(F)
+        assert abs(constants_c(F, SPEC).c1 - want) <= 1e-14 * want
+
+    def test_shape_just_above_one(self, capsys):
+        assert main(["constants", "--dist", "gamma:1.1,1"]) == 0
+        assert capsys.readouterr().out.startswith("c1 = 3.64126")
+
+    def test_divergent_c1_neither_holds_up_the_grid_nor_warns(self):
+        # near shape 0 the density overflows at the grid's lower end; an
+        # infinite c1 takes no part in the stop rule
+        c = constants_c(DistSpec.gamma(0.02, 1.0, centered=True), SPEC,
+                        truncate_c1=False)
+        assert c.c1 == math.inf and "c1_err" not in c.quadrature_report
+        assert c.quadrature_report["c3_panels"] == 1024

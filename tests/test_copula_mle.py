@@ -6,7 +6,7 @@ import pytest
 from endofix.copula_mle import gp_fit
 from endofix.data import Dataset
 from endofix.errors import ConstantInputError
-from endofix.estimators import build_design, fit_ols
+from endofix.estimators import _design, fit_ols
 from endofix.numerics import DistSpec, RngStream, sample
 from endofix.simulation import MODEL_SPEC, DgpConfig, generate
 from endofix.transform import normal_scores
@@ -31,9 +31,8 @@ def _loglik_core(u: np.ndarray, eta: np.ndarray, rho: float,
 
 def _rank_loglik(d):
     """(alpha, rho, sigma_u) -> log likelihood on the rank scores of z."""
-    X, Z, y = build_design(d, MODEL_SPEC)
-    D = np.column_stack([X.values, Z])
-    eta = normal_scores(Z[:, 0])
+    D, y = _design(d, MODEL_SPEC), d.column(MODEL_SPEC.outcome)
+    eta = normal_scores(D[:, -1])
     return lambda a, r, s: _loglik_core(y - D @ a, eta, r, s)
 
 
@@ -49,8 +48,7 @@ class TestGpLoglik:
     def test_rho_zero_reduces_to_gaussian_loglik(self):
         d = self._setup()
         alpha = np.array([1.0, -1.0, 1.0])
-        X, Z, y = build_design(d, MODEL_SPEC)
-        u = y - np.column_stack([X.values, Z]) @ alpha
+        u = d.column(MODEL_SPEC.outcome) - _design(d, MODEL_SPEC) @ alpha
         q = u / 1.3
         direct = float(np.sum(-0.5 * q * q - 0.5 * math.log(2 * math.pi)
                               - math.log(1.3)))
@@ -84,10 +82,10 @@ class TestGpFit:
 
     def test_improves_on_ols_start(self, dgp1_small):
         fit = gp_fit(dgp1_small, MODEL_SPEC)
-        X, Z, y = build_design(dgp1_small, MODEL_SPEC)
-        D = np.column_stack([X.values, Z])
+        D = _design(dgp1_small, MODEL_SPEC)
+        y = dgp1_small.column(MODEL_SPEC.outcome)
         ols = fit_ols(dgp1_small, MODEL_SPEC)
-        eta = normal_scores(Z[:, 0])
+        eta = normal_scores(D[:, -1])
         resid = y - D @ ols.theta
         sigma2_hat = float(resid @ resid) / (y.size - D.shape[1])
         ll_start = _loglik_core(resid, eta, 0.0, math.sqrt(sigma2_hat))

@@ -12,7 +12,7 @@ from endofix.data import Dataset
 from endofix.errors import (BootstrapError, ConstantInputError, DataError,
                             DomainError, IdentificationError,
                             NonFiniteError, RankDeficiencyError)
-from endofix.estimators import ESTIMATORS, ModelSpec, build_design, fit_npcf
+from endofix.estimators import ESTIMATORS, ModelSpec, _design, fit_npcf
 from endofix.inference import (_BOOT_KEY, _CHUNK_BYTES, _chunk,
                                _resample_rows,
                                exogeneity_test,
@@ -792,8 +792,7 @@ class TestExogeneityTest:
         res = exogeneity_test(dgp1_small, MODEL_SPEC)
         fit = fit_npcf(dgp1_small, MODEL_SPEC)
         assert exogeneity_test_of_fit(fit) == res
-        X, Z, y = build_design(dgp1_small, MODEL_SPEC)
-        V = np.column_stack([X.values, Z])
+        V, y = _design(dgp1_small, MODEL_SPEC), dgp1_small.column("y")
         eta = fit.first_stage.eta_hat[:, 0]
         eta_t = _lstsq(V, eta, ("const", "x", "z"))[1]
         rho_hat = float(eta_t @ y) / float(eta_t @ eta_t)

@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc, gammaincinv, ndtr
 
-from endofix.errors import DomainError, QuadratureError
+from endofix.errors import DomainError
 from endofix.numerics import (DistSpec, QuadratureSpec, RngStream,
-                              _check_prob, _seed_words, _splitmix64,
-                              integrate_1d, sample, std_normal_pdf,
+                              _check_prob, _seed_words, _splitmix64, sample,
                               words_generator)
-
-SPEC = QuadratureSpec(abs_tol=1e-10, max_subdivisions=8000)
 
 # the quantiles under test are DistSpec's; the CDFs they are checked
 # against are scipy's
@@ -164,48 +161,9 @@ class TestCheckProb:
 
 
 class TestQuadrature:
-    def test_linear(self):
-        v, err = integrate_1d(lambda u: u, 0, 1, SPEC)
-        assert v == pytest.approx(0.5, abs=1e-12)
-        assert 0.0 <= err <= SPEC.abs_tol
-
-    def test_normal_density_normalizes(self):
-        v, _ = integrate_1d(std_normal_pdf, -np.inf, np.inf, SPEC)
-        assert v == pytest.approx(1.0, abs=1e-10)
-
-    def test_half_infinite_ranges(self):
-        # int_0^inf exp(-x) dx = 1 and int_-inf^0 exp(x) dx = 1 by hand
-        assert integrate_1d(lambda x: np.exp(-x), 0, np.inf, SPEC)[0] == \
-            pytest.approx(1.0, abs=1e-10)
-        assert integrate_1d(np.exp, -np.inf, 0, SPEC)[0] == \
-            pytest.approx(1.0, abs=1e-10)
-
-    @pytest.mark.parametrize("coeffs", [(1.0,), (0.0, 2.0), (1.0, -1.0, 3.0),
-                                        (0.5, 0.0, -2.0, 4.0)])
-    def test_polynomials_exact(self, coeffs):
-        f = lambda x: sum(c * x ** i for i, c in enumerate(coeffs))
-        exact = sum(c / (i + 1) for i, c in enumerate(coeffs))
-        v, _ = integrate_1d(f, 0, 1, SPEC)
-        assert v == pytest.approx(exact, abs=SPEC.abs_tol)
-
-    def test_non_convergence_reported(self):
-        hard = lambda x: 1.0 / np.sqrt(np.abs(x - 0.3) + 1e-300)
-        with pytest.raises(QuadratureError):
-            integrate_1d(hard, 0, 1, QuadratureSpec(1e-12, 8))
-
-    def test_non_finite_integrand_reported(self):
-        with pytest.raises(QuadratureError):
-            integrate_1d(lambda x: 1.0 / x, 0, 1, SPEC)
-
-    def test_empty_range_rejected(self):
-        with pytest.raises(DomainError):
-            integrate_1d(lambda x: x, 1, 1, SPEC)
-
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_subdivisions=0)
 
 
 class TestRngStream:
