@@ -14,26 +14,25 @@ is truncated at |t| <= 8.5 (normal mass beyond is < 1e-17).  The double
 integral is reduced exactly to a single cumulative integral over the
 triangle below the diagonal.
 
-Every integrand is a function of q(t) = F_raw^-1(Phi(t)), the quantile
-of the uncentered distribution: c1's is the density f(q), which does not
-depend on location, and those of c2, c3 and the lemma-B integral are
-functions of the centered quantile g = q - shift.  All four are read off
-one doubling composite-Simpson grid of q, with one Richardson step per
-doubling (:func:`_grid_integrals`); each doubled grid holds the previous
-one at its even points, bit for bit, so only its odd points are
-evaluated; every distribution the tests record stops at 1024 panels,
-2049 evaluations of q.
+These formulas assume a mean-zero first-stage error, so the distribution
+is centered here: every integrand is a function of q(t) = F^-1(Phi(t)),
+c1's the density f(q), which does not depend on location, and those of
+c2, c3 and the lemma-B integral the centered quantile g = q - E[F].  All
+four are read off one doubling composite-Simpson grid of q, with one
+Richardson step per doubling, to the fixed relative change GRID_RTOL
+(:func:`_grid_integrals`); each doubled grid holds the previous one at
+its even points, bit for bit, so only its odd points are evaluated;
+every distribution the tests record stops at 1024 panels, 2049
+evaluations of q.
 
 c1 is infinite for a gamma error of shape <= 1 (:func:`_c1_diverges`).
-:func:`constants_c` then gives c1's truncated integral by default, the
-value the plug-in covariance uses, or inf on request, as the
-``constants`` command asks; that inf does not hold up the grid.
+:func:`constants_c` then flags it and gives c1's truncated integral,
+the value the plug-in covariance uses; the ``constants`` command prints
+inf.  A divergent c1 takes no part in the grid's stop rule.
 
-These formulas assume a mean-zero first-stage error; distributions are
-centered automatically where that matters.  If the error distribution is
-Gaussian the scores are a linear function of the error and the moment
-matrix is singular: that case raises ``IdentificationError`` carrying the
-singular-value margin.
+If the error distribution is Gaussian the scores are a linear function
+of the error and the moment matrix is singular: that case raises
+``IdentificationError`` carrying the singular-value margin.
 """
 from __future__ import annotations
 
@@ -43,14 +42,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DomainError, IdentificationError, QuadratureError
-from .numerics import DistSpec, QuadratureSpec, std_normal_pdf
+from .errors import (DomainError, IdentificationError, NonFiniteError,
+                     QuadratureError)
+from .numerics import DistSpec, std_normal_pdf
 
 __all__ = ["AsymptoticConstants", "MomentSet", "SigmaAsymptotic",
-           "constants_c", "lemma_b_residual", "sigma_asymptotic"]
+           "constants_c", "sigma_asymptotic"]
 
 # Truncation of the substituted integrals: normal mass beyond is < 1e-17.
 T_TRUNC = 8.5
+
+# The grid's stop rule: each integral it gives changed by at most
+# GRID_RTOL times max(1, |value|) in its last doubling.
+GRID_RTOL = 1e-9
 
 
 def _quantile_of_normal(F: DistSpec, t):
@@ -74,18 +78,35 @@ def _c1_diverges(F: DistSpec) -> bool:
 
 @dataclass(frozen=True)
 class AsymptoticConstants:
-    """The three scalar functionals, the lemma-B integral computed with
-    them (see :func:`lemma_b_residual`) and the quadrature error report."""
+    """The three scalar functionals, the left side of lemma B computed
+    with them and the quadrature error report.  Where ``c1_diverges``, c1
+    is its integral over |t| <= T_TRUNC, a finite artefact of the
+    truncation (b * T_TRUNC for gamma(1, b))."""
 
     c1: float
     c2: float
     c3: float
     lemma_b_lhs: float
+    c1_diverges: bool
     quadrature_report: dict
 
     def __post_init__(self):
         if self.c3 < 0.0:
             raise DomainError("c3 is a variance and cannot be negative")
+
+    @property
+    def lemma_b_residual(self) -> float:
+        """|LHS - RHS| of the mixed-kernel identity
+
+            int int [F^-1(u)/phi(Phi^-1(u))] [Phi^-1(v)/phi(Phi^-1(v))]
+                    (min(u,v) - uv) du dv  =  (1/2) int F^-1(u) Phi^-1(u) du,
+
+        whose right side is c2 / 2.  After u = Phi(s) the inner v-integral
+        has a closed form (see :func:`_grid_rows`), so the left side is a
+        single integral, taken on c2's grid.  Requires
+        int (F^-1)^2 du < infinity, which every supported family
+        satisfies."""
+        return abs(self.lemma_b_lhs - 0.5 * self.c2)
 
 
 def _a1(t, Phi, pdf):
@@ -100,21 +121,20 @@ def _grid_rows(F: DistSpec, t: np.ndarray) -> np.ndarray:
     """The grid's integrands at the points ``t``: rows g Phi and
     g (1 - Phi) of c3, g t phi of c2, g I of lemma B and f(q) of c1.
 
-    q is the uncentered quantile, evaluated once per point; g = q - shift
-    is what ``F.quantile``/``F.isf`` give, bit for bit, and c1's density
-    is taken at q, so no lower-tail digits are lost by centering and
-    shifting back.  I(s) is lemma B's inner v-integral in closed form,
-    (1-Phi(s)) A1(s) + Phi(s) A2(s) with A2(s) = int_s^T t (1-Phi(t)) dt
-    = A1(-T) - A1(-s) by symmetry.  Written so, A2 has no cancellation
-    between terms of size T^2 / 2, which would cost lemma B two digits.
+    q is the quantile, evaluated once per point; g = q - E[F] is the
+    centered one, and c1's density is taken at q, so no lower-tail digits
+    are lost by centering and shifting back.  I(s) is lemma B's inner
+    v-integral in closed form, (1-Phi(s)) A1(s) + Phi(s) A2(s) with
+    A2(s) = int_s^T t (1-Phi(t)) dt = A1(-T) - A1(-s) by symmetry.
+    Written so, A2 has no cancellation between terms of size T^2 / 2,
+    which would cost lemma B two digits.
     """
-    raw = DistSpec(F.family, F.params)
-    q = _quantile_of_normal(raw, t)
-    g = q - F._shift
+    q = _quantile_of_normal(F, t)
+    g = q - F.mean()
     Phi, Phi_c, pdf = ndtr(t), ndtr(-t), std_normal_pdf(t)
     inner = Phi_c * _a1(t, Phi, pdf) + Phi * (_A1_BOTTOM - _a1(-t, Phi_c, pdf))
     return np.stack([g * Phi, g * Phi_c, g * (t * pdf), g * inner,
-                     raw.pdf(q)])
+                     F.pdf(q)])
 
 
 def _simpson(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -141,18 +161,18 @@ def _simpson(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
 _MAX_PANELS = 32768
 
 
-# a c1 that is not wanted may overflow (gamma shapes near 0), and a
-# value that is wanted passes the stop rule only if it is finite
+# a divergent c1 may overflow (gamma shapes near 0), and a convergent
+# one passes the stop rule only if it is finite
 @np.errstate(over="ignore", invalid="ignore")
-def _grid_integrals(F: DistSpec, spec: QuadratureSpec, with_c1: bool):
+def _grid_integrals(F: DistSpec):
     """c2, c3, the lemma-B integral and c1 from one doubling Simpson grid.
 
     Starting at 256 panels, every doubling takes one Richardson step,
     R_M = S_M + (S_M - S_{M/2}) / 15, which cancels Simpson's h^4 error
-    term, and the doubling stops once the R wanted changed by at most
-    ``spec.abs_tol`` (or 1e-12) times max(1, |R|) since the previous one:
-    c2, c3 and lemma B always, c1 only ``with_c1``, so a c1 that is not
-    wanted neither stops the doubling nor holds it up.  c3 scales with
+    term, and the doubling stops once each R changed by at most
+    GRID_RTOL times max(1, |R|) since the previous one: c2, c3 and
+    lemma B always, c1 only where it converges, so a divergent c1
+    neither stops the doubling nor holds it up.  c3 scales with
     the error's variance, so a relative change stops the doubling alike
     in any units.  Returns (R, last change, panels), R and the change as
     arrays (c2, c3, lemma B, c1).
@@ -167,8 +187,7 @@ def _grid_integrals(F: DistSpec, spec: QuadratureSpec, with_c1: bool):
     rows = _grid_rows(F, t)
     S = _simpson(t, rows)
     R = None
-    rtol = max(spec.abs_tol, 1e-12)
-    wanted = slice(None) if with_c1 else slice(3)
+    wanted = slice(3) if _c1_diverges(F) else slice(None)
     while M < _MAX_PANELS:
         M *= 2
         t = np.linspace(-T_TRUNC, T_TRUNC, 2 * M + 1)
@@ -181,7 +200,7 @@ def _grid_integrals(F: DistSpec, spec: QuadratureSpec, with_c1: bool):
         if R_half is not None:
             change = np.abs(R - R_half)
             if np.all(change[wanted]
-                      <= rtol * np.maximum(1.0, np.abs(R[wanted]))):
+                      <= GRID_RTOL * np.maximum(1.0, np.abs(R[wanted]))):
                 return R, change, M
     raise QuadratureError(
         f"the constants' grid did not stabilize at {M} panels (last "
@@ -189,59 +208,36 @@ def _grid_integrals(F: DistSpec, spec: QuadratureSpec, with_c1: bool):
         f"{', '.join(f'{d:.2e}' for d in change)})")
 
 
-def constants_c(F: DistSpec, spec: QuadratureSpec = QuadratureSpec(), *,
-                truncate_c1: bool = True) -> AsymptoticConstants:
-    """Compute (c1, c2, c3) for a continuous scalar distribution.
+def constants_c(F: DistSpec) -> AsymptoticConstants:
+    """Compute (c1, c2, c3) of the centered continuous scalar distribution
+    ``F``; c2 and c1 do not depend on its location.
 
-    ``c2`` and ``c1`` do not depend on the distribution's location; ``c3``
-    does, and the covariance formulas require a centered error, so pass a
-    centered spec (``DistSpec.centered_version()``) when that matters.
-
-    All four integrals come from :func:`_grid_integrals`, to the relative
-    tolerance ``spec.abs_tol``; the report's ``c1_err``, ``c2_err`` and
-    ``c3_doubling_delta`` are their grid's last change and ``c3_panels``
-    its final panel count.  Where c1 diverges (a gamma error of shape
-    <= 1), the default ``truncate_c1=True`` gives its integral over
-    |t| <= T_TRUNC, a finite artefact of the truncation that the plug-in
-    covariance uses (b * T_TRUNC for gamma(1, b)); ``truncate_c1=False``
-    gives c1 = inf, and the report has no ``c1_err``.
+    All four integrals come from :func:`_grid_integrals`; the report's
+    ``c1_err``, ``c2_err`` and ``c3_doubling_delta`` are their grid's
+    last change and ``c3_panels`` its final panel count.  Where c1
+    diverges (a gamma error of shape <= 1) the result's ``c1_diverges``
+    is set, its c1 is the truncated integral and the report has no
+    ``c1_err``.
 
     Raises QuadratureError if c2, positive for every F, is not: rounding
     has then erased the centered quantiles.
     """
-    with_c1 = truncate_c1 or not _c1_diverges(F)
-    (c2, c3, lemma_b, c1), change, M = _grid_integrals(F, spec, with_c1)
+    (c2, c3, lemma_b, c1), change, M = _grid_integrals(F)
     if not c2 > 0.0:
         # g is increasing, so c2 = Cov(g(T), T) > 0 for T standard normal
         raise QuadratureError(
             f"c2 = {c2:.3e} is not positive: the centered quantiles of the "
             "distribution have no significant digits left at its scale")
-    report = {"c1_err": float(change[3])} if with_c1 else {}
+    diverges = _c1_diverges(F)
+    report = {} if diverges else {"c1_err": float(change[3])}
     report.update({"c2_err": float(change[0]),
                    "c3_doubling_delta": float(change[1]),
                    "c3_panels": M, "t_truncation": T_TRUNC})
-    return AsymptoticConstants(c1=float(c1) if with_c1 else math.inf,
-                               c2=float(c2), c3=float(max(c3, 0.0)),
+    return AsymptoticConstants(c1=float(c1), c2=float(c2),
+                               c3=float(max(c3, 0.0)),
                                lemma_b_lhs=float(lemma_b),
+                               c1_diverges=diverges,
                                quadrature_report=report)
-
-
-def lemma_b_residual(F: DistSpec, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """|LHS - RHS| of the mixed-kernel identity
-
-        int int [F^-1(u)/phi(Phi^-1(u))] [Phi^-1(v)/phi(Phi^-1(v))]
-                (min(u,v) - uv) du dv  =  (1/2) int F^-1(u) Phi^-1(u) du.
-
-    The right-hand side is c2 / 2 (see :func:`constants_c`).  After
-    u = Phi(s) the inner v-integral has a closed form (see
-    :func:`_grid_rows`), so the left-hand side is a single integral,
-    taken on c2's grid; it is ``constants_c(F, spec).lemma_b_lhs``.
-
-    Requires int (F^-1)^2 du < infinity, which every supported family with
-    a finite variance satisfies.
-    """
-    (c2, _, lemma_b, _), _, _ = _grid_integrals(F, spec, False)
-    return float(abs(lemma_b - 0.5 * c2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,14 +303,14 @@ class SigmaAsymptotic:
         return self.M.shape[0]
 
 
-def sigma_asymptotic(F: DistSpec, delta, rho: float, moments: MomentSet,
-                     spec: QuadratureSpec = QuadratureSpec()) -> SigmaAsymptotic:
+def sigma_asymptotic(F: DistSpec, delta, rho: float,
+                     moments: MomentSet) -> SigmaAsymptotic:
     """Assemble M, Omega and Sigma = M^-1 Omega M^-1.
 
     Parameters
     ----------
     F : DistSpec
-        First-stage error distribution (centered internally).
+        First-stage error distribution (centered by :func:`constants_c`).
     delta : array_like, shape (k,)
         First-stage slope coefficients on the centered exogenous block.
     rho : float
@@ -328,13 +324,16 @@ def sigma_asymptotic(F: DistSpec, delta, rho: float, moments: MomentSet,
         If the (z, eta) block of M, after partialling the exogenous block,
         is numerically singular — the Gaussian-error identification
         failure.  The raised error carries ``schur_margin``.
+    NonFiniteError
+        If c1 or Sigma is not finite: Omega squares the truncated c1,
+        which is astronomically large for gamma shapes well below 1.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=np.float64))
     k = moments.k
     if delta.shape != (k,):
         raise DomainError("delta length does not match moments.sigma_x")
 
-    cons = constants_c(F.centered_version(), spec)
+    cons = constants_c(F)
     c1, c2, c3 = cons.c1, cons.c2, cons.c3
     sx = moments.sigma_x
     se2 = moments.sigma_e2
@@ -376,5 +375,9 @@ def sigma_asymptotic(F: DistSpec, delta, rho: float, moments: MomentSet,
     Minv_Om = np.linalg.solve(M, Om)
     Sigma = np.linalg.solve(M, Minv_Om.T).T
     Sigma = 0.5 * (Sigma + Sigma.T)
+    if not (math.isfinite(c1) and np.all(np.isfinite(Sigma))):
+        raise NonFiniteError(
+            f"the plug-in covariance is not finite: c1 = {c1:.3e} is too "
+            "large to square")
     return SigmaAsymptotic(M=M, Omega=Om, Sigma=Sigma, schur_margin=margin,
                            constants=cons)

@@ -30,7 +30,7 @@ from .errors import DataError, DomainError, EndofixError, NonFiniteError
 from .estimators import ESTIMATORS, ModelSpec, ThetaEstimate, fit_npcf, fit_ols
 from .inference import (exogeneity_test_of_fit, identification_diagnostic,
                         pairs_bootstrap)
-from .numerics import DistSpec, QuadratureSpec, RngStream
+from .numerics import DistSpec, RngStream
 from .asymptotics import constants_c
 from .simulation import DgpConfig, mc_run
 
@@ -435,24 +435,20 @@ def cmd_constants(args) -> int:
             a, b = (float(v) for v in args.dist.split(":", 1)[1].split(","))
         except ValueError:
             raise DataError("use --dist gamma:SHAPE,RATE") from None
-        F = DistSpec.gamma(a, b, centered=True)
+        F = DistSpec.gamma(a, b)
     else:
         raise DataError(f"unknown distribution {args.dist!r}")
-    spec = QuadratureSpec(abs_tol=args.tol)
-    cons = constants_c(F, spec, truncate_c1=False)
-    # lemma_b_residual(F, spec), from the grid that gave c2
-    resid = abs(cons.lemma_b_lhs - 0.5 * cons.c2)
+    cons = constants_c(F)
     margin = float(np.min(np.abs(np.linalg.eigvalsh(
         np.array([[F.var(), cons.c2], [cons.c2, 1.0]])))))
-    diverges = math.isinf(cons.c1)
-    if diverges:
+    if cons.c1_diverges:
         print("c1 = inf   [DIVERGES: for gamma shape a <= 1 the integrand "
               "behaves like u^(-1/a) / sqrt(2 log(1/u)) near u = 0]")
     else:
         print(f"c1 = {cons.c1:.10f}")
     print(f"c2 = {cons.c2:.10f}")
     print(f"c3 = {cons.c3:.10f}")
-    print(f"lemma-b residual      = {resid:.3e}")
+    print(f"lemma-b residual      = {cons.lemma_b_residual:.3e}")
     print(f"singularity margin    = {margin:.3e}"
           + ("   [IDENTIFICATION FAILS: error distribution is normal]"
              if margin < 1e-6 else ""))
@@ -461,17 +457,16 @@ def cmd_constants(args) -> int:
         report = {
             "schema": REPORT_SCHEMA,
             "version": __version__,
-            "config": {"command": "constants", "dist": args.dist,
-                       "tol": args.tol},
+            "config": {"command": "constants", "dist": args.dist},
             # strict JSON has no inf
-            "c1": None if diverges else cons.c1,
+            "c1": None if cons.c1_diverges else cons.c1,
             "c2": cons.c2,
             "c3": cons.c3,
-            "lemma_b_residual": resid,
+            "lemma_b_residual": cons.lemma_b_residual,
             "singularity_margin": margin,
             "quadrature_report": cons.quadrature_report,
         }
-        if diverges:
+        if cons.c1_diverges:
             report["c1_diverges"] = True
         _check_report(report)
         _write_report(report, args.out)
@@ -528,10 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("constants", help="asymptotic-variance constants")
     c.add_argument("--dist", required=True,
-                   help="normal | gamma:SHAPE,RATE (centered)")
-    c.add_argument("--tol", type=float, default=1e-9,
-                   help="relative tolerance of the grid that gives c1, c2, "
-                        "c3 and the lemma-B integral")
+                   help="normal (standard) | gamma:SHAPE,RATE; the "
+                        "constants are those of the centered distribution")
     c.add_argument("--out", default=None, help="write the JSON report here")
     c.set_defaults(func=cmd_constants)
     return p

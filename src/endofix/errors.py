@@ -36,7 +36,8 @@ class NonFiniteError(EndofixError):
 
 
 class QuadratureError(EndofixError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """The asymptotic constants' grid did not stabilize by its last
+    doubling, or rounding erased the centered quantiles (c2 <= 0)."""
 
 
 class IdentificationError(EndofixError):

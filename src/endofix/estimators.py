@@ -206,12 +206,21 @@ def fit_two_scope(data: Dataset, spec: ModelSpec) -> ThetaEstimate:
     regressors.  Built to capture rank-level dependence between the
     regressors; with a linear exogenous/endogenous relation it is known to
     leave bias behind.
+
+    Normal scores do not change under an increasing transform, so
+    exogenous columns that order the rows alike (x and x^2 with x >= 0,
+    say) score alike: the scored block keeps the first of equal columns,
+    which leaves its span, and so the correction, as it is.
     """
     k, m = spec.k, spec.m
     W = _design(data, spec, extra=m)
-    SX = np.column_stack([np.ones(data.n), *(normal_scores(data.column(c))
-                                             for c in spec.exogenous)])
-    sx_names = (INTERCEPT, *(f"score[{c}]" for c in spec.exogenous))
+    scored = {}
+    for c in spec.exogenous:
+        s = normal_scores(data.column(c))
+        if not any(np.array_equal(s, t) for t in scored.values()):
+            scored[f"score[{c}]"] = s
+    SX = np.column_stack([np.ones(data.n), *scored.values()])
+    sx_names = (INTERCEPT, *scored)
     # one factorisation of SX for the whole scored block, each column
     # contiguous as in first_stage
     SZ = np.empty((data.n, m), order="F")
@@ -221,10 +230,7 @@ def fit_two_scope(data: Dataset, spec: ModelSpec) -> ThetaEstimate:
         corr = _lstsq(SX, SZ, sx_names, overwrite=True)[1]
     except RankDeficiencyError as exc:
         raise RankDeficiencyError(
-            f"{exc}: two scored exogenous columns coincide or are "
-            "collinear; normal scores do not change under an increasing "
-            "transform, so exogenous columns that order the rows alike "
-            "(x and x^2 with x >= 0, say) get the same scores",
+            f"{exc}: the scored exogenous columns are collinear",
             column=exc.column) from exc
     # a scored endogenous column in the span of the scored exogenous
     # block (the two order the rows alike) leaves a correction of

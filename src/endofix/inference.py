@@ -32,6 +32,7 @@ sampler on each resample's own PCG64 stream.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -552,14 +553,32 @@ class _CountDesign:
         scores[:, order] = sorted_scores
         return scores.reshape(b, S, n).swapaxes(0, 1)
 
+    @functools.cached_property
+    def _scored_exogenous(self) -> list:
+        """The exogenous columns (indices into ``cols``) of two_scope's
+        scored block: as in :func:`~endofix.estimators.fit_two_scope`, a
+        column whose unit-count scores equal an earlier kept column's, in
+        every dataset, is left out.  Equal unit scores are equal average
+        ranks, so the two columns' scores are equal under any counts."""
+        if self.k <= 2:
+            return list(range(self.k - 1))
+        ones = np.ones((len(self.y), 1, self.y.shape[1]))
+        unit = [self._data_scores(ones, j) for j in range(self.k - 1)]
+        kept = []
+        for j, s in enumerate(unit):
+            if not any(np.array_equal(s, unit[i]) for i in kept):
+                kept.append(j)
+        return kept
+
     def _scored_residuals(self, C: np.ndarray):
         """two_scope's corrections: the residuals (S, b, m, n) of the
         scores of Z on the scores of X within each problem, and ok."""
         S, b, n = C.shape
-        k, m = self.k, self.m
+        xs = self._scored_exogenous
+        k, m = len(xs) + 1, self.m
         A = np.empty((S, b, k + m - 1, n))
-        for j in range(k + m - 1):
-            A[..., j, :] = self._data_scores(C, j)
+        for i, j in enumerate([*xs, *range(self.k - 1, self.k + m - 1)]):
+            A[..., i, :] = self._data_scores(C, j)
         # the weighted Gram matrix of [1 | A']
         M = np.zeros((S, b, k + m, k + m))
         for rows in self.blocks:

@@ -1,5 +1,4 @@
-"""Distribution specifications, the quadrature tolerance, and seeded
-random sampling.
+"""Distribution specifications and seeded random sampling.
 
 The special functions are scipy's (:mod:`scipy.special`: ``ndtri``,
 ``gammaincinv``, ``gammainccinv``); this module adds the parameter and
@@ -18,8 +17,7 @@ from scipy.special import gammainccinv, gammaincinv, ndtri
 
 from .errors import DomainError
 
-__all__ = ["std_normal_pdf", "QuadratureSpec", "RngStream", "DistSpec",
-           "sample"]
+__all__ = ["std_normal_pdf", "RngStream", "DistSpec", "sample"]
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -44,27 +42,6 @@ def _check_prob(u, what: str):
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         raise DomainError(f"{what} requires 0 < u < 1")
     return u
-
-
-# ---------------------------------------------------------------------------
-# Quadrature
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """The tolerance of :func:`~endofix.asymptotics.constants_c`'s grid.
-
-    ``abs_tol`` is one relative tolerance for all four integrals (c1,
-    where it is integrated, c2, c3 and lemma B's left side): the grid
-    doubles until each changed by at most max(abs_tol, 1e-12) times
-    max(1, |value|).
-    """
-
-    abs_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise DomainError("abs_tol must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +185,12 @@ class DistSpec:
     """Parametric error-distribution description.
 
     Families: ``normal(mean, sd)`` and ``gamma(shape, rate)`` (mean
-    shape/rate).  ``centered=True`` shifts the mean to zero, which the
-    asymptotic-variance formulas assume.
+    shape/rate).  The asymptotic constants center the distribution
+    themselves (:func:`~endofix.asymptotics.constants_c`).
     """
 
     family: str
     params: tuple
-    centered: bool = False
 
     def __post_init__(self):
         if self.family not in ("normal", "gamma"):
@@ -228,23 +204,16 @@ class DistSpec:
         return cls("normal", (float(mean), float(sd)))
 
     @classmethod
-    def gamma(cls, shape: float, rate: float, centered: bool = False) -> "DistSpec":
+    def gamma(cls, shape: float, rate: float) -> "DistSpec":
         _check_gamma_params(shape, rate)
-        return cls("gamma", (float(shape), float(rate)), centered)
+        return cls("gamma", (float(shape), float(rate)))
 
-    # -- helpers -------------------------------------------------------
-    @property
-    def _shift(self) -> float:
-        return self._raw_mean() if self.centered else 0.0
-
-    def _raw_mean(self) -> float:
+    # -- moments -------------------------------------------------------
+    def mean(self) -> float:
         if self.family == "normal":
             return self.params[0]
         a, b = self.params
         return a / b
-
-    def mean(self) -> float:
-        return self._raw_mean() - self._shift
 
     def var(self) -> float:
         if self.family == "normal":
@@ -252,14 +221,9 @@ class DistSpec:
         a, b = self.params
         return a / (b * b)
 
-    def centered_version(self) -> "DistSpec":
-        if self.centered:
-            return self
-        return DistSpec(self.family, self.params, True)
-
     # -- evaluations ----------------------------------------------------
     def pdf(self, x):
-        x = np.asarray(x, dtype=np.float64) + self._shift
+        x = np.asarray(x, dtype=np.float64)
         if self.family == "normal":
             m, s = self.params
             return std_normal_pdf((x - m) / s) / s
@@ -273,18 +237,18 @@ class DistSpec:
         u = _check_prob(u, "quantile")
         if self.family == "normal":
             m, s = self.params
-            return m + s * ndtri(u) - self._shift
+            return m + s * ndtri(u)
         a, b = self.params
-        return gammaincinv(a, u) / b - self._shift
+        return gammaincinv(a, u) / b
 
     def isf(self, q):
         """Upper-tail quantile, tail-accurate for tiny ``q``."""
         q = _check_prob(q, "isf")
         if self.family == "normal":
             m, s = self.params
-            return m - s * ndtri(q) - self._shift
+            return m - s * ndtri(q)
         a, b = self.params
-        return gammainccinv(a, q) / b - self._shift
+        return gammainccinv(a, q) / b
 
 
 def sample(stream: RngStream, dist: DistSpec, n: int) -> np.ndarray:
@@ -298,6 +262,6 @@ def sample(stream: RngStream, dist: DistSpec, n: int) -> np.ndarray:
     rng = stream.generator()
     if dist.family == "normal":
         m, s = dist.params
-        return rng.normal(m - dist._shift, s, n)
+        return rng.normal(m, s, n)
     a, b = dist.params
-    return rng.gamma(a, 1.0 / b, n) - dist._shift
+    return rng.gamma(a, 1.0 / b, n)

@@ -35,3 +35,26 @@ def tied_groups():
         return Dataset({"y": y[rows], "x": x[rows],
                         "z": z[rows].astype(np.float64)})
     return make
+
+
+@pytest.fixture
+def cps_like():
+    """Datasets shaped like the wage equations of the paper's
+    application (a CPS extract), generated, so nothing is downloaded:
+    log wage on integer schooling ``educ`` (8 to 20, endogenous through
+    an unobserved ability), integer experience ``exper`` (0 to 40, which
+    enters with its square) and a ``female`` dummy, with a skewed error.
+    Since exper >= 0, exper and exper^2 order the rows alike."""
+    def make(seed, n=2000):
+        rng = np.random.default_rng(seed)
+        female = rng.integers(0, 2, n).astype(np.float64)
+        exper = rng.integers(0, 41, n).astype(np.float64)
+        ability = rng.gamma(2.0, 1.0, n) - 2.0
+        educ = np.clip(np.round(13.0 + 1.5 * ability - 0.05 * exper
+                                + rng.normal(0.0, 1.5, n)), 8.0, 20.0)
+        u = 0.15 * ability + rng.gamma(2.0, 0.15, n) - 0.3
+        wage = (0.5 + 0.08 * educ + 0.04 * exper - 0.0007 * exper ** 2
+                - 0.2 * female + u)
+        return Dataset({"wage": wage, "educ": educ, "exper": exper,
+                        "female": female})
+    return make

@@ -12,17 +12,14 @@ import math
 import numpy as np
 import pytest
 
-from endofix import (DgpConfig, DistSpec, QuadratureSpec,
-                     RngStream, constants_c, fit_iv_internal, fit_npcf,
-                     lemma_b_residual, mc_run, pairs_bootstrap,
+from endofix import (DgpConfig, DistSpec, RngStream, constants_c,
+                     fit_iv_internal, fit_npcf, mc_run, pairs_bootstrap,
                      sigma_asymptotic)
 from endofix.asymptotics import MomentSet
 from endofix.errors import IdentificationError
 from endofix.numerics import sample
 from endofix.simulation import MODEL_SPEC, gen_dgp1, generate
 from endofix.transform import normal_scores
-
-QSPEC = QuadratureSpec(abs_tol=1e-9)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> bool:
@@ -112,11 +109,11 @@ def _sigma_vs_mc(e_shape, e_rate, reps=2000, n=4000, rho=0.9, seed=777):
     with delta = 1 and the regressor standardized to unit variance."""
     var_e = e_shape / e_rate ** 2
     sd_z = math.sqrt(1.0 + var_e)
-    F_tilde = DistSpec.gamma(e_shape, e_rate * sd_z, centered=True)
-    c2 = constants_c(F_tilde, QSPEC).c2
+    F_tilde = DistSpec.gamma(e_shape, e_rate * sd_z)
+    c2 = constants_c(F_tilde).c2
     moments = MomentSet.homoskedastic_gaussian(
         np.array([[1.0]]), [1.0], var_e / sd_z ** 2, c2, 1.0)
-    S = sigma_asymptotic(F_tilde, [1.0 / sd_z], rho, moments, QSPEC)
+    S = sigma_asymptotic(F_tilde, [1.0 / sd_z], rho, moments)
 
     cfg = DgpConfig("dgp1", n=n, e_dist=DistSpec.gamma(e_shape, e_rate),
                     delta=1.0, rho=rho)
@@ -186,13 +183,13 @@ def test_acceptance_6_exact_identities():
 
     # mixed-kernel quadrature identity for three error laws
     for label, F in [("normal", DistSpec.normal()),
-                     ("cexp", DistSpec.gamma(1, 1, centered=True)),
-                     ("cg32", DistSpec.gamma(3, 2, centered=True))]:
-        r = lemma_b_residual(F, QSPEC)
+                     ("cexp", DistSpec.gamma(1, 1)),
+                     ("cg32", DistSpec.gamma(3, 2))]:
+        r = constants_c(F).lemma_b_residual
         checks.append((f"lemma-b[{label}]", r < 1e-6, f"{r:.1e}"))
 
     # Gaussian error: first two constants are unity...
-    cons = constants_c(DistSpec.normal(), QSPEC)
+    cons = constants_c(DistSpec.normal())
     checks.append(("c1@normal", abs(cons.c1 - 1.0) <= 1e-8,
                    f"{cons.c1 - 1.0:+.1e}"))
     checks.append(("c2@normal", abs(cons.c2 - 1.0) <= 1e-8,
@@ -202,7 +199,7 @@ def test_acceptance_6_exact_identities():
     m = MomentSet.homoskedastic_gaussian(np.array([[1.0]]), [0.0], 1.0,
                                          cons.c2)
     with pytest.raises(IdentificationError) as err:
-        sigma_asymptotic(DistSpec.normal(), [1.0], 0.5, m, QSPEC)
+        sigma_asymptotic(DistSpec.normal(), [1.0], 0.5, m)
     margin = err.value.schur_margin
     checks.append(("gaussian-margin", margin <= 1e-8, f"{margin:.1e}"))
 

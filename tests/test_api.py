@@ -35,7 +35,9 @@ def test_every_exported_name_resolves(module):
     ("inference", "BootstrapResult.ci_of"), ("asymptotics", "_g_memo"),
     ("asymptotics", "_c2_quadrature"), ("asymptotics", "_lemma_b_lhs"),
     ("estimators", "build_design"), ("numerics", "integrate_1d"),
-    ("numerics", "QuadratureSpec.max_subdivisions"),
+    ("numerics", "QuadratureSpec"), ("numerics", "DistSpec.centered"),
+    ("numerics", "DistSpec.centered_version"),
+    ("asymptotics", "lemma_b_residual"),
 ])
 def test_deleted_names_are_gone(module, name):
     obj = importlib.import_module(f"endofix.{module}")

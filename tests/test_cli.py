@@ -17,12 +17,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from endofix import cli
-from endofix.asymptotics import constants_c, lemma_b_residual
+from endofix.asymptotics import constants_c
 from endofix.cli import ingest_csv, main
 from endofix.data import Dataset
 from endofix.errors import DataError
-from endofix.estimators import ModelSpec
-from endofix.numerics import DistSpec, QuadratureSpec, RngStream
+from endofix.estimators import ESTIMATORS, ModelSpec, fit_two_scope
+from endofix.numerics import DistSpec, RngStream
 from endofix.simulation import DgpConfig, gen_dgp1
 
 
@@ -480,31 +480,57 @@ def test_units_change_only_the_coefficients_units(tmp_path, estimator):
             assert refits == want.get("bootstrap", {}).get("scalar_refits")
 
 
-def test_two_scope_names_exogenous_columns_that_score_alike(tmp_path,
+def test_two_scope_drops_exogenous_columns_that_score_alike(tmp_path,
                                                            capsys):
     # x >= 0, so x and x^2 order the rows alike and have equal normal
-    # scores: 2scope's scored exogenous block is rank deficient, which is
-    # no identification failure of the control function
+    # scores: 2scope keeps one of them in its scored block, whose span,
+    # and so the correction, is that of the design without x^2
     rng = np.random.default_rng(1)
     x = rng.gamma(2.0, 1.0, 200)
     z = 0.5 * x + rng.gamma(1.0, 1.0, 200)
     y = 1.0 + x - 0.05 * x ** 2 + z + rng.standard_normal(200)
     p = tmp_path / "d.csv"
     _write_csv(p, ["y", "x", "z"], zip(y, x, z))
-    rc = main(["fit", "--data", str(p), "--outcome", "y", "--exog", "x",
-               "square:x", "--endog", "z", "--estimator", "2scope",
-               "--bootstrap", "9"])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert err.startswith("endofix: numeric failure: design matrix is rank "
-                          "deficient at column 'score[x")
-    assert "two scored exogenous columns coincide" in err
-    assert "Gaussian" not in err and "identification" not in err
-    assert err.count("\n") == 1
-    # the other estimators fit this design
+    out = tmp_path / "d.json"
     assert main(["fit", "--data", str(p), "--outcome", "y", "--exog", "x",
-                 "square:x", "--endog", "z", "--estimator", "npcf",
-                 "--bootstrap", "9"]) == 0
+                 "square:x", "--endog", "z", "--estimator", "2scope",
+                 "--bootstrap", "9", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rep = json.loads(out.read_text())["estimates"]["2scope"]
+    assert rep["bootstrap"]["scalar_refits"] == 0
+    d = Dataset({"y": y, "x": x, "x2": x ** 2, "z": z})
+    with_sq = fit_two_scope(d, ModelSpec("y", ("x", "x2"), ("z",)))
+    without = fit_two_scope(d, ModelSpec("y", ("x",), ("z",)))
+    assert np.array_equal(with_sq.extra["correction"],
+                          without.extra["correction"])
+
+
+@pytest.mark.parametrize("estimator", ["ols", "npcf", "iv", "2scope", "gp"])
+def test_every_estimator_fits_the_wage_design(cps_like, tmp_path, capsys,
+                                              estimator):
+    # the paper's wage equation: schooling endogenous, experience and its
+    # square, a dummy
+    d = cps_like(5)
+    spec = ModelSpec("wage", ("exper", "exper^2", "female"), ("educ",))
+    cols = {c: d.column(c) for c in ("wage", "educ", "exper", "female")}
+    tag = cli._CLI_TO_TAG[estimator]
+    scalar = ESTIMATORS[tag](Dataset({**cols, "exper^2": cols["exper"] ** 2}),
+                             spec)
+    assert np.all(np.isfinite(scalar.theta))
+    p = tmp_path / "cps.csv"
+    _write_csv(p, list(cols), zip(*cols.values()))
+    out = tmp_path / "cps.json"
+    assert main(["fit", "--data", str(p), "--outcome", "wage", "--exog",
+                 "exper", "square:exper", "female", "--endog", "educ",
+                 "--estimator", estimator, "--bootstrap", "49", "--seed",
+                 "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rep = json.loads(out.read_text())["estimates"][estimator]
+    assert rep["coefficients"] == pytest.approx(
+        dict(zip(scalar.names, scalar.theta)), rel=1e-12, abs=1e-12)
+    if estimator != "ols":
+        assert rep["bootstrap"]["scalar_refits"] == 0
+        assert rep["bootstrap"]["n_failed"] == 0
 
 
 def test_two_scope_rejects_a_correction_of_rounding_noise(tmp_path, capsys):
@@ -930,7 +956,7 @@ class TestSimulateCommand:
 
 class TestConstantsCommand:
     def test_normal_constants(self, capsys):
-        rc = main(["constants", "--dist", "normal", "--tol", "1e-8"])
+        rc = main(["constants", "--dist", "normal"])
         assert rc == 0
         out = capsys.readouterr().out
         lines = {ln.split("=")[0].strip(): ln.split("=", 1)[1].strip()
@@ -941,7 +967,7 @@ class TestConstantsCommand:
         assert "IDENTIFICATION FAILS" in out
 
     def test_gamma_constants(self, capsys):
-        rc = main(["constants", "--dist", "gamma:3,2", "--tol", "1e-8"])
+        rc = main(["constants", "--dist", "gamma:3,2"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "IDENTIFICATION FAILS" not in out
@@ -949,19 +975,43 @@ class TestConstantsCommand:
     def test_bad_dist_exit_code(self, capsys):
         assert main(["constants", "--dist", "cauchy"]) == 2
 
-    def test_gamma_constants_output(self, capsys):
-        # the benchmark's op, byte for byte
-        assert main(["constants", "--dist", "gamma:3,2"]) == 0
-        assert capsys.readouterr().out == (
-            "c1 = 1.4502413205\n"
-            "c2 = 0.8352387208\n"
-            "c3 = 0.3662307404\n"
-            "lemma-b residual      = 6.106e-16\n"
-            "singularity margin    = 3.046e-02\n"
-            "quadrature report     = {'c1_err': 0.0, "
-            "'c2_err': 1.1102230246251565e-16, 'c3_doubling_delta': "
-            "1.27675647831893e-15, 'c3_panels': 1024, 't_truncation': "
-            "8.5}\n")
+    @pytest.mark.parametrize("dist,want", [
+        # the benchmark's op
+        ("gamma:3,2",
+         "c1 = 1.4502413205\n"
+         "c2 = 0.8352387208\n"
+         "c3 = 0.3662307404\n"
+         "lemma-b residual      = 6.106e-16\n"
+         "singularity margin    = 3.046e-02\n"
+         "quadrature report     = {'c1_err': 0.0, "
+         "'c2_err': 1.1102230246251565e-16, 'c3_doubling_delta': "
+         "1.27675647831893e-15, 'c3_panels': 1024, 't_truncation': "
+         "8.5}\n"),
+        ("normal",
+         "c1 = 1.0000000000\n"
+         "c2 = 1.0000000000\n"
+         "c3 = 0.5000000000\n"
+         "lemma-b residual      = 3.331e-16\n"
+         "singularity margin    = 1.332e-15   [IDENTIFICATION FAILS: "
+         "error distribution is normal]\n"
+         "quadrature report     = {'c1_err': 0.0, 'c2_err': 0.0, "
+         "'c3_doubling_delta': 1.6653345369377348e-16, 'c3_panels': 1024, "
+         "'t_truncation': 8.5}\n"),
+        ("gamma:1,1",
+         "c1 = inf   [DIVERGES: for gamma shape a <= 1 the integrand "
+         "behaves like u^(-1/a) / sqrt(2 log(1/u)) near u = 0]\n"
+         "c2 = 0.9031972856\n"
+         "c3 = 0.4687149275\n"
+         "lemma-b residual      = 9.992e-16\n"
+         "singularity margin    = 9.680e-02\n"
+         "quadrature report     = {'c2_err': 2.220446049250313e-16, "
+         "'c3_doubling_delta': 3.3306690738754696e-15, 'c3_panels': 1024, "
+         "'t_truncation': 8.5}\n"),
+    ], ids=["gamma:3,2", "normal", "gamma:1,1"])
+    def test_gamma_constants_output(self, dist, want, capsys):
+        # byte for byte
+        assert main(["constants", "--dist", dist]) == 0
+        assert capsys.readouterr().out == want
 
     @pytest.mark.parametrize("dist", ["gamma:3,2", "gamma:1,1"])
     def test_out_writes_the_report(self, dist, tmp_path, capsys):
@@ -969,19 +1019,17 @@ class TestConstantsCommand:
         assert main(["constants", "--dist", dist, "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         rep = json.loads(out.read_text())
-        spec = QuadratureSpec(abs_tol=1e-9)
-        F = DistSpec.gamma(*(float(v) for v in dist[6:].split(",")),
-                           centered=True)
-        cons = constants_c(F, spec, truncate_c1=False)
+        F = DistSpec.gamma(*(float(v) for v in dist[6:].split(",")))
+        cons = constants_c(F)
         assert rep["schema"] == cli.REPORT_SCHEMA
-        assert rep["config"] == {"command": "constants", "dist": dist,
-                                 "tol": 1e-9}
+        assert rep["config"] == {"command": "constants", "dist": dist}
         assert (rep["c2"], rep["c3"]) == (cons.c2, cons.c3)
         assert rep["quadrature_report"] == cons.quadrature_report
-        assert rep["lemma_b_residual"] == lemma_b_residual(F, spec)
+        assert rep["lemma_b_residual"] == cons.lemma_b_residual
         assert f"singularity margin    = {rep['singularity_margin']:.3e}" \
             in printed
         if dist == "gamma:1,1":
+            assert cons.c1_diverges
             assert rep["c1"] is None and rep["c1_diverges"] is True
         else:
             assert rep["c1"] == cons.c1 == 1.4502413205166842

@@ -619,6 +619,25 @@ class TestStackedBootstrapMatchesLoop:
                                    49, RngStream(94), estimator)
         assert got.scalar_refits == 0
 
+    def test_two_scope_drops_exogenous_columns_that_score_alike(
+            self, dgp1_small):
+        # x >= 0, so x and x^2 have equal scores under any counts: the
+        # engine keeps one of them in the scored block, as fit_two_scope
+        # does, and refits no resample
+        rng = np.random.default_rng(93)
+        x, _, z, y = _endogenous_design(rng, 300)
+        d = Dataset({"y": y, "x": x, "w": rng.standard_normal(300),
+                     "x2": x ** 2, "z": z})
+        spec = ModelSpec("y", ("x", "w", "x2"), ("z",))
+        got = _assert_matches_loop(d, spec, 49, RngStream(94), "two_scope")
+        assert got.scalar_refits == 0
+        assert inference._CountDesign(d.columns,
+                                      spec)._scored_exogenous == [0, 1]
+        # with one exogenous column nothing is compared or sorted
+        design = inference._CountDesign(dgp1_small.columns, MODEL_SPEC)
+        assert design._scored_exogenous == [0]
+        assert design._sorts == {}
+
     def test_rare_dummy_rank_failures(self):
         # a dummy with five ones is all zero in about 0.7% of resamples;
         # those fail in both paths and are dropped within the 1% budget
