@@ -3,7 +3,8 @@ and the asymptotic constants.
 
 Reports are emitted as a single JSON document (machine-readable; schema
 version recorded inside) plus a human-readable table on stdout.  Exit
-codes: 0 success, 2 configuration errors, 3 numeric failures (a report
+codes: 0 success, 2 configuration errors (running out of memory among
+them: a run too large for this machine), 3 numeric failures (a report
 with a non-finite number among them), and 141 from the ``endofix``
 command when its stdout is closed before the output is written.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import functools
 from array import array
 from itertools import chain, islice
@@ -28,8 +30,8 @@ from . import copula_mle  # noqa: F401  (registers the copula estimator)
 from .data import Dataset
 from .errors import DataError, DomainError, EndofixError, NonFiniteError
 from .estimators import ESTIMATORS, ModelSpec, ThetaEstimate, fit_npcf, fit_ols
-from .inference import (exogeneity_test_of_fit, identification_diagnostic,
-                        pairs_bootstrap)
+from .inference import (_CHUNK_BYTES, exogeneity_test_of_fit,
+                        identification_diagnostic, pairs_bootstrap)
 from .numerics import DistSpec, RngStream
 from .asymptotics import constants_c
 from .simulation import DgpConfig, mc_run
@@ -530,7 +532,38 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's thresholds for mmap and for trimming the heap top at
+    twice and four times the chunk budget of ``inference``.
+
+    glibc raises its mmap threshold only to the largest block freed so
+    far (about 0.84 MB in a bootstrap at n = 250) and trims the heap top
+    above twice that, so each count chunk (a traced peak of about
+    2.3 MB) took its arrays from the kernel afresh: some 2 700 zeroed
+    pages per B = 999 bootstrap.  Pinned, every array of a chunk comes
+    from the heap, and what a chunk frees stays there for the next one;
+    a host process keeps at most 8 MiB of freed heap more.  Where the C
+    library has no ``mallopt`` (macOS, musl) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # 2:1 is the ratio glibc's own dynamic thresholds keep
+    mallopt(_M_MMAP_THRESHOLD, 2 * _CHUNK_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 4 * _CHUNK_BYTES)
+
+
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -540,6 +573,11 @@ def main(argv=None) -> int:
             return args.func(args)
     except (DataError, DomainError) as exc:
         print(f"endofix: configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("endofix: configuration error: not enough memory for this "
+              "run; lower --n, --reps or --B of simulate, or --bootstrap "
+              "of fit", file=sys.stderr)
         return 2
     except EndofixError as exc:
         print(f"endofix: numeric failure: {exc}", file=sys.stderr)

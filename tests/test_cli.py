@@ -1,14 +1,17 @@
 import contextlib
 import csv
+import ctypes
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -691,6 +694,86 @@ print(fit, sim, const, [m for m in ("scipy.integrate", "scipy.optimize",
     assert proc.stdout == "0 0 0 []\n", proc.stderr
 
 
+class TestMallocThresholds:
+    """``main`` pins glibc's mmap and trim thresholds once per process."""
+
+    def test_thresholds_follow_the_chunk_budget(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+        try:
+            monkeypatch.setattr(ctypes, "CDLL",
+                                lambda name: SimpleNamespace(mallopt=mallopt))
+            cli._pin_malloc_thresholds.cache_clear()
+            cli._pin_malloc_thresholds()
+            cli._pin_malloc_thresholds()
+        finally:
+            cli._pin_malloc_thresholds.cache_clear()
+        # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD at glibc's 2:1, once
+        assert calls == [(-3, 4 * 1024 * 1024), (-1, 8 * 1024 * 1024)]
+
+    def test_no_mallopt_same_report(self, tmp_path, monkeypatch):
+        # macOS and musl: the C library has no mallopt, and main runs as
+        # before
+        csv_path = tmp_path / "d.csv"
+        _write_dgp1_csv(csv_path, n=60)
+
+        def fit(name):
+            out = tmp_path / name
+            assert main(["fit", "--data", str(csv_path), "--outcome", "y",
+                         "--exog", "x", "--endog", "z", "--bootstrap", "49",
+                         "--seed", "4", "--out", str(out)]) == 0
+            rep = json.loads(out.read_text())
+            rep.pop("timing_seconds")
+            return rep
+
+        pinned = fit("pinned.json")
+        looked_up = []
+
+        def no_mallopt(name):
+            looked_up.append(name)
+            return object()
+        monkeypatch.setattr(ctypes, "CDLL", no_mallopt)
+        cli._pin_malloc_thresholds.cache_clear()
+        try:
+            assert fit("no_mallopt.json") == pinned
+        finally:
+            cli._pin_malloc_thresholds.cache_clear()
+        assert looked_up == [None]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the thresholds are glibc's")
+    def test_second_bootstrap_takes_no_fresh_pages(self, tmp_path):
+        # without the pinned thresholds each count chunk of a B = 999
+        # bootstrap at n = 250 takes its arrays from the kernel afresh:
+        # about 2 700 minor page faults per op, and 0 with them
+        import endofix
+        csv_path = tmp_path / "d.csv"
+        _write_dgp1_csv(csv_path)
+        script = f"""
+import contextlib, io, resource
+import endofix.cli as cli
+argv = ["fit", "--data", {str(csv_path)!r}, "--outcome", "y", "--exog",
+        "x", "--endog", "z", "--bootstrap", "999"]
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                  - before)
+print(faults[1])
+"""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(endofix.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 500
+
+
 class TestConfigurationErrors:
     """Inputs that must end in exit 2 with a one-line message."""
 
@@ -751,6 +834,30 @@ class TestConfigurationErrors:
         rc = main(["simulate", "--dgp", dgp, "--n", "50", "--reps", "2",
                    "--B", "0", f"{flag}={value}"])
         self._assert_config_error(rc, capsys)
+
+    @staticmethod
+    def _out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    _NO_MEMORY = ("endofix: configuration error: not enough memory for this "
+                  "run; lower --n, --reps or --B of simulate, or --bootstrap "
+                  "of fit\n")
+
+    def test_fit_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        # as with ``fit ... --bootstrap 10000000000``
+        monkeypatch.setattr(cli, "pairs_bootstrap", self._out_of_memory)
+        csv_path = tmp_path / "d.csv"
+        _write_dgp1_csv(csv_path, n=60)
+        assert main(["fit", "--data", str(csv_path), "--outcome", "y",
+                     "--exog", "x", "--endog", "z", "--bootstrap", "9"]) == 2
+        assert capsys.readouterr().err == self._NO_MEMORY
+
+    def test_simulate_out_of_memory(self, capsys, monkeypatch):
+        # as with ``simulate --dgp 1 --n 1000000000 --reps 2 --B 0``
+        monkeypatch.setattr(cli, "mc_run", self._out_of_memory)
+        assert main(["simulate", "--dgp", "1", "--n", "50", "--reps", "2",
+                     "--B", "0", "--estimators", "ols"]) == 2
+        assert capsys.readouterr().err == self._NO_MEMORY
 
 
 class TestCopulaFit:
