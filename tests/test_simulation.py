@@ -629,6 +629,54 @@ class TestStackedMcMatchesLoop:
             assert s.scalar_refits == refits
             assert list(s.cells) == list(cells)
 
+    # the fallback's counts and cells with B = 9 and chunks of 3
+    # repetitions, as mc_run gave them when it refitted flagged
+    # repetitions in a loop of its own: (bias, size) of x and z
+    _PARENT_COUNTS = {
+        "failures": {"ols": {"RankDeficiencyError": 3},
+                     "npcf": {"RankDeficiencyError": 3},
+                     "iv_internal": {"RankDeficiencyError": 3},
+                     "two_scope": {"ConstantInputError": 3},
+                     "gp_copula": {"ConstantInputError": 3,
+                                   "RankDeficiencyError": 3},
+                     "_later": {"RankDeficiencyError": 3}},
+        "completed": {**dict.fromkeys(_ALL_STACKED, 12), "gp_copula": 9,
+                      "_later": 12},
+        "scalar_refits": {**dict.fromkeys(_ALL_STACKED, 6), "gp_copula": 9,
+                          "_later": 15},
+    }
+    _PARENT_CELLS = {
+        "dgp1": {
+            "npcf": [("0x1.b84567f6be80cp-2", "0x1.0000000000000p-1"),
+                     ("-0x1.a9e12bf3f90fcp-3", "0x1.0000000000000p-1")],
+            "gp_copula": [("0x1.75ae306ce8990p-3", "0x1.1c71c71c71c72p-1"),
+                          ("-0x1.41749ddcea1a8p-2", "0x1.c71c71c71c71cp-2")],
+            "_later": [("0x1.b84567f6be802p-2", "0x1.aaaaaaaaaaaabp-2"),
+                       ("-0x1.a9e12bf3f90f4p-3", "0x1.5555555555555p-1")]},
+        "dgp2": {
+            "npcf": [("0x1.f9468e5f771d0p-3", "0x1.0000000000000p-2"),
+                     ("-0x1.5904d045e14dcp-3", "0x1.5555555555555p-2")],
+            "gp_copula": [("0x1.09c3b6c63b158p-4", "0x1.1c71c71c71c72p-1"),
+                          ("-0x1.0bc41b25d6cd8p-2", "0x1.5555555555555p-2")],
+            "_later": [("0x1.f9468e5f771ccp-3", "0x1.0000000000000p-2"),
+                       ("-0x1.5904d045e14dcp-3", "0x1.5555555555555p-2")]},
+    }
+
+    @pytest.mark.parametrize("kind", ["dgp1", "dgp2"])
+    def test_fallback_unchanged(self, kind, monkeypatch):
+        # pins the scalar fallback itself: the equality tests above
+        # compare mc_run with pairs_bootstrap, which share it
+        cfg, master, reps, estimators = self._setup(monkeypatch, kind, 3)
+        s = mc_run(cfg, estimators, reps=reps, B=9, master=master)
+        for name, want in self._PARENT_COUNTS.items():
+            assert getattr(s, name) == want
+        for est, cells in self._PARENT_CELLS[kind].items():
+            for coef, (bias, size) in zip(("x", "z"), cells):
+                cell = s.cell(est, coef)
+                want = float.fromhex(bias)
+                assert abs(cell.bias - want) <= 1e-12 * abs(want)
+                assert cell.size == float.fromhex(size)
+
 
 def test_stacked_paths_take_no_scalar_refits():
     # on the benchmark's simulate design no repetition and no resample may
