@@ -22,9 +22,9 @@ design of S datasets.  npcf's first-stage residuals tie by the rule of
 :func:`~endofix.transform.first_stage`, sorted neighbours within
 TIE_RTOL times max|z| + max|e|, among a problem's drawn rows, in every
 path, so no problem is refitted for a tie.  A problem near a rank,
-constant-residual, exact-fit or copula-guard rejection is flagged and
-refitted by the registered scalar estimator, which then decides.  So
-are all problems of estimators registered later.  Results of the arrays
+constant-residual, exact-fit or copula-guard rejection, and every
+problem of an estimator registered later, is refitted by the one scalar
+fallback, :func:`_fit_counts`, which then decides.  Results of the arrays
 equal the scalar ones to rounding (about 1e-14 relative), not bit for
 bit.  The resampled rows themselves are bit-identical on both paths: a
 chunk's rows are drawn in one pass that follows numpy's bounded-integer
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -387,9 +388,10 @@ class _CountDesign:
         Returns (theta, ok, se), each flattened over (S, b).  ``theta``
         holds the coefficients in the scalar estimator's order.  ``ok`` is
         False where a problem comes near one of the scalar estimator's
-        rejections or its coefficients are not finite; the scalar
-        estimator must then refit it, and decides.  ``se`` holds the
-        classical standard errors of the second stage, ols's.
+        rejections or its coefficients are not finite, and everywhere
+        for an estimator outside ``_STACKED``; the scalar estimator must
+        then refit it (:func:`_fit_counts`), and decides.  ``se`` holds
+        the classical standard errors of the second stage, ols's.
 
         The weighted Gram matrices come from the kept table of outer
         products when a chunk holds several problems per dataset (a
@@ -402,8 +404,9 @@ class _CountDesign:
         k, m = self.k, self.m
         q0 = k + m
         mc = 0 if est == "ols" else m
-        if est == "gp_copula" and m != 1:
-            # gp_fit rejects the spec itself
+        if est not in _STACKED or est == "gp_copula" and m != 1:
+            # an estimator registered later has no count form, and gp_fit
+            # rejects the spec itself: the scalar estimator decides
             zeros = np.zeros((S * b, q0 + mc))
             return zeros, np.zeros(S * b, dtype=bool), zeros
         H = np.zeros((S, b, q0, q0))
@@ -623,52 +626,69 @@ def _boot_words(seeds, B: int) -> np.ndarray:
     return words
 
 
+def _fit_counts(estimator: str, design: _CountDesign, C: np.ndarray,
+                spec: ModelSpec, problem, failures: Counter):
+    """:meth:`_CountDesign.fit` of the problems of row counts ``C``, each
+    flagged problem i (of the flattened (S, b)) refitted by the registered
+    estimator on ``problem(i)``: the one scalar fallback of the bootstrap
+    and the Monte Carlo.  A refit that raises a rank, constant-input or
+    identification failure, or gives non-finite coefficients (as a
+    ``NonFiniteError``), fails and is counted in ``failures`` by type
+    name; any other error propagates.  Returns (theta, ok, se, refits)."""
+    theta, ok, se = design.fit(estimator, C)
+    flagged = np.flatnonzero(~ok)
+    for i in flagged:
+        try:
+            fit = ESTIMATORS[estimator](problem(i), spec)
+            if not np.all(np.isfinite(fit.theta)):
+                raise NonFiniteError("non-finite coefficients")
+        except (RankDeficiencyError, ConstantInputError,
+                IdentificationError, NonFiniteError) as exc:
+            failures[type(exc).__name__] += 1
+            continue
+        theta[i], ok[i] = fit.theta, True
+        if estimator == "ols":
+            se[i] = fit.se()
+    return theta, ok, se, flagged.size
+
+
 def _resample_fits(estimator: str, datasets, spec: ModelSpec, seeds,
                    B: int):
     """Fit ``estimator`` on B resamples of each of S datasets of n rows,
     whose model columns the caller has checked to be finite.  Resample b
     of dataset s draws its rows from ``seeds[s].child(_BOOT_KEY, b)``.
-
-    For every estimator in ``_STACKED`` each dataset's resamples are
-    fitted a chunk at a time as row counts (:class:`_CountDesign`), so a
-    resample's result does not depend on the other datasets.  A resample
-    it flags, and every resample of an estimator outside ``_STACKED``, is
-    refitted by the registered estimator on ``datasets[s].take(rows_b)``,
-    which then decides whether it fails; non-finite coefficients fail as
-    a ``NonFiniteError``.
-
-    Returns (theta (S, B, p), solved (S, B), failures, refits), the last
-    two summed over the datasets: the failed resamples by exception type
-    name, and the number refitted.  A failed resample's theta is 0.
+    Each dataset's resamples are fitted a chunk at a time by
+    :func:`_fit_counts`, so a resample's result does not depend on the
+    other datasets; a refit's dataset is ``datasets[s].take(rows_b)``.
+    Returns (theta (S, B, p), solved (S, B), failures, refits, passed
+    (S,), se (S, p)), failures and refits summed over the datasets.  A
+    dataset has ``passed`` when at most 1% of its resamples failed, and
+    then ``se`` holds the standard deviation (ddof 1) of its solved
+    draws, else NaN.  A failed resample's theta is 0.
     """
     S, n = len(datasets), datasets[0].n
     words = _boot_words(seeds, B)
     theta = np.zeros((S * B, len(_names(spec, estimator != "ols"))))
     solved = np.zeros(S * B, dtype=bool)
-    if estimator in _STACKED:
-        chunk = _chunk(n, spec)
-        for s, data in enumerate(datasets):
-            design = _CountDesign(data.columns, spec)
-            for lo in range(s * B, (s + 1) * B, chunk):
-                ps = np.arange(lo, min(lo + chunk, (s + 1) * B))
-                th, ok, _ = design.fit(
-                    estimator, _counts(_resample_chunk(words[ps], n)))
-                theta[ps[ok]] = th[ok]
-                solved[ps] = ok
-    failures: dict[str, int] = {}
-    refits = np.flatnonzero(~solved)
-    for p in refits:
-        try:
-            rows = _resample_rows(words[p], n)
-            th = ESTIMATORS[estimator](datasets[p // B].take(rows), spec).theta
-            if not np.all(np.isfinite(th)):
-                raise NonFiniteError("non-finite bootstrap coefficients")
-            theta[p], solved[p] = th, True
-        except (RankDeficiencyError, ConstantInputError,
-                IdentificationError, NonFiniteError) as exc:
-            kind = type(exc).__name__
-            failures[kind] = failures.get(kind, 0) + 1
-    return theta.reshape(S, B, -1), solved.reshape(S, B), failures, refits.size
+    failures, refits = Counter(), 0
+    chunk = _chunk(n, spec)
+    for s, data in enumerate(datasets):
+        design = _CountDesign(data.columns, spec)
+        for lo in range(s * B, (s + 1) * B, chunk):
+            ps = np.arange(lo, min(lo + chunk, (s + 1) * B))
+            th, ok, _, r = _fit_counts(
+                estimator, design, _counts(_resample_chunk(words[ps], n)),
+                spec, lambda i: data.take(_resample_rows(words[ps[i]], n)),
+                failures)
+            theta[ps[ok]], solved[ps], refits = th[ok], ok, refits + r
+    theta, solved = theta.reshape(S, B, -1), solved.reshape(S, B)
+    passed = B - np.count_nonzero(solved, axis=1) <= 0.01 * B
+    # of passing datasets (2 draws or more): numpy adds each of 3 or more
+    # coefficients' draws in resample order, as for one dataset's alone
+    se = np.full(theta[:, 0].shape, np.nan)
+    se[passed] = np.std(theta[passed], axis=1, ddof=1,
+                        where=solved[passed][..., None])
+    return theta, solved, dict(failures), refits, passed, se
 
 
 def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
@@ -676,20 +696,14 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
                     level: float = 0.05) -> BootstrapResult:
     """Resample rows with replacement and refit ``estimator`` B times.
 
-    The one-dataset case of :func:`_resample_fits`: for every built-in
-    estimator (``iv_internal`` as npcf's) the resamples are solved a
-    chunk at a time from their row counts by :class:`_CountDesign`, and
-    one it flags (near a rank, constant-residual, exact-fit or
-    copula-guard rejection) is refitted by the registered estimator,
-    which then decides whether it fails; estimators registered later
-    refit every resample.  npcf's first-stage residuals within TIE_RTOL
-    times max|z| + max|e| of each other tie in both paths, so no resample
-    is refitted for a tie.  The chunks' draws equal those of refitting
-    every resample to rounding (about 1e-14 relative), not bit for bit.
-    A resample whose refitted coefficients are not finite fails as a
-    ``NonFiniteError``.  The full sample is not fitted here: a dataset
-    the estimator cannot fit makes its resamples fail, which raises
-    BootstrapError.
+    The one-dataset case of :func:`_resample_fits`: the resamples are
+    solved a chunk at a time from their row counts by
+    :class:`_CountDesign`, and one it flags goes to the scalar fallback
+    :func:`_fit_counts`, which decides whether it fails.  The chunks'
+    draws equal those of refitting every resample to rounding (about
+    1e-14 relative), not bit for bit.  The full sample is not fitted
+    here: a dataset the estimator cannot fit makes its resamples fail,
+    which raises BootstrapError.
 
     Resample b's rows are ``seed.child(_BOOT_KEY, b).generator()
     .integers(0, n, size=n)``, bit for bit, however they are drawn: a
@@ -733,17 +747,15 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
         raise DomainError(f"need more rows than coefficients "
                           f"(n={data.n}, p={len(names)})")
 
-    theta, solved, failures, refits = _resample_fits(estimator, [data], spec,
-                                                     [seed], B)
+    theta, solved, failures, refits, passed, se = _resample_fits(
+        estimator, [data], spec, [seed], B)
     n_failed = B - int(solved.sum())
-    if n_failed > 0.01 * B:
+    if not passed[0]:
         raise BootstrapError(
             f"{n_failed} of {B} bootstrap resamples failed "
             f"(by type: {failures}); the design is too fragile for "
             "resampling")
-    draws = theta[0][solved[0]]
-
-    se = draws.std(axis=0, ddof=1)
+    draws, se = theta[0][solved[0]], se[0]
     ci = np.quantile(draws, [level / 2.0, 1.0 - level / 2.0], axis=0)
     bad = ~(np.isfinite(se) & np.isfinite(ci).all(axis=0))
     if bad.any():

@@ -21,11 +21,11 @@ problem whose row counts are all 1.  The bootstraps of a chunk's
 repetitions run through the same engine in one call, each repetition's
 resamples fitted as row counts of its own data.  Each estimator's
 results are kept in arrays indexed by repetition, which a chunk fills as
-one block, so no per-repetition code runs unless a repetition needs a
-scalar fit: one the engine flags is fitted by the registered estimator,
-and so is every repetition of estimators registered later.  The
-engine's fits equal the scalar ones to rounding (about 1e-14 relative),
-not bit for bit.
+one block, so no per-repetition code runs but the bootstrap's scalar
+fallback, :func:`endofix.inference._fit_counts`, for a repetition the
+engine flags and every repetition of an estimator registered later.
+The engine's fits equal the scalar ones to rounding (about 1e-14
+relative), not bit for bit.
 """
 from __future__ import annotations
 
@@ -39,9 +39,9 @@ import numpy as np
 from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 
 from .data import Dataset
-from .errors import DataError, DomainError, EndofixError, NonFiniteError
+from .errors import DataError, DomainError
 from .estimators import ESTIMATORS, ModelSpec, _names
-from .inference import _STACKED, _chunk, _CountDesign, _resample_fits
+from .inference import _chunk, _CountDesign, _fit_counts, _resample_fits
 from .numerics import DistSpec, RngStream, words_generator
 
 __all__ = ["DgpConfig", "gen_dgp1", "gen_dgp2", "mc_run", "McSummary",
@@ -332,23 +332,16 @@ class _Tally:
         lo + s of the chunk ``cols``, in one call of the bootstrap's
         engine; one whose bootstrap fails keeps its point estimate."""
         keep = np.flatnonzero(self.done[lo:lo + len(cols["y"])])
-        theta, solved, _, _ = _resample_fits(
+        _, _, _, _, passed, se = _resample_fits(
             est, [_repetition(cols, s) for s in keep], MODEL_SPEC,
             [master.child(lo + s, _est_key(est)) for s in keep], B)
-        # pairs_bootstrap's BootstrapError: more than 1% of resamples failed
-        boot = B - np.count_nonzero(solved, axis=1) <= 0.01 * B
-        self.failures["BootstrapError"] += int(np.count_nonzero(~boot))
-        # pairs_bootstrap's standard errors to the bit: with 3 or more
-        # coefficients numpy adds each one's draws in resample order in both
-        se = np.std(theta[boot], axis=1, ddof=1,
-                    where=solved[boot][..., None])
-        # a percentile interval that is not finite needs draws whose
-        # spread overflows, and then the standard error is not finite too
-        finite = np.isfinite(se).all(axis=1)
-        self.failures["NonFiniteError"] += int(np.count_nonzero(~finite))
-        tested = lo + keep[boot][finite]
-        self.se[tested] = se[finite]
-        self.has_test[tested] = True
+        # pairs_bootstrap's errors: a percentile interval that is not
+        # finite needs draws whose spread overflows, and so does the se
+        tested = passed & np.isfinite(se).all(axis=1)
+        self.failures.update(BootstrapError=int(np.sum(~passed)),
+                             NonFiniteError=int(np.sum(passed & ~tested)))
+        self.se[lo + keep[tested]] = se[tested]
+        self.has_test[lo + keep[tested]] = True
 
 
 def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
@@ -361,10 +354,11 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
     for the corrected estimators and classical standard errors for plain
     OLS.  Pass ``B=0`` to skip the tests (bias/std/rmse only), which is
     much cheaper; any other B below 2 raises DomainError.  A repetition
-    whose fit fails or gives coefficients that are not finite is left out
-    of every cell; one whose bootstrap fails keeps its point estimate and
-    is left out of the size only.  ``McSummary.failures`` counts both
-    kinds by type.  An estimator named twice is run once.
+    whose fit fails, by the rule of the bootstrap's scalar fallback
+    (:func:`endofix.inference._fit_counts`; other errors propagate), is
+    left out of every cell; one whose bootstrap fails keeps its point
+    estimate and is left out of the size only.  ``McSummary.failures``
+    counts both kinds by type.  An estimator named twice is run once.
     ``keep_draws`` retains the raw per-repetition estimates on the
     summary.  Fully deterministic given ``master``: data and bootstrap
     streams are keyed by (repetition, estimator identity), so the
@@ -404,27 +398,13 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
         # each repetition is the problem whose row counts are all 1
         design, ones = _CountDesign(cols, MODEL_SPEC), np.ones((S, 1, cfg.n))
         for est, tally in tallies.items():
-            ok = np.zeros(S, dtype=bool)
-            if est in _STACKED:
-                theta, ok, se = design.fit(est, ones)
-                tally.theta[block] = theta
-                if est == "ols":
-                    tally.se[block] = se
-            tally.refits += S - int(np.count_nonzero(ok))
-            for s in np.flatnonzero(~ok):
-                try:
-                    fit = ESTIMATORS[est](_repetition(cols, s), MODEL_SPEC)
-                    # the engine leaves a non-finite point to this fit
-                    if not np.all(np.isfinite(fit.theta)):
-                        raise NonFiniteError("non-finite coefficients")
-                except (EndofixError, np.linalg.LinAlgError) as exc:
-                    tally.failures[type(exc).__name__] += 1
-                    continue
-                tally.theta[lo + s], ok[s] = fit.theta, True
-                if est == "ols":
-                    tally.se[lo + s] = fit.se()
+            tally.theta[block], ok, se, refits = _fit_counts(
+                est, design, ones, MODEL_SPEC,
+                lambda s: _repetition(cols, s), tally.failures)
             tally.done[block] = ok
+            tally.refits += refits
             if est == "ols":
+                tally.se[block] = se
                 tally.has_test[block] = ok
             elif B >= 2 and ok.any():
                 tally.bootstrap(est, cols, lo, B, master)

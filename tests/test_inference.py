@@ -1012,7 +1012,7 @@ def test_gp_overflow_is_not_an_exact_fit():
         for w in RngStream(0).child_words(_BOOT_KEY, np.array([7, 11])):
             theta = gp_fit(data.take(_resample_rows(w, 30)), _HUGE_SPEC).theta
             assert not np.isfinite(theta).all()
-        _, solved, failures, _ = inference._resample_fits(
+        _, solved, failures, *_ = inference._resample_fits(
             "gp_copula", [data], _HUGE_SPEC, [RngStream(0)], 12)
     assert not solved[0, [7, 11]].any()
     assert "ConstantInputError" not in failures
