@@ -40,6 +40,8 @@ REPORT_SCHEMA = "endofix-report/2"
 
 _CLI_TO_TAG = {"ols": "ols", "npcf": "npcf", "iv": "iv_internal",
                "2scope": "two_scope", "gp": "gp_copula"}
+# simulate's error distributions (--edist)
+_EDISTS = {"g11": DistSpec.gamma(1.0, 1.0), "g32": DistSpec.gamma(3.0, 2.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +393,10 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _parse_edist(text: str) -> DistSpec:
-    if text == "g11":
-        return DistSpec.gamma(1.0, 1.0)
-    if text == "g32":
-        return DistSpec.gamma(3.0, 2.0)
-    raise DataError(f"unknown error distribution {text!r} (use g11 or g32)")
-
-
 def cmd_simulate(args) -> int:
-    e_dist = _parse_edist(args.edist)
-    cfg = DgpConfig(kind=f"dgp{args.dgp}", n=args.n, e_dist=e_dist,
-                    delta=args.delta, alpha=args.alpha, rho=args.rho)
+    cfg = DgpConfig(kind=f"dgp{args.dgp}", n=args.n,
+                    e_dist=_EDISTS[args.edist], delta=args.delta,
+                    alpha=args.alpha, rho=args.rho)
     tags = [_CLI_TO_TAG[e] for e in args.estimators]
     t0 = time.time()
     summary = mc_run(cfg, tags, reps=args.reps, B=args.B,
@@ -513,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rho", type=float, default=0.0)
     s.add_argument("--delta", type=float, default=0.0)
     s.add_argument("--alpha", type=float, default=0.0)
-    s.add_argument("--edist", choices=("g11", "g32"), default="g11")
+    s.add_argument("--edist", choices=sorted(_EDISTS), default="g11")
     s.add_argument("--B", type=int, default=99)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--estimators", nargs="+", default=["ols", "npcf", "2scope"],

@@ -680,7 +680,8 @@ def _resample_fits(estimator: str, datasets, spec: ModelSpec, seeds,
                 estimator, design, _counts(_resample_chunk(words[ps], n)),
                 spec, lambda i: data.take(_resample_rows(words[ps[i]], n)),
                 failures)
-            theta[ps[ok]], solved[ps], refits = th[ok], ok, refits + r
+            theta[ps[ok]], solved[ps] = th[ok], ok
+            refits += r
     theta, solved = theta.reshape(S, B, -1), solved.reshape(S, B)
     passed = B - np.count_nonzero(solved, axis=1) <= 0.01 * B
     # of passing datasets (2 draws or more): numpy adds each of 3 or more

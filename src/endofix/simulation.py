@@ -63,6 +63,9 @@ def _est_key(tag: str) -> int:
     # later-registered estimators get a key from their name, run-stable
     return _EST_KEYS.get(tag, 0x10000 + zlib.crc32(tag.encode()))
 
+# the true coefficients of both designs: intercept, x and z
+_BETA0, _BETA1, _GAMMA = 1.0, -1.0, 1.0
+
 # probabilities fed to quantile/score transforms stay strictly inside (0,1)
 _PCLIP_LO = 1e-300
 _PCLIP_HI = float(np.nextafter(1.0, 0.0))
@@ -75,7 +78,7 @@ class DgpConfig:
     ``kind`` is "dgp1" or "dgp2"; ``e_dist`` must be a gamma family spec.
     ``delta`` is the linear regressor coupling (design 1), ``alpha`` the
     copula correlation between the regressors (design 2), ``rho`` the
-    endogeneity strength.  Coefficient defaults (1, -1, 1).
+    endogeneity strength.  The coefficients are fixed at (1, -1, 1).
     """
 
     kind: str
@@ -84,21 +87,27 @@ class DgpConfig:
     delta: float = 0.0
     alpha: float = 0.0
     rho: float = 0.0
-    beta0: float = 1.0
-    beta1: float = -1.0
-    gamma: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("dgp1", "dgp2"):
             raise DomainError(f"unknown DGP kind {self.kind!r}")
-        for name in ("delta", "alpha", "rho", "beta0", "beta1", "gamma"):
+        for name in ("delta", "alpha", "rho"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
         if self.e_dist.family != "gamma":
             raise DomainError("e_dist must be a gamma DistSpec")
         if self.n < 10:
             raise DomainError("n is too small to be useful")
-        if self.kind == "dgp2":
+        if self.kind == "dgp1":
+            try:
+                sd = self._sd_z  # computed once, kept for _generate
+            except (OverflowError, ZeroDivisionError):
+                sd = math.inf
+            if not 0.0 < sd < math.inf:
+                raise DomainError(
+                    f"dgp1's delta*x + e has no finite positive sd (delta="
+                    f"{self.delta}, e~Gamma{self.e_dist.params})")
+        else:
             if not (abs(self.alpha) < 1.0 and abs(self.rho) < 1.0):
                 raise DomainError("dgp2 needs |alpha| < 1 and |rho| < 1")
             try:
@@ -114,6 +123,12 @@ class DgpConfig:
         return np.array([[1.0, a, r], [a, 1.0, 0.0], [r, 0.0, 1.0]])
 
     @cached_property
+    def _sd_z(self) -> float:
+        """Population sd of dgp1's raw regressor delta*x + e."""
+        a, b = self.e_dist.params
+        return math.sqrt(self.delta ** 2 * 1.0 + a / (b * b))
+
+    @cached_property
     def _chol(self) -> np.ndarray:
         """Lower Cholesky factor of :meth:`correlation_matrix`, factored
         once per config (read-only, so no repetition can change it)."""
@@ -122,8 +137,7 @@ class DgpConfig:
         return chol
 
     def truth(self) -> dict[str, float]:
-        return {"const": self.beta0, "x": self.beta1, "z": self.gamma,
-                "rho[z]": self.rho}
+        return {"const": _BETA0, "x": _BETA1, "z": _GAMMA, "rho[z]": self.rho}
 
 
 def _clip_prob(u: np.ndarray) -> np.ndarray:
@@ -161,8 +175,7 @@ def _generate(cfg: DgpConfig, words: np.ndarray) -> dict[str, np.ndarray]:
             e[s] = rng.gamma(a, 1.0 / b, n)
             eps[s] = rng.standard_normal(n)
         eta = ndtri(_clip_prob(gammainc(a, b * e)))
-        sd_z = math.sqrt(cfg.delta ** 2 * 1.0 + a / (b * b))
-        z = (cfg.delta * x + e) / sd_z
+        z = (cfg.delta * x + e) / cfg._sd_z
         u = cfg.rho * eta + eps
     else:
         W = np.empty((S, n, 3))
@@ -173,7 +186,7 @@ def _generate(cfg: DgpConfig, words: np.ndarray) -> dict[str, np.ndarray]:
         e = _gamma_quantile(a, _clip_prob(ndtr(eta))) / b
         x = _gamma_quantile(1.0, _clip_prob(ndtr(x_star)))
         z = e
-    y = cfg.beta0 + cfg.beta1 * x + cfg.gamma * z + u
+    y = _BETA0 + _BETA1 * x + _GAMMA * z + u
     return {"y": y, "x": x, "z": z, "eta_true": eta, "e_true": e}
 
 
@@ -332,7 +345,7 @@ class _Tally:
         lo + s of the chunk ``cols``, in one call of the bootstrap's
         engine; one whose bootstrap fails keeps its point estimate."""
         keep = np.flatnonzero(self.done[lo:lo + len(cols["y"])])
-        _, _, _, _, passed, se = _resample_fits(
+        *_, passed, se = _resample_fits(
             est, [_repetition(cols, s) for s in keep], MODEL_SPEC,
             [master.child(lo + s, _est_key(est)) for s in keep], B)
         # pairs_bootstrap's errors: a percentile interval that is not

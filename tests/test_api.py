@@ -38,6 +38,8 @@ def test_every_exported_name_resolves(module):
     ("numerics", "QuadratureSpec"), ("numerics", "DistSpec.centered"),
     ("numerics", "DistSpec.centered_version"),
     ("asymptotics", "lemma_b_residual"),
+    ("simulation", "DgpConfig.beta0"), ("simulation", "DgpConfig.beta1"),
+    ("simulation", "DgpConfig.gamma"), ("cli", "_parse_edist"),
 ])
 def test_deleted_names_are_gone(module, name):
     obj = importlib.import_module(f"endofix.{module}")

@@ -835,6 +835,12 @@ class TestConfigurationErrors:
                    "--B", "0", f"{flag}={value}"])
         self._assert_config_error(rc, capsys)
 
+    def test_simulate_regressor_sd_overflows(self, capsys):
+        # delta ** 2 overflows in dgp1's population sd of delta*x + e
+        rc = main(["simulate", "--dgp", "1", "--delta", "1e308", "--n", "10",
+                   "--reps", "2", "--B", "0"])
+        self._assert_config_error(rc, capsys)
+
     @staticmethod
     def _out_of_memory(*args, **kwargs):
         raise MemoryError

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -24,6 +25,17 @@ class TestDgpConfig:
     def test_rejects_non_gamma_error(self):
         with pytest.raises(DomainError):
             DgpConfig("dgp1", e_dist=DistSpec.normal())
+
+    @pytest.mark.parametrize("delta,e_dist", [
+        (1e308, DistSpec.gamma(1, 1)),        # delta ** 2 overflows
+        (0.0, DistSpec.gamma(3, 1e-200)),     # a / b^2 divides by zero
+        (0.0, DistSpec.gamma(3, 1e-160)),     # a / b^2 overflows to inf
+        (0.0, DistSpec.gamma(3, 1e200))])     # a / b^2 rounds to 0
+    def test_dgp1_needs_a_finite_positive_regressor_sd(self, delta, e_dist):
+        with pytest.raises(DomainError, match="finite positive sd"):
+            DgpConfig("dgp1", delta=delta, e_dist=e_dist)
+        # dgp2 does not standardize its regressor
+        DgpConfig("dgp2", e_dist=e_dist)
 
     def test_dgp2_needs_valid_correlations(self):
         with pytest.raises(DomainError):
@@ -191,7 +203,7 @@ def _one_repetition(cfg, stream):
         e = quantile(a, clip(ndtr(eta))) / b
         x = quantile(1.0, clip(ndtr(W[:, 1])))
         z = e
-    y = cfg.beta0 + cfg.beta1 * x + cfg.gamma * z + u
+    y = 1.0 - x + z + u     # the coefficients (1, -1, 1) of both designs
     return {"y": y, "x": x, "z": z, "eta_true": eta, "e_true": e}
 
 
@@ -775,3 +787,46 @@ def test_non_finite_point_estimates_are_counted_and_left_out(monkeypatch):
     # the repetitions kept are the (stacked) npcf fits of the same data
     npcf = np.array(s.draws["npcf"]["x"])[[1, 2, 4, 5]]
     assert np.abs(kept - npcf).max() <= 1e-12 * np.abs(npcf).max()
+
+
+@pytest.mark.parametrize("path", ["point", "mc_bootstrap", "pairs_bootstrap"])
+@pytest.mark.parametrize("error", ["RankDeficiencyError", "ConstantInputError",
+                                   "IdentificationError", "NonFiniteError",
+                                   "DataError"])
+def test_one_failure_rule(monkeypatch, error, path):
+    # a scalar fit that raises one of the four counted types fails its
+    # problem alike on every path: mc_run's point fits, its bootstraps'
+    # refits and pairs_bootstrap's.  Any other error, DataError here,
+    # propagates from every path
+    from endofix import errors
+    from endofix.estimators import ESTIMATORS, fit_npcf
+    from endofix.inference import pairs_bootstrap
+
+    def failing(data, spec):
+        if path == "point" or data.provenance.endswith("|resample"):
+            raise getattr(errors, error)("synthetic failure")
+        return fit_npcf(data, spec)
+
+    monkeypatch.setitem(ESTIMATORS, "_failing", failing)
+    cfg = DgpConfig("dgp1", n=60, e_dist=DistSpec.gamma(1, 1), delta=1.0,
+                    rho=0.5)
+
+    def run():
+        if path == "pairs_bootstrap":
+            return pairs_bootstrap(generate(cfg, RngStream(76)), MODEL_SPEC,
+                                   "_failing", B=9, seed=RngStream(77))
+        return mc_run(cfg, ["_failing"], reps=3,
+                      B=0 if path == "point" else 9, master=RngStream(78))
+
+    if error == "DataError":
+        with pytest.raises(errors.DataError, match="synthetic failure"):
+            run()
+    elif path == "pairs_bootstrap":
+        with pytest.raises(errors.BootstrapError,
+                           match=re.escape(f"by type: {{'{error}': 9}}")):
+            run()
+    else:
+        s = run()
+        kind = error if path == "point" else "BootstrapError"
+        assert s.failures == {"_failing": {kind: 3}}
+        assert s.completed == {"_failing": 0 if path == "point" else 3}
