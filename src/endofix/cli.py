@@ -167,7 +167,9 @@ def ingest_csv(path: str, outcome: str, exogenous, endogenous):
         raise DataError("duplicate column among outcome/exogenous/endogenous")
 
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        # "utf-8-sig" also drops the byte-order mark that spreadsheet
+        # programs write at the start of a "CSV UTF-8" file
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path!r}: {exc}") from exc
     with fh:

@@ -5,15 +5,16 @@ its normal-scores correction are often correlated above 0.9); the pivoted
 factorization both stabilizes the solve and yields a rank diagnostic that
 names the offending column.  :func:`ols_fit` adds R² and the classical
 covariance.
+
+:mod:`scipy.linalg` is imported inside :func:`_lstsq` and :func:`_apply_q`,
+not here: ``constants`` and a bootstrap or Monte Carlo run that stays in
+the count engine never fit a scalar least squares, and so never load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
-from scipy.linalg.blas import dnrm2
-from scipy.linalg.lapack import dormqr
 
 from .errors import DomainError, RankDeficiencyError
 
@@ -91,6 +92,8 @@ def _lstsq(V: np.ndarray, b: np.ndarray, names: tuple[str, ...],
     ``V``.  Raises DomainError unless n > p, and RankDeficiencyError naming
     the first column whose pivot is below RANK_RTOL times the largest.
     """
+    from scipy.linalg import qr, solve_triangular  # see the module docstring
+    from scipy.linalg.blas import dnrm2
     n, p = V.shape
     if n <= p:
         raise DomainError(f"need more rows than columns (n={n}, p={p})")
@@ -134,6 +137,7 @@ def _apply_q(H: np.ndarray, tau: np.ndarray, c: np.ndarray, trans: str):
     """Q'c (``trans`` "T") or Q c ("N") for the Q of the Householder
     reflectors ``H``, ``tau`` of a QR, overwriting the Fortran-ordered
     n x r array ``c``."""
+    from scipy.linalg.lapack import dormqr  # see the module docstring
     lwork = int(dormqr("L", trans, H, tau, c, -1)[1][0])
     return dormqr("L", trans, H, tau, c, lwork, overwrite_c=1)[0]
 

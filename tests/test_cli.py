@@ -175,6 +175,23 @@ class TestIngestCsv:
         assert (data.n, dropped) == (100, 100)
         assert c_reader.call_count == 5
 
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet programs start a "CSV UTF-8" file with a BOM, which
+        # would otherwise stick to the first column's name
+        plain = tmp_path / "plain.csv"
+        _write_csv(plain, ["y", "x", "z"],
+                   [[1, 2, 3], [4, "", 6], [7, 8, 9], [2, 5, 1]])
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, want_spec, want_dropped = ingest_csv(str(plain), "y", ["x"],
+                                                   ["z"])
+        got, spec, dropped = ingest_csv(str(bom), "y", ["x"], ["z"])
+        assert spec == want_spec
+        assert dropped == want_dropped == 1
+        assert list(got.columns) == list(want.columns)
+        for name, col in want.columns.items():
+            np.testing.assert_array_equal(got.column(name), col)
+
     @pytest.mark.parametrize("where", ["header", "body"])
     def test_non_utf8_byte_is_a_configuration_error(self, tmp_path, capsys,
                                                     where):
@@ -668,30 +685,64 @@ def test_closed_stdout_exits_141_without_traceback():
     assert err == b""
 
 
-def test_commands_never_import_scipy_integrate_optimize_or_sparse(tmp_path):
-    # scipy.integrate pulls in scipy.optimize and scipy.sparse, about
-    # 0.2 s of cold start and 18 MB that no command needs
+@pytest.fixture(scope="module")
+def command_footprint(tmp_path_factory):
+    """Exit codes of ``constants``, an engine-only ``simulate`` and ``fit``,
+    run in that order in one fresh interpreter, and the scipy subpackages
+    loaded after the CLI import and after each command."""
     import endofix
-    csv_path = tmp_path / "d.csv"
+    csv_path = tmp_path_factory.mktemp("footprint") / "d.csv"
     _write_dgp1_csv(csv_path, n=60)
     script = f"""
-import contextlib, io, sys
+import contextlib, io, json, sys
 import endofix.cli as cli
+watched = ("scipy.integrate", "scipy.optimize", "scipy.sparse",
+           "scipy.linalg")
+def loaded():
+    return [m for m in watched if m in sys.modules]
+out = {{"import": loaded()}}
 with contextlib.redirect_stdout(io.StringIO()):
-    fit = cli.main(["fit", "--data", {str(csv_path)!r}, "--outcome", "y",
-                    "--exog", "x", "--endog", "z", "--bootstrap", "9"])
-    sim = cli.main(["simulate", "--dgp", "2", "--n", "60", "--reps", "2",
-                    "--B", "9", "--estimators", "ols", "npcf", "iv",
-                    "2scope", "gp"])
-    const = cli.main(["constants", "--dist", "gamma:3,2"])
-print(fit, sim, const, [m for m in ("scipy.integrate", "scipy.optimize",
-                                    "scipy.sparse") if m in sys.modules])
+    out["rc"] = [cli.main(["constants", "--dist", "gamma:3,2"])]
+    out["constants"] = loaded()
+    # every repetition and resample of this run stays in the count engine
+    out["rc"].append(cli.main([
+        "simulate", "--dgp", "2", "--n", "60", "--reps", "2", "--B", "9",
+        "--estimators", "ols", "npcf", "iv", "2scope", "gp"]))
+    out["simulate"] = loaded()
+    out["rc"].append(cli.main([
+        "fit", "--data", {str(csv_path)!r}, "--outcome", "y", "--exog", "x",
+        "--endog", "z", "--bootstrap", "9"]))
+    out["fit"] = loaded()
+print(json.dumps(out))
 """
     env = dict(os.environ,
                PYTHONPATH=str(Path(endofix.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.stdout == "0 0 0 []\n", proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_commands_never_import_scipy_integrate_optimize_or_sparse(
+        command_footprint):
+    # scipy.integrate pulls in scipy.optimize and scipy.sparse, about
+    # 0.2 s of cold start and 18 MB that no command needs
+    assert command_footprint["rc"] == [0, 0, 0]
+    for stage in ("import", "constants", "simulate", "fit"):
+        assert set(command_footprint[stage]) <= {"scipy.linalg"}, stage
+
+
+def test_only_a_scalar_least_squares_fit_imports_scipy_linalg(
+        command_footprint):
+    # scipy.linalg is about 6 MB and 40-60 ms of cold start; only fit's
+    # full-sample fits and the scalar fallback of the count engine use it
+    if _loaded_after_import("scipy.linalg", "scipy.special"):
+        pytest.skip("this scipy loads scipy.linalg with scipy.special, "
+                    "which every command needs")
+    assert command_footprint["rc"] == [0, 0, 0]
+    for stage in ("import", "constants", "simulate"):
+        assert "scipy.linalg" not in command_footprint[stage], stage
+    assert "scipy.linalg" in command_footprint["fit"]
 
 
 class TestMallocThresholds:
@@ -1015,9 +1066,11 @@ def test_huge_finite_csv_gives_strict_json_or_exits_2_or_3(cells):
                 assert not report.exists()
 
 
-def _loaded_after_cli_import(module: str) -> bool:
+def _loaded_after_import(module: str, imported: str = "endofix.cli") -> bool:
+    """Whether a fresh interpreter has ``module`` loaded after importing
+    ``imported``."""
     import endofix
-    code = f"import sys, endofix.cli; print({module!r} in sys.modules)"
+    code = f"import sys, {imported}; print({module!r} in sys.modules)"
     env = dict(os.environ,
                PYTHONPATH=str(Path(endofix.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -1028,13 +1081,13 @@ def _loaded_after_cli_import(module: str) -> bool:
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats adds about half a second and 20 MB to every command's
     # start-up; nothing on the CLI's import path needs it
-    assert not _loaded_after_cli_import("scipy.stats")
+    assert not _loaded_after_import("scipy.stats")
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # the copula comparator is fitted in closed form; scipy.optimize would
     # only add start-up time and memory to every command
-    assert not _loaded_after_cli_import("scipy.optimize")
+    assert not _loaded_after_import("scipy.optimize")
 
 
 class TestSimulateCommand:
