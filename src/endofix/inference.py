@@ -14,11 +14,11 @@ it draws, and a Monte Carlo repetition is its own data, every count 1.
 :class:`_CountDesign` fits a chunk of problems of S datasets as weighted
 least squares on the data's own rows: one factor of the fixed columns
 per dataset, and per problem its weighted Gram matrix, small Cholesky
-factors and ranks from the counts; no design is gathered.
-:func:`_resample_fits` bootstraps S datasets, each in chunks of its own,
-and :func:`pairs_bootstrap` is its one-dataset case;
-:func:`~endofix.simulation.mc_run` fits a chunk of repetitions as one
-design of S datasets.  npcf's first-stage residuals tie by the rule of
+factors and ranks from the counts; no design is gathered.  A chunk of
+:func:`~endofix.simulation.mc_run` is S repetitions; one of a bootstrap
+(:func:`_resample_fits`; :func:`pairs_bootstrap` has S = 1) is all B
+resamples of max(1, _chunk // B) datasets, or a part of one dataset's.
+npcf's first-stage residuals tie by the rule of
 :func:`~endofix.transform.first_stage`, sorted neighbours within
 TIE_RTOL times max|z| + max|e|, among a problem's drawn rows, in every
 path, so no problem is refitted for a tie.  A problem near a rank,
@@ -57,7 +57,7 @@ __all__ = ["BootstrapResult", "TestResult", "pairs_bootstrap",
 
 # Resample b draws its rows from seed.child(_BOOT_KEY, b), so its draw does
 # not depend on the order or the chunk in which resamples are computed.  The
-# seed words of all B children of every dataset's seed are hashed in one
+# seed words of all B children of a chunk group's seeds are hashed in one
 # pass (_boot_words) and equal those of each child's own generator(); a
 # chunk's rows are drawn from those streams in one pass (_resample_chunk),
 # equal to each child generator's integers(0, n, size=n).
@@ -68,14 +68,14 @@ _BOOT_KEY = 0xB00
 # in ESTIMATORS under one of these names does not change the path.
 _STACKED = ("ols", "npcf", "iv_internal", "two_scope", "gp_copula")
 
-# The chunk budget of _CountDesign, for a bootstrap's resamples and for
-# Monte Carlo repetitions alike: a chunk takes as many problems as fit in
-# this many bytes of n-long float columns, counted per problem as the
-# widest design [X | Z | corrections | y] has (_chunk).  Larger chunks
-# spread each chunk's fixed cost of numpy calls over more problems and
-# hold more memory: at n = 250 a chunk takes 209 problems, five chunks per
-# bootstrap of 999 resamples.  A problem of 50 000 rows with
-# [1 | x | x^2 | z] already exceeds it, so a large-n chunk is one problem.
+# The chunk budget of _CountDesign, for bootstrap resamples and Monte
+# Carlo repetitions alike: as many problems as fit in this many bytes of
+# n-long float columns, counted per problem as the widest design
+# [X | Z | corrections | y] has (_chunk).  A bootstrap's chunk holds all B
+# resamples of max(1, _chunk // B) datasets, or part of one dataset's.
+# Larger chunks spread each chunk's fixed cost of numpy calls over more
+# problems and hold more memory: at n = 250 a chunk takes 209 problems,
+# five chunks per 999 resamples; at 50 000 rows of [1 | x | x^2 | z], one.
 _CHUNK_BYTES = 2 * 1024 * 1024
 
 # Where a bootstrap fit sorts a resample's first-stage residuals, the data
@@ -652,35 +652,39 @@ def _fit_counts(estimator: str, design: _CountDesign, C: np.ndarray,
     return theta, ok, se, flagged.size
 
 
-def _resample_fits(estimator: str, datasets, spec: ModelSpec, seeds,
+def _resample_fits(estimator: str, columns, spec: ModelSpec, seeds,
                    B: int):
     """Fit ``estimator`` on B resamples of each of S datasets of n rows,
-    whose model columns the caller has checked to be finite.  Resample b
-    of dataset s draws its rows from ``seeds[s].child(_BOOT_KEY, b)``.
-    Each dataset's resamples are fitted a chunk at a time by
-    :func:`_fit_counts`, so a resample's result does not depend on the
-    other datasets; a refit's dataset is ``datasets[s].take(rows_b)``.
-    Returns (theta (S, B, p), solved (S, B), failures, refits, passed
-    (S,), se (S, p)), failures and refits summed over the datasets.  A
-    dataset has ``passed`` when at most 1% of its resamples failed, and
-    then ``se`` holds the standard deviation (ddof 1) of its solved
-    draws, else NaN.  A failed resample's theta is 0.
+    given as model columns (S, n), or (n,) for one dataset, checked to be
+    finite; resample b of dataset s draws from seeds[s].child(_BOOT_KEY, b).
+    Chunks follow the rule of ``_CHUNK_BYTES``, with one design and one
+    :func:`_boot_words` call per group of datasets that share a chunk, so
+    a dataset's results are those it gets alone, bit for bit.  Returns
+    (theta (S, B, p), solved (S, B), failures, refits, passed (S,), se
+    (S, p)), failures and refits summed over the datasets.  A dataset has
+    ``passed`` when at most 1% of its resamples failed, and then ``se``
+    holds the standard deviation (ddof 1) of its solved draws, else NaN.
+    A failed resample's theta is 0.
     """
-    S, n = len(datasets), datasets[0].n
-    words = _boot_words(seeds, B)
+    S, n = np.atleast_2d(columns[spec.outcome]).shape
+    # allocated first: a B too large for memory fails before any chunk
     theta = np.zeros((S * B, len(_names(spec, estimator != "ols"))))
     solved = np.zeros(S * B, dtype=bool)
     failures, refits = Counter(), 0
     chunk = _chunk(n, spec)
-    for s, data in enumerate(datasets):
-        design = _CountDesign(data.columns, spec)
-        for lo in range(s * B, (s + 1) * B, chunk):
-            ps = np.arange(lo, min(lo + chunk, (s + 1) * B))
+    g = max(1, chunk // B)
+    for a in range(0, S, g):
+        group = {c: np.atleast_2d(v)[a:a + g] for c, v in columns.items()}
+        design = _CountDesign(group, spec)
+        words = _boot_words(seeds[a:a + g], B)
+        for lo in range(0, len(words), chunk):
+            ps = np.arange(lo, min(lo + chunk, len(words)))
             th, ok, _, r = _fit_counts(
                 estimator, design, _counts(_resample_chunk(words[ps], n)),
-                spec, lambda i: data.take(_resample_rows(words[ps[i]], n)),
-                failures)
-            theta[ps[ok]], solved[ps] = th[ok], ok
+                spec, lambda i: Dataset(
+                    {c: v[ps[i] // B] for c, v in group.items()}).take(
+                    _resample_rows(words[ps[i]], n)), failures)
+            theta[a * B + ps[ok]], solved[a * B + ps] = th[ok], ok
             refits += r
     theta, solved = theta.reshape(S, B, -1), solved.reshape(S, B)
     passed = B - np.count_nonzero(solved, axis=1) <= 0.01 * B
@@ -749,7 +753,7 @@ def pairs_bootstrap(data: Dataset, spec: ModelSpec, estimator: str = "npcf",
                           f"(n={data.n}, p={len(names)})")
 
     theta, solved, failures, refits, passed, se = _resample_fits(
-        estimator, [data], spec, [seed], B)
+        estimator, data.columns, spec, [seed], B)
     n_failed = B - int(solved.sum())
     if not passed[0]:
         raise BootstrapError(

@@ -17,15 +17,15 @@ the one-repetition case of the same generator, bit for bit.  For every
 built-in estimator a repetition is fitted as the bootstrap fits a
 resample, by :class:`endofix.inference._CountDesign`: one design of the
 chunk's S datasets serves every estimator, and each repetition is the
-problem whose row counts are all 1.  The bootstraps of a chunk's
-repetitions run through the same engine in one call, each repetition's
-resamples fitted as row counts of its own data.  Each estimator's
-results are kept in arrays indexed by repetition, which a chunk fills as
-one block, so no per-repetition code runs but the bootstrap's scalar
-fallback, :func:`endofix.inference._fit_counts`, for a repetition the
-engine flags and every repetition of an estimator registered later.
-The engine's fits equal the scalar ones to rounding (about 1e-14
-relative), not bit for bit.
+problem whose row counts are all 1.  One call of the same engine
+bootstraps a chunk's fitted repetitions: a count chunk holds all B
+resamples of max(1, chunk // B) of them, with one design, or part of
+one's when B exceeds it.  Each estimator's results are kept in arrays
+indexed by repetition, which a chunk fills as one block.  Only the
+scalar fallback, :func:`endofix.inference._fit_counts`, builds a
+``Dataset``, for a problem the engine flags and every problem of an
+estimator registered later.  The engine's fits equal the scalar ones to
+rounding (about 1e-14 relative), not bit for bit.
 """
 from __future__ import annotations
 
@@ -342,11 +342,12 @@ class _Tally:
     def bootstrap(self, est: str, cols: dict[str, np.ndarray], lo: int,
                   B: int, master: RngStream) -> None:
         """Bootstrap standard errors of ``est`` for the fitted repetitions
-        lo + s of the chunk ``cols``, in one call of the bootstrap's
-        engine; one whose bootstrap fails keeps its point estimate."""
+        lo + s of the chunk ``cols``, in one engine call on views of their
+        columns when all are; a failed bootstrap keeps the point estimate."""
         keep = np.flatnonzero(self.done[lo:lo + len(cols["y"])])
+        at = keep if keep.size < len(cols["y"]) else slice(None)
         *_, passed, se = _resample_fits(
-            est, [_repetition(cols, s) for s in keep], MODEL_SPEC,
+            est, {c: cols[c][at] for c in ("y", "x", "z")}, MODEL_SPEC,
             [master.child(lo + s, _est_key(est)) for s in keep], B)
         # pairs_bootstrap's errors: a percentile interval that is not
         # finite needs draws whose spread overflows, and so does the se
@@ -378,11 +379,11 @@ def mc_run(cfg: DgpConfig, estimators, reps: int, B: int,
     estimator ordering changes nothing.
 
     Repetitions are generated and fitted a chunk at a time (see the module
-    docstring), so memory does not grow with ``reps``.  A repetition's
-    point fit is that of unit row counts in the bootstrap's engine, and
-    does not depend on its chunk, bit for bit.  When B >= 2 one call of
-    that engine bootstraps a chunk's fitted repetitions, each as
-    ``pairs_bootstrap`` would alone, bit for bit.
+    docstring), so memory does not grow with ``reps``.  A repetition's point
+    fit is that of unit row counts in the bootstrap's engine, and does not
+    depend on its chunk, bit for bit.  When B >= 2 one engine call bootstraps
+    a chunk's fitted repetitions, max(1, chunk // B) of them sharing a count
+    chunk, each as ``pairs_bootstrap`` would alone, bit for bit.
     ``McSummary.scalar_refits`` counts the repetitions fitted one by one.
     Cells, draws and counts are reductions over per-estimator arrays in
     repetition order; the t-tests are one vectorized comparison.

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -431,6 +432,29 @@ class TestStackedBootstrapMemory:
         finally:
             tracemalloc.stop()
         assert s.scalar_refits[estimator] == 0
+        assert peak <= bound * 1e6
+
+    # traced peak of a bootstrapped mc_run in MB, with a margin of about
+    # 10% over the measured 3.62, 6.98 and 24.9.  Hashing the seed words
+    # of all S x B resamples at once (about 173 B each while hashed:
+    # 30 000 at n = 60) and fitting each dataset in chunks of its own read
+    # 5.79, 6.09 and 40.6; the B = 19 bound is that 6.09 plus one 2 MiB
+    # chunk, which holds the resamples of 11 datasets
+    @pytest.mark.parametrize("n,reps,B,bound", [
+        (60, 100, 300, 4.0), (250, 209, 19, 8.2),
+        pytest.param(250, 209, 999, 28.0, marks=pytest.mark.slow)])
+    def test_peak_of_a_bootstrapped_monte_carlo_run(self, n, reps, B, bound):
+        cfg = DgpConfig("dgp1", n=n, e_dist=DistSpec.gamma(1, 1), delta=1.0,
+                        rho=0.5)
+        assert reps <= _chunk(n, MODEL_SPEC)
+        mc_run(cfg, ("npcf",), 2, 2, RngStream(1))
+        tracemalloc.start()
+        try:
+            s = mc_run(cfg, ("npcf",), reps, B, RngStream(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.scalar_refits["npcf"] == 0 and not s.failures
         assert peak <= bound * 1e6
 
 
@@ -1013,9 +1037,44 @@ def test_gp_overflow_is_not_an_exact_fit():
             theta = gp_fit(data.take(_resample_rows(w, 30)), _HUGE_SPEC).theta
             assert not np.isfinite(theta).all()
         _, solved, failures, *_ = inference._resample_fits(
-            "gp_copula", [data], _HUGE_SPEC, [RngStream(0)], 12)
+            "gp_copula", data.columns, _HUGE_SPEC, [RngStream(0)], 12)
     assert not solved[0, [7, 11]].any()
     assert "ConstantInputError" not in failures
+
+
+@pytest.mark.parametrize("estimator", ["npcf", "iv_internal", "two_scope",
+                                       "gp_copula"])
+def test_stacked_datasets_fit_as_each_alone(monkeypatch, estimator):
+    # in chunks of 8 resamples: at B = 3 a chunk holds all resamples of
+    # g = 2 datasets (the five in groups of 2, 2 and 1), at B = 8 those of
+    # one, and at B = 11 each dataset's fill two chunks.  Dataset 3, whose
+    # x is constant, shares its group with a good one and leaves every
+    # resample to the scalar fallback.  Each dataset's results are the
+    # bytes it gets alone
+    n, S = 60, 5
+    monkeypatch.setattr(inference, "_CHUNK_BYTES", 8 * 8 * n * 5)
+    assert _chunk(n, MODEL_SPEC) == 8
+    cfg = DgpConfig("dgp1", n=n, e_dist=DistSpec.gamma(1, 1), delta=1.0,
+                    rho=0.5)
+    datasets = [generate(cfg, RngStream(80, s)) for s in range(S)]
+    cols = {c: np.stack([d.column(c) for d in datasets])
+            for c in ("y", "x", "z")}
+    cols["x"][3] = 2.0
+    seeds = [RngStream(81, s) for s in range(S)]
+    for B in (3, 8, 11):
+        theta, solved, failures, refits, passed, se = (
+            inference._resample_fits(estimator, cols, MODEL_SPEC, seeds, B))
+        alone = [inference._resample_fits(
+            estimator, {c: v[s] for c, v in cols.items()}, MODEL_SPEC,
+            [seeds[s]], B) for s in range(S)]
+        for s, (th, sv, _, _, ps, e) in enumerate(alone):
+            assert theta[s].tobytes() == th[0].tobytes()
+            assert solved[s].tobytes() == sv[0].tobytes()
+            assert se[s].tobytes() == e[0].tobytes()
+            assert passed[s] == ps[0]
+        assert failures == sum((Counter(a[2]) for a in alone), Counter())
+        assert refits == sum(a[3] for a in alone) >= B
+        assert list(passed) == [True, True, True, False, True]
 
 
 def _three_datasets(kind, n, tied_groups):

@@ -740,6 +740,35 @@ def test_point_fits_do_not_depend_on_the_chunk(kind):
                 assert se == want[est][2]
 
 
+@pytest.mark.parametrize("chunk_reps,groups", [(None, 1), (40, 4)])
+def test_one_design_per_estimator_and_group(monkeypatch, chunk_reps, groups):
+    # a chunk's point fits share one design, and each bootstrapped
+    # estimator builds one per group of g = chunk // B repetitions, not
+    # one per repetition: 15 repetitions at B = 9 are one group in the
+    # default chunk and four in chunks of 40 problems.  simulation imports
+    # the class by name, so both names count
+    from endofix import inference
+
+    built = Counter()
+
+    class Counted(inference._CountDesign):
+        def __init__(self, *args):
+            built["designs"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(inference, "_CountDesign", Counted)
+    monkeypatch.setattr(simulation, "_CountDesign", Counted)
+    cfg = DgpConfig("dgp1", n=120, e_dist=DistSpec.gamma(1, 1), delta=1.0,
+                    rho=0.5)
+    if chunk_reps:
+        monkeypatch.setattr(inference, "_CHUNK_BYTES",
+                            chunk_reps * 8 * cfg.n * 5)
+    estimators = ("ols", "npcf", "two_scope", "gp_copula")
+    s = mc_run(cfg, estimators, reps=15, B=9, master=RngStream(79))
+    assert s.completed == dict.fromkeys(estimators, 15)
+    assert built["designs"] == 1 + 3 * groups
+
+
 def test_ols_standard_errors_are_the_classical_ones():
     # the unit-count engine's ols standard errors, from the inverse R
     # factor it assembles, are fit_ols's classical ones
